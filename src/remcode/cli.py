@@ -125,7 +125,12 @@ def cmd_encode(args) -> int:
     return 0
 
 
-def _decode_erasures(spec, word, erase, args) -> int:
+def _print_elapsed(args, started: float) -> None:
+    if args.time:
+        print(f"elapsed_s: {time.perf_counter() - started:.6f}", file=sys.stderr)
+
+
+def _decode_erasures(spec, word, erase, args, started: float) -> int:
     if any(not 0 <= i < spec.n for i in erase):
         raise ValueError(f"--erase indices must lie in 0..{spec.n - 1}")
     known = frozenset(range(spec.n)) - frozenset(erase)
@@ -136,9 +141,11 @@ def _decode_erasures(spec, word, erase, args) -> int:
     try:
         message = interpolate_fixed_transform(spec, Codeword(spec, tuple(filled)), pattern)
     except (ErasureBudgetExceeded, NonDivisible, InconsistentResidues) as exc:
+        _print_elapsed(args, started)
         print("status: failure")
         print(f"failure_reason: {exc}")
         return 1
+    _print_elapsed(args, started)
     print("status: success")
     print(f"message: {message}")
     if args.out:
@@ -151,14 +158,13 @@ def cmd_decode(args) -> int:
     word = load_codeword(spec, args.infile)
     started = time.perf_counter()
     if args.erase:
-        return _decode_erasures(spec, word, args.erase, args)
+        return _decode_erasures(spec, word, args.erase, args, started)
     options = _options(args)
     if args.list:
         outcome = list_decode(spec, word, build_candidate_list(spec), options)
     else:
         outcome = decode(spec, word, options)
-    if args.time:
-        print(f"elapsed_s: {time.perf_counter() - started:.6f}", file=sys.stderr)
+    _print_elapsed(args, started)
     print(f"status: {outcome.status.value}")
     if outcome.status is DecodeStatus.FAILURE:
         print(f"failure_reason: {outcome.failure_reason.value}")
@@ -193,8 +199,7 @@ def cmd_simulate(args) -> int:
         exhaustive=args.exhaustive,
         message_sample=args.messages,
     )
-    if args.time:
-        print(f"elapsed_s: {time.perf_counter() - started:.6f}", file=sys.stderr)
+    _print_elapsed(args, started)
     print(report.render())
     return 0
 

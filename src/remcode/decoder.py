@@ -28,7 +28,8 @@ from enum import Enum
 from math import comb
 from typing import Callable, Iterable, Sequence
 
-from .code import CodeSpec, Codeword, encode, psi_inverse
+# encode is re-exported: callers and perfbench/tracing.py look it up here
+from .code import CodeSpec, Codeword, encode, psi_inverse  # noqa: F401
 from .errors import (
     CandidateExplosion,
     DegreePreconditionViolated,
@@ -365,9 +366,20 @@ def _failure(reason: FailureReason) -> DecodeOutcome:
 
 def _success(spec: CodeSpec, received: Codeword, message: Poly,
              factor: Poly, status: DecodeStatus = DecodeStatus.SUCCESS) -> DecodeOutcome:
-    error_word = received - encode(spec, message)
+    """Outcome with error_word = received - encode(spec, message).
+
+    Every caller has checked factor * (Y - message) == 0 mod M_n, so the
+    error symbol is zero wherever factor is coprime to the modulus; for a
+    linear or irreducible modulus that means it does not divide factor.
+    Only the other positions reduce the message.
+    """
+    zero = Poly.zero(spec.field)
+    symbols = tuple(
+        zero if (spec.irreducible or m.degree == 1) and not (factor % m).is_zero
+        else y - message % m
+        for y, m in zip(received.symbols, spec.moduli))
     return DecodeOutcome(status=status, message=message,
-                         error_word=error_word, factor_poly=factor)
+                         error_word=Codeword(spec, symbols), factor_poly=factor)
 
 
 def decode(

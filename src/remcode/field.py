@@ -6,34 +6,29 @@ i.e. sum(c_i * p^i); this fixes serialization exactly.  A `Field` object
 carries the arithmetic; it never wraps the elements themselves, so the zero
 and one of every field are the ints 0 and 1.
 
-Supported field sizes are q = p^m <= 2**16.  Extension-field multiplication
-uses log/antilog tables built lazily on first use; prime fields reduce mod p
-directly.
+Supported field sizes are q = p^m <= 2**16.  Prime fields reduce mod p
+directly.  Extension fields multiply through log/exp tables built on first
+use, not at construction.  Each field also picks, when it is built, the
+coefficient kernel (`remcode.kernels`) that runs polynomial arithmetic for
+its kind: prime, characteristic 2 with m > 1, or odd p with m > 1.
+`_mul_basis` and `_digitwise` compute products and sums without tables;
+they build the tables and serve the tests as the slow reference.
 """
 
 from __future__ import annotations
 
 from .errors import DegreeMismatch, NonPrimeCharacteristic, ReducibleModulus, ZeroInverse
+from .kernels import kernel_for
 
 MAX_FIELD_SIZE = 1 << 16
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def _prime_factors(n: int) -> list[int]:
+    """Distinct prime factors of n, increasing, by trial division.
+
+    Empty for n < 2, so n is prime iff the result is [n], and a prime power
+    iff it has one entry.
+    """
     out = []
     d = 2
     while d * d <= n:
@@ -55,7 +50,7 @@ class Field:
     """
 
     def __init__(self, p: int, m: int = 1, reduction: tuple[int, ...] | list[int] | None = None):
-        if p < 2 or not _is_prime(p):
+        if _prime_factors(p) != [p]:
             raise NonPrimeCharacteristic(f"characteristic {p} is not prime")
         if m < 1:
             raise DegreeMismatch(f"extension degree must be >= 1, got {m}")
@@ -82,6 +77,7 @@ class Field:
 
         if m > 1:
             self._check_reduction_irreducible()
+        self.kernel = kernel_for(self)
 
     # -- identity -------------------------------------------------------------
 
@@ -130,18 +126,16 @@ class Field:
             return (a * b) % self.p
         if a == 0 or b == 0:
             return 0
-        if self._log is None:
-            self._build_tables()
-        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
+        exp, log = self._tables()
+        return exp[log[a] + log[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroInverse(f"zero has no inverse in {self!r}")
         if self.m == 1:
             return pow(a, self.p - 2, self.p)
-        if self._log is None:
-            self._build_tables()
-        return self._exp[(self.q - 1 - self._log[a]) % (self.q - 1)]
+        exp, log = self._tables()
+        return exp[self.q - 1 - log[a]]
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:
@@ -222,14 +216,27 @@ class Field:
                 return c
         raise AssertionError("multiplicative group of a finite field is cyclic")
 
+    def _tables(self) -> tuple[list[int], list[int]]:
+        """(exp, log) of an extension field, built on first use.
+
+        With n = q - 1 and generator g: exp[k] = g^(k mod n) for k < 3n and
+        0 for 3n <= k < 5n; log[a] is in [0, n) for a != 0 and log[0] = 3n.
+        So exp[log a + e] = a * g^e for every e in [0, 2n), zero included,
+        and a sum of up to three logs needs no reduction mod n.
+        """
+        if self._log is None:
+            self._build_tables()
+        return self._exp, self._log
+
     def _build_tables(self) -> None:
         # lazy and idempotent: a racing second build computes the same tables
+        n = self.q - 1
         g = self._find_generator()
-        exp = [0] * (self.q - 1)
-        log = [0] * self.q
+        exp = [0] * (5 * n)
+        log = [3 * n] * self.q
         x = 1
-        for i in range(self.q - 1):
-            exp[i] = x
+        for i in range(n):
+            exp[i] = exp[i + n] = exp[i + 2 * n] = x
             log[x] = i
             x = self._mul_basis(x, g)
         self._exp, self._log = exp, log

@@ -5,6 +5,11 @@ of x^l) with no trailing zeros; the zero polynomial has an empty coefficient
 tuple and degree NEG_DEGREE, a sentinel strictly below every integer so that
 every bound of the form `deg r < limit` is automatically satisfied by r = 0.
 
+Arithmetic (`+`, `-`, `*`, `divmod`, `scale`, `evaluate`) and `poly_gcd`
+hand the coefficient tuples to the field's kernel (`remcode.kernels`), which
+works on plain lists with no `Field` method call per coefficient; `Poly`
+checks the operands and strips the result.
+
 Also provides irreducibility testing by exhaustive trial division and the
 closed-form count of monic irreducible polynomials.
 """
@@ -127,52 +132,33 @@ class Poly:
     # -- arithmetic -------------------------------------------------------------------
 
     def _check_field(self, other: "Poly") -> None:
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise SpecMismatch(f"operands over {self.field!r} and {other.field!r}")
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check_field(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        add = self.field.add
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = add(out[i], c)
-        return Poly._raw(self.field, _strip(out))
+        return Poly._raw(self.field, _strip(self.field.kernel.add(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "Poly") -> "Poly":
         self._check_field(other)
-        sub = self.field.sub
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = [sub(self.coeff(i), other.coeff(i)) for i in range(n)]
-        return Poly._raw(self.field, _strip(out))
+        return Poly._raw(self.field, _strip(self.field.kernel.sub(self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "Poly":
-        neg = self.field.neg
-        return Poly._raw(self.field, tuple(neg(c) for c in self.coeffs))
+        return Poly._raw(self.field, tuple(self.field.kernel.sub((), self.coeffs)))
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check_field(other)
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly.zero(self.field)
-        mul, add = self.field.mul, self.field.add
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    if cb:
-                        out[i + j] = add(out[i + j], mul(ca, cb))
-        return Poly._raw(self.field, _strip(out))
+        return Poly._raw(self.field, _strip(self.field.kernel.mul(a, b)))
 
     def scale(self, c: int) -> "Poly":
         if c == 0:
             return Poly.zero(self.field)
         if c == 1:
             return self
-        mul = self.field.mul
-        return Poly._raw(self.field, tuple(mul(c, x) for x in self.coeffs))
+        return Poly._raw(self.field, tuple(self.field.kernel.scale(self.coeffs, c)))
 
     def shift(self, k: int) -> "Poly":
         """Multiply by x^k (k >= 0)."""
@@ -184,26 +170,10 @@ class Poly:
         self._check_field(other)
         if other.is_zero:
             raise DivisionByZeroPoly("polynomial division by zero")
-        db = len(other.coeffs) - 1
-        rem = list(self.coeffs)
-        if len(rem) - 1 < db:
+        if len(self.coeffs) < len(other.coeffs):
             return Poly.zero(self.field), self
-        field = self.field
-        mul, sub = field.mul, field.sub
-        lead_inv = field.inv(other.coeffs[-1])
-        bc = other.coeffs
-        quot = [0] * (len(rem) - db)
-        for i in range(len(rem) - 1, db - 1, -1):
-            c = rem[i]
-            if c:
-                f = mul(c, lead_inv)
-                quot[i - db] = f
-                rem[i] = 0
-                base = i - db
-                for j in range(db):
-                    if bc[j]:
-                        rem[base + j] = sub(rem[base + j], mul(f, bc[j]))
-        return Poly._raw(field, _strip(quot)), Poly._raw(field, _strip(rem))
+        quot, rem = self.field.kernel.divmod(self.coeffs, other.coeffs)
+        return Poly._raw(self.field, _strip(quot)), Poly._raw(self.field, _strip(rem))
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
@@ -219,13 +189,8 @@ class Poly:
 
     def evaluate(self, beta: int) -> int:
         """Horner evaluation at a field element."""
-        field = self.field
-        field.check(beta)
-        acc = 0
-        mul, add = field.mul, field.add
-        for c in reversed(self.coeffs):
-            acc = add(mul(acc, beta), c)
-        return acc
+        self.field.check(beta)
+        return self.field.kernel.evaluate(self.coeffs, beta)
 
 
 # -- gcd machinery ------------------------------------------------------------------
@@ -236,9 +201,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     a._check_field(b)
     if a.is_zero and b.is_zero:
         raise BothZero("gcd(0, 0) is undefined")
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
+    return Poly._raw(a.field, tuple(a.field.kernel.gcd(a.coeffs, b.coeffs)))
 
 
 def poly_xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:

@@ -8,27 +8,15 @@ modulus degree using only irreducible moduli of degree at most i.
 
 from __future__ import annotations
 
+from .field import _prime_factors
 from .poly import count_irreducible
 
 MAX_Q = 1 << 16
 
 
-def _is_prime_power(q: int) -> bool:
-    if q < 2:
-        return False
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            while q % p == 0:
-                q //= p
-            return q == 1
-        p += 1
-    return True  # q itself is prime
-
-
 def count_table(q: int, max_degree: int) -> list[tuple[int, int, int]]:
     """Rows (i, N_i, S_i) for i = 1..max_degree."""
-    if not _is_prime_power(q) or q > MAX_Q:
+    if q > MAX_Q or len(_prime_factors(q)) != 1:
         raise ValueError(f"q must be a prime power <= {MAX_Q}, got {q}")
     if max_degree < 1:
         raise ValueError("max degree must be >= 1")

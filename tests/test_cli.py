@@ -75,6 +75,15 @@ def test_decode_erasures(tmp_path, rs42, rs42_file, capsys):
     assert "message: [0,1]" in out
 
 
+@pytest.mark.parametrize("erase, code", [("2,3", 0), ("1,2,3", 1)])
+def test_decode_erasures_time(tmp_path, rs42, rs42_file, capsys, erase, code):
+    word = tmp_path / "word.txt"
+    save_codeword(encode(rs42, P(rs42.field, 0, 1)), str(word))
+    assert main(["decode", "--spec", rs42_file, "--in", str(word),
+                 "--erase", erase, "--time"]) == code
+    assert "elapsed_s: " in capsys.readouterr().err
+
+
 def test_decode_erasure_budget_failure(tmp_path, rs42, rs42_file, capsys):
     word = tmp_path / "word.txt"
     save_codeword(encode(rs42, P(rs42.field, 0, 1)), str(word))

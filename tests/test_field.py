@@ -3,7 +3,8 @@ from __future__ import annotations
 import pytest
 
 from remcode.errors import DegreeMismatch, NonPrimeCharacteristic, ReducibleModulus, ZeroInverse
-from remcode.field import Field
+from remcode.field import Field, _prime_factors
+from remcode.tables import count_table
 
 
 def test_gf2_add_is_xor(gf2):
@@ -29,6 +30,48 @@ def test_gf16_table_mul_matches_basis_mul(gf16):
     for a in range(16):
         for b in range(16):
             assert gf16.mul(a, b) == gf16._mul_basis(a, b)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Field(3, 2, [1, 0, 1]),
+    lambda: Field(5, 2, [2, 1, 1]),
+])
+def test_table_arithmetic_matches_basis_reference(make):
+    # exhaustive: table mul and inv against _mul_basis, add/sub against _digitwise
+    f = make()
+    for a in range(f.q):
+        for b in range(f.q):
+            assert f.mul(a, b) == f._mul_basis(a, b)
+            assert f.add(a, b) == f._digitwise(a, b, 1)
+            assert f.sub(a, b) == f._digitwise(a, b, -1)
+        if a:
+            assert f._mul_basis(a, f.inv(a)) == 1
+
+
+@pytest.mark.parametrize("n, factors", [
+    (0, []), (1, []), (2, [2]), (4, [2]), (9, [3]), (12, [2, 3]),
+    (1 << 16, [2]), (65537, [65537]),
+])
+def test_prime_factors(n, factors):
+    assert _prime_factors(n) == factors
+
+
+@pytest.mark.parametrize("p", [0, 1, 4, 9, 1 << 16])
+def test_non_prime_characteristic_rejected_by_factorization(p):
+    with pytest.raises(NonPrimeCharacteristic):
+        Field(p)
+
+
+@pytest.mark.parametrize("q, ok", [
+    (0, False), (1, False), (2, True), (4, True), (6, False), (9, True),
+    (1 << 16, True), (65537, False),
+])
+def test_count_table_accepts_prime_powers_only(q, ok):
+    if ok:
+        assert count_table(q, 1)[0][1] == q
+    else:
+        with pytest.raises(ValueError):
+            count_table(q, 1)
 
 
 @pytest.mark.parametrize("make", [

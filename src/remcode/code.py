@@ -7,13 +7,14 @@ all message polynomials a with deg a < K = deg(m_0 * ... * m_{k-1}).
 The transform psi maps a polynomial of degree < N = deg(m_0 * ... * m_{n-1})
 to its residue vector; its inverse is a fixed weighted sum using coefficients
 beta_i precomputed at spec build time, so inverting costs one dot product and
-a single reduction.
+a single reduction.  `CodeSpec.product` is the one place where products of
+moduli are formed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     BadK,
@@ -34,6 +35,12 @@ class CodeSpec:
     Moduli keep their given order; flags record whether the degree-ordering
     conditions hold, and operations whose guarantees need them refuse to run
     otherwise rather than silently reordering.
+
+    Validation runs in a fixed order: monic moduli, then coprimality, then
+    k.  Coprimality costs no pass of its own: beta_i needs the inverse of
+    M_n / m_i mod m_i, which exists exactly when m_i is coprime to every
+    other modulus.  Only when one is missing are the pairs scanned, to
+    report the lexicographically first one that shares a factor.
     """
 
     def __init__(self, field: Field, moduli: Sequence[Poly], k: int):
@@ -45,44 +52,45 @@ class CodeSpec:
                 raise SpecMismatch(f"modulus {i} is over {m.field!r}, not {field!r}")
             if m.degree < 1 or not m.is_monic:
                 raise NonMonicModulus(f"modulus {i} = {m} must be monic of degree >= 1")
-        for i in range(len(moduli)):
-            for j in range(i + 1, len(moduli)):
-                if poly_gcd(moduli[i], moduli[j]).degree != 0:
-                    raise NonCoprimeModuli(i, j)
+        self.field = field
+        self.moduli = moduli
         n = len(moduli)
+        m_n = self.product(range(n))
+
+        # fixed inverse-transform coefficients: beta_i == 1 mod m_i, 0 mod m_j
+        betas = []
+        for m in moduli:
+            b = m_n // m
+            try:
+                betas.append(b * poly_mod_inverse(b, m))
+            except ValueError:
+                raise NonCoprimeModuli(*_first_common_factor(moduli)) from None
         if not 1 <= k <= n:
             raise BadK(f"k must satisfy 1 <= k <= {n}, got {k}")
 
-        self.field = field
-        self.moduli = moduli
         self.n = n
         self.k = k
         self.degrees = tuple(int(m.degree) for m in moduli)
-
-        m_n = Poly.one(field)
-        for m in moduli:
-            m_n = m_n * m
-        m_k = Poly.one(field)
-        for m in moduli[:k]:
-            m_k = m_k * m
+        m_k = self.product(range(k))
         self.modulus_product = m_n        # product of all moduli
         self.message_modulus = m_k        # product of the first k
         self.N = int(m_n.degree)
         self.K = int(m_k.degree)
         self.t_hamming = (n - k) // 2
         self.t_degree = (self.N - self.K) // 2
-
-        # fixed inverse-transform coefficients: beta_i == 1 mod m_i, 0 mod m_j
-        betas = []
-        for m in moduli:
-            b = m_n // m
-            betas.append(b * poly_mod_inverse(b, m))
         self.betas = tuple(betas)
 
         self.ordered_degree = all(
             self.degrees[i] <= self.degrees[i + 1] for i in range(n - 1))
         self.irreducible = all(is_irreducible(m) for m in moduli)
         self.tail_equal_degree = len(set(self.degrees[k:])) <= 1
+
+    def product(self, positions: Iterable[int]) -> Poly:
+        """Product of the moduli at `positions`; 1 when there are none."""
+        out = Poly.one(self.field)
+        for i in positions:
+            out = out * self.moduli[i]
+        return out
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, CodeSpec)
@@ -111,6 +119,13 @@ class CodeSpec:
     def zero_word(self) -> "Codeword":
         z = Poly.zero(self.field)
         return Codeword(self, (z,) * self.n)
+
+
+def _first_common_factor(moduli: tuple[Poly, ...]) -> tuple[int, int]:
+    """Lexicographically first pair (i, j), i < j, of moduli with a common factor."""
+    n = len(moduli)
+    return next((i, j) for i in range(n) for j in range(i + 1, n)
+                if poly_gcd(moduli[i], moduli[j]).degree != 0)
 
 
 @dataclass(frozen=True)
@@ -181,20 +196,27 @@ def support_degree_weight(spec: CodeSpec, positions) -> int:
     return sum(spec.degrees[i] for i in positions)
 
 
-def min_degree_distance(spec: CodeSpec) -> int:
-    """Exact minimum degree-weighted distance.
+def _min_support_weight_above(spec: CodeSpec, bound: int) -> int:
+    """Smallest degree weight of a support that exceeds `bound` (< N).
 
-    Equals the smallest subset degree weight exceeding N - K; computed by
-    subset-sum reachability over the modulus degrees (bitset, bounded by N)
-    instead of enumerating 2^n subsets.
+    Computed by subset-sum reachability over the modulus degrees (bitset,
+    bounded by N) instead of enumerating 2^n subsets.
     """
     reachable = 1  # bit s set <=> some subset of degrees sums to s
     for d in spec.degrees:
         reachable |= reachable << d
-    for s in range(spec.N - spec.K + 1, spec.N + 1):
+    for s in range(bound + 1, spec.N + 1):
         if (reachable >> s) & 1:
             return s
-    raise AssertionError("full support always exceeds N - K")
+    raise AssertionError("full support always exceeds the bound")
+
+
+def min_degree_distance(spec: CodeSpec) -> int:
+    """Exact minimum degree-weighted distance.
+
+    Equals the smallest subset degree weight exceeding N - K.
+    """
+    return _min_support_weight_above(spec, spec.N - spec.K)
 
 
 def min_hamming_distance(spec: CodeSpec) -> int:

@@ -8,7 +8,10 @@ M_n / gcd(E, M_n); the same loop run on (M_n, Y), or only on the coefficient
 windows above K, produces the identical s and t whenever
 2 * deg(factor) <= N - K, which is what makes decoding possible.
 
-The loop is implemented once and instantiated three ways:
+The loop is implemented once, on `Poly` arithmetic over the field's
+coefficient kernel: each pass takes one whole quotient with a single
+`divmod` (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 3), so the
+loop itself does no coefficient arithmetic.  It is instantiated three ways:
 
 * extended_gcd        -- reference run on the true error preimage;
 * partial_gcd_full    -- run on the full received preimage with an early
@@ -127,7 +130,8 @@ def _euclid_loop(
     """Run the cofactor-tracking division loop until `stop(r, t)` fires.
 
     Requires deg in1 > deg in2 and in2 != 0 (callers handle the degenerate
-    early exits).  Returns (r, r_tilde, s, t, iterations).
+    early exits); every stop rule fires at r = 0, so no pass divides by
+    zero.  Returns (r, r_tilde, s, t, iterations).
     """
     field = in1.field
     r, rt = in1, in2
@@ -137,22 +141,13 @@ def _euclid_loop(
     delta_sum = 0
     iterations = 0
     while True:
-        i = r.degree
-        j = int(rt.degree)
         if track_s:
             assert r == s * in1 + t * in2
-        first = True
-        while i >= j:
-            lead = field.mul(r.coeffs[i], field.inv(rt.coeffs[j]))
-            q = Poly.monomial(field, lead, int(i) - j)
-            if first:
-                delta_sum += int(i) - j
-                first = False
-            r = r - q * rt
-            if track_s:
-                s = s - q * st
-            t = t - q * tt
-            i = r.degree
+        q, r = divmod(r, rt)
+        delta_sum += q.degree
+        if track_s:
+            s = s - q * st
+        t = t - q * tt
         iterations += 1
         # invariants at the stop-check point: they hold for any inputs
         assert poly_gcd(r, rt) == gcd0
@@ -278,11 +273,7 @@ def error_factor_poly(error_preimage: Poly, modulus_product: Poly) -> Poly:
 
 def error_locator_poly(spec: CodeSpec, error: Codeword) -> Poly:
     """Product of the moduli at erroneous positions; degree = degree weight."""
-    out = Poly.one(spec.field)
-    for sym, m in zip(error.symbols, spec.moduli):
-        if not sym.is_zero:
-            out = out * m
-    return out
+    return spec.product(error.support())
 
 
 def factor_interpolate(spec: CodeSpec, received_preimage: Poly, g: Poly) -> Poly:
@@ -330,13 +321,19 @@ def count_zero_residues(spec: CodeSpec, g: Poly) -> int:
 
 
 def _locator_conditions(spec: CodeSpec, received_preimage: Poly, g: Poly) -> tuple[bool, Poly]:
+    """Locator verdict on a candidate g, and Z = g * Y mod M_n.
+
+    The division by g decides most candidates, so the conditions on g alone
+    (its zero-residue count, which costs n divisions, then its degree cap)
+    are only evaluated once g divides Z with a quotient of degree < K.
+    """
     z = (g * received_preimage) % spec.modulus_product
-    th = spec.t_hamming
-    degree_cap = sum(spec.degrees[spec.n - th:]) if th else 0
-    if count_zero_residues(spec, g) > th or g.degree > degree_cap:
-        return False, z
     q, rem = divmod(z, g)
-    return rem.is_zero and q.degree < spec.K, z
+    if not rem.is_zero or q.degree >= spec.K:
+        return False, z
+    th = spec.t_hamming
+    degree_cap = sum(spec.degrees[spec.n - th:])
+    return count_zero_residues(spec, g) <= th and g.degree <= degree_cap, z
 
 
 def error_locator_test(
@@ -351,10 +348,7 @@ def error_locator_test(
     """
     if not spec.ordered_degree:
         raise UnorderedDegrees("locator test requires nondecreasing modulus degrees")
-    g = Poly.one(spec.field)
-    for i in positions:
-        g = g * spec.moduli[i]
-    return _locator_conditions(spec, received_preimage, g)
+    return _locator_conditions(spec, received_preimage, spec.product(positions))
 
 
 # -- the decoder --------------------------------------------------------------------
@@ -484,8 +478,5 @@ def build_candidate_list(spec: CodeSpec, cap: int = 10 ** 6) -> list[Poly]:
         for support in itertools.combinations(range(spec.n), size):
             d = sum(spec.degrees[i] for i in support)
             if 2 * d > redundancy and d <= degree_cap:
-                g = Poly.one(spec.field)
-                for i in support:
-                    g = g * spec.moduli[i]
-                out.append(g)
+                out.append(spec.product(support))
     return out

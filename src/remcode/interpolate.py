@@ -28,7 +28,12 @@ from .poly import Poly, poly_mod_inverse
 
 @dataclass(frozen=True)
 class ErasurePattern:
-    """A known-position set S with its derived modulus products."""
+    """A known-position set S with its derived modulus products.
+
+    The erased moduli are the ones multiplied out: recovery multiplies by
+    their product, whose degree a usable pattern keeps within N - K.  The
+    known product is M_n divided by it exactly.
+    """
 
     spec: CodeSpec
     known: frozenset[int]
@@ -43,14 +48,10 @@ class ErasurePattern:
         if not all(0 <= i < self.spec.n for i in known):
             raise ValueError(f"positions out of range 0..{self.spec.n - 1}")
         object.__setattr__(self, "known", known)
-        ms = Poly.one(self.spec.field)
-        for i in sorted(known):
-            ms = ms * self.spec.moduli[i]
-        object.__setattr__(self, "known_product", ms)
-        object.__setattr__(self, "erased_product", self.spec.modulus_product // ms)
-        object.__setattr__(
-            self, "erased_weight",
-            sum(self.spec.degrees[i] for i in range(self.spec.n) if i not in known))
+        erased = self.spec.product(i for i in range(self.spec.n) if i not in known)
+        object.__setattr__(self, "erased_product", erased)
+        object.__setattr__(self, "known_product", self.spec.modulus_product // erased)
+        object.__setattr__(self, "erased_weight", int(erased.degree))
 
     @property
     def known_weight(self) -> int:

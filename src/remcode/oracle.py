@@ -8,10 +8,9 @@ distance scan to a weight scan over nonzero messages.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .code import CodeSpec, Codeword, distances, encode, weights
+from .code import CodeSpec, Codeword, distances, encode, _min_support_weight_above, weights
 from .errors import SearchSpaceTooLarge
 from .poly import Poly
 
@@ -76,23 +75,13 @@ def exhaustive_scan(spec: CodeSpec, cap: int = DEFAULT_CAP) -> CodeScanReport:
         wmin_h = min(wmin_h, wh)
         wmin_d = min(wmin_d, wd)
 
-    q = spec.field.q
-    size_rhs = None
-    weight_rhs = None
-    for r in range(spec.n + 1):
-        for support in itertools.combinations(range(spec.n), r):
-            wd = sum(spec.degrees[i] for i in support)
-            if len(support) > spec.n - wmin_h:
-                size = q ** wd
-                if size_rhs is None or size < size_rhs:
-                    size_rhs = size
-            if wd > spec.N - wmin_d:
-                if weight_rhs is None or wd < weight_rhs:
-                    weight_rhs = wd
+    # the smallest |R_S| over |S| > n - dminH takes the lightest n - dminH + 1
+    # moduli; the weight bound is a subset-sum query
+    lightest = sorted(spec.degrees)[:spec.n - wmin_h + 1]
     return CodeScanReport(
         dmin_hamming=wmin_h,
         dmin_degree=wmin_d,
         codeword_count=count,
-        singleton_hamming_rhs=size_rhs,
-        singleton_degree_rhs=weight_rhs,
+        singleton_hamming_rhs=spec.field.q ** sum(lightest),
+        singleton_degree_rhs=_min_support_weight_above(spec, spec.N - wmin_d),
     )

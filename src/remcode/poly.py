@@ -16,6 +16,7 @@ closed-form count of monic irreducible polynomials.
 
 from __future__ import annotations
 
+from math import prod
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -24,7 +25,7 @@ from .errors import (
     DivisionByZeroPoly,
     SpecMismatch,
 )
-from .field import Field
+from .field import Field, _prime_factors
 
 NEG_DEGREE = float("-inf")  # degree of the zero polynomial
 
@@ -300,20 +301,9 @@ def sieve_count_irreducible(field: Field, degree: int) -> int:
 
 
 def _mobius(n: int) -> int:
-    if n == 1:
-        return 1
-    out = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            out = -out
-        d += 1
-    if n > 1:
-        out = -out
-    return out
+    """Moebius function: 0 unless n is squarefree, else (-1)^(number of primes)."""
+    factors = _prime_factors(n)
+    return 0 if prod(factors) != n else (-1) ** len(factors)
 
 
 def count_irreducible(q: int, degree: int) -> int:

@@ -7,6 +7,7 @@ report is reproducible byte for byte from the seed alone.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field as dc_field
 
@@ -235,20 +236,15 @@ def simulate(
 
 
 def _all_error_values(spec: CodeSpec, support: tuple[int, ...]):
-    """Every error word whose nonzero symbols sit exactly on `support`."""
-    zero = Codeword(spec, (Poly.zero(spec.field),) * spec.n)
-    if not support:
-        yield zero
-        return
+    """Every error word whose nonzero symbols sit exactly on `support`.
 
-    def rec(idx: int, symbols: list[Poly]):
-        if idx == len(support):
-            yield Codeword(spec, tuple(symbols))
-            return
-        i = support[idx]
-        for code in range(1, spec.field.q ** spec.degrees[i]):
-            symbols[i] = Poly.from_int(spec.field, code)
-            yield from rec(idx + 1, symbols)
-        symbols[i] = Poly.zero(spec.field)
-
-    yield from rec(0, [Poly.zero(spec.field)] * spec.n)
+    The first support position varies slowest.
+    """
+    field = spec.field
+    choices = [[Poly.from_int(field, code) for code in range(1, field.q ** spec.degrees[i])]
+               for i in support]
+    for values in itertools.product(*choices):
+        symbols = [Poly.zero(field)] * spec.n
+        for i, v in zip(support, values):
+            symbols[i] = v
+        yield Codeword(spec, tuple(symbols))

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import remcode.code as code
 from remcode.code import (
     CodeSpec,
     Codeword,
@@ -22,7 +23,7 @@ from remcode.errors import (
     ResidueDegreeViolation,
     UnorderedDegrees,
 )
-from remcode.poly import Poly
+from remcode.poly import Poly, irreducible_polys
 
 from conftest import P, random_message, random_preimage, random_spec
 
@@ -63,6 +64,42 @@ def test_non_coprime_moduli_rejected(gf2):
     with pytest.raises(NonCoprimeModuli) as exc:
         CodeSpec(gf2, [P(gf2, 0, 1), P(gf2, 0, 0, 1), P(gf2, 1, 1)], 1)
     assert exc.value.pair == (0, 1)
+
+
+def test_non_coprime_pair_is_lexicographically_first(gf2):
+    x, x1, x2x1 = P(gf2, 0, 1), P(gf2, 1, 1), P(gf2, 1, 1, 1)
+    with pytest.raises(NonCoprimeModuli) as exc:
+        CodeSpec(gf2, [x, x1, x2x1, x * x1], 1)
+    assert exc.value.pair == (0, 3)
+    with pytest.raises(NonCoprimeModuli) as exc:
+        CodeSpec(gf2, [x1, x, x1], 1)
+    assert exc.value.pair == (0, 2)
+
+
+def test_non_coprime_checked_before_k(gf2):
+    with pytest.raises(NonCoprimeModuli):
+        CodeSpec(gf2, [P(gf2, 0, 1), P(gf2, 0, 1)], 0)
+
+
+def test_coprime_spec_build_runs_no_pairwise_gcd(monkeypatch, gf16):
+    calls = []
+    original = code.poly_gcd
+
+    def counting_gcd(a, b):
+        calls.append((a, b))
+        return original(a, b)
+    monkeypatch.setattr(code, "poly_gcd", counting_gcd)
+    spec = CodeSpec(gf16, irreducible_polys(gf16, 1), 8)
+    assert calls == []
+    assert spec.N == 16
+
+
+def test_product_of_moduli(ladder5, gf4_mixed):
+    for spec in (ladder5, gf4_mixed):
+        assert spec.product([]) == Poly.one(spec.field)
+        for i, m in enumerate(spec.moduli):
+            assert spec.product([i]) == m
+        assert spec.product([0, 2]) == spec.moduli[0] * spec.moduli[2]
 
 
 def test_non_monic_modulus_rejected(gf5):

@@ -174,3 +174,22 @@ def test_error_word_exact_gf9(gf9_code):
             list_recoveries += 1
     assert successes > 0
     assert list_recoveries > 0
+
+
+# -- the locator test decides by division first ------------------------------------
+
+
+def test_locator_rejects_dividing_candidate_with_too_many_zero_residues(ladder5):
+    """{0, 1} divides when the error sits at 0, but x * (x^2+x+1) has two
+    zero residues, above t_hamming = 1."""
+    rng = random.Random(5)
+    for _ in range(5):
+        a = random_message(rng, ladder5)
+        received = encode(ladder5, a) + _random_error(rng, ladder5, [0])
+        y = psi_inverse(ladder5, received)
+        g = ladder5.moduli[0] * ladder5.moduli[1]
+        z = (g * y) % ladder5.modulus_product
+        assert z == g * a and (z % g).is_zero
+        assert decoder.count_zero_residues(ladder5, g) == 2 > ladder5.t_hamming
+        assert decoder.error_locator_test(ladder5, y, [0, 1]) == (False, z)
+        assert decoder.error_locator_test(ladder5, y, [0]) == (True, ladder5.moduli[0] * a)

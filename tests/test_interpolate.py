@@ -138,3 +138,18 @@ def test_reduced_product_is_multiple_on_consistent_input(ladder5):
         filled = list(cw.symbols)
         filled[3] = Poly.from_int(ladder5.field, rng.randrange(2 ** 4))
         assert interpolate_fixed_transform(ladder5, tuple(filled), pattern) == a
+
+
+def test_pattern_products_split_modulus_product(ladder5, gf4_mixed):
+    rng = random.Random(23)
+    for spec in (ladder5, gf4_mixed):
+        for _ in range(20):
+            known = frozenset(rng.sample(range(spec.n), rng.randint(1, spec.n)))
+            pattern = ErasurePattern(spec, known)
+            known_product = Poly.one(spec.field)
+            for i in sorted(known):
+                known_product = known_product * spec.moduli[i]
+            assert pattern.known_product == known_product
+            assert pattern.known_product * pattern.erased_product == spec.modulus_product
+            assert pattern.erased_weight == sum(
+                d for i, d in enumerate(spec.degrees) if i not in known)

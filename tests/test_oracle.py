@@ -5,13 +5,14 @@ import random
 
 import pytest
 
-from remcode.code import Codeword, degree_weight, encode, min_degree_distance
+from remcode.code import CodeSpec, Codeword, degree_weight, encode, min_degree_distance
 from remcode.decoder import DecodeStatus, decode
 from remcode.errors import SearchSpaceTooLarge
+from remcode.field import Field
 from remcode.oracle import CodeScanReport, all_messages, brute_force_decode, exhaustive_scan
-from remcode.poly import Poly
+from remcode.poly import Poly, irreducible_polys
 
-from conftest import P, random_message
+from conftest import P, random_message, random_spec
 
 
 def test_codeword_decodes_to_itself(rs42):
@@ -77,6 +78,45 @@ def test_singleton_hamming_bound(rs42, three_mod, ladder5, gf4_mixed, reducible_
         assert scan.codeword_count <= scan.singleton_hamming_rhs
         if spec.ordered_degree:
             assert scan.codeword_count == scan.singleton_hamming_rhs
+
+
+def _bound_rhs_by_enumeration(spec, dmin_hamming: int, dmin_degree: int) -> tuple[int, int]:
+    """Both bound right-hand sides by scanning all 2^n supports."""
+    q = spec.field.q
+    size_rhs = weight_rhs = None
+    for r in range(spec.n + 1):
+        for support in itertools.combinations(range(spec.n), r):
+            wd = sum(spec.degrees[i] for i in support)
+            if r > spec.n - dmin_hamming and (size_rhs is None or q ** wd < size_rhs):
+                size_rhs = q ** wd
+            if wd > spec.N - dmin_degree and (weight_rhs is None or wd < weight_rhs):
+                weight_rhs = wd
+    return size_rhs, weight_rhs
+
+
+def test_scan_bounds_match_enumeration(gf2, gf4, gf5):
+    rng = random.Random(41)
+    fields = (gf2, Field(3), gf4, gf5)
+    checked = 0
+    while checked < 40:
+        spec = random_spec(rng, rng.choice(fields), n_range=(2, 6), shuffle=rng.random() < 0.5)
+        if spec.field.q ** spec.K > 2000:
+            continue
+        scan = exhaustive_scan(spec)
+        assert scan.dmin_degree == min_degree_distance(spec)
+        expect = _bound_rhs_by_enumeration(spec, scan.dmin_hamming, scan.dmin_degree)
+        assert (scan.singleton_hamming_rhs, scan.singleton_degree_rhs) == expect
+        checked += 1
+
+
+def test_scan_many_moduli(gf2):
+    """All 23 binary irreducibles of degree 1..6 with k = 1: 2 messages, 2^23 supports."""
+    moduli = [m for d in range(1, 7) for m in irreducible_polys(gf2, d)]
+    spec = CodeSpec(gf2, moduli, 1)
+    assert (spec.n, spec.N, spec.K) == (23, 106, 1)
+    assert exhaustive_scan(spec) == CodeScanReport(
+        dmin_hamming=23, dmin_degree=106, codeword_count=2,
+        singleton_hamming_rhs=2, singleton_degree_rhs=1)
 
 
 def test_search_space_cap(rs42):

@@ -8,6 +8,7 @@ from remcode.errors import BothZero, ConstantInput, DivisionByZeroPoly, SpecMism
 from remcode.poly import (
     NEG_DEGREE,
     Poly,
+    _mobius,
     count_irreducible,
     is_irreducible,
     irreducible_polys,
@@ -150,6 +151,12 @@ def test_count_irreducible_frozen_values():
     assert count_irreducible(2, 16) == 4080
     assert count_irreducible(2, 2) == 1
     assert count_irreducible(256, 2) == 32640
+
+
+def test_mobius_frozen_values():
+    expect = [1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0, -1, 1, 1,
+              0, -1, 0, -1, 0, 1, 1, -1, 0, 0, 1, 0, 0, -1, -1]
+    assert [_mobius(n) for n in range(1, 31)] == expect
 
 
 def test_count_matches_sieve(gf2, gf4, gf5):

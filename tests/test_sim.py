@@ -12,6 +12,7 @@ from remcode.sim import (
     RANDOM_DEGREE,
     RANDOM_HAMMING,
     ChannelModel,
+    _all_error_values,
     corrupt,
     mix64,
     simulate,
@@ -115,6 +116,21 @@ def test_simulate_exhaustive_single_position(rs42):
     assert report.trials == 25 * 4  # 25 messages, 4 nonzero values
     assert report.counts["gcd"]["success"] == report.trials
     assert set(report.by_support) == {(2,)}
+
+
+def test_all_error_values_order_and_count(gf4_mixed):
+    support = (0, 3)
+    words = list(_all_error_values(gf4_mixed, support))
+    q = gf4_mixed.field.q
+    assert len(words) == (q ** 1 - 1) * (q ** 2 - 1)
+    # the first support position varies slowest
+    codes = [(w.symbols[0].to_int(), w.symbols[3].to_int()) for w in words]
+    assert codes == [(a, b) for a in range(1, q) for b in range(1, q ** 2)]
+    assert all(w.support() == support for w in words)
+
+
+def test_all_error_values_empty_support(rs42):
+    assert list(_all_error_values(rs42, ())) == [rs42.zero_word()]
 
 
 def test_simulate_exhaustive_cap(gf16):

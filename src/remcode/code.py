@@ -8,7 +8,8 @@ The transform psi maps a polynomial of degree < N = deg(m_0 * ... * m_{n-1})
 to its residue vector; its inverse is a fixed weighted sum using coefficients
 beta_i precomputed at spec build time, so inverting costs one dot product and
 a single reduction.  `CodeSpec.product` is the one place where products of
-moduli are formed.
+moduli are formed, and `CodeSpec.residues` the one place where a polynomial
+is reduced by every modulus; modulo a linear modulus x - r that is a(r).
 """
 
 from __future__ import annotations
@@ -35,6 +36,9 @@ class CodeSpec:
     Moduli keep their given order; flags record whether the degree-ordering
     conditions hold, and operations whose guarantees need them refuse to run
     otherwise rather than silently reordering.
+
+    `residues(a)` reduces a by every modulus: by Horner evaluation at the
+    root for a linear modulus, by division for the others.
 
     Validation runs in a fixed order: monic moduli, then coprimality, then
     k.  Coprimality costs no pass of its own: beta_i needs the inverse of
@@ -79,6 +83,9 @@ class CodeSpec:
         self.t_hamming = (n - k) // 2
         self.t_degree = (self.N - self.K) // 2
         self.betas = tuple(betas)
+        # root r of each monic linear modulus x - r, None for the others
+        self._roots = tuple(field.neg(m.coeffs[0]) if m.degree == 1 else None
+                            for m in moduli)
 
         self.ordered_degree = all(
             self.degrees[i] <= self.degrees[i + 1] for i in range(n - 1))
@@ -91,6 +98,21 @@ class CodeSpec:
         for i in positions:
             out = out * self.moduli[i]
         return out
+
+    def residues(self, a: Poly) -> tuple[Poly, ...]:
+        """(a mod m_0, ..., a mod m_{n-1}).
+
+        The remainder modulo a linear modulus x - r is a(r), by Horner
+        through `Poly.evaluate`; any other modulus takes a division.
+        """
+        out = []
+        for m, r in zip(self.moduli, self._roots):
+            if r is None:
+                out.append(a % m)
+            else:
+                v = a.evaluate(r)
+                out.append(Poly._raw(self.field, (v,) if v else ()))
+        return tuple(out)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, CodeSpec)
@@ -155,12 +177,16 @@ class Codeword:
 
 
 def encode(spec: CodeSpec, message: Poly) -> Codeword:
-    """Residue vector of a message polynomial (deg < K)."""
+    """Residue vector of a message polynomial (deg < K), by `spec.residues`.
+
+    When every modulus is linear (a Reed-Solomon code) this is evaluation of
+    the message at the n roots.
+    """
     if message.field != spec.field:
         raise SpecMismatch("message over the wrong field")
     if message.degree >= spec.K:
         raise MessageTooLarge(f"deg {message.degree} >= K = {spec.K}")
-    return Codeword(spec, tuple(message % m for m in spec.moduli))
+    return Codeword(spec, spec.residues(message))
 
 
 def psi_inverse(spec: CodeSpec, word: Codeword | Sequence[Poly]) -> Poly:
@@ -193,7 +219,7 @@ def distances(x: Codeword, y: Codeword) -> tuple[int, int]:
 
 
 def support_degree_weight(spec: CodeSpec, positions) -> int:
-    return sum(spec.degrees[i] for i in positions)
+    return sum(map(spec.degrees.__getitem__, positions))
 
 
 def _min_support_weight_above(spec: CodeSpec, bound: int) -> int:

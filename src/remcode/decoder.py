@@ -32,7 +32,7 @@ from math import comb
 from typing import Callable, Iterable, Sequence
 
 # encode is re-exported: callers and perfbench/tracing.py look it up here
-from .code import CodeSpec, Codeword, encode, psi_inverse  # noqa: F401
+from .code import CodeSpec, Codeword, encode, psi_inverse, support_degree_weight  # noqa: F401
 from .errors import (
     CandidateExplosion,
     DegreePreconditionViolated,
@@ -317,7 +317,7 @@ def error_factor_test(spec: CodeSpec, received_preimage: Poly, g: Poly) -> tuple
 
 def count_zero_residues(spec: CodeSpec, g: Poly) -> int:
     """Number of moduli dividing g."""
-    return sum(1 for m in spec.moduli if (g % m).is_zero)
+    return sum(1 for r in spec.residues(g) if r.is_zero)
 
 
 def _locator_conditions(spec: CodeSpec, received_preimage: Poly, g: Poly) -> tuple[bool, Poly]:
@@ -331,9 +331,13 @@ def _locator_conditions(spec: CodeSpec, received_preimage: Poly, g: Poly) -> tup
     q, rem = divmod(z, g)
     if not rem.is_zero or q.degree >= spec.K:
         return False, z
-    th = spec.t_hamming
-    degree_cap = sum(spec.degrees[spec.n - th:])
-    return count_zero_residues(spec, g) <= th and g.degree <= degree_cap, z
+    return (count_zero_residues(spec, g) <= spec.t_hamming
+            and g.degree <= _locator_degree_cap(spec)), z
+
+
+def _locator_degree_cap(spec: CodeSpec) -> int:
+    """Largest locator degree: the sum of the t_hamming largest modulus degrees."""
+    return support_degree_weight(spec, range(spec.n - spec.t_hamming, spec.n))
 
 
 def error_locator_test(
@@ -364,14 +368,15 @@ def _success(spec: CodeSpec, received: Codeword, message: Poly,
 
     Every caller has checked factor * (Y - message) == 0 mod M_n, so the
     error symbol is zero wherever factor is coprime to the modulus; for a
-    linear or irreducible modulus that means it does not divide factor.
-    Only the other positions reduce the message.
+    linear or irreducible modulus that means it does not divide factor,
+    which `spec.residues(factor)` shows.  Only the other positions reduce
+    the message.
     """
     zero = Poly.zero(spec.field)
     symbols = tuple(
-        zero if (spec.irreducible or m.degree == 1) and not (factor % m).is_zero
+        zero if (spec.irreducible or m.degree == 1) and not f.is_zero
         else y - message % m
-        for y, m in zip(received.symbols, spec.moduli))
+        for y, m, f in zip(received.symbols, spec.moduli, spec.residues(factor)))
     return DecodeOutcome(status=status, message=message,
                          error_word=Codeword(spec, symbols), factor_poly=factor)
 
@@ -471,12 +476,12 @@ def build_candidate_list(spec: CodeSpec, cap: int = 10 ** 6) -> list[Poly]:
     total = sum(comb(spec.n, j) for j in range(1, th + 1))
     if total > cap:
         raise CandidateExplosion(f"{total} candidate supports exceed cap {cap}")
-    degree_cap = sum(spec.degrees[spec.n - th:])
+    degree_cap = _locator_degree_cap(spec)
     redundancy = spec.N - spec.K
     out = []
     for size in range(1, th + 1):
         for support in itertools.combinations(range(spec.n), size):
-            d = sum(spec.degrees[i] for i in support)
+            d = support_degree_weight(spec, support)
             if 2 * d > redundancy and d <= degree_cap:
                 out.append(spec.product(support))
     return out

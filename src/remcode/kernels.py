@@ -6,14 +6,20 @@ A `Field` picks one kernel when it is built, from the kind of field it is:
   reduced mod p once per output coefficient or division row, not per term;
 * `Char2Kernel` (p = 2, m > 1) -- add is xor; multiply is a lookup in the
   field's log/exp tables, whose exp table repeats so that sums of logs need
-  no reduction mod q - 1;
+  no reduction mod q - 1.  For q <= 256 a row of `ROW_MIN` or more
+  coefficients is handled whole, as bytes: `bytes.translate` through
+  256-byte tables scales it, and xor of `int.from_bytes` values adds rows,
+  so a long product, division or gcd takes a few C-level calls per row
+  instead of a Python step per coefficient.  Shorter rows, and GF(2^16),
+  keep the per-coefficient loops;
 * `OddKernel` (odd p, m > 1) -- log/exp multiply, add through a Zech
   logarithm table of O(q) size, built on first use.
 
-Coefficient lists are lowest degree first.  Inputs carry no trailing zeros;
-outputs may, and `Poly` strips them.  Every table is built on first use,
-never when the field is constructed.  No inner loop calls a `Field` method
-per coefficient; `Field._mul_basis` and `Field._digitwise` stay as the
+Coefficient lists are lowest degree first (for byte rows, so are the bytes
+of an int: "little" byte order).  Inputs carry no trailing zeros; outputs
+may, and `Poly` strips them.  Every table is built on first use, never when
+the field is constructed.  No inner loop calls a `Field` method per
+coefficient; `Field._mul_basis` and `Field._digitwise` stay as the
 table-free reference the tests compare these kernels with.
 """
 
@@ -22,6 +28,10 @@ from __future__ import annotations
 from typing import Sequence
 
 Coeffs = Sequence[int]
+
+# Char2Kernel: rows of fewer coefficients keep the per-coefficient list loops,
+# which are faster there (the measured crossover is at 8-16 coefficients).
+ROW_MIN = 12
 
 
 class _Kernel:
@@ -49,6 +59,9 @@ class _Kernel:
                 while a and not a[-1]:
                     a.pop()
             a, b = b, a
+        return self._monic(a)
+
+    def _monic(self, a: list[int]) -> list[int]:
         lead = a[-1]
         return a if lead == 1 else self.scale(a, self.field.inv(lead))
 
@@ -135,17 +148,49 @@ class _TableKernel(_Kernel):
     """
 
     def scale(self, a: Coeffs, c: int) -> list[int]:
+        """c * a for c != 0 (`Poly.scale` handles c = 0)."""
         exp, log = self.field._tables()
         lc = log[c]
         return [exp[lc + log[x]] for x in a]
 
 
 class Char2Kernel(_TableKernel):
-    """GF(2^m), m > 1: add is xor."""
+    """GF(2^m), m > 1: add is xor.
+
+    When q <= 256 every coefficient fits in a byte, and a row of at least
+    `ROW_MIN` coefficients is handled whole.  Its logs come from one
+    `bytes.translate` (zero goes to the spare index 255); one more translate
+    scales it by g^f; rows are added as xor of `int.from_bytes` values.  A
+    long division keeps its remainder as one int, so each quotient term costs
+    a few C-level calls instead of a Python step per coefficient.
+    """
+
+    def __init__(self, field):
+        super().__init__(field)
+        self._row_min = ROW_MIN if field.q <= 256 else float("inf")
+        self._rows: tuple[bytes, list[bytes]] | None = None
+
+    def _row_tables(self) -> tuple[bytes, list[bytes]]:
+        """(to_log, times), built on first use from the log/exp tables.
+
+        to_log[x] is log x for 0 < x < q, and 255 for x = 0 and the unused
+        bytes q..255.  For f in [0, 2(q-1)), times[f] maps log x to g^f * x
+        and every index from q - 1 up, 255 included, to 0.
+        """
+        if self._rows is None:
+            exp, log = self.field._tables()
+            q = self.field.q
+            to_log = bytes([255]) + bytes(log[1:]) + bytes([255]) * (256 - q)
+            times = [bytes(exp[f:f + q - 1]) + bytes(257 - q) for f in range(q - 1)]
+            self._rows = to_log, times + times
+        return self._rows
 
     def add(self, a: Coeffs, b: Coeffs) -> list[int]:
         if len(a) < len(b):
             a, b = b, a
+        if len(a) >= self._row_min:
+            x = int.from_bytes(bytes(a), "little") ^ int.from_bytes(bytes(b), "little")
+            return list(x.to_bytes(len(a), "little"))
         out = [x ^ y for x, y in zip(a, b)]
         out += a[len(b):]
         return out
@@ -153,9 +198,17 @@ class Char2Kernel(_TableKernel):
     sub = add
 
     def mul(self, a: Coeffs, b: Coeffs) -> list[int]:
-        exp, log = self.field._tables()
         if len(a) > len(b):
             a, b = b, a
+        if len(b) >= self._row_min:
+            to_log, times = self._row_tables()
+            row = bytes(b).translate(to_log)
+            acc = 0
+            for i, c in enumerate(a):
+                if c:
+                    acc ^= int.from_bytes(row.translate(times[to_log[c]]), "little") << (8 * i)
+            return list(acc.to_bytes(len(a) + len(b) - 1, "little"))
+        exp, log = self.field._tables()
         pairs = [(j, log[c]) for j, c in enumerate(b) if c]
         out = [0] * (len(a) + len(b) - 1)
         for i, c in enumerate(a):
@@ -164,6 +217,12 @@ class Char2Kernel(_TableKernel):
                 for j, l in pairs:
                     out[i + j] ^= exp[lc + l]
         return out
+
+    def scale(self, a: Coeffs, c: int) -> list[int]:
+        if len(a) >= self._row_min:
+            to_log, times = self._row_tables()
+            return list(bytes(a).translate(to_log).translate(times[to_log[c]]))
+        return super().scale(a, c)
 
     def evaluate(self, a: Coeffs, x: int) -> int:
         if not x:
@@ -175,9 +234,40 @@ class Char2Kernel(_TableKernel):
             acc = exp[log[acc] + lx] ^ c
         return acc
 
-    def _divide(self, rem: list[int], b: Coeffs, quot: list[int] | None) -> None:
-        exp, log = self.field._tables()
+    def gcd(self, a: Coeffs, b: Coeffs) -> list[int]:
+        if max(len(a), len(b)) < self._row_min:
+            return super().gcd(a, b)
+        x, y = int.from_bytes(bytes(a), "little"), int.from_bytes(bytes(b), "little")
+        while y:
+            x, y = y, self._reduce(x, y.to_bytes((y.bit_length() + 7) >> 3, "little"), None)
+        return self._monic(list(x.to_bytes((x.bit_length() + 7) >> 3, "little")))
+
+    def _reduce(self, r: int, b: bytes, quot: list[int] | None) -> int:
+        """r mod b, rows packed into ints little-endian; quotient as in `_divide`.
+
+        Subtracting c/lead * b, lead included, clears the top byte of r, so
+        each quotient term costs a few C-level calls on the whole row.
+        """
+        exp = self.field._tables()[0]
+        to_log, times = self._row_tables()
         db = len(b) - 1
+        row = b.translate(to_log)
+        inv = self.field.q - 1 - to_log[b[-1]]    # log of 1 / lead
+        while (bits := r.bit_length()) > 8 * db:
+            i = (bits - 1) >> 3
+            f = to_log[r >> (8 * i)] + inv        # log of c / lead, below 2(q-1)
+            if quot is not None:
+                quot[i - db] = exp[f]
+            r ^= int.from_bytes(row.translate(times[f]), "little") << (8 * (i - db))
+        return r
+
+    def _divide(self, rem: list[int], b: Coeffs, quot: list[int] | None) -> None:
+        db = len(b) - 1
+        if len(b) >= self._row_min:
+            r = self._reduce(int.from_bytes(bytes(rem), "little"), bytes(b), quot)
+            rem[:db] = r.to_bytes(db, "little")
+            return
+        exp, log = self.field._tables()
         pairs = [(j, log[c]) for j, c in enumerate(b[:db]) if c]
         inv = self.field.q - 1 - log[b[-1]]   # log of 1 / lead
         for i in range(len(rem) - 1, db - 1, -1):

@@ -23,6 +23,7 @@ from remcode.errors import (
     ResidueDegreeViolation,
     UnorderedDegrees,
 )
+from remcode.field import Field
 from remcode.poly import Poly, irreducible_polys
 
 from conftest import P, random_message, random_preimage, random_spec
@@ -239,3 +240,38 @@ def test_random_specs_build_consistently(gf2, gf4, gf5, gf16):
             assert spec.K == sum(spec.degrees[:spec.k])
             a = random_message(rng, spec)
             assert psi_inverse(spec, encode(spec, a)) == a
+
+
+
+@pytest.fixture(scope="module")
+def gf9_code() -> CodeSpec:
+    """GF(9) code with 9 linear and 3 quadratic moduli, k = 4."""
+    gf9 = Field(3, 2, [1, 0, 1])
+    moduli = list(irreducible_polys(gf9, 1)) + list(irreducible_polys(gf9, 2))[:3]
+    return CodeSpec(gf9, moduli, 4)
+
+
+@pytest.fixture(scope="module")
+def rs64() -> CodeSpec:
+    """RS(64,48) over GF(2^8); its first modulus is x, with root 0."""
+    gf256 = Field(2, 8, [1, 0, 1, 1, 1, 0, 0, 0, 1])
+    return CodeSpec(gf256, irreducible_polys(gf256, 1)[:64], 48)
+
+
+@pytest.mark.parametrize("name", ["rs42", "gf9_code", "rs64", "ladder5"])
+def test_residues_equal_remainders(name, request):
+    """Evaluation at the root of x - r gives a mod (x - r): over GF(5) (rs42)
+    the root of x + c is -c, so a wrong sign shows; ladder5 mixes degrees."""
+    spec = request.getfixturevalue(name)
+    field = spec.field
+    rng = random.Random(name)
+    zero = Poly.zero(field)
+    assert spec.residues(zero) == (zero,) * spec.n
+    assert encode(spec, zero).symbols == (zero,) * spec.n
+    for _ in range(10):
+        # below N, and above it, where evaluation and division still agree
+        for a in (random_preimage(rng, spec),
+                  Poly(field, [rng.randrange(field.q) for _ in range(spec.N + 6)])):
+            assert spec.residues(a) == tuple(a % m for m in spec.moduli)
+        message = random_message(rng, spec)
+        assert encode(spec, message).symbols == tuple(message % m for m in spec.moduli)

@@ -193,3 +193,22 @@ def test_locator_rejects_dividing_candidate_with_too_many_zero_residues(ladder5)
         assert decoder.count_zero_residues(ladder5, g) == 2 > ladder5.t_hamming
         assert decoder.error_locator_test(ladder5, y, [0, 1]) == (False, z)
         assert decoder.error_locator_test(ladder5, y, [0]) == (True, ladder5.moduli[0] * a)
+
+
+def test_locator_rejects_dividing_candidate_above_the_degree_cap(ladder5):
+    """g = m_4 * (x + 1) divides Z when the error sits at 4 and has one zero
+    residue, but deg g = 6 exceeds the largest t_hamming = 1 degree, 5.  Only
+    the degree cap rejects it; without the factor x + 1 it passes."""
+    field = ladder5.field
+    rng = random.Random(6)
+    for _ in range(5):
+        a = random_message(rng, ladder5)
+        received = encode(ladder5, a) + _random_error(rng, ladder5, [4])
+        y = psi_inverse(ladder5, received)
+        g = ladder5.moduli[4] * Poly(field, [1, 1])
+        assert decoder.count_zero_residues(ladder5, g) == 1 == ladder5.t_hamming
+        assert g.degree == 6 > max(ladder5.degrees)
+        assert decoder._locator_conditions(ladder5, y, g) == (False, g * a)
+        assert list_decode(ladder5, received, [g]).status is DecodeStatus.FAILURE
+        m4 = ladder5.moduli[4]
+        assert decoder._locator_conditions(ladder5, y, m4) == (True, m4 * a)

@@ -3,16 +3,20 @@
 The reference below uses only `Field._mul_basis` and `Field._digitwise`, so
 it shares no table, no kernel and no `Poly` arithmetic with the code under
 test.  Each field kind is covered: prime (GF(2), GF(5)), characteristic 2
-(GF(2^4), GF(2^8), GF(2^16)) and odd characteristic (GF(9), GF(25)).
+(GF(2^4), GF(2^8), GF(2^16)) and odd characteristic (GF(9), GF(25)).  The
+characteristic-2 fields are also run on rows long enough for the byte-row
+path (`ROW_MIN` coefficients or more).
 """
 
 from __future__ import annotations
+
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from remcode.field import Field
-from remcode.kernels import Char2Kernel, OddKernel, PrimeKernel
+from remcode.kernels import ROW_MIN, Char2Kernel, OddKernel, PrimeKernel
 from remcode.poly import Poly, poly_gcd
 
 FIELDS = {
@@ -87,10 +91,13 @@ def ref_gcd(f: Field, a, b) -> tuple[int, ...]:
 # -- strategies ---------------------------------------------------------------------
 
 
-def coeff_lists(f: Field, max_len: int = 9):
+def elements(f: Field):
     # zeros, one and -1 are drawn often: they take the kernels' special cases
-    elem = st.one_of(st.sampled_from([0, 0, 1, f.q - 1]), st.integers(0, f.q - 1))
-    return st.lists(elem, max_size=max_len)
+    return st.one_of(st.sampled_from([0, 0, 1, f.q - 1]), st.integers(0, f.q - 1))
+
+
+def coeff_lists(f: Field, max_len: int = 9):
+    return st.lists(elements(f), max_size=max_len)
 
 
 def polys(f: Field):
@@ -157,3 +164,70 @@ def test_scale_and_evaluate_match_reference(field, data):
     for y in reversed(a.coeffs):
         acc = field._digitwise(field._mul_basis(acc, x), y, 1)
     assert a.evaluate(x) == acc
+
+
+# -- characteristic 2: rows on both sides of ROW_MIN --------------------------------
+
+# GF(2^4): q < 256, so the byte tables are padded; GF(2^8): q = 256, so the
+# spare index 255 is exactly the zero slot; GF(2^16): the list loops only.
+CHAR2 = ["GF(2^4)", "GF(2^8)", "GF(2^16)"]
+
+
+def rows(f: Field, max_len: int = 40):
+    """Polys whose coefficient count is drawn evenly from 0..max_len."""
+    return st.integers(0, max_len).flatmap(
+        lambda n: st.lists(elements(f), min_size=n, max_size=n)).map(lambda c: Poly(f, c))
+
+
+def check_char2_ops(f: Field, a: Poly, b: Poly, c: int) -> None:
+    """+, -, *, divmod (b != 0) and scale by c != 0, against the reference."""
+    assert (a + b).coeffs == ref_add(f, a.coeffs, b.coeffs, 1)
+    assert (a - b).coeffs == ref_add(f, a.coeffs, b.coeffs, -1)
+    assert (a * b).coeffs == ref_mul(f, a.coeffs, b.coeffs)
+    if not b.is_zero:
+        assert tuple(x.coeffs for x in divmod(a, b)) == ref_divmod(f, a.coeffs, b.coeffs)
+    assert a.scale(c).coeffs == tuple(f._mul_basis(c, y) for y in a.coeffs)
+
+
+def check_char2_gcd(f: Field, a: Poly, b: Poly) -> None:
+    if a.is_zero and b.is_zero:
+        return
+    assert poly_gcd(a, b).coeffs == ref_gcd(f, a.coeffs, b.coeffs)
+
+
+@pytest.mark.parametrize("field", CHAR2, indirect=True)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_char2_rows_match_reference(field, data):
+    a = data.draw(rows(field, 80))
+    b = data.draw(rows(field))
+    check_char2_ops(field, a, b, data.draw(st.integers(1, field.q - 1)))
+    x = data.draw(st.integers(0, field.q - 1))
+    acc = 0
+    for y in reversed(a.coeffs):
+        acc = field._digitwise(field._mul_basis(acc, x), y, 1)
+    assert a.evaluate(x) == acc
+
+
+@pytest.mark.parametrize("field", CHAR2, indirect=True)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_char2_row_gcd_matches_reference(field, data):
+    a, b, c = (data.draw(rows(field, 20)) for _ in range(3))
+    check_char2_gcd(field, a * c, b * c)
+
+
+@pytest.mark.parametrize("field", CHAR2, indirect=True)
+def test_char2_rows_at_the_threshold(field):
+    """Divisors and rows of ROW_MIN - 1 and ROW_MIN coefficients, with zeros
+    inside and a lead that is not 1."""
+    rng = random.Random(field.q)
+    assert type(field.kernel) is Char2Kernel
+    for n in (ROW_MIN - 1, ROW_MIN, ROW_MIN + 1):
+        for _ in range(5):
+            coeffs = [rng.choice([0, rng.randrange(1, field.q)]) for _ in range(n - 1)]
+            b = Poly(field, coeffs + [rng.randrange(2, field.q)])
+            a = Poly(field, [rng.randrange(field.q) for _ in range(rng.randrange(3 * n))])
+            check_char2_ops(field, a, b, rng.randrange(1, field.q))
+            check_char2_ops(field, b, a, rng.randrange(1, field.q))
+            check_char2_gcd(field, a * b, b * Poly(field, [rng.randrange(1, field.q), 1]))

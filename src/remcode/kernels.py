@@ -6,12 +6,12 @@ A `Field` picks one kernel when it is built, from the kind of field it is:
   reduced mod p once per output coefficient or division row, not per term;
 * `Char2Kernel` (p = 2, m > 1) -- add is xor; multiply is a lookup in the
   field's log/exp tables, whose exp table repeats so that sums of logs need
-  no reduction mod q - 1.  For q <= 256 a row of `ROW_MIN` or more
-  coefficients is handled whole, as bytes: `bytes.translate` through
-  256-byte tables scales it, and xor of `int.from_bytes` values adds rows,
-  so a long product, division or gcd takes a few C-level calls per row
-  instead of a Python step per coefficient.  Shorter rows, and GF(2^16),
-  keep the per-coefficient loops;
+  no reduction mod q - 1.  For q <= 256 rows are handled whole, as bytes:
+  `bytes.translate` through 256-byte tables scales a row, and xor of
+  `int.from_bytes` values adds rows, so a product, division or gcd takes a
+  few C-level calls per row instead of a Python step per coefficient.
+  Division by fewer than `ROW_MIN` coefficients, and all of GF(2^16), keep
+  the per-coefficient loops;
 * `OddKernel` (odd p, m > 1) -- log/exp multiply, add through a Zech
   logarithm table of O(q) size, built on first use.
 
@@ -29,8 +29,10 @@ from typing import Sequence
 
 Coeffs = Sequence[int]
 
-# Char2Kernel: rows of fewer coefficients keep the per-coefficient list loops,
-# which are faster there (the measured crossover is at 8-16 coefficients).
+# Char2Kernel: divisors of fewer coefficients keep the list loop.  A byte-row
+# quotient term shifts and xors the whole remainder, so dividing a long row by
+# a short one costs O(len(rem)) per term against O(len(b)) in the list loop;
+# rs255_decode's set-up divides M_n by each of its 255 linear moduli.
 ROW_MIN = 12
 
 
@@ -157,17 +159,18 @@ class _TableKernel(_Kernel):
 class Char2Kernel(_TableKernel):
     """GF(2^m), m > 1: add is xor.
 
-    When q <= 256 every coefficient fits in a byte, and a row of at least
-    `ROW_MIN` coefficients is handled whole.  Its logs come from one
-    `bytes.translate` (zero goes to the spare index 255); one more translate
-    scales it by g^f; rows are added as xor of `int.from_bytes` values.  A
-    long division keeps its remainder as one int, so each quotient term costs
-    a few C-level calls instead of a Python step per coefficient.
+    When q <= 256 every coefficient fits in a byte, and rows are handled
+    whole.  A row's logs come from one `bytes.translate` (zero goes to the
+    spare index 255); one more translate scales it by g^f; rows are added as
+    xor of `int.from_bytes` values.  Division by at least `ROW_MIN`
+    coefficients, and gcd, keep their remainders as ints, so each quotient
+    term costs a few C-level calls instead of a Python step per coefficient.
+    For q > 256 the per-coefficient loops run.
     """
 
     def __init__(self, field):
         super().__init__(field)
-        self._row_min = ROW_MIN if field.q <= 256 else float("inf")
+        self._bytes = field.q <= 256
         self._rows: tuple[bytes, list[bytes]] | None = None
 
     def _row_tables(self) -> tuple[bytes, list[bytes]]:
@@ -188,7 +191,7 @@ class Char2Kernel(_TableKernel):
     def add(self, a: Coeffs, b: Coeffs) -> list[int]:
         if len(a) < len(b):
             a, b = b, a
-        if len(a) >= self._row_min:
+        if self._bytes:
             x = int.from_bytes(bytes(a), "little") ^ int.from_bytes(bytes(b), "little")
             return list(x.to_bytes(len(a), "little"))
         out = [x ^ y for x, y in zip(a, b)]
@@ -200,7 +203,7 @@ class Char2Kernel(_TableKernel):
     def mul(self, a: Coeffs, b: Coeffs) -> list[int]:
         if len(a) > len(b):
             a, b = b, a
-        if len(b) >= self._row_min:
+        if self._bytes:
             to_log, times = self._row_tables()
             row = bytes(b).translate(to_log)
             acc = 0
@@ -219,7 +222,7 @@ class Char2Kernel(_TableKernel):
         return out
 
     def scale(self, a: Coeffs, c: int) -> list[int]:
-        if len(a) >= self._row_min:
+        if self._bytes:
             to_log, times = self._row_tables()
             return list(bytes(a).translate(to_log).translate(times[to_log[c]]))
         return super().scale(a, c)
@@ -235,7 +238,10 @@ class Char2Kernel(_TableKernel):
         return acc
 
     def gcd(self, a: Coeffs, b: Coeffs) -> list[int]:
-        if max(len(a), len(b)) < self._row_min:
+        # Euclid on ints: the base loop through `_divide` converts each
+        # remainder between list and int, which costs rs255_decode 28 % of
+        # its items per second
+        if not self._bytes:
             return super().gcd(a, b)
         x, y = int.from_bytes(bytes(a), "little"), int.from_bytes(bytes(b), "little")
         while y:
@@ -263,7 +269,7 @@ class Char2Kernel(_TableKernel):
 
     def _divide(self, rem: list[int], b: Coeffs, quot: list[int] | None) -> None:
         db = len(b) - 1
-        if len(b) >= self._row_min:
+        if self._bytes and len(b) >= ROW_MIN:
             r = self._reduce(int.from_bytes(bytes(rem), "little"), bytes(b), quot)
             rem[:db] = r.to_bytes(db, "little")
             return

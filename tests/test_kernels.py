@@ -4,8 +4,9 @@ The reference below uses only `Field._mul_basis` and `Field._digitwise`, so
 it shares no table, no kernel and no `Poly` arithmetic with the code under
 test.  Each field kind is covered: prime (GF(2), GF(5)), characteristic 2
 (GF(2^4), GF(2^8), GF(2^16)) and odd characteristic (GF(9), GF(25)).  The
-characteristic-2 fields are also run on rows long enough for the byte-row
-path (`ROW_MIN` coefficients or more).
+characteristic-2 fields are also run on rows of up to 80 coefficients, and
+on divisors on both sides of `ROW_MIN`, below which GF(2^4) and GF(2^8)
+divide by the list loop instead of by byte rows.
 """
 
 from __future__ import annotations
@@ -166,7 +167,7 @@ def test_scale_and_evaluate_match_reference(field, data):
     assert a.evaluate(x) == acc
 
 
-# -- characteristic 2: rows on both sides of ROW_MIN --------------------------------
+# -- characteristic 2: byte rows (q <= 256) and list loops (GF(2^16)) ---------------
 
 # GF(2^4): q < 256, so the byte tables are padded; GF(2^8): q = 256, so the
 # spare index 255 is exactly the zero slot; GF(2^16): the list loops only.
@@ -219,11 +220,11 @@ def test_char2_row_gcd_matches_reference(field, data):
 
 @pytest.mark.parametrize("field", CHAR2, indirect=True)
 def test_char2_rows_at_the_threshold(field):
-    """Divisors and rows of ROW_MIN - 1 and ROW_MIN coefficients, with zeros
-    inside and a lead that is not 1."""
+    """Divisors of 1, 2, ROW_MIN - 1, ROW_MIN and ROW_MIN + 1 coefficients,
+    with zeros inside and a lead that is not 1."""
     rng = random.Random(field.q)
     assert type(field.kernel) is Char2Kernel
-    for n in (ROW_MIN - 1, ROW_MIN, ROW_MIN + 1):
+    for n in (1, 2, ROW_MIN - 1, ROW_MIN, ROW_MIN + 1):
         for _ in range(5):
             coeffs = [rng.choice([0, rng.randrange(1, field.q)]) for _ in range(n - 1)]
             b = Poly(field, coeffs + [rng.randrange(2, field.q)])

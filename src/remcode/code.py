@@ -8,8 +8,8 @@ The transform psi maps a polynomial of degree < N = deg(m_0 * ... * m_{n-1})
 to its residue vector; its inverse is a fixed weighted sum using coefficients
 beta_i precomputed at spec build time, so inverting costs one dot product and
 a single reduction.  `CodeSpec.product` is the one place where products of
-moduli are formed, and `CodeSpec.residues` the one place where a polynomial
-is reduced by every modulus; modulo a linear modulus x - r that is a(r).
+moduli are formed, and `CodeSpec.residue` the one place where a polynomial
+is reduced by a modulus; modulo a linear modulus x - r that is a(r).
 """
 
 from __future__ import annotations
@@ -37,8 +37,9 @@ class CodeSpec:
     conditions hold, and operations whose guarantees need them refuse to run
     otherwise rather than silently reordering.
 
-    `residues(a)` reduces a by every modulus: by Horner evaluation at the
-    root for a linear modulus, by division for the others.
+    `residue(a, i)` reduces a by m_i: by Horner evaluation at the root for
+    a linear modulus, by division for the others; `residues(a)` does so for
+    every modulus.
 
     Validation runs in a fixed order: monic moduli, then coprimality, then
     k.  Coprimality costs no pass of its own: beta_i needs the inverse of
@@ -99,20 +100,21 @@ class CodeSpec:
             out = out * self.moduli[i]
         return out
 
-    def residues(self, a: Poly) -> tuple[Poly, ...]:
-        """(a mod m_0, ..., a mod m_{n-1}).
+    def residue(self, a: Poly, i: int) -> Poly:
+        """a mod m_i.
 
         The remainder modulo a linear modulus x - r is a(r), by Horner
         through `Poly.evaluate`; any other modulus takes a division.
         """
-        out = []
-        for m, r in zip(self.moduli, self._roots):
-            if r is None:
-                out.append(a % m)
-            else:
-                v = a.evaluate(r)
-                out.append(Poly._raw(self.field, (v,) if v else ()))
-        return tuple(out)
+        r = self._roots[i]
+        if r is None:
+            return a % self.moduli[i]
+        v = a.evaluate(r)
+        return Poly._raw(self.field, (v,) if v else ())
+
+    def residues(self, a: Poly) -> tuple[Poly, ...]:
+        """(a mod m_0, ..., a mod m_{n-1}), each by `residue`."""
+        return tuple(self.residue(a, i) for i in range(self.n))
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, CodeSpec)
@@ -131,7 +133,7 @@ class CodeSpec:
             raise ResidueDegreeViolation(
                 f"expected {self.n} symbols, got {len(symbols)}")
         for i, (s, m) in enumerate(zip(symbols, self.moduli)):
-            if s.field != self.field:
+            if s.field is not self.field and s.field != self.field:
                 raise SpecMismatch(f"symbol {i} is over {s.field!r}")
             if s.degree >= m.degree:
                 raise ResidueDegreeViolation(

@@ -370,13 +370,14 @@ def _success(spec: CodeSpec, received: Codeword, message: Poly,
     error symbol is zero wherever factor is coprime to the modulus; for a
     linear or irreducible modulus that means it does not divide factor,
     which `spec.residues(factor)` shows.  Only the other positions reduce
-    the message.
+    the message, by `spec.residue`.
     """
     zero = Poly.zero(spec.field)
+    f = spec.residues(factor)
     symbols = tuple(
-        zero if (spec.irreducible or m.degree == 1) and not f.is_zero
-        else y - message % m
-        for y, m, f in zip(received.symbols, spec.moduli, spec.residues(factor)))
+        zero if (spec.irreducible or spec.degrees[i] == 1) and not f[i].is_zero
+        else received.symbols[i] - spec.residue(message, i)
+        for i in range(spec.n))
     return DecodeOutcome(status=status, message=message,
                          error_word=Codeword(spec, symbols), factor_poly=factor)
 

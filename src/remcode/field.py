@@ -8,9 +8,10 @@ and one of every field are the ints 0 and 1.
 
 Supported field sizes are q = p^m <= 2**16.  Prime fields reduce mod p
 directly.  Extension fields multiply through log/exp tables built on first
-use, not at construction.  Each field also picks, when it is built, the
-coefficient kernel (`remcode.kernels`) that runs polynomial arithmetic for
-its kind: prime, characteristic 2 with m > 1, or odd p with m > 1.
+use, not at construction; GF(2) builds them too, for its polynomial kernel.
+Each field also picks, when it is built, the coefficient kernel
+(`remcode.kernels`) that runs polynomial arithmetic for its kind:
+characteristic 2 at any m, odd prime, or odd p with m > 1.
 `_mul_basis` and `_digitwise` compute products and sums without tables;
 they build the tables and serve the tests as the slow reference.
 """
@@ -209,20 +210,26 @@ class Field:
         return r
 
     def _find_generator(self) -> int:
+        """Least generator of the multiplicative group.
+
+        1 generates only when the group is trivial, q = 2; for q > 2 it fails
+        the test, since 1^(order/f) = 1 for every prime factor f of order.
+        """
         order = self.q - 1
         factors = _prime_factors(order)
-        for c in range(2, self.q):
+        for c in range(1, self.q):
             if all(self._pow_basis(c, order // f) != 1 for f in factors):
                 return c
         raise AssertionError("multiplicative group of a finite field is cyclic")
 
     def _tables(self) -> tuple[list[int], list[int]]:
-        """(exp, log) of an extension field, built on first use.
+        """(exp, log) of an extension field or GF(2), built on first use.
 
         With n = q - 1 and generator g: exp[k] = g^(k mod n) for k < 3n and
         0 for 3n <= k < 5n; log[a] is in [0, n) for a != 0 and log[0] = 3n.
         So exp[log a + e] = a * g^e for every e in [0, 2n), zero included,
-        and a sum of up to three logs needs no reduction mod n.
+        and a sum of up to three logs needs no reduction mod n.  For GF(2),
+        n = 1 and g = 1: exp = [1, 1, 1, 0, 0] and log = [3, 0].
         """
         if self._log is None:
             self._build_tables()

@@ -2,16 +2,18 @@
 
 A `Field` picks one kernel when it is built, from the kind of field it is:
 
-* `PrimeKernel` (m = 1) -- plain int multiply-accumulate; a coefficient is
-  reduced mod p once per output coefficient or division row, not per term;
-* `Char2Kernel` (p = 2, m > 1) -- add is xor; multiply is a lookup in the
-  field's log/exp tables, whose exp table repeats so that sums of logs need
-  no reduction mod q - 1.  For q <= 256 rows are handled whole, as bytes:
-  `bytes.translate` through 256-byte tables scales a row, and xor of
-  `int.from_bytes` values adds rows, so a product, division or gcd takes a
-  few C-level calls per row instead of a Python step per coefficient.
+* `Char2Kernel` (p = 2, any m, GF(2) included) -- add is xor; multiply is a
+  lookup in the field's log/exp tables, whose exp table repeats so that sums
+  of logs need no reduction mod q - 1.  For q <= 256 rows are handled
+  whole, as bytes: `bytes.translate` through 256-byte tables scales a row,
+  and xor of `int.from_bytes` values adds rows, so a product, division or
+  gcd takes a few C-level calls per row instead of a Python step per
+  coefficient.
   Division by fewer than `ROW_MIN` coefficients, and all of GF(2^16), keep
   the per-coefficient loops;
+* `PrimeKernel` (odd p, m = 1) -- plain int multiply-accumulate; a
+  coefficient is reduced mod p once per output coefficient or division row,
+  not per term;
 * `OddKernel` (odd p, m > 1) -- log/exp multiply, add through a Zech
   logarithm table of O(q) size, built on first use.
 
@@ -77,7 +79,11 @@ class _Kernel:
 
 
 class PrimeKernel(_Kernel):
-    """GF(p): coefficients are ints mod p."""
+    """GF(p), odd p: coefficients are ints mod p.
+
+    GF(2) runs `Char2Kernel`; this kernel still computes over it, and the
+    tests use it there as a reference.
+    """
 
     def __init__(self, field):
         super().__init__(field)
@@ -157,7 +163,7 @@ class _TableKernel(_Kernel):
 
 
 class Char2Kernel(_TableKernel):
-    """GF(2^m), m > 1: add is xor.
+    """GF(2^m), m >= 1: add is xor.
 
     When q <= 256 every coefficient fits in a byte, and rows are handled
     whole.  A row's logs come from one `bytes.translate` (zero goes to the
@@ -165,7 +171,8 @@ class Char2Kernel(_TableKernel):
     xor of `int.from_bytes` values.  Division by at least `ROW_MIN`
     coefficients, and gcd, keep their remainders as ints, so each quotient
     term costs a few C-level calls instead of a Python step per coefficient.
-    For q > 256 the per-coefficient loops run.
+    For q > 256 the per-coefficient loops run.  In GF(2) the only nonzero
+    scalar is 1, so every scaling table is the identity on it.
     """
 
     def __init__(self, field):
@@ -384,8 +391,8 @@ class OddKernel(_TableKernel):
 
 def kernel_for(field) -> _Kernel:
     """The kernel for the field's kind."""
-    if field.m == 1:
-        return PrimeKernel(field)
     if field.p == 2:
         return Char2Kernel(field)
+    if field.m == 1:
+        return PrimeKernel(field)
     return OddKernel(field)

@@ -21,6 +21,7 @@ from remcode.errors import (
     NonCoprimeModuli,
     NonMonicModulus,
     ResidueDegreeViolation,
+    SpecMismatch,
     UnorderedDegrees,
 )
 from remcode.field import Field
@@ -147,6 +148,17 @@ def test_psi_inverse_rejects_oversized_residue(three_mod):
     gf2 = three_mod.field
     with pytest.raises(ResidueDegreeViolation):
         psi_inverse(three_mod, [P(gf2, 0, 1), Poly.one(gf2), P(gf2, 0, 1)])
+
+
+def test_check_word_compares_fields_by_value(three_mod):
+    """Symbols over an equal but separately built field pass; over another field
+    they raise, even with the same coefficients."""
+    twin = Field(2)
+    assert twin is not three_mod.field
+    symbols = [P(twin, 1), P(twin, 0), P(twin, 1, 1)]
+    assert Codeword(three_mod, symbols).symbols == tuple(symbols)
+    with pytest.raises(SpecMismatch):
+        Codeword(three_mod, [P(Field(3), 1), P(twin, 0), P(twin, 1, 1)])
 
 
 def test_round_trip_all_messages(rs42, three_mod, gf4_mixed, reducible_spec):

@@ -2,11 +2,14 @@
 
 The reference below uses only `Field._mul_basis` and `Field._digitwise`, so
 it shares no table, no kernel and no `Poly` arithmetic with the code under
-test.  Each field kind is covered: prime (GF(2), GF(5)), characteristic 2
-(GF(2^4), GF(2^8), GF(2^16)) and odd characteristic (GF(9), GF(25)).  The
-characteristic-2 fields are also run on rows of up to 80 coefficients, and
-on divisors on both sides of `ROW_MIN`, below which GF(2^4) and GF(2^8)
-divide by the list loop instead of by byte rows.
+test.  Each field kind is covered: odd prime (GF(5)), characteristic 2
+(GF(2), GF(2^4), GF(2^8), GF(2^16)) and odd characteristic (GF(9), GF(25)).
+The characteristic-2 fields are also run on rows of up to 80 coefficients,
+and on divisors on both sides of `ROW_MIN`, below which the fields with
+q <= 256 divide by the list loop instead of by byte rows.
+
+GF(2) runs `Char2Kernel`; `PrimeKernel(Field(2))` stays in the tree as its
+second reference, on long rows and on whole decodes.
 """
 
 from __future__ import annotations
@@ -16,9 +19,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from remcode.code import CodeSpec, Codeword, encode
+from remcode.decoder import DecodeStatus, build_candidate_list, decode, list_decode
 from remcode.field import Field
 from remcode.kernels import ROW_MIN, Char2Kernel, OddKernel, PrimeKernel
 from remcode.poly import Poly, poly_gcd
+
+from test_decoder_checks import ALL_OPTIONS, _check_outcome
 
 FIELDS = {
     "GF(2)": lambda: Field(2),
@@ -109,7 +116,7 @@ def polys(f: Field):
 
 
 def test_kernel_choice_and_lazy_tables():
-    kinds = {"GF(2)": PrimeKernel, "GF(5)": PrimeKernel, "GF(2^4)": Char2Kernel,
+    kinds = {"GF(2)": Char2Kernel, "GF(5)": PrimeKernel, "GF(2^4)": Char2Kernel,
              "GF(9)": OddKernel, "GF(25)": OddKernel}
     for name, kind in kinds.items():
         f = FIELDS[name]()
@@ -167,11 +174,20 @@ def test_scale_and_evaluate_match_reference(field, data):
     assert a.evaluate(x) == acc
 
 
+def test_gf2_tables():
+    """GF(2)'s group has one element, generated by 1: n = 1, log 0 = 3n."""
+    f = Field(2)
+    assert f._find_generator() == 1
+    assert f._tables() == ([1, 1, 1, 0, 0], [3, 0])
+
+
 # -- characteristic 2: byte rows (q <= 256) and list loops (GF(2^16)) ---------------
 
-# GF(2^4): q < 256, so the byte tables are padded; GF(2^8): q = 256, so the
-# spare index 255 is exactly the zero slot; GF(2^16): the list loops only.
-CHAR2 = ["GF(2^4)", "GF(2^8)", "GF(2^16)"]
+# GF(2) and GF(2^4): q < 256, so the byte tables are padded (GF(2) has one
+# nonzero scalar, so every scaling table is the identity on it); GF(2^8):
+# q = 256, so the spare index 255 is exactly the zero slot; GF(2^16): the list
+# loops only.
+CHAR2 = ["GF(2)", "GF(2^4)", "GF(2^8)", "GF(2^16)"]
 
 
 def rows(f: Field, max_len: int = 40):
@@ -221,14 +237,140 @@ def test_char2_row_gcd_matches_reference(field, data):
 @pytest.mark.parametrize("field", CHAR2, indirect=True)
 def test_char2_rows_at_the_threshold(field):
     """Divisors of 1, 2, ROW_MIN - 1, ROW_MIN and ROW_MIN + 1 coefficients,
-    with zeros inside and a lead that is not 1."""
+    with zeros inside and a lead that is not 1 (GF(2) has no other)."""
     rng = random.Random(field.q)
     assert type(field.kernel) is Char2Kernel
     for n in (1, 2, ROW_MIN - 1, ROW_MIN, ROW_MIN + 1):
         for _ in range(5):
             coeffs = [rng.choice([0, rng.randrange(1, field.q)]) for _ in range(n - 1)]
-            b = Poly(field, coeffs + [rng.randrange(2, field.q)])
+            lead = rng.randrange(2, field.q) if field.q > 2 else 1
+            b = Poly(field, coeffs + [lead])
             a = Poly(field, [rng.randrange(field.q) for _ in range(rng.randrange(3 * n))])
             check_char2_ops(field, a, b, rng.randrange(1, field.q))
             check_char2_ops(field, b, a, rng.randrange(1, field.q))
             check_char2_gcd(field, a * b, b * Poly(field, [rng.randrange(1, field.q), 1]))
+
+
+# -- GF(2): Char2Kernel against PrimeKernel -------------------------------------------
+
+
+def _prime_gf2() -> Field:
+    """A GF(2) whose polynomial arithmetic runs `PrimeKernel`."""
+    f = Field(2)
+    f.kernel = PrimeKernel(f)
+    return f
+
+
+def _strip_list(c) -> tuple[int, ...]:
+    return _strip(list(c))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_gf2_char2_matches_prime_kernel_on_long_rows(data):
+    """+, *, divmod and gcd on rows of up to 200 coefficients."""
+    char2, prime = Field(2).kernel, _prime_gf2().kernel
+    assert type(char2) is Char2Kernel
+
+    def row(max_len):
+        return data.draw(st.integers(0, max_len).flatmap(
+            lambda n: st.lists(st.integers(0, 1), min_size=n, max_size=n)).map(_strip_list))
+
+    a, b, c = row(200), row(200), row(60)
+    for x, y in ((a, b), (a, c), (c, a)):
+        assert _strip_list(char2.add(x, y)) == _strip_list(prime.add(x, y))
+        if x and y:
+            assert _strip_list(char2.mul(x, y)) == _strip_list(prime.mul(x, y))
+        if y and len(x) >= len(y):
+            q1, r1 = char2.divmod(x, y)
+            q2, r2 = prime.divmod(x, y)
+            assert (_strip_list(q1), _strip_list(r1)) == (_strip_list(q2), _strip_list(r2))
+        if x or y:
+            assert char2.gcd(x, y) == prime.gcd(x, y)
+    if a and b and c:
+        ac, bc = prime.mul(a, c), prime.mul(b, c)
+        assert char2.gcd(ac, bc) == prime.gcd(ac, bc)
+        assert len(char2.gcd(ac, bc)) >= len(c)
+
+
+@st.composite
+def gf2_specs(draw):
+    """Coprime GF(2) specs; moduli of degree 1..5, reducible ones included.
+
+    The monic polys of degree 1..5, as ints (binary digits, lowest = constant
+    term), are taken in a drawn order; each is kept when coprime to those kept
+    before, up to a drawn n.  About half the specs are then sorted by degree.
+    """
+    f = Field(2)
+    n = draw(st.integers(1, 7))
+    moduli = []
+    for code in draw(st.permutations(range(2, 64))):
+        m = Poly.from_int(f, code)
+        if all(poly_gcd(m, other).degree == 0 for other in moduli):
+            moduli.append(m)
+            if len(moduli) == n:
+                break
+    if draw(st.booleans()):
+        moduli.sort(key=lambda m: m.degree)
+    n = len(moduli)
+    # small k leaves room for errors to correct; k = n is drawn too
+    return CodeSpec(f, moduli, draw(st.one_of(st.integers(1, max(1, n // 2)), st.integers(1, n))))
+
+
+def _same_spec_over(field: Field, spec: CodeSpec) -> CodeSpec:
+    return CodeSpec(field, [Poly(field, m.coeffs) for m in spec.moduli], spec.k)
+
+
+def _word_over(spec: CodeSpec, symbols) -> Codeword:
+    return Codeword(spec, tuple(Poly(spec.field, s.coeffs) for s in symbols))
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=gf2_specs(), data=st.data())
+def test_gf2_decode_same_under_both_kernels(spec, data):
+    """Every decode option, and list decoding on ordered specs, give the same
+    outcome under `Char2Kernel` and `PrimeKernel`; none raises, and every
+    success has error_word == received - encode(message)."""
+    other = _same_spec_over(_prime_gf2(), spec)
+    assert type(spec.field.kernel) is Char2Kernel
+    assert type(other.field.kernel) is PrimeKernel
+    f = spec.field
+    if data.draw(st.booleans()):
+        # a codeword plus nonzero errors at one to three positions
+        message = Poly.from_int(f, data.draw(st.integers(0, 2 ** spec.K - 1)))
+        word = list(encode(spec, message).symbols)
+        for i in data.draw(st.lists(st.integers(0, spec.n - 1), min_size=1, max_size=3)):
+            error = Poly.from_int(f, data.draw(st.integers(1, 2 ** spec.degrees[i] - 1)))
+            word[i] = word[i] + error
+    else:
+        word = [Poly.from_int(f, data.draw(st.integers(0, 2 ** d - 1))) for d in spec.degrees]
+    received = Codeword(spec, tuple(word))
+    received_other = _word_over(other, word)
+    for options in ALL_OPTIONS:
+        out = decode(spec, received, options)
+        assert out == decode(other, received_other, options)
+        _check_outcome(spec, received, out)
+    if spec.ordered_degree:
+        candidates, other_candidates = build_candidate_list(spec), build_candidate_list(other)
+        assert candidates == other_candidates
+        out = list_decode(spec, received, candidates)
+        assert out == list_decode(other, received_other, other_candidates)
+        _check_outcome(spec, received, out)
+
+
+def test_gf2_list_recovery_same_under_both_kernels(ladder5):
+    """One error at the degree-5 modulus of `ladder5` exceeds the gcd budget,
+    t_degree = 4; the list decoder recovers it under both kernels."""
+    rng = random.Random(5)
+    other = _same_spec_over(_prime_gf2(), ladder5)
+    candidates, other_candidates = build_candidate_list(ladder5), build_candidate_list(other)
+    for _ in range(8):
+        message = Poly.from_int(ladder5.field, rng.randrange(2 ** ladder5.K))
+        word = list(encode(ladder5, message).symbols)
+        word[4] = word[4] + Poly.from_int(ladder5.field, rng.randrange(1, 2 ** 5))
+        received = Codeword(ladder5, tuple(word))
+        out = list_decode(ladder5, received, candidates)
+        assert decode(ladder5, received).status is DecodeStatus.FAILURE
+        assert out.status is DecodeStatus.SUCCESS and out.message == message
+        assert out == list_decode(other, _word_over(other, word), other_candidates)
+        _check_outcome(ladder5, received, out)

@@ -11,7 +11,7 @@ import argparse
 import sys
 import time
 
-from .code import Codeword, encode, min_degree_distance, min_hamming_distance
+from .code import encode, min_degree_distance, min_hamming_distance
 from .decoder import (
     Algorithm,
     DecodeOptions,
@@ -38,7 +38,6 @@ from .fileio import (
 )
 from .interpolate import ErasurePattern, interpolate_fixed_transform
 from .oracle import exhaustive_scan
-from .poly import Poly
 from .sim import (
     FIXED_POSITIONS,
     RANDOM_DEGREE,
@@ -135,11 +134,8 @@ def _decode_erasures(spec, word, erase, args, started: float) -> int:
         raise ValueError(f"--erase indices must lie in 0..{spec.n - 1}")
     known = frozenset(range(spec.n)) - frozenset(erase)
     pattern = ErasurePattern(spec, known)
-    filled = list(word.symbols)
-    for i in erase:
-        filled[i] = Poly.zero(spec.field)
     try:
-        message = interpolate_fixed_transform(spec, Codeword(spec, tuple(filled)), pattern)
+        message = interpolate_fixed_transform(spec, word, pattern)
     except (ErasureBudgetExceeded, NonDivisible, InconsistentResidues) as exc:
         _print_elapsed(args, started)
         print("status: failure")

@@ -15,6 +15,7 @@ is reduced by a modulus; modulo a linear modulus x - r that is a(r).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -40,6 +41,10 @@ class CodeSpec:
     `residue(a, i)` reduces a by m_i: by Horner evaluation at the root for
     a linear modulus, by division for the others; `residues(a)` does so for
     every modulus.
+
+    Everything is derived when the spec is built except `message_modulus`
+    (M_k), which no decoder reads and which is built on first read; K is
+    the sum of the first k degrees.
 
     Validation runs in a fixed order: monic moduli, then coprimality, then
     k.  Coprimality costs no pass of its own: beta_i needs the inverse of
@@ -76,11 +81,9 @@ class CodeSpec:
         self.n = n
         self.k = k
         self.degrees = tuple(int(m.degree) for m in moduli)
-        m_k = self.product(range(k))
         self.modulus_product = m_n        # product of all moduli
-        self.message_modulus = m_k        # product of the first k
         self.N = int(m_n.degree)
-        self.K = int(m_k.degree)
+        self.K = sum(self.degrees[:k])    # degree of the product of the first k
         self.t_hamming = (n - k) // 2
         self.t_degree = (self.N - self.K) // 2
         self.betas = tuple(betas)
@@ -92,6 +95,11 @@ class CodeSpec:
             self.degrees[i] <= self.degrees[i + 1] for i in range(n - 1))
         self.irreducible = all(is_irreducible(m) for m in moduli)
         self.tail_equal_degree = len(set(self.degrees[k:])) <= 1
+
+    @cached_property
+    def message_modulus(self) -> Poly:
+        """M_k, the product of the first k moduli."""
+        return self.product(range(self.k))
 
     def product(self, positions: Iterable[int]) -> Poly:
         """Product of the moduli at `positions`; 1 when there are none."""

@@ -466,8 +466,10 @@ def build_candidate_list(spec: CodeSpec, cap: int = 10 ** 6) -> list[Poly]:
     """All modulus products usable by list_decode.
 
     Enumerates supports of size <= t_hamming whose degree sum lies strictly
-    above (N - K) / 2 (below that the gcd decoder already covers them) and
-    at most the sum of the t_hamming largest degrees.
+    above (N - K) / 2 (below that the gcd decoder already covers them), by
+    size and then in lexicographic order.  With ordered degrees no such
+    support exceeds the locator degree cap, the sum of the t_hamming
+    largest degrees, so no candidate is dropped for it.
     """
     if not spec.ordered_degree:
         raise UnorderedDegrees("candidate enumeration requires nondecreasing modulus degrees")
@@ -477,12 +479,11 @@ def build_candidate_list(spec: CodeSpec, cap: int = 10 ** 6) -> list[Poly]:
     total = sum(comb(spec.n, j) for j in range(1, th + 1))
     if total > cap:
         raise CandidateExplosion(f"{total} candidate supports exceed cap {cap}")
-    degree_cap = _locator_degree_cap(spec)
     redundancy = spec.N - spec.K
     out = []
     for size in range(1, th + 1):
         for support in itertools.combinations(range(spec.n), size):
             d = support_degree_weight(spec, support)
-            if 2 * d > redundancy and d <= degree_cap:
+            if 2 * d > redundancy:
                 out.append(spec.product(support))
     return out

@@ -7,8 +7,9 @@ carries the arithmetic; it never wraps the elements themselves, so the zero
 and one of every field are the ints 0 and 1.
 
 Supported field sizes are q = p^m <= 2**16.  Prime fields reduce mod p
-directly.  Extension fields multiply through log/exp tables built on first
-use, not at construction; GF(2) builds them too, for its polynomial kernel.
+directly.  Extension fields multiply through log/exp tables, a
+`functools.cached_property` built on first read, not at construction; GF(2)
+builds them too, for its polynomial kernel.
 Each field also picks, when it is built, the coefficient kernel
 (`remcode.kernels`) that runs polynomial arithmetic for its kind:
 characteristic 2 at any m, odd prime, or odd p with m > 1.
@@ -17,6 +18,8 @@ they build the tables and serve the tests as the slow reference.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 from .errors import DegreeMismatch, NonPrimeCharacteristic, ReducibleModulus, ZeroInverse
 from .kernels import kernel_for
@@ -73,8 +76,6 @@ class Field:
         self.m = m
         self.q = q
         self.reduction = tuple(reduction) if reduction is not None else None
-        self._exp: list[int] | None = None
-        self._log: list[int] | None = None
 
         if m > 1:
             self._check_reduction_irreducible()
@@ -127,7 +128,7 @@ class Field:
             return (a * b) % self.p
         if a == 0 or b == 0:
             return 0
-        exp, log = self._tables()
+        exp, log = self._tables
         return exp[log[a] + log[b]]
 
     def inv(self, a: int) -> int:
@@ -135,7 +136,7 @@ class Field:
             raise ZeroInverse(f"zero has no inverse in {self!r}")
         if self.m == 1:
             return pow(a, self.p - 2, self.p)
-        exp, log = self._tables()
+        exp, log = self._tables
         return exp[self.q - 1 - log[a]]
 
     def pow(self, a: int, e: int) -> int:
@@ -222,8 +223,9 @@ class Field:
                 return c
         raise AssertionError("multiplicative group of a finite field is cyclic")
 
+    @cached_property
     def _tables(self) -> tuple[list[int], list[int]]:
-        """(exp, log) of an extension field or GF(2), built on first use.
+        """(exp, log) of an extension field or GF(2), built on first read.
 
         With n = q - 1 and generator g: exp[k] = g^(k mod n) for k < 3n and
         0 for 3n <= k < 5n; log[a] is in [0, n) for a != 0 and log[0] = 3n.
@@ -231,12 +233,6 @@ class Field:
         and a sum of up to three logs needs no reduction mod n.  For GF(2),
         n = 1 and g = 1: exp = [1, 1, 1, 0, 0] and log = [3, 0].
         """
-        if self._log is None:
-            self._build_tables()
-        return self._exp, self._log
-
-    def _build_tables(self) -> None:
-        # lazy and idempotent: a racing second build computes the same tables
         n = self.q - 1
         g = self._find_generator()
         exp = [0] * (5 * n)
@@ -246,7 +242,7 @@ class Field:
             exp[i] = exp[i + n] = exp[i + 2 * n] = x
             log[x] = i
             x = self._mul_basis(x, g)
-        self._exp, self._log = exp, log
+        return exp, log
 
     def _check_reduction_irreducible(self) -> None:
         from .poly import Poly, is_irreducible

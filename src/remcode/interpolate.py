@@ -14,6 +14,7 @@ Two routes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .code import CodeSpec, Codeword, psi_inverse
@@ -30,14 +31,14 @@ from .poly import Poly, poly_mod_inverse
 class ErasurePattern:
     """A known-position set S with its derived modulus products.
 
-    The erased moduli are the ones multiplied out: recovery multiplies by
-    their product, whose degree a usable pattern keeps within N - K.  The
-    known product is M_n divided by it exactly.
+    The erased moduli are the ones multiplied out when the pattern is built:
+    recovery multiplies by their product, whose degree a usable pattern
+    keeps within N - K.  The known product, M_n divided by it exactly, is
+    read only by `interpolate_direct`, so it is built on first read.
     """
 
     spec: CodeSpec
     known: frozenset[int]
-    known_product: Poly = dc_field(init=False)    # product of moduli in S
     erased_product: Poly = dc_field(init=False)   # product of moduli outside S
     erased_weight: int = dc_field(init=False)     # degree weight of the complement
 
@@ -50,8 +51,12 @@ class ErasurePattern:
         object.__setattr__(self, "known", known)
         erased = self.spec.product(i for i in range(self.spec.n) if i not in known)
         object.__setattr__(self, "erased_product", erased)
-        object.__setattr__(self, "known_product", self.spec.modulus_product // erased)
         object.__setattr__(self, "erased_weight", int(erased.degree))
+
+    @cached_property
+    def known_product(self) -> Poly:
+        """Product of the moduli in S."""
+        return self.spec.modulus_product // self.erased_product
 
     @property
     def known_weight(self) -> int:

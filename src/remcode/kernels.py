@@ -19,14 +19,17 @@ A `Field` picks one kernel when it is built, from the kind of field it is:
 
 Coefficient lists are lowest degree first (for byte rows, so are the bytes
 of an int: "little" byte order).  Inputs carry no trailing zeros; outputs
-may, and `Poly` strips them.  Every table is built on first use, never when
-the field is constructed.  No inner loop calls a `Field` method per
+may, and `Poly` strips them.  Every table -- the field's `_tables`,
+`Char2Kernel._rows` and `OddKernel._zech` -- is a `functools.cached_property`:
+built on first read, never when the field is constructed, and a plain
+attribute read after that.  No inner loop calls a `Field` method per
 coefficient; `Field._mul_basis` and `Field._digitwise` stay as the
 table-free reference the tests compare these kernels with.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Sequence
 
 Coeffs = Sequence[int]
@@ -39,7 +42,8 @@ ROW_MIN = 12
 
 
 class _Kernel:
-    """Operations shared by every kernel, built on its `_divide`."""
+    """Operations shared by every kernel: `divmod` and `gcd` built on its
+    `_divide`, and the table-based `scale` of the extension-field kernels."""
 
     def __init__(self, field):
         self.field = field
@@ -64,6 +68,16 @@ class _Kernel:
                     a.pop()
             a, b = b, a
         return self._monic(a)
+
+    def scale(self, a: Coeffs, c: int) -> list[int]:
+        """c * a for c != 0 (`Poly.scale` handles c = 0), by table lookup.
+
+        See `Field._tables` for the layout: exp[log a + e] is a * g^e for
+        any e in [0, 2(q-1)), and 0 when a = 0.  `PrimeKernel` overrides it.
+        """
+        exp, log = self.field._tables
+        lc = log[c]
+        return [exp[lc + log[x]] for x in a]
 
     def _monic(self, a: list[int]) -> list[int]:
         lead = a[-1]
@@ -148,21 +162,7 @@ class PrimeKernel(_Kernel):
         rem[:db] = [x % p for x in rem[:db]]
 
 
-class _TableKernel(_Kernel):
-    """Extension fields: multiply through the field's log/exp tables.
-
-    See `Field._tables` for the layout: exp[log a + e] is a * g^e for any
-    e in [0, 2(q-1)), and 0 when a = 0.
-    """
-
-    def scale(self, a: Coeffs, c: int) -> list[int]:
-        """c * a for c != 0 (`Poly.scale` handles c = 0)."""
-        exp, log = self.field._tables()
-        lc = log[c]
-        return [exp[lc + log[x]] for x in a]
-
-
-class Char2Kernel(_TableKernel):
+class Char2Kernel(_Kernel):
     """GF(2^m), m >= 1: add is xor.
 
     When q <= 256 every coefficient fits in a byte, and rows are handled
@@ -178,22 +178,20 @@ class Char2Kernel(_TableKernel):
     def __init__(self, field):
         super().__init__(field)
         self._bytes = field.q <= 256
-        self._rows: tuple[bytes, list[bytes]] | None = None
 
-    def _row_tables(self) -> tuple[bytes, list[bytes]]:
-        """(to_log, times), built on first use from the log/exp tables.
+    @cached_property
+    def _rows(self) -> tuple[bytes, list[bytes]]:
+        """(to_log, times), built on first read from the log/exp tables.
 
         to_log[x] is log x for 0 < x < q, and 255 for x = 0 and the unused
         bytes q..255.  For f in [0, 2(q-1)), times[f] maps log x to g^f * x
         and every index from q - 1 up, 255 included, to 0.
         """
-        if self._rows is None:
-            exp, log = self.field._tables()
-            q = self.field.q
-            to_log = bytes([255]) + bytes(log[1:]) + bytes([255]) * (256 - q)
-            times = [bytes(exp[f:f + q - 1]) + bytes(257 - q) for f in range(q - 1)]
-            self._rows = to_log, times + times
-        return self._rows
+        exp, log = self.field._tables
+        q = self.field.q
+        to_log = bytes([255]) + bytes(log[1:]) + bytes([255]) * (256 - q)
+        times = [bytes(exp[f:f + q - 1]) + bytes(257 - q) for f in range(q - 1)]
+        return to_log, times + times
 
     def add(self, a: Coeffs, b: Coeffs) -> list[int]:
         if len(a) < len(b):
@@ -211,14 +209,14 @@ class Char2Kernel(_TableKernel):
         if len(a) > len(b):
             a, b = b, a
         if self._bytes:
-            to_log, times = self._row_tables()
+            to_log, times = self._rows
             row = bytes(b).translate(to_log)
             acc = 0
             for i, c in enumerate(a):
                 if c:
                     acc ^= int.from_bytes(row.translate(times[to_log[c]]), "little") << (8 * i)
             return list(acc.to_bytes(len(a) + len(b) - 1, "little"))
-        exp, log = self.field._tables()
+        exp, log = self.field._tables
         pairs = [(j, log[c]) for j, c in enumerate(b) if c]
         out = [0] * (len(a) + len(b) - 1)
         for i, c in enumerate(a):
@@ -230,14 +228,14 @@ class Char2Kernel(_TableKernel):
 
     def scale(self, a: Coeffs, c: int) -> list[int]:
         if self._bytes:
-            to_log, times = self._row_tables()
+            to_log, times = self._rows
             return list(bytes(a).translate(to_log).translate(times[to_log[c]]))
         return super().scale(a, c)
 
     def evaluate(self, a: Coeffs, x: int) -> int:
         if not x:
             return a[0] if a else 0
-        exp, log = self.field._tables()
+        exp, log = self.field._tables
         lx = log[x]
         acc = 0
         for c in reversed(a):
@@ -261,8 +259,8 @@ class Char2Kernel(_TableKernel):
         Subtracting c/lead * b, lead included, clears the top byte of r, so
         each quotient term costs a few C-level calls on the whole row.
         """
-        exp = self.field._tables()[0]
-        to_log, times = self._row_tables()
+        exp = self.field._tables[0]
+        to_log, times = self._rows
         db = len(b) - 1
         row = b.translate(to_log)
         inv = self.field.q - 1 - to_log[b[-1]]    # log of 1 / lead
@@ -280,7 +278,7 @@ class Char2Kernel(_TableKernel):
             r = self._reduce(int.from_bytes(bytes(rem), "little"), bytes(b), quot)
             rem[:db] = r.to_bytes(db, "little")
             return
-        exp, log = self.field._tables()
+        exp, log = self.field._tables
         pairs = [(j, log[c]) for j, c in enumerate(b[:db]) if c]
         inv = self.field.q - 1 - log[b[-1]]   # log of 1 / lead
         for i in range(len(rem) - 1, db - 1, -1):
@@ -294,7 +292,7 @@ class Char2Kernel(_TableKernel):
                     rem[base + j] ^= exp[f + l]
 
 
-class OddKernel(_TableKernel):
+class OddKernel(_Kernel):
     """GF(p^m), odd p, m > 1: add through Zech logarithms.
 
     With n = q - 1 and g the field's generator, x + g^t for t in [0, 2n) is
@@ -308,24 +306,20 @@ class OddKernel(_TableKernel):
     Subtraction adds n/2 to t, since -1 = g^(n/2) in odd characteristic.
     """
 
-    def __init__(self, field):
-        super().__init__(field)
-        self._zech: tuple[list[int], list[int]] | None = None
-
-    def _zech_tables(self) -> tuple[list[int], list[int], list[int], list[int]]:
-        exp, log = self.field._tables()
-        if self._zech is None:
-            field, n = self.field, self.field.q - 1
-            zlog = [5 * n] + [log[x] + 2 * n for x in range(1, n + 1)]
-            zech = [0] * (5 * n + 1)
-            for d in range(n):
-                zech[d] = zech[d + n] = zech[d + 2 * n] = log[field.add(1, exp[d])]
-            self._zech = zlog, zech
-        return (exp, log) + self._zech
+    @cached_property
+    def _zech(self) -> tuple[list[int], list[int], list[int], list[int]]:
+        """(exp, log, zlog, zech), built on first read."""
+        field, n = self.field, self.field.q - 1
+        exp, log = field._tables
+        zlog = [5 * n] + [log[x] + 2 * n for x in range(1, n + 1)]
+        zech = [0] * (5 * n + 1)
+        for d in range(n):
+            zech[d] = zech[d + n] = zech[d + 2 * n] = log[field.add(1, exp[d])]
+        return exp, log, zlog, zech
 
     def _add_into(self, out: list[int], b: Coeffs, shift: int) -> list[int]:
         """out[i] += g^shift * b[i]; out must be at least as long as b."""
-        exp, log, zlog, zech = self._zech_tables()
+        exp, log, zlog, zech = self._zech
         for i, y in enumerate(b):
             if y:
                 t = log[y] + shift
@@ -342,7 +336,7 @@ class OddKernel(_TableKernel):
         return self._add_into(out, b, (self.field.q - 1) // 2)
 
     def mul(self, a: Coeffs, b: Coeffs) -> list[int]:
-        exp, log, zlog, zech = self._zech_tables()
+        exp, log, zlog, zech = self._zech
         if len(a) > len(b):
             a, b = b, a
         pairs = [(j, log[c]) for j, c in enumerate(b) if c]
@@ -358,7 +352,7 @@ class OddKernel(_TableKernel):
     def evaluate(self, a: Coeffs, x: int) -> int:
         if not x:
             return a[0] if a else 0
-        exp, log, zlog, zech = self._zech_tables()
+        exp, log, zlog, zech = self._zech
         lx = log[x]
         acc = 0
         for c in reversed(a):
@@ -369,7 +363,7 @@ class OddKernel(_TableKernel):
         return acc
 
     def _divide(self, rem: list[int], b: Coeffs, quot: list[int] | None) -> None:
-        exp, log, zlog, zech = self._zech_tables()
+        exp, log, zlog, zech = self._zech
         n = self.field.q - 1
         db = len(b) - 1
         pairs = [(j, log[c]) for j, c in enumerate(b[:db]) if c]

@@ -16,6 +16,7 @@ closed-form count of monic irreducible polynomials.
 
 from __future__ import annotations
 
+from functools import cache
 from math import prod
 from typing import Iterable, Iterator
 
@@ -269,30 +270,22 @@ def is_irreducible(a: Poly) -> bool:
     return True
 
 
-_IRREDUCIBLE_CACHE: dict[tuple[Field, int], tuple[Poly, ...]] = {}
-
-
+@cache
 def irreducible_polys(field: Field, degree: int) -> tuple[Poly, ...]:
     """All monic irreducible polynomials of the given degree, by sieve.
 
     Built inductively: a candidate of degree d survives if it has no root
-    and no irreducible divisor of degree 2..d/2.  Results are cached.
+    and no irreducible divisor of degree 2..d/2.  Results are cached per
+    (field, degree), by `functools.cache`.
     """
-    key = (field, degree)
-    cached = _IRREDUCIBLE_CACHE.get(key)
-    if cached is not None:
-        return cached
     if degree == 1:
-        out = tuple(monic_polys(field, 1))
-    else:
-        divisors = [g for e in range(2, degree // 2 + 1) for g in irreducible_polys(field, e)]
-        out = tuple(
-            f for f in monic_polys(field, degree)
-            if all(f.evaluate(beta) != 0 for beta in field.elements())
-            and all(not (f % g).is_zero for g in divisors)
-        )
-    _IRREDUCIBLE_CACHE[key] = out
-    return out
+        return tuple(monic_polys(field, 1))
+    divisors = [g for e in range(2, degree // 2 + 1) for g in irreducible_polys(field, e)]
+    return tuple(
+        f for f in monic_polys(field, degree)
+        if all(f.evaluate(beta) != 0 for beta in field.elements())
+        and all(not (f % g).is_zero for g in divisors)
+    )
 
 
 def sieve_count_irreducible(field: Field, degree: int) -> int:

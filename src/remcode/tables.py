@@ -8,16 +8,14 @@ modulus degree using only irreducible moduli of degree at most i.
 
 from __future__ import annotations
 
-from .field import _prime_factors
+from .field import MAX_FIELD_SIZE, _prime_factors
 from .poly import count_irreducible
-
-MAX_Q = 1 << 16
 
 
 def count_table(q: int, max_degree: int) -> list[tuple[int, int, int]]:
     """Rows (i, N_i, S_i) for i = 1..max_degree."""
-    if q > MAX_Q or len(_prime_factors(q)) != 1:
-        raise ValueError(f"q must be a prime power <= {MAX_Q}, got {q}")
+    if q > MAX_FIELD_SIZE or len(_prime_factors(q)) != 1:
+        raise ValueError(f"q must be a prime power <= {MAX_FIELD_SIZE}, got {q}")
     if max_degree < 1:
         raise ValueError("max degree must be >= 1")
     rows = []

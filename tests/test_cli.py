@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from remcode.cli import main
-from remcode.code import encode
+from remcode.code import Codeword, encode
 from remcode.fileio import dumps_codeword, load_codeword, save_codeword, save_spec
 from remcode.poly import Poly
 
@@ -69,6 +69,20 @@ def test_decode_failure_exit_code(tmp_path, rs42_file, capsys):
 def test_decode_erasures(tmp_path, rs42, rs42_file, capsys):
     word = tmp_path / "word.txt"
     save_codeword(encode(rs42, P(rs42.field, 0, 1)), str(word))
+    assert main(["decode", "--spec", rs42_file, "--in", str(word), "--erase", "2,3"]) == 0
+    out = capsys.readouterr().out
+    assert "status: success" in out
+    assert "message: [0,1]" in out
+
+
+def test_decode_erasures_ignores_erased_symbols(tmp_path, rs42, rs42_file, capsys):
+    """Nonzero junk at the erased positions is passed through unchanged and
+    does not move the result."""
+    sent = encode(rs42, P(rs42.field, 0, 1)).symbols
+    junk = Codeword(rs42, sent[:2] + (P(rs42.field, 4), P(rs42.field, 1)))
+    assert all(junk.symbols[i] != sent[i] and not junk.symbols[i].is_zero for i in (2, 3))
+    word = tmp_path / "word.txt"
+    save_codeword(junk, str(word))
     assert main(["decode", "--spec", rs42_file, "--in", str(word), "--erase", "2,3"]) == 0
     out = capsys.readouterr().out
     assert "status: success" in out

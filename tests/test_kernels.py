@@ -121,11 +121,11 @@ def test_kernel_choice_and_lazy_tables():
     for name, kind in kinds.items():
         f = FIELDS[name]()
         assert type(f.kernel) is kind
-        assert f._log is None
+        assert "_tables" not in vars(f)
     f = FIELDS["GF(9)"]()
-    assert f.kernel._zech is None
+    assert "_zech" not in vars(f.kernel)
     Poly(f, [1, 2]) + Poly(f, [2, 2])
-    assert f._log is not None and f.kernel._zech is not None
+    assert "_tables" in vars(f) and "_zech" in vars(f.kernel)
 
 
 @settings(max_examples=60, deadline=None)
@@ -178,7 +178,7 @@ def test_gf2_tables():
     """GF(2)'s group has one element, generated by 1: n = 1, log 0 = 3n."""
     f = Field(2)
     assert f._find_generator() == 1
-    assert f._tables() == ([1, 1, 1, 0, 0], [3, 0])
+    assert f._tables == ([1, 1, 1, 0, 0], [3, 0])
 
 
 # -- characteristic 2: byte rows (q <= 256) and list loops (GF(2^16)) ---------------
@@ -374,3 +374,99 @@ def test_gf2_list_recovery_same_under_both_kernels(ladder5):
         assert out.status is DecodeStatus.SUCCESS and out.message == message
         assert out == list_decode(other, _word_over(other, word), other_candidates)
         _check_outcome(ladder5, received, out)
+
+
+# -- spec-level fuzz beyond GF(2) ------------------------------------------------------
+
+SPEC_FIELDS = {
+    "GF(7)": Field(7),
+    "GF(9)": Field(3, 2, [1, 0, 1]),
+    "GF(2^8)": Field(2, 8, [1, 0, 1, 1, 1, 0, 0, 0, 1]),
+}
+
+
+@st.composite
+def coprime_specs(draw, f: Field, max_degree: int, sizes: tuple[int, int],
+                  ordered: bool = False):
+    """Coprime specs over `f`; monic moduli of degree 1..max_degree.
+
+    Each modulus is drawn as a degree and its lower coefficients, reducible
+    ones included, and kept when coprime to those kept before, up to an n
+    drawn from `sizes`.  Unless `ordered`, about half the specs put a
+    modulus of the largest degree first, which leaves them unordered
+    whenever the degrees differ.
+    """
+    n = draw(st.integers(*sizes))
+    moduli = []
+    for _ in range(8 * n):
+        d = draw(st.integers(1, max_degree))
+        m = Poly(f, draw(st.lists(st.integers(0, f.q - 1), min_size=d, max_size=d)) + [1])
+        if all(poly_gcd(m, other).degree == 0 for other in moduli):
+            moduli.append(m)
+            if len(moduli) == n:
+                break
+    if ordered or draw(st.booleans()):
+        moduli.sort(key=lambda m: m.degree)
+    else:
+        moduli.insert(0, moduli.pop(max(range(len(moduli)), key=lambda i: moduli[i].degree)))
+    n = len(moduli)
+    return CodeSpec(f, moduli, draw(st.one_of(st.integers(1, max(1, n // 2)), st.integers(1, n))))
+
+
+def _random_symbol(data, f: Field, degree: int, nonzero: bool = False) -> Poly:
+    return Poly.from_int(f, data.draw(st.integers(int(nonzero), f.q ** degree - 1)))
+
+
+@pytest.mark.parametrize("name", list(SPEC_FIELDS))
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_specs_beyond_gf2_decode_within_the_degree_budget(name, data):
+    """Every option, and list decoding on ordered specs, returns without
+    raising and every success has error_word == received - encode(message).
+    A codeword plus an error of degree weight <= t_degree decodes to the
+    sent message under every option."""
+    f = SPEC_FIELDS[name]
+    spec = data.draw(coprime_specs(f, 2, (1, 6)))
+    sent = None
+    if data.draw(st.booleans()):
+        sent = Poly.from_int(f, data.draw(st.integers(0, f.q ** spec.K - 1)))
+        word = list(encode(spec, sent).symbols)
+        budget = spec.t_degree
+        for i in data.draw(st.permutations(range(spec.n))):
+            if spec.degrees[i] <= budget and data.draw(st.booleans()):
+                budget -= spec.degrees[i]
+                word[i] = word[i] + _random_symbol(data, f, spec.degrees[i], nonzero=True)
+    else:
+        word = [_random_symbol(data, f, d) for d in spec.degrees]
+    received = Codeword(spec, tuple(word))
+    for options in ALL_OPTIONS:
+        out = decode(spec, received, options)
+        _check_outcome(spec, received, out)
+        if sent is not None:
+            assert out.ok and out.message == sent
+    if spec.ordered_degree:
+        out = list_decode(spec, received, build_candidate_list(spec))
+        _check_outcome(spec, received, out)
+        if sent is not None:
+            assert out.message == sent
+
+
+@pytest.mark.parametrize("f, max_degree", [(Field(2), 5), (Field(3), 3)], ids=["GF(2)", "GF(3)"])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_candidate_list_is_every_support_above_the_gcd_budget(f, max_degree, data):
+    """`build_candidate_list` equals the products over every support of at
+    most t_hamming positions with 2 * (degree weight) > N - K, taken by size
+    and then in lexicographic order."""
+    spec = data.draw(coprime_specs(f, max_degree, (4, 10), ordered=True))
+    supports = sorted(
+        (tuple(i for i in range(spec.n) if mask >> i & 1) for mask in range(1, 1 << spec.n)),
+        key=lambda s: (len(s), s))
+    expected = []
+    for s in supports:
+        if len(s) <= spec.t_hamming and 2 * sum(spec.degrees[i] for i in s) > spec.N - spec.K:
+            g = Poly.one(f)
+            for i in s:
+                g = g * spec.moduli[i]
+            expected.append(g)
+    assert build_candidate_list(spec) == expected

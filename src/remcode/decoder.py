@@ -323,13 +323,13 @@ def count_zero_residues(spec: CodeSpec, g: Poly) -> int:
 def _locator_conditions(spec: CodeSpec, received_preimage: Poly, g: Poly) -> tuple[bool, Poly]:
     """Locator verdict on a candidate g, and Z = g * Y mod M_n.
 
-    The division by g decides most candidates, so the conditions on g alone
-    (its zero-residue count, which costs n divisions, then its degree cap)
-    are only evaluated once g divides Z with a quotient of degree < K.
+    The verdict needs Z = g * q with deg q < K.  An exact quotient has degree
+    deg Z - deg g, so deg Z >= K + deg g rejects g exactly, with no division;
+    below that bound, g dividing Z is enough.  The conditions on g alone (its
+    zero-residue count, which costs n divisions, then its degree cap) run last.
     """
     z = (g * received_preimage) % spec.modulus_product
-    q, rem = divmod(z, g)
-    if not rem.is_zero or q.degree >= spec.K:
+    if z.degree >= spec.K + g.degree or not (z % g).is_zero:
         return False, z
     return (count_zero_residues(spec, g) <= spec.t_hamming
             and g.degree <= _locator_degree_cap(spec)), z

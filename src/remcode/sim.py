@@ -8,19 +8,18 @@ report is reproducible byte for byte from the seed alone.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field as dc_field
 
 from .code import CodeSpec, Codeword, encode
 from .decoder import (
     DecodeOptions,
-    DecodeStatus,
     build_candidate_list,
     decode,
     list_decode,
 )
-from .errors import InfeasibleWeight, SearchSpaceTooLarge
-from .oracle import all_messages
+from .errors import InfeasibleWeight, SearchSpaceTooLarge, UnorderedDegrees
 from .poly import Poly
 
 _MASK64 = (1 << 64) - 1
@@ -84,6 +83,13 @@ def _degree_weight_support(rng: random.Random, spec: CodeSpec, weight: int) -> l
     return support
 
 
+def _checked_positions(spec: CodeSpec, model: ChannelModel) -> tuple[int, ...]:
+    support = model.weight_or_positions
+    if any(not 0 <= i < spec.n for i in support):
+        raise InfeasibleWeight(f"positions {list(support)} out of range for n={spec.n}")
+    return support
+
+
 def corrupt(
     spec: CodeSpec,
     word: Codeword,
@@ -98,9 +104,7 @@ def corrupt(
     """
     rng = random.Random(mix64(model.master_seed, trial_index))
     if model.kind == FIXED_POSITIONS:
-        support = list(model.weight_or_positions)
-        if any(not 0 <= i < spec.n for i in support):
-            raise InfeasibleWeight(f"positions {support} out of range for n={spec.n}")
+        support = _checked_positions(spec, model)
     elif model.kind == RANDOM_HAMMING:
         w = model.weight_or_positions
         if not 0 <= w <= spec.n:
@@ -108,10 +112,9 @@ def corrupt(
         support = sorted(rng.sample(range(spec.n), w))
     else:
         w = model.weight_or_positions
-        if w == 0:
-            support = []
-        else:
-            support = _degree_weight_support(rng, spec, w)
+        if w < 0:
+            raise InfeasibleWeight(f"degree weight {w} is negative")
+        support = _degree_weight_support(rng, spec, w) if w else []
     symbols = [Poly.zero(spec.field)] * spec.n
     for i in support:
         symbols[i] = _random_nonzero_symbol(rng, spec, i)
@@ -157,22 +160,9 @@ class SimReport:
 
 
 def _classify(outcome, sent: Poly) -> str:
-    if outcome.status is DecodeStatus.FAILURE:
+    if not outcome.ok:
         return "failure"
     return "success" if outcome.message == sent else "miscorrect"
-
-
-def _decoder_runs(spec: CodeSpec, decoders, options: DecodeOptions, candidates):
-    runs = {}
-    for name in decoders:
-        if name == "gcd":
-            runs[name] = lambda w: decode(spec, w, options)
-        elif name == "list":
-            cand = build_candidate_list(spec) if candidates is None else candidates
-            runs[name] = lambda w, c=cand: list_decode(spec, w, c, options)
-        else:
-            raise ValueError(f"unknown decoder {name!r}")
-    return runs
 
 
 def simulate(
@@ -190,49 +180,58 @@ def simulate(
     Monte-Carlo mode draws `trials` independent (message, error) pairs.
     Exhaustive mode (fixed positions only) iterates every nonzero error
     value combination at the support, across `message_sample` messages
-    drawn without replacement; total trials are capped at 10**7.
+    drawn without replacement; total trials are capped at 10**7.  Each
+    trial is gcd-decoded once; `list_decode`, which returns the gcd outcome
+    unless it failed, runs only where it failed.
     """
-    runs = _decoder_runs(spec, decoders, options, candidates)
+    for name in decoders:
+        if name == "list":
+            if not spec.ordered_degree:
+                raise UnorderedDegrees("list decoding requires nondecreasing modulus degrees")
+            if candidates is None:
+                candidates = build_candidate_list(spec)
+        elif name != "gcd":
+            raise ValueError(f"unknown decoder {name!r}")
+    names = tuple(dict.fromkeys(decoders))
     report = SimReport()
+    for a, y, support in _trials(spec, model, trials, exhaustive, message_sample):
+        outcome = decode(spec, y, options)
+        listed = outcome if outcome.ok or "list" not in names else list_decode(
+            spec, y, candidates, options)
+        for name in names:
+            report.record(name, support, _classify(outcome if name == "gcd" else listed, a))
+        report.trials += 1
+    return report
+
+
+def _trials(spec: CodeSpec, model: ChannelModel, trials, exhaustive, message_sample):
+    """Yield (sent message, received word, error support) per trial; the
+    exhaustive sweep checks its model, positions and cap before its first trial."""
+    total_messages = spec.field.q ** spec.K
     if exhaustive:
         if model.kind != FIXED_POSITIONS:
             raise ValueError("exhaustive mode requires fixed error positions")
-        support = tuple(model.weight_or_positions)
-        q = spec.field.q
-        value_count = 1
-        for i in support:
-            value_count *= q ** spec.degrees[i] - 1
-        total_messages = q ** spec.K
+        support = _checked_positions(spec, model)
+        value_count = math.prod(spec.field.q ** spec.degrees[i] - 1 for i in support)
         sample = min(message_sample, total_messages)
         if value_count * sample > EXHAUSTIVE_TRIAL_CAP:
             raise SearchSpaceTooLarge(
                 f"{value_count * sample} exhaustive trials exceed cap {EXHAUSTIVE_TRIAL_CAP}")
-        rng = random.Random(mix64(model.master_seed, 0))
-        if sample == total_messages:
-            messages = list(all_messages(spec))
-        else:
-            codes = rng.sample(range(total_messages), sample)
-            messages = [Poly.from_int(spec.field, code) for code in codes]
-        for a in messages:
+        codes = range(total_messages)
+        if sample < total_messages:
+            codes = random.Random(mix64(model.master_seed, 0)).sample(codes, sample)
+        for code in codes:
+            a = Poly.from_int(spec.field, code)
             c = encode(spec, a)
             for error in _all_error_values(spec, support):
-                y = c + error
-                for name, run in runs.items():
-                    report.record(name, support, _classify(run(y), a))
-                report.trials += 1
-        return report
-
-    total_messages = spec.field.q ** spec.K
+                yield a, c + error, support
+        return
     for index in range(trials):
         msg_rng = random.Random(mix64(model.master_seed ^ _MESSAGE_SALT, index))
         a = Poly.from_int(spec.field, msg_rng.randrange(total_messages))
         c = encode(spec, a)
         y, error = corrupt(spec, c, model, index)
-        support = error.support()
-        for name, run in runs.items():
-            report.record(name, support, _classify(run(y), a))
-        report.trials += 1
-    return report
+        yield a, y, error.support()
 
 
 def _all_error_values(spec: CodeSpec, support: tuple[int, ...]):

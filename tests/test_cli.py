@@ -192,3 +192,23 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["decode"])  # missing required flags
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("channel", [
+    ["--exhaustive", "--positions=-1"],
+    ["--exhaustive", "--positions", "4"],
+    ["--degree-weight=-1"],
+], ids=["exhaustive-negative", "exhaustive-past-n", "negative-degree-weight"])
+def test_simulate_infeasible_channel_is_a_usage_error(rs42_file, channel, capsys):
+    assert main(["simulate", "--spec", rs42_file, "--trials", "2", "--messages", "2"]
+                + channel) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_corrupt_negative_degree_weight_is_a_usage_error(tmp_path, rs42, rs42_file, capsys):
+    word = tmp_path / "word.txt"
+    save_codeword(encode(rs42, P(rs42.field, 0, 1)), str(word))
+    assert main(["corrupt", "--spec", rs42_file, "--in", str(word),
+                 "--degree-weight=-1"]) == 2
+    assert capsys.readouterr().err.startswith("error:")

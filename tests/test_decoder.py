@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from remcode.code import Codeword, degree_weight, encode, psi_inverse
 from remcode.decoder import (
@@ -26,6 +27,8 @@ from remcode.decoder import (
     partial_gcd_full,
     partial_gcd_upper,
     upper_parts,
+    _locator_conditions,
+    _locator_degree_cap,
 )
 from remcode.errors import (
     CandidateExplosion,
@@ -35,9 +38,11 @@ from remcode.errors import (
     UnorderedDegrees,
     ZeroG,
 )
+from remcode.field import Field
 from remcode.poly import Poly
 
-from conftest import P, random_message
+from conftest import P, random_message, random_preimage
+from test_kernels import coprime_specs
 
 ALL_OPTIONS = [
     DecodeOptions(a, s, r)
@@ -459,3 +464,75 @@ def test_list_decode_empty_candidates_keeps_failure(ladder5):
 def test_list_decode_requires_ordered_degrees(reducible_spec):
     with pytest.raises(UnorderedDegrees):
         list_decode(reducible_spec, reducible_spec.zero_word(), [])
+
+
+# -- the locator test's degree rejection ---------------------------------------------
+
+
+def _locator_by_division(spec, y: Poly, g: Poly) -> tuple[bool, Poly]:
+    """Reference locator verdict that always divides Z = g * Y mod M_n by g."""
+    z = (g * y) % spec.modulus_product
+    q, rem = divmod(z, g)
+    if not rem.is_zero or q.degree >= spec.K:
+        return False, z
+    return (count_zero_residues(spec, g) <= spec.t_hamming
+            and g.degree <= _locator_degree_cap(spec)), z
+
+
+def _locator_probes(rng: random.Random, spec, count: int):
+    """(Y, g) pairs.  Y is mostly a codeword plus an error on a random
+    support, else a random preimage.  g is the product of the moduli on that
+    support, or on another random support, or an arbitrary nonzero
+    polynomial of degree up to N, so also above the locator degree cap."""
+    f = spec.field
+    for _ in range(count):
+        support = [i for i in range(spec.n) if rng.random() < 0.4]
+        error = [Poly.zero(f)] * spec.n
+        for i in support:
+            error[i] = Poly.from_int(f, rng.randrange(1, f.q ** spec.degrees[i]))
+        word = encode(spec, random_message(rng, spec)) + Codeword(spec, tuple(error))
+        y = psi_inverse(spec, word) if rng.random() < 0.8 else random_preimage(rng, spec)
+        yield y, spec.product(support)
+        yield y, spec.product([i for i in range(spec.n) if rng.random() < 0.4])
+        yield y, Poly.from_int(f, rng.randrange(1, f.q ** (spec.N + 1)))
+
+
+def test_locator_degree_rejection_matches_division(ladder5, gf4_mixed):
+    rng = random.Random(2024)
+    verdicts = set()
+    for spec in (ladder5, gf4_mixed):
+        for y, g in _locator_probes(rng, spec, 150):
+            got = _locator_conditions(spec, y, g)
+            assert got == _locator_by_division(spec, y, g)
+            verdicts.add(got[0])
+    assert verdicts == {True, False}
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=st.one_of(coprime_specs(Field(2), 4, (3, 8), ordered=True),
+                      coprime_specs(Field(3), 3, (3, 7), ordered=True)),
+       seed=st.integers(0, 2 ** 32))
+def test_locator_degree_rejection_matches_division_on_random_specs(spec, seed):
+    for y, g in _locator_probes(random.Random(seed), spec, 5):
+        assert _locator_conditions(spec, y, g) == _locator_by_division(spec, y, g)
+
+
+def test_locator_degree_rejection_does_not_divide_by_g(ladder5, monkeypatch):
+    """A candidate with deg Z >= K + deg g is rejected after the one
+    reduction mod M_n, with no division by g."""
+    m = ladder5.modulus_product
+    probes = [(y, g) for y, g in _locator_probes(random.Random(5), ladder5, 30)
+              if ((g * y) % m).degree >= ladder5.K + g.degree]
+    assert probes
+    divisors = []
+    divmod_ = Poly.__divmod__
+
+    def recording_divmod(a, b):
+        divisors.append(b)
+        return divmod_(a, b)
+
+    monkeypatch.setattr(Poly, "__divmod__", recording_divmod)
+    for y, g in probes:
+        divisors.clear()
+        assert _locator_conditions(ladder5, y, g)[0] is False
+        assert divisors == [m]

@@ -171,3 +171,22 @@ def test_simulate_two_errors_first_three_symbols(gf4_mixed):
         report = simulate(gf4_mixed, model, trials=0, exhaustive=True, message_sample=10)
         assert report.trials == 10 * 9
         assert report.counts["gcd"]["success"] == report.trials
+
+
+def test_negative_degree_weight_is_infeasible(ladder5):
+    model = ChannelModel(RANDOM_DEGREE, -1, master_seed=2)
+    with pytest.raises(InfeasibleWeight):
+        corrupt(ladder5, ladder5.zero_word(), model)
+    with pytest.raises(InfeasibleWeight):
+        simulate(ladder5, model, trials=3)
+
+
+@pytest.mark.parametrize("positions", [(-1,), (2, 4), (0, 99)])
+def test_exhaustive_positions_out_of_range_are_infeasible(rs42, positions):
+    """Exhaustive mode range-checks its positions as `corrupt` does, so -1
+    is refused, not read as position n - 1."""
+    model = ChannelModel(FIXED_POSITIONS, positions, master_seed=1)
+    with pytest.raises(InfeasibleWeight):
+        corrupt(rs42, rs42.zero_word(), model)
+    with pytest.raises(InfeasibleWeight):
+        simulate(rs42, model, trials=0, exhaustive=True, message_sample=2)

@@ -5,11 +5,21 @@ field plus a cut index k: codewords are the residue vectors (a mod m_i) of
 all message polynomials a with deg a < K = deg(m_0 * ... * m_{k-1}).
 
 The transform psi maps a polynomial of degree < N = deg(m_0 * ... * m_{n-1})
-to its residue vector; its inverse is a fixed weighted sum using coefficients
-beta_i precomputed at spec build time, so inverting costs one dot product and
-a single reduction.  `CodeSpec.product` is the one place where products of
-moduli are formed, and `CodeSpec.residue` the one place where a polynomial
-is reduced by a modulus; modulo a linear modulus x - r that is a(r).
+to its residue vector; its inverse is the weighted sum of coefficients
+beta_i (beta_i = 1 mod m_i, 0 mod the others) computed at spec build time.
+Both are fixed GF(q)-linear maps, each applied as one `combine` of the
+field's kernel over a row set the spec builds on first use:
+
+* forward rows, for `residues` and `encode`: row j holds x^j mod m_i for
+  every i, the residues end to end (N coefficients in all), j < N;
+* inverse rows, for `psi_inverse`: x^l * beta_i mod M_n for l < deg m_i,
+  in position order; the coefficients of the residue vector, end to end,
+  weight them.
+
+`CodeSpec.product` is the one place where products of moduli are formed.
+`CodeSpec.residue` reduces by one modulus (modulo a linear modulus x - r
+that is a(r)); it serves single positions, and is the reference the row
+maps are tested against, as `interpolate_direct` is for `psi_inverse`.
 """
 
 from __future__ import annotations
@@ -28,7 +38,7 @@ from .errors import (
     UnorderedDegrees,
 )
 from .field import Field
-from .poly import Poly, poly_gcd, poly_mod_inverse, is_irreducible
+from .poly import Poly, _strip, poly_gcd, poly_mod_inverse, is_irreducible
 
 
 class CodeSpec:
@@ -39,12 +49,13 @@ class CodeSpec:
     otherwise rather than silently reordering.
 
     `residue(a, i)` reduces a by m_i: by Horner evaluation at the root for
-    a linear modulus, by division for the others; `residues(a)` does so for
-    every modulus.
+    a linear modulus, by division for the others.  `residues(a)` reduces a
+    by every modulus at once, through the forward rows.
 
-    Everything is derived when the spec is built except `message_modulus`
-    (M_k), which no decoder reads and which is built on first read; K is
-    the sum of the first k degrees.
+    Everything is derived when the spec is built except three values built
+    on first read: `message_modulus` (M_k), which no decoder reads, and the
+    two row sets of the transform (see the module docstring), which take
+    about 2 * N^2 coefficients; K is the sum of the first k degrees.
 
     Validation runs in a fixed order: monic moduli, then coprimality, then
     k.  Coprimality costs no pass of its own: beta_i needs the inverse of
@@ -121,8 +132,42 @@ class CodeSpec:
         return Poly._raw(self.field, (v,) if v else ())
 
     def residues(self, a: Poly) -> tuple[Poly, ...]:
-        """(a mod m_0, ..., a mod m_{n-1}), each by `residue`."""
-        return tuple(self.residue(a, i) for i in range(self.n))
+        """(a mod m_0, ..., a mod m_{n-1}), as one `combine` of the forward
+        rows weighted by a's coefficients; a is first reduced mod M_n when
+        deg a >= N."""
+        if a.degree >= self.N:
+            a = a % self.modulus_product
+        out = self.field.kernel.combine(self._forward_rows, a.coeffs)
+        field, lo, res = self.field, 0, []
+        for d in self.degrees:
+            res.append(Poly._raw(field, _strip(out[lo:lo + d])))
+            lo += d
+        return tuple(res)
+
+    @cached_property
+    def _forward_rows(self):
+        """Row j holds x^j mod m_i for every i, end to end, j < N; packed."""
+        kernel = self.field.kernel
+        columns = [col for m in self.moduli for col in _power_columns(kernel, m.coeffs, self.N)]
+        return kernel.pack(list(zip(*columns)))
+
+    @cached_property
+    def _inverse_rows(self):
+        """x^l * beta_i mod M_n for l < deg m_i, in position order; packed.
+
+        Each row after the first of a position is x times the one before,
+        reduced by one scaled subtraction of M_n.
+        """
+        kernel, N = self.field.kernel, self.N
+        low = self.modulus_product.coeffs[:N]
+        rows = []
+        for beta, d in zip(self.betas, self.degrees):
+            row = list(beta.coeffs) + [0] * (N - len(beta.coeffs))
+            rows.append(row)
+            for _ in range(d - 1):
+                row = _times_x(kernel, row, low)
+                rows.append(row)
+        return kernel.pack(rows)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, CodeSpec)
@@ -151,6 +196,39 @@ class CodeSpec:
     def zero_word(self) -> "Codeword":
         z = Poly.zero(self.field)
         return Codeword(self, (z,) * self.n)
+
+
+def _times_x(kernel, v: list[int], low: Sequence[int]) -> list[int]:
+    """x * v mod f, for f the monic polynomial with lower coefficients `low`
+    and len(v) == len(low) == deg f."""
+    top, v = v[-1], [0] + v[:-1]
+    return kernel.sub(v, kernel.scale(low, top)) if top else v
+
+
+def _power_columns(kernel, m: Sequence[int], count: int) -> list[list[int]]:
+    """For each l < deg m, the coefficients of x^l in x^j mod m, j < count.
+
+    Built by doubling.  Once the columns hold k entries, the residues of
+    x^(k+j), j < k, are those of x^j multiplied by x^k mod m: a linear map
+    whose column b is x^(k+b) mod m.  So each doubling costs deg(m)^2
+    whole-column scale-and-add steps; for a linear modulus x - r it is one,
+    which extends r^0..r^(k-1) by r^k times itself.
+    """
+    low = list(m[:-1])
+    cols = [[1]] + [[0]] * (len(low) - 1)
+    while len(cols[0]) < count:
+        k = len(cols[0])
+        image = _times_x(kernel, [col[-1] for col in cols], low)      # x^k mod m
+        new = [None] * len(cols)
+        for b, col in enumerate(cols):
+            if b:
+                image = _times_x(kernel, image, low)                  # x^(k+b) mod m
+            for a, x in enumerate(image):
+                if x:
+                    term = kernel.scale(col, x)
+                    new[a] = term if new[a] is None else kernel.add(new[a], term)
+        cols = [col + (more or [0] * k) for col, more in zip(cols, new)]
+    return [col[:count] for col in cols]
 
 
 def _first_common_factor(moduli: tuple[Poly, ...]) -> tuple[int, int]:
@@ -187,10 +265,12 @@ class Codeword:
 
 
 def encode(spec: CodeSpec, message: Poly) -> Codeword:
-    """Residue vector of a message polynomial (deg < K), by `spec.residues`.
+    """Residue vector of a message polynomial (deg < K), by `spec.residues`:
+    one `combine` of the first K forward rows.
 
     When every modulus is linear (a Reed-Solomon code) this is evaluation of
-    the message at the n roots.
+    the message at the n roots; forward row j then holds the roots' j-th
+    powers.
     """
     if message.field != spec.field:
         raise SpecMismatch("message over the wrong field")
@@ -200,13 +280,17 @@ def encode(spec: CodeSpec, message: Poly) -> Codeword:
 
 
 def psi_inverse(spec: CodeSpec, word: Codeword | Sequence[Poly]) -> Poly:
-    """Unique preimage of degree < N of a full residue vector."""
+    """Unique preimage of degree < N of a full residue vector.
+
+    It is sum_i w_i * beta_i mod M_n: one `combine` of the inverse rows
+    weighted by the symbols' coefficients, each symbol padded to its
+    modulus degree, so no product and no reduction is formed.
+    """
     symbols = word.symbols if isinstance(word, Codeword) else spec.check_word(word)
-    acc = Poly.zero(spec.field)
-    for c, beta in zip(symbols, spec.betas):
-        if not c.is_zero:
-            acc = acc + c * beta
-    return acc % spec.modulus_product
+    coeffs = []
+    for c, d in zip(symbols, spec.degrees):
+        coeffs += c.coeffs + (0,) * (d - len(c.coeffs))
+    return Poly._raw(spec.field, _strip(spec.field.kernel.combine(spec._inverse_rows, coeffs)))
 
 
 def hamming_weight(word: Codeword) -> int:

@@ -14,7 +14,8 @@ Each field also picks, when it is built, the coefficient kernel
 (`remcode.kernels`) that runs polynomial arithmetic for its kind:
 characteristic 2 at any m, odd prime, or odd p with m > 1.
 `_mul_basis` and `_digitwise` compute products and sums without tables;
-they build the tables and serve the tests as the slow reference.
+they serve the tests as the slow reference, and `_mul_basis` gives the m
+images g * x^i from which the tables are built.
 """
 
 from __future__ import annotations
@@ -234,15 +235,49 @@ class Field:
         n = 1 and g = 1: exp = [1, 1, 1, 0, 0] and log = [3, 0].
         """
         n = self.q - 1
-        g = self._find_generator()
+        times_g = self._times(self._find_generator())
         exp = [0] * (5 * n)
         log = [3 * n] * self.q
         x = 1
         for i in range(n):
             exp[i] = exp[i + n] = exp[i + 2 * n] = x
             log[x] = i
-            x = self._mul_basis(x, g)
+            x = times_g(x)
         return exp, log
+
+    def _times(self, g: int):
+        """The map x -> x * g, through the m images g * x^i (the element x^i
+        is the int p^i), each computed once by `_mul_basis`.
+
+        For p = 2 the product is the xor of the images that x's bits select;
+        otherwise each base-p digit of x weights its image's digits, summed
+        and reduced mod p.
+        """
+        p, m = self.p, self.m
+        images = [self._mul_basis(p ** i, g) for i in range(m)]
+        if p == 2:
+            def times(x: int) -> int:
+                acc = 0
+                while x:
+                    low = x & -x
+                    acc ^= images[low.bit_length() - 1]
+                    x ^= low
+                return acc
+            return times
+        digits = [[y // p ** a % p for a in range(m)] for y in images]
+
+        def times(x: int) -> int:
+            acc = [0] * m
+            for image in digits:
+                x, d = divmod(x, p)
+                if d:
+                    for a, y in enumerate(image):
+                        acc[a] += d * y
+            out = 0
+            for v in reversed(acc):
+                out = out * p + v % p
+            return out
+        return times
 
     def _check_reduction_irreducible(self) -> None:
         from .poly import Poly, is_irreducible

@@ -17,6 +17,20 @@ A `Field` picks one kernel when it is built, from the kind of field it is:
 * `OddKernel` (odd p, m > 1) -- log/exp multiply, add through a Zech
   logarithm table of O(q) size, built on first use.
 
+`combine(rows, coeffs)` returns sum_j coeffs[j] * rows[j] over a fixed set
+of rows of one length, which `pack` converts once into the form each kernel
+reads; the code's residue transform and its inverse are such sums.
+`Char2Kernel` with q <= 256 keeps each row as log bytes, so a term is one
+`bytes.translate` and an int xor.  The odd-characteristic kernels keep each
+row as int slots: for k < m, the m base-p digit planes of x^k * row, each
+plane one int whose little-endian slots hold one digit per coefficient, so
+a term is m^2 int multiply-adds, one per digit of the coefficient and
+plane.  A slot is sized (1, 2, 4 or 8 bytes) for the largest sum it can
+receive, rows * m * (p-1)^2, so no digit carries into the next; each slot
+is reduced mod p once, when `combine` unpacks it with `struct`'s explicit
+little-endian format.  `Char2Kernel` with q > 256 (up to GF(2^16)) adds
+`scale`d rows in a plain loop.
+
 Coefficient lists are lowest degree first (for byte rows, so are the bytes
 of an int: "little" byte order).  Inputs carry no trailing zeros; outputs
 may, and `Poly` strips them.  Every table -- the field's `_tables`,
@@ -29,6 +43,8 @@ table-free reference the tests compare these kernels with.
 
 from __future__ import annotations
 
+import itertools
+import struct
 from functools import cached_property
 from typing import Sequence
 
@@ -79,6 +95,24 @@ class _Kernel:
         lc = log[c]
         return [exp[lc + log[x]] for x in a]
 
+    def pack(self, rows: Sequence[Coeffs]) -> list:
+        """One or more rows, all of one length, in the form `combine` reads:
+        here plain lists."""
+        return [list(row) for row in rows]
+
+    def combine(self, rows, coeffs: Coeffs) -> list[int]:
+        """sum_j coeffs[j] * rows[j] over `pack`ed rows; needs len(coeffs) <= len(rows).
+
+        The result has the rows' length, or fewer entries when its top ones
+        are zero.  Here a plain loop of `scale` and `add`.
+        """
+        assert len(coeffs) <= len(rows)
+        acc = [0] * len(rows[0])
+        for c, row in zip(coeffs, rows):
+            if c:
+                acc = self.add(acc, self.scale(row, c))
+        return acc
+
     def _monic(self, a: list[int]) -> list[int]:
         lead = a[-1]
         return a if lead == 1 else self.scale(a, self.field.inv(lead))
@@ -92,7 +126,57 @@ class _Kernel:
         raise NotImplementedError
 
 
-class PrimeKernel(_Kernel):
+def _slot_layout(p: int, m: int, count: int, length: int) -> struct.Struct:
+    """Little-endian slots for `length` digits, each wide enough for a sum of
+    `count` terms of m products of two digits below p."""
+    bound = count * m * (p - 1) ** 2
+    size = 1
+    while bound >> (8 * size):
+        size *= 2
+    assert size <= 8 and bound < 1 << (8 * size), "slot would overflow"
+    return struct.Struct(f"<{length}{'BHIQ'[size.bit_length() - 1]}")
+
+
+class _SlotKernel(_Kernel):
+    """`pack` and `combine` on int slots, for odd characteristic (see the
+    module docstring for the layout)."""
+
+    def pack(self, rows: Sequence[Coeffs]) -> tuple[struct.Struct, list[tuple[int, ...]]]:
+        p, m = self.field.p, self.field.m
+        layout = _slot_layout(p, m, len(rows), len(rows[0]))
+        packed = []
+        for row in rows:
+            planes = []
+            for k in range(m):
+                shifted = self.scale(row, p ** k)     # x^k * row: the element x^k is the int p^k
+                for a in range(m):
+                    pa = p ** a
+                    digits = [x // pa % p for x in shifted]
+                    planes.append(int.from_bytes(layout.pack(*digits), "little"))
+            packed.append(tuple(planes))
+        return layout, packed
+
+    def combine(self, rows, coeffs: Coeffs) -> list[int]:
+        layout, planes = rows
+        assert len(coeffs) <= len(planes)
+        p, m = self.field.p, self.field.m
+        acc = [0] * m
+        for c, row in zip(coeffs, planes):
+            k = 0                                 # digit i of c weights row[k:k + m], k = i * m,
+            while c:                              # the planes of x^i * row
+                c, d = divmod(c, p)
+                if d:
+                    for a in range(m):
+                        acc[a] += d * row[k + a]
+                k += m
+        out = itertools.repeat(0)
+        for plane in reversed(acc):
+            digits = layout.unpack(plane.to_bytes(layout.size, "little"))
+            out = [x * p + d % p for x, d in zip(out, digits)]
+        return out
+
+
+class PrimeKernel(_SlotKernel):
     """GF(p), odd p: coefficients are ints mod p.
 
     GF(2) runs `Char2Kernel`; this kernel still computes over it, and the
@@ -232,6 +316,24 @@ class Char2Kernel(_Kernel):
             return list(bytes(a).translate(to_log).translate(times[to_log[c]]))
         return super().scale(a, c)
 
+    def pack(self, rows: Sequence[Coeffs]) -> list:
+        """Log bytes (zero as 255, see `_rows`) when q <= 256."""
+        if not self._bytes:
+            return super().pack(rows)
+        to_log = self._rows[0]
+        return [bytes(row).translate(to_log) for row in rows]
+
+    def combine(self, rows, coeffs: Coeffs) -> list[int]:
+        if not self._bytes:
+            return super().combine(rows, coeffs)
+        assert len(coeffs) <= len(rows)
+        to_log, times = self._rows
+        acc = 0
+        for c, row in zip(coeffs, rows):
+            if c:
+                acc ^= int.from_bytes(row.translate(times[to_log[c]]), "little")
+        return list(acc.to_bytes(len(rows[0]), "little"))
+
     def evaluate(self, a: Coeffs, x: int) -> int:
         if not x:
             return a[0] if a else 0
@@ -292,7 +394,7 @@ class Char2Kernel(_Kernel):
                     rem[base + j] ^= exp[f + l]
 
 
-class OddKernel(_Kernel):
+class OddKernel(_SlotKernel):
     """GF(p^m), odd p, m > 1: add through Zech logarithms.
 
     With n = q - 1 and g the field's generator, x + g^t for t in [0, 2n) is

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
 from dataclasses import dataclass, field as dc_field
 
 from .code import CodeSpec, Codeword, encode
@@ -219,7 +220,16 @@ def _trials(spec: CodeSpec, model: ChannelModel, trials, exhaustive, message_sam
                 f"{value_count * sample} exhaustive trials exceed cap {EXHAUSTIVE_TRIAL_CAP}")
         codes = range(total_messages)
         if sample < total_messages:
-            codes = random.Random(mix64(model.master_seed, 0)).sample(codes, sample)
+            rng = random.Random(mix64(model.master_seed, 0))
+            if total_messages <= sys.maxsize:
+                codes = rng.sample(codes, sample)
+            else:
+                # random.sample needs len(range), which overflows past sys.maxsize;
+                # draw until `sample` distinct codes, in the order first drawn
+                drawn = {}
+                while len(drawn) < sample:
+                    drawn[rng.randrange(total_messages)] = None
+                codes = list(drawn)
         for code in codes:
             a = Poly.from_int(spec.field, code)
             c = encode(spec, a)

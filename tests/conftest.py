@@ -68,6 +68,14 @@ def gf4_mixed(gf4) -> CodeSpec:
 
 
 @pytest.fixture(scope="session")
+def rs12_gf256() -> CodeSpec:
+    """Reed-Solomon code of length 12 and k = 8 over GF(2^8): q^K = 2^64
+    messages, more than a `range` can report as its length."""
+    f = Field(2, 8, [1, 0, 1, 1, 1, 0, 0, 0, 1])
+    return CodeSpec(f, [Poly(f, [r, 1]) for r in range(12)], 8)
+
+
+@pytest.fixture(scope="session")
 def reducible_spec(gf2) -> CodeSpec:
     """GF(2) code whose first modulus x^2 is reducible; k = 1."""
     return CodeSpec(gf2, [P(gf2, 0, 0, 1), P(gf2, 1, 1), P(gf2, 1, 1, 1)], 1)

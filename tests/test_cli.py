@@ -152,6 +152,17 @@ def test_simulate_exhaustive_both_decoders(ladder5_file, capsys):
     assert "list: success=124 miscorrect=0 failure=0" in out
 
 
+def test_simulate_exhaustive_beyond_the_sample_range(tmp_path, rs12_gf256, capsys):
+    """q^K = 2^64 messages: the sweep draws its sample without a traceback."""
+    spec_file = tmp_path / "rs12.json"
+    save_spec(rs12_gf256, str(spec_file))
+    assert main(["simulate", "--spec", str(spec_file), "--trials", "0", "--exhaustive",
+                 "--positions", "0", "--messages", "1"]) == 0
+    captured = capsys.readouterr()
+    assert "gcd: success=255 miscorrect=0 failure=0" in captured.out
+    assert "Traceback" not in captured.err
+
+
 def test_simulate_needs_exactly_one_weight_flag(rs42_file, capsys):
     assert main(["simulate", "--spec", rs42_file, "--trials", "5"]) == 2
     assert main(["simulate", "--spec", rs42_file, "--trials", "5",

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from remcode.errors import DegreeMismatch, NonPrimeCharacteristic, ReducibleModulus, ZeroInverse
@@ -46,6 +48,26 @@ def test_table_arithmetic_matches_basis_reference(make):
             assert f.sub(a, b) == f._digitwise(a, b, -1)
         if a:
             assert f._mul_basis(a, f.inv(a)) == 1
+
+
+@pytest.mark.parametrize("make, sample", [
+    (lambda: Field(3, 2, [1, 0, 1]), None),
+    (lambda: Field(5, 2, [2, 1, 1]), None),
+    (lambda: Field(2, 8, [1, 0, 1, 1, 1, 0, 0, 0, 1]), None),
+    (lambda: Field(2, 16, [1, 1, 0, 1] + [0] * 8 + [1, 0, 0, 0, 1]), 3000),
+], ids=["GF(9)", "GF(25)", "GF(2^8)", "GF(2^16)"])
+def test_tables_are_the_generator_powers_by_basis_multiplication(make, sample):
+    """exp[i + 1] = exp[i] * g by `_mul_basis` and log inverts exp, at every
+    exponent (a seeded sample of them for GF(2^16)); exp runs through every
+    nonzero element once."""
+    f = make()
+    exp, log = f._tables
+    n, g = f.q - 1, f._find_generator()
+    exponents = range(n) if sample is None else random.Random(16).sample(range(n), sample)
+    for i in exponents:
+        assert exp[i + 1] == f._mul_basis(exp[i], g) == f._times(g)(exp[i])
+        assert log[exp[i]] == i
+    assert sorted(exp[:n]) == list(range(1, f.q))
 
 
 @pytest.mark.parametrize("n, factors", [

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
@@ -13,6 +14,7 @@ from remcode.sim import (
     RANDOM_HAMMING,
     ChannelModel,
     _all_error_values,
+    _trials,
     corrupt,
     mix64,
     simulate,
@@ -190,3 +192,17 @@ def test_exhaustive_positions_out_of_range_are_infeasible(rs42, positions):
         corrupt(rs42, rs42.zero_word(), model)
     with pytest.raises(InfeasibleWeight):
         simulate(rs42, model, trials=0, exhaustive=True, message_sample=2)
+
+
+def test_simulate_exhaustive_beyond_the_sample_range(rs12_gf256):
+    """Past sys.maxsize messages `random.sample(range(q^K))` raises
+    OverflowError; the sweep then draws distinct messages one at a time."""
+    spec = rs12_gf256
+    assert spec.field.q ** spec.K > sys.maxsize
+    model = ChannelModel(FIXED_POSITIONS, (3,), master_seed=4)
+    report = simulate(spec, model, trials=0, exhaustive=True, message_sample=2)
+    assert report.trials == 2 * 255
+    assert report.counts["gcd"]["success"] == report.trials
+    assert simulate(spec, model, trials=0, exhaustive=True, message_sample=2) == report
+    sent = [a for a, _, _ in _trials(spec, model, 0, True, 3)]
+    assert len(sent) == 3 * 255 and len(set(sent)) == 3

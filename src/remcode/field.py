@@ -8,8 +8,8 @@ and one of every field are the ints 0 and 1.
 
 Supported field sizes are q = p^m <= 2**16.  Prime fields reduce mod p
 directly.  Extension fields multiply through log/exp tables, a
-`functools.cached_property` built on first read, not at construction; GF(2)
-builds them too, for its polynomial kernel.
+`functools.cached_property` built on first read, not at construction; no
+kernel reads them for a prime field.
 Each field also picks, when it is built, the coefficient kernel
 (`remcode.kernels`) that runs polynomial arithmetic for its kind:
 characteristic 2 at any m, odd prime, or odd p with m > 1.

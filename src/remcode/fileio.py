@@ -46,21 +46,38 @@ def spec_to_json(spec: CodeSpec) -> dict:
     }
 
 
+def _integer(value, what: str) -> int:
+    """`value` when it is a JSON integer: a float or a bool (which Python
+    counts as an int) is refused, not truncated."""
+    if type(value) is not int:
+        raise ParseError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _integers(value, what: str) -> list[int]:
+    if not isinstance(value, list):
+        raise ParseError(f"{what} is not a coefficient list")
+    return [_integer(c, f"{what} coefficient") for c in value]
+
+
 def spec_from_json(obj: dict) -> CodeSpec:
     try:
-        p = int(obj["p"])
-        m = int(obj.get("m", 1))
-        reduction = obj.get("reduction")
-        moduli = obj["moduli"]
-        k = int(obj["k"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad spec object: {exc}") from exc
+        p, moduli, k = obj["p"], obj["moduli"], obj["k"]
+    except KeyError as exc:
+        raise ParseError(f"bad spec object: missing {exc}") from exc
+    p, m, k = _integer(p, "p"), _integer(obj.get("m", 1), "m"), _integer(k, "k")
+    reduction = obj.get("reduction")
+    if reduction is not None:
+        reduction = _integers(reduction, "reduction")
+        if any(not 0 <= c < p for c in reduction):
+            raise ParseError(f"reduction has coefficients outside 0..{p - 1}")
+    if not isinstance(moduli, list):
+        raise ParseError("moduli is not a list of coefficient lists")
     field = Field(p, m, reduction)
     polys = []
     for i, coeffs in enumerate(moduli):
-        if not isinstance(coeffs, list):
-            raise ParseError(f"modulus {i} is not a coefficient list")
-        if any(not isinstance(c, int) or not 0 <= c < field.q for c in coeffs):
+        coeffs = _integers(coeffs, f"modulus {i}")
+        if any(not 0 <= c < field.q for c in coeffs):
             raise ParseError(f"modulus {i} has coefficients outside {field!r}")
         polys.append(Poly(field, coeffs))
     return CodeSpec(field, polys, k)

@@ -2,15 +2,17 @@
 
 A `Field` picks one kernel when it is built, from the kind of field it is:
 
-* `Char2Kernel` (p = 2, any m, GF(2) included) -- add is xor; multiply is a
-  lookup in the field's log/exp tables, whose exp table repeats so that sums
-  of logs need no reduction mod q - 1.  For q <= 256 rows are handled
-  whole, as bytes: `bytes.translate` through 256-byte tables scales a row,
-  and xor of `int.from_bytes` values adds rows, so a product, division or
-  gcd takes a few C-level calls per row instead of a Python step per
-  coefficient.
-  Division by fewer than `ROW_MIN` coefficients, and all of GF(2^16), keep
-  the per-coefficient loops;
+* `Char2Kernel` (p = 2, any m, GF(2) included) -- add is xor.  GF(2) rows
+  are ints with one bit per coefficient: a product xors shifted copies of
+  one operand, a division or gcd step xors the shifted divisor under the
+  remainder's top bit, and no table is read.  For 2 < q <= 256 multiply is
+  a lookup in the field's log/exp tables, whose exp table repeats so that
+  sums of logs need no reduction mod q - 1, and rows are handled whole, as
+  bytes: `bytes.translate` through 256-byte tables scales a row, and xor of
+  `int.from_bytes` values adds rows, so a product, division or gcd takes a
+  few C-level calls per row instead of a Python step per coefficient.
+  There, division by fewer than `ROW_MIN` coefficients keeps the
+  per-coefficient loop, as does all of GF(2^16);
 * `PrimeKernel` (odd p, m = 1) -- plain int multiply-accumulate; a
   coefficient is reduced mod p once per output coefficient or division row,
   not per term;
@@ -19,38 +21,43 @@ A `Field` picks one kernel when it is built, from the kind of field it is:
 
 `combine(rows, coeffs)` returns sum_j coeffs[j] * rows[j] over a fixed set
 of rows of one length, which `pack` converts once into the form each kernel
-reads; the code's residue transform and its inverse are such sums.
-`Char2Kernel` with q <= 256 keeps each row as log bytes, so a term is one
-`bytes.translate` and an int xor.  The odd-characteristic kernels keep each
-row as int slots: for k < m, the m base-p digit planes of x^k * row, each
-plane one int whose little-endian slots hold one digit per coefficient, so
-a term is m^2 int multiply-adds, one per digit of the coefficient and
-plane.  A slot is sized (1, 2, 4 or 8 bytes) for the largest sum it can
-receive, rows * m * (p-1)^2, so no digit carries into the next; each slot
-is reduced mod p once, when `combine` unpacks it with `struct`'s explicit
-little-endian format.  `Char2Kernel` with q > 256 (up to GF(2^16)) adds
-`scale`d rows in a plain loop.
+reads; the code's residue transform and its inverse are such sums.  GF(2)
+keeps each row as one bit-packed int, so a term is one int xor;
+`Char2Kernel` with 2 < q <= 256 keeps each row as log bytes, so a term is
+one `bytes.translate` and an int xor.  The odd-characteristic kernels keep
+each row as int slots: for k < m, the m base-p digit planes of x^k * row,
+each plane one int whose little-endian slots hold one digit per
+coefficient, so a term is m^2 int multiply-adds, one per digit of the
+coefficient and plane.  A slot is sized (1, 2, 4 or 8 bytes) for the
+largest sum it can receive, rows * m * (p-1)^2, so no digit carries into
+the next; each slot is reduced mod p once, when `combine` unpacks it with
+`struct`'s explicit little-endian format.  `Char2Kernel` with q > 256 (up
+to GF(2^16)) adds `scale`d rows in a plain loop.
 
 Coefficient lists are lowest degree first (for byte rows, so are the bytes
-of an int: "little" byte order).  Inputs carry no trailing zeros; outputs
-may, and `Poly` strips them.  Every table -- the field's `_tables`,
-`Char2Kernel._rows` and `OddKernel._zech` -- is a `functools.cached_property`:
-built on first read, never when the field is constructed, and a plain
-attribute read after that.  No inner loop calls a `Field` method per
-coefficient; `Field._mul_basis` and `Field._digitwise` stay as the
-table-free reference the tests compare these kernels with.
+of an int: "little" byte order; for bit rows, the bits).  Inputs carry no
+trailing zeros; outputs may, and `Poly` strips them.  `add`, `sub` and
+`scale` keep their operands' full length, since the row builders in
+`remcode.code` read a row's top entry by position.  Every table -- the
+field's `_tables`, `Char2Kernel._rows` and `OddKernel._zech` -- is a
+`functools.cached_property`: built on first read, never when the field is
+constructed, and a plain attribute read after that.  No prime field builds
+one.  No inner loop calls a `Field` method per coefficient;
+`Field._mul_basis` and `Field._digitwise` stay as the table-free reference
+the tests compare these kernels with.
 """
 
 from __future__ import annotations
 
 import itertools
 import struct
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import xor
 from typing import Sequence
 
 Coeffs = Sequence[int]
 
-# Char2Kernel: divisors of fewer coefficients keep the list loop.  A byte-row
+# Char2Kernel, 2 < q <= 256: divisors of fewer coefficients keep the list loop.  A byte-row
 # quotient term shifts and xors the whole remainder, so dividing a long row by
 # a short one costs O(len(rem)) per term against O(len(b)) in the list loop;
 # rs255_decode's set-up divides M_n by each of its 255 linear moduli.
@@ -246,22 +253,47 @@ class PrimeKernel(_SlotKernel):
         rem[:db] = [x % p for x in rem[:db]]
 
 
+# GF(2) rows: coefficients 0/1 as the digits "0"/"1", and back
+_TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_FROM_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _to_bits(a: Coeffs) -> int:
+    """A GF(2) coefficient list as an int, bit i the coefficient of x^i."""
+    return int(bytes(a).translate(_TO_DIGITS)[::-1], 2) if a else 0
+
+
+def _from_bits(x: int, length: int) -> list[int]:
+    """The coefficient list of x, padded with zeros to at least `length`."""
+    if not x:
+        return [0] * length
+    return list(bin(x)[:1:-1].encode().translate(_FROM_DIGITS).ljust(length, b"\0"))
+
+
 class Char2Kernel(_Kernel):
     """GF(2^m), m >= 1: add is xor.
 
-    When q <= 256 every coefficient fits in a byte, and rows are handled
+    In GF(2) a row is an int with one bit per coefficient, bit i holding the
+    coefficient of x^i (see `_to_bits`).  The only nonzero scalar is 1, so
+    `scale` is the identity; a product xors shifted copies of one operand,
+    one per nonzero coefficient of the other; a division or gcd step xors
+    the shifted divisor into the remainder until its bit length drops below
+    the divisor's, so each quotient term is one xor.  Evaluation at 1 is the
+    parity.  GF(2) reads no table.
+
+    When 2 < q <= 256 every coefficient fits in a byte, and rows are handled
     whole.  A row's logs come from one `bytes.translate` (zero goes to the
     spare index 255); one more translate scales it by g^f; rows are added as
     xor of `int.from_bytes` values.  Division by at least `ROW_MIN`
     coefficients, and gcd, keep their remainders as ints, so each quotient
     term costs a few C-level calls instead of a Python step per coefficient.
-    For q > 256 the per-coefficient loops run.  In GF(2) the only nonzero
-    scalar is 1, so every scaling table is the identity on it.
+    For q > 256 the per-coefficient loops run.
     """
 
     def __init__(self, field):
         super().__init__(field)
-        self._bytes = field.q <= 256
+        self._bits = field.q == 2
+        self._bytes = 2 < field.q <= 256
 
     @cached_property
     def _rows(self) -> tuple[bytes, list[bytes]]:
@@ -280,6 +312,8 @@ class Char2Kernel(_Kernel):
     def add(self, a: Coeffs, b: Coeffs) -> list[int]:
         if len(a) < len(b):
             a, b = b, a
+        if self._bits:
+            return _from_bits(_to_bits(a) ^ _to_bits(b), len(a))
         if self._bytes:
             x = int.from_bytes(bytes(a), "little") ^ int.from_bytes(bytes(b), "little")
             return list(x.to_bytes(len(a), "little"))
@@ -292,6 +326,12 @@ class Char2Kernel(_Kernel):
     def mul(self, a: Coeffs, b: Coeffs) -> list[int]:
         if len(a) > len(b):
             a, b = b, a
+        if self._bits:
+            row, acc = _to_bits(b), 0
+            for i, c in enumerate(a):
+                if c:
+                    acc ^= row << i
+            return _from_bits(acc, len(a) + len(b) - 1)
         if self._bytes:
             to_log, times = self._rows
             row = bytes(b).translate(to_log)
@@ -311,19 +351,28 @@ class Char2Kernel(_Kernel):
         return out
 
     def scale(self, a: Coeffs, c: int) -> list[int]:
+        if self._bits:
+            return list(a)
         if self._bytes:
             to_log, times = self._rows
             return list(bytes(a).translate(to_log).translate(times[to_log[c]]))
         return super().scale(a, c)
 
-    def pack(self, rows: Sequence[Coeffs]) -> list:
-        """Log bytes (zero as 255, see `_rows`) when q <= 256."""
+    def pack(self, rows: Sequence[Coeffs]):
+        """(row length, one int per row) in GF(2); log bytes (zero as 255,
+        see `_rows`) when 2 < q <= 256."""
+        if self._bits:
+            return len(rows[0]), [_to_bits(row) for row in rows]
         if not self._bytes:
             return super().pack(rows)
         to_log = self._rows[0]
         return [bytes(row).translate(to_log) for row in rows]
 
     def combine(self, rows, coeffs: Coeffs) -> list[int]:
+        if self._bits:
+            length, ints = rows
+            assert len(coeffs) <= len(ints)
+            return _from_bits(reduce(xor, itertools.compress(ints, coeffs), 0), length)
         if not self._bytes:
             return super().combine(rows, coeffs)
         assert len(coeffs) <= len(rows)
@@ -337,6 +386,8 @@ class Char2Kernel(_Kernel):
     def evaluate(self, a: Coeffs, x: int) -> int:
         if not x:
             return a[0] if a else 0
+        if self._bits:
+            return a.count(1) & 1                 # x = 1: the parity
         exp, log = self.field._tables
         lx = log[x]
         acc = 0
@@ -344,12 +395,30 @@ class Char2Kernel(_Kernel):
             acc = exp[log[acc] + lx] ^ c
         return acc
 
+    def divmod(self, a: Coeffs, b: Coeffs) -> tuple[list[int], list[int]]:
+        if not self._bits:
+            return super().divmod(a, b)
+        r, y, nb = _to_bits(a), _to_bits(b), len(b)
+        quot = [0] * (len(a) - nb + 1)
+        while (top := r.bit_length()) >= nb:
+            quot[top - nb] = 1                    # x^(top - nb) * b clears r's top bit
+            r ^= y << (top - nb)
+        return quot, _from_bits(r, nb - 1)
+
     def gcd(self, a: Coeffs, b: Coeffs) -> list[int]:
+        if self._bits:
+            x, y = _to_bits(a), _to_bits(b)
+            while y:
+                dy = y.bit_length()
+                while (top := x.bit_length()) >= dy:
+                    x ^= y << (top - dy)
+                x, y = y, x
+            return _from_bits(x, x.bit_length())  # monic: GF(2) has no other lead
+        if not self._bytes:
+            return super().gcd(a, b)
         # Euclid on ints: the base loop through `_divide` converts each
         # remainder between list and int, which costs rs255_decode 28 % of
         # its items per second
-        if not self._bytes:
-            return super().gcd(a, b)
         x, y = int.from_bytes(bytes(a), "little"), int.from_bytes(bytes(b), "little")
         while y:
             x, y = y, self._reduce(x, y.to_bytes((y.bit_length() + 7) >> 3, "little"), None)

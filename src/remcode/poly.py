@@ -44,19 +44,21 @@ class Poly:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: Field, coeffs: Iterable[int] = ()):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", _strip([field.check(int(c)) for c in coeffs]))
+        _set_field(self, field)
+        _set_coeffs(self, _strip([field.check(int(c)) for c in coeffs]))
 
     @classmethod
     def _raw(cls, field: Field, coeffs: tuple[int, ...]) -> "Poly":
         """Internal constructor for already-normalized coefficients."""
         p = object.__new__(cls)
-        object.__setattr__(p, "field", field)
-        object.__setattr__(p, "coeffs", coeffs)
+        _set_field(p, field)
+        _set_coeffs(p, coeffs)
         return p
 
     def __setattr__(self, *a):
         raise AttributeError("Poly is immutable")
+
+    __delattr__ = __setattr__
 
     # -- constructors ---------------------------------------------------------
 
@@ -193,6 +195,12 @@ class Poly:
         """Horner evaluation at a field element."""
         self.field.check(beta)
         return self.field.kernel.evaluate(self.coeffs, beta)
+
+
+# The slots' own setters: they bypass `Poly.__setattr__`, and cost less than
+# `object.__setattr__`, which looks the slot up by name on every call.
+_set_field = Poly.__dict__["field"].__set__
+_set_coeffs = Poly.__dict__["coeffs"].__set__
 
 
 # -- gcd machinery ------------------------------------------------------------------

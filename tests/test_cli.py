@@ -195,6 +195,18 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_malformed_spec_values_exit_code(tmp_path, capsys):
+    """Well-formed JSON with a bad value is a parse error too: exit 2 and one
+    `error:` line, not a traceback."""
+    bad = tmp_path / "bad.json"
+    for text in ('{"p": 2, "moduli": 5, "k": 1}', '{"p": 2, "moduli": null, "k": 1}',
+                 '{"p": 2, "moduli": [[1, 1]], "k": 1.9}'):
+        bad.write_text(text)
+        assert main(["spec-check", "--spec", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_missing_file_exit_code(capsys):
     assert main(["spec-check", "--spec", "/nonexistent/spec.json"]) == 2
 

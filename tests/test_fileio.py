@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -69,6 +70,20 @@ def test_spec_parse_errors():
         loads_spec('{"p": 5, "k": 1}')
     with pytest.raises(ParseError):
         loads_spec('{"p": 5, "m": 1, "reduction": null, "moduli": [[9, 1]], "k": 1}')
+
+    # a valid GF(4) spec with one entry changed: no value may be truncated or coerced
+    valid = {"p": 2, "m": 2, "reduction": [1, 1, 1], "moduli": [[0, 1], [1, 1]], "k": 1}
+    assert loads_spec(json.dumps(valid)).n == 2
+    for change in (
+            {"k": 1.9}, {"k": 1.0}, {"k": True}, {"k": "1"},
+            {"p": 2.9}, {"p": 2.0}, {"p": True}, {"m": 2.0}, {"m": None},
+            {"reduction": [1, 0, 1.5]}, {"reduction": [1, True, 1]}, {"reduction": [1, 1, 2]},
+            {"reduction": [-1, 1, 1]}, {"reduction": 7}, {"reduction": "111"},
+            {"moduli": [[0, 1], [True, 1]]}, {"moduli": [[0, 1], [1.0, 1]]},
+            {"moduli": [[0, 1], [4, 1]]}, {"moduli": [[0, 1], 3]},
+            {"moduli": 5}, {"moduli": None}, {"moduli": {"0": [0, 1]}}):
+        with pytest.raises(ParseError):
+            loads_spec(json.dumps({**valid, **change}))
 
 
 def test_parse_poly(gf5):

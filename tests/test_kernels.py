@@ -6,7 +6,7 @@ test.  Each field kind is covered: odd prime (GF(5)), characteristic 2
 (GF(2), GF(2^4), GF(2^8), GF(2^16)) and odd characteristic (GF(9), GF(25)).
 The characteristic-2 fields are also run on rows of up to 80 coefficients,
 and on divisors on both sides of `ROW_MIN`, below which the fields with
-q <= 256 divide by the list loop instead of by byte rows.
+2 < q <= 256 divide by the list loop instead of by byte rows.
 
 GF(2) runs `Char2Kernel`; `PrimeKernel(Field(2))` stays in the tree as its
 second reference, on long rows and on whole decodes.
@@ -181,10 +181,9 @@ def test_gf2_tables():
     assert f._tables == ([1, 1, 1, 0, 0], [3, 0])
 
 
-# -- characteristic 2: byte rows (q <= 256) and list loops (GF(2^16)) ---------------
+# -- characteristic 2: bit rows (GF(2)), byte rows and list loops ---------------------
 
-# GF(2) and GF(2^4): q < 256, so the byte tables are padded (GF(2) has one
-# nonzero scalar, so every scaling table is the identity on it); GF(2^8):
+# GF(2): bit rows; GF(2^4): q < 256, so the byte tables are padded; GF(2^8):
 # q = 256, so the spare index 255 is exactly the zero slot; GF(2^16): the list
 # loops only.
 CHAR2 = ["GF(2)", "GF(2^4)", "GF(2^8)", "GF(2^16)"]
@@ -268,16 +267,27 @@ def _strip_list(c) -> tuple[int, ...]:
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_gf2_char2_matches_prime_kernel_on_long_rows(data):
-    """+, *, divmod and gcd on rows of up to 200 coefficients."""
+    """+, *, divmod and gcd on rows of up to 200 coefficients, and by divisors
+    of 1 and 2 coefficients.  add, sub, scale, evaluate at 0 and 1, and
+    pack + combine on rows whose top entries may be zero: there the outputs
+    must match entry for entry, so the bit rows must unpack to full length."""
     char2, prime = Field(2).kernel, _prime_gf2().kernel
     assert type(char2) is Char2Kernel
 
+    def bits(n):
+        return data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+
     def row(max_len):
-        return data.draw(st.integers(0, max_len).flatmap(
-            lambda n: st.lists(st.integers(0, 1), min_size=n, max_size=n)).map(_strip_list))
+        return _strip_list(bits(data.draw(st.integers(0, max_len))))
+
+    def padded(length):
+        """`length` entries, the top ones zero from a drawn point on."""
+        low = data.draw(st.integers(0, length))
+        return bits(low) + [0] * (length - low)
 
     a, b, c = row(200), row(200), row(60)
-    for x, y in ((a, b), (a, c), (c, a)):
+    d = tuple(bits(data.draw(st.integers(0, 1)))) + (1,)
+    for x, y in ((a, b), (a, c), (c, a), (a, d), (c, d), (d, d)):
         assert _strip_list(char2.add(x, y)) == _strip_list(prime.add(x, y))
         if x and y:
             assert _strip_list(char2.mul(x, y)) == _strip_list(prime.mul(x, y))
@@ -291,6 +301,17 @@ def test_gf2_char2_matches_prime_kernel_on_long_rows(data):
         ac, bc = prime.mul(a, c), prime.mul(b, c)
         assert char2.gcd(ac, bc) == prime.gcd(ac, bc)
         assert len(char2.gcd(ac, bc)) >= len(c)
+
+    u, v = padded(data.draw(st.integers(0, 150))), padded(data.draw(st.integers(0, 150)))
+    for x, y in ((u, v), (v, u), (u, [])):
+        assert char2.add(x, y) == prime.add(x, y)
+        assert char2.sub(x, y) == prime.sub(x, y)
+    assert char2.scale(u, 1) == prime.scale(u, 1)
+    assert [char2.evaluate(u, x) for x in (0, 1)] == [prime.evaluate(u, x) for x in (0, 1)]
+    length, count = data.draw(st.integers(1, 150)), data.draw(st.integers(1, 12))
+    rows = [padded(length) for _ in range(count)]
+    coeffs = bits(data.draw(st.integers(0, count)))
+    assert char2.combine(char2.pack(rows), coeffs) == prime.combine(prime.pack(rows), coeffs)
 
 
 @st.composite

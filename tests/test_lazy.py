@@ -21,8 +21,8 @@ from remcode.poly import Poly, irreducible_polys, poly_gcd
 from conftest import random_spec
 from test_kernels import FIELDS
 
-# the kernel's own table, built from the field's; odd prime fields have none
-KERNEL_TABLE = {"GF(2)": "_rows", "GF(5)": None, "GF(2^4)": "_rows", "GF(2^8)": "_rows",
+# the kernel's own table, built from the field's; prime fields have none
+KERNEL_TABLE = {"GF(2)": None, "GF(5)": None, "GF(2^4)": "_rows", "GF(2^8)": "_rows",
                 "GF(9)": "_zech", "GF(25)": "_zech"}
 
 SPECS = ["rs42", "three_mod", "ladder5", "gf4_mixed", "reducible_spec"]
@@ -51,7 +51,7 @@ def test_field_tables_built_once_on_first_read(name, monkeypatch):
                         lambda self: builds.append(self) or find_generator(self))
     _arithmetic(f)
     if own is None:
-        # odd prime fields reduce mod p and never build a table
+        # prime fields never build a table: odd p reduces mod p, GF(2) runs bit rows
         assert "_tables" not in vars(f) and builds == []
         return
     tables = vars(f)["_tables"]

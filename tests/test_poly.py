@@ -27,6 +27,27 @@ def test_normalization_strips_leading_zeros(gf5):
     assert Poly(gf5, [0, 0, 0]).coeffs == ()
 
 
+def test_poly_is_immutable(gf2, gf5):
+    """No attribute can be assigned or deleted, whichever constructor built
+    the polynomial, and a refused change leaves it unchanged."""
+    for p in (Poly(gf5, [1, 2]), Poly._raw(gf5, (1, 2)), Poly.zero(gf5), P(gf5, 1, 2) * P(gf5, 3)):
+        before = (p.field, p.coeffs)
+        with pytest.raises(AttributeError):
+            p.field = gf2
+        with pytest.raises(AttributeError):
+            p.coeffs = (4,)
+        with pytest.raises(AttributeError):
+            p.degree = 7
+        with pytest.raises(AttributeError):
+            setattr(p, "coeffs", ())
+        with pytest.raises(AttributeError):
+            del p.coeffs
+        with pytest.raises(AttributeError):
+            del p.field
+        assert (p.field, p.coeffs) == before
+    assert Poly(gf5, [1, 2]).coeffs == (1, 2) and Poly(gf5, [1, 2]).field is gf5
+
+
 def test_zero_degree_sentinel_below_every_int(gf2):
     z = Poly.zero(gf2)
     assert z.degree == NEG_DEGREE

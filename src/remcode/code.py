@@ -185,12 +185,13 @@ class CodeSpec:
         if len(symbols) != self.n:
             raise ResidueDegreeViolation(
                 f"expected {self.n} symbols, got {len(symbols)}")
-        for i, (s, m) in enumerate(zip(symbols, self.moduli)):
-            if s.field is not self.field and s.field != self.field:
+        field = self.field
+        for i, (s, d) in enumerate(zip(symbols, self.degrees)):
+            if s.field is not field and s.field != field:
                 raise SpecMismatch(f"symbol {i} is over {s.field!r}")
-            if s.degree >= m.degree:
+            if len(s.coeffs) > d:                 # deg s >= d; the zero symbol has none
                 raise ResidueDegreeViolation(
-                    f"symbol {i} has degree {s.degree}, modulus degree {m.degree}")
+                    f"symbol {i} has degree {s.degree}, modulus degree {d}")
         return symbols
 
     def zero_word(self) -> "Codeword":

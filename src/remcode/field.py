@@ -55,6 +55,9 @@ class Field:
     """
 
     def __init__(self, p: int, m: int = 1, reduction: tuple[int, ...] | list[int] | None = None):
+        # bound p before factoring it: trial division takes time growing as sqrt(p)
+        if p > MAX_FIELD_SIZE:
+            raise DegreeMismatch(f"characteristic {p} exceeds supported field size {MAX_FIELD_SIZE}")
         if _prime_factors(p) != [p]:
             raise NonPrimeCharacteristic(f"characteristic {p} is not prime")
         if m < 1:

@@ -19,6 +19,21 @@ A `Field` picks one kernel when it is built, from the kind of field it is:
 * `OddKernel` (odd p, m > 1) -- log/exp multiply, add through a Zech
   logarithm table of O(q) size, built on first use.
 
+`gcd` is one Euclid loop for every kernel, on per-kernel hooks (`_euclid`):
+pack coefficients into a state, take the remainder of one state by another,
+and unpack the last one monic.  A state is an int in `Char2Kernel` for
+GF(2) (a bit row) and for 2 < q <= 256 (a byte row), and otherwise one
+`bytes` of 1-byte (q <= 256) or 2-byte machine ints.  Each kernel remembers
+the states (x, y) of its last run that missed, each mapped to that run's
+result; a run that reaches one of them returns it.  From a given state the
+rest of a run is fixed, so a hit returns exactly what a fresh run would.
+Only a run that misses replaces the memo; a hit, or a call that takes no
+step, leaves it.  The memo holds one chain: about sum_i len(r_i)
+coefficient bytes for its remainders r_i (an eighth of that in GF(2),
+twice that for q > 256), plus a tuple and a dict entry per state.  The
+decoder checks gcd(r, r~) == gcd0 on every pass of one remainder chain, so
+after its first gcd each check is a lookup.
+
 `combine(rows, coeffs)` returns sum_j coeffs[j] * rows[j] over a fixed set
 of rows of one length, which `pack` converts once into the form each kernel
 reads; the code's residue transform and its inverse are such sums.  GF(2)
@@ -51,6 +66,7 @@ from __future__ import annotations
 
 import itertools
 import struct
+from array import array
 from functools import cached_property, reduce
 from operator import xor
 from typing import Sequence
@@ -65,11 +81,13 @@ ROW_MIN = 12
 
 
 class _Kernel:
-    """Operations shared by every kernel: `divmod` and `gcd` built on its
-    `_divide`, and the table-based `scale` of the extension-field kernels."""
+    """Operations shared by every kernel: `divmod` built on its `_divide`,
+    `gcd` on its `_euclid` hooks, and the table-based `scale` of the
+    extension-field kernels."""
 
     def __init__(self, field):
         self.field = field
+        self._memo = {}
 
     def divmod(self, a: Coeffs, b: Coeffs) -> tuple[list[int], list[int]]:
         """Quotient and remainder; needs len(a) >= len(b) >= 1."""
@@ -80,17 +98,28 @@ class _Kernel:
         del rem[db:]
         return quot, rem
 
-    def gcd(self, a: Coeffs, b: Coeffs) -> list[int]:
-        """Monic gcd by Euclid, run in place on two lists (not both empty)."""
-        a, b = list(a), list(b)
-        while b:
-            if len(a) >= len(b):
-                self._divide(a, b, None)
-                del a[len(b) - 1:]
-                while a and not a[-1]:
-                    a.pop()
-            a, b = b, a
-        return self._monic(a)
+    def gcd(self, a: Coeffs, b: Coeffs) -> tuple[int, ...]:
+        """Monic gcd of a and b (not both empty), by Euclid on packed states.
+
+        A state (x, y) steps to (y, x mod y) until y = 0.  `_memo` maps each
+        state of the last run that missed to that run's result, and a run
+        that reaches one of them returns it there (the module docstring says
+        why that is exact).  A hit, or a call that takes no step (b = 0),
+        leaves the memo as it is.
+        """
+        pack, step, finish = self._euclid()
+        x, y = pack(a), pack(b)
+        if not y:
+            return finish(x)
+        memo, chain = self._memo, []
+        state = (x, y)
+        while state not in memo:
+            chain.append(state)
+            if not y:
+                self._memo = memo = dict.fromkeys(chain, finish(x))
+                break
+            x, y = state = (y, step(x, y))
+        return memo[state]
 
     def scale(self, a: Coeffs, c: int) -> list[int]:
         """c * a for c != 0 (`Poly.scale` handles c = 0), by table lookup.
@@ -123,6 +152,29 @@ class _Kernel:
     def _monic(self, a: list[int]) -> list[int]:
         lead = a[-1]
         return a if lead == 1 else self.scale(a, self.field.inv(lead))
+
+    def _euclid(self):
+        """`gcd`'s (pack, step, finish), with the tables read once: pack
+        coefficients into a state, the remainder of one state by another,
+        and a state's monic coefficients.  Here a state is the coefficients
+        as one `bytes` of 1- or 2-byte machine ints, with no top zeros."""
+        code = "B" if self.field.q <= 256 else "H"
+        divide, monic = self._divide, self._monic
+
+        def pack(a: Coeffs) -> bytes:
+            return array(code, a).tobytes()
+
+        def step(x: bytes, y: bytes) -> bytes:
+            rem, b = memoryview(x).cast(code).tolist(), memoryview(y).cast(code).tolist()
+            if len(rem) < len(b):
+                return x
+            divide(rem, b, None)
+            del rem[len(b) - 1:]
+            while rem and not rem[-1]:
+                rem.pop()
+            return pack(rem)
+
+        return pack, step, lambda x: tuple(monic(memoryview(x).cast(code).tolist()))
 
     def _divide(self, rem: list[int], b: Coeffs, quot: list[int] | None) -> None:
         """Divide `rem` by `b` in place; needs len(rem) >= len(b).
@@ -261,6 +313,14 @@ _FROM_DIGITS = bytes.maketrans(b"01", b"\0\1")
 def _to_bits(a: Coeffs) -> int:
     """A GF(2) coefficient list as an int, bit i the coefficient of x^i."""
     return int(bytes(a).translate(_TO_DIGITS)[::-1], 2) if a else 0
+
+
+def _xor_mod(x: int, y: int) -> int:
+    """x mod y for bit rows, y != 0: xor the shifted y under x's top bit."""
+    dy = y.bit_length()
+    while (top := x.bit_length()) >= dy:
+        x ^= y << (top - dy)
+    return x
 
 
 def _from_bits(x: int, length: int) -> list[int]:
@@ -405,48 +465,54 @@ class Char2Kernel(_Kernel):
             r ^= y << (top - nb)
         return quot, _from_bits(r, nb - 1)
 
-    def gcd(self, a: Coeffs, b: Coeffs) -> list[int]:
+    def _euclid(self):
+        """A state is an int: the bit row in GF(2), the byte row when
+        2 < q <= 256, both little-endian; for q > 256, `_Kernel`'s bytes."""
         if self._bits:
-            x, y = _to_bits(a), _to_bits(b)
-            while y:
-                dy = y.bit_length()
-                while (top := x.bit_length()) >= dy:
-                    x ^= y << (top - dy)
-                x, y = y, x
-            return _from_bits(x, x.bit_length())  # monic: GF(2) has no other lead
+            # monic: GF(2) has no other lead
+            return _to_bits, _xor_mod, lambda x: tuple(_from_bits(x, x.bit_length()))
         if not self._bytes:
-            return super().gcd(a, b)
-        # Euclid on ints: the base loop through `_divide` converts each
-        # remainder between list and int, which costs rs255_decode 28 % of
-        # its items per second
-        x, y = int.from_bytes(bytes(a), "little"), int.from_bytes(bytes(b), "little")
-        while y:
-            x, y = y, self._reduce(x, y.to_bytes((y.bit_length() + 7) >> 3, "little"), None)
-        return self._monic(list(x.to_bytes((x.bit_length() + 7) >> 3, "little")))
+            return super()._euclid()
+        reduce_row, monic = self._reducer(), self._monic
 
-    def _reduce(self, r: int, b: bytes, quot: list[int] | None) -> int:
-        """r mod b, rows packed into ints little-endian; quotient as in `_divide`.
+        def step(x: int, y: int) -> int:
+            return reduce_row(x, y.to_bytes((y.bit_length() + 7) >> 3, "little"), None)
+
+        def finish(x: int) -> tuple[int, ...]:
+            return tuple(monic(list(x.to_bytes((x.bit_length() + 7) >> 3, "little"))))
+
+        return (lambda a: int.from_bytes(bytes(a), "little")), step, finish
+
+    def _reducer(self):
+        """`reduce_row(r, b, quot)`: r mod b, r an int and b `bytes`, rows
+        packed little-endian; the quotient as in `_divide`.  The tables are
+        read here, once, and not per call of `reduce_row`.
 
         Subtracting c/lead * b, lead included, clears the top byte of r, so
         each quotient term costs a few C-level calls on the whole row.
         """
         exp = self.field._tables[0]
         to_log, times = self._rows
-        db = len(b) - 1
-        row = b.translate(to_log)
-        inv = self.field.q - 1 - to_log[b[-1]]    # log of 1 / lead
-        while (bits := r.bit_length()) > 8 * db:
-            i = (bits - 1) >> 3
-            f = to_log[r >> (8 * i)] + inv        # log of c / lead, below 2(q-1)
-            if quot is not None:
-                quot[i - db] = exp[f]
-            r ^= int.from_bytes(row.translate(times[f]), "little") << (8 * (i - db))
-        return r
+        n = self.field.q - 1
+
+        def reduce_row(r: int, b: bytes, quot: list[int] | None) -> int:
+            db = len(b) - 1
+            row = b.translate(to_log)
+            inv = n - to_log[b[-1]]               # log of 1 / lead
+            while (bits := r.bit_length()) > 8 * db:
+                i = (bits - 1) >> 3
+                f = to_log[r >> (8 * i)] + inv    # log of c / lead, below 2(q-1)
+                if quot is not None:
+                    quot[i - db] = exp[f]
+                r ^= int.from_bytes(row.translate(times[f]), "little") << (8 * (i - db))
+            return r
+
+        return reduce_row
 
     def _divide(self, rem: list[int], b: Coeffs, quot: list[int] | None) -> None:
         db = len(b) - 1
         if self._bytes and len(b) >= ROW_MIN:
-            r = self._reduce(int.from_bytes(bytes(rem), "little"), bytes(b), quot)
+            r = self._reducer()(int.from_bytes(bytes(rem), "little"), bytes(b), quot)
             rem[:db] = r.to_bytes(db, "little")
             return
         exp, log = self.field._tables

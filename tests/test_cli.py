@@ -207,6 +207,15 @@ def test_malformed_spec_values_exit_code(tmp_path, capsys):
         assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_large_characteristic_is_a_spec_error(tmp_path, capsys):
+    """A prime p = 2^61 - 1 is rejected by size before any trial division."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(f'{{"p": {2 ** 61 - 1}, "moduli": [[1, 1]], "k": 1}}')
+    assert main(["spec-check", "--spec", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_missing_file_exit_code(capsys):
     assert main(["spec-check", "--spec", "/nonexistent/spec.json"]) == 2
 

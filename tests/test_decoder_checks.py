@@ -123,6 +123,41 @@ def test_per_pass_gcd_check_runs_every_pass(monkeypatch, rs64, run):
     assert len(calls) == (result.iterations + 1 if __debug__ else 1)
 
 
+def _untracked_gcd_runs(spec: CodeSpec, y: Poly):
+    """The three runs without s, so that of the per-pass asserts only the
+    gcd and degree checks run."""
+    m_upper, e_upper = upper_parts(spec, y)
+    return {
+        "full": lambda: partial_gcd_full(spec.modulus_product, y, spec.K, track_s=False),
+        "upper": lambda: partial_gcd_upper(m_upper, e_upper, spec.N, spec.K, track_s=False),
+        "reference": lambda: extended_gcd(spec.modulus_product, y, track_s=False),
+    }
+
+
+@pytest.mark.skipif(not __debug__, reason="python -O strips the decoder's asserts")
+@pytest.mark.parametrize("run", ["full", "upper", "reference"])
+def test_per_pass_gcd_check_fires_with_the_memo_warm(monkeypatch, rs64, run):
+    """gcd0 walks the true remainder chain and leaves it in the kernel's
+    memo.  Pass 2 then returns 0 for its remainder: still of lower degree,
+    with the true quotient, so the degree checks hold, but off the chain.
+    gcd(0, rt) is rt made monic, of higher degree than gcd0, and the memo
+    must not answer for it."""
+    runs = _untracked_gcd_runs(rs64, _corrupted_preimage(rs64))
+    real = Poly.__divmod__
+    passes = []
+
+    def off_chain(a, b):
+        q, r = real(a, b)
+        passes.append(r)
+        return (q, Poly.zero(r.field)) if len(passes) == 2 else (q, r)
+
+    monkeypatch.setattr(Poly, "__divmod__", off_chain)
+    with pytest.raises(AssertionError) as excinfo:
+        runs[run]()
+    assert len(passes) == 2 and not passes[1].is_zero
+    assert "poly_gcd(r, rt) == gcd0" in str(excinfo.traceback[-1].statement)
+
+
 # -- the error-word shortcut is exact -------------------------------------------------
 
 

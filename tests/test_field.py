@@ -159,6 +159,17 @@ def test_nonprime_characteristic_rejected():
         Field(6)
 
 
+def test_large_characteristic_rejected_before_factoring(monkeypatch):
+    """2^61 - 1 is prime: trial division would run for minutes before the
+    size check, so the size check comes first and nothing is factored."""
+    def factoring(n):
+        raise AssertionError(f"factored {n}")
+
+    monkeypatch.setattr("remcode.field._prime_factors", factoring)
+    with pytest.raises(DegreeMismatch, match="exceeds"):
+        Field(2 ** 61 - 1)
+
+
 def test_reducible_reduction_poly_rejected():
     # x^2 + 1 = (x+1)^2 over GF(2)
     with pytest.raises(ReducibleModulus):

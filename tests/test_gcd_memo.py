@@ -1,0 +1,174 @@
+"""The kernels' one gcd loop and its memo of the last remainder chain.
+
+`_Kernel.gcd` runs Euclid on packed states (x, y) and keeps the states of
+its last run that missed, each mapped to that run's monic result.  On every
+kernel kind these tests check that a call returns what a fresh run (a new
+kernel, whose memo is empty) and the table-free reference return: on random
+pairs in both orders, on every state of one chain (so that calls hit), and
+with a zero operand.  They also check that the memo holds exactly the states
+of the last run that missed, that neither a hit nor a call that takes no
+step replaces it, and that the memo compares states, not their hashes.
+"""
+
+from __future__ import annotations
+
+import sys
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from remcode.field import Field
+from remcode.kernels import PrimeKernel, kernel_for
+
+from test_kernels import coeff_lists, ref_divmod, ref_gcd, ref_mul
+
+FIELDS = {
+    "GF(2)": lambda: Field(2),
+    "GF(7)": lambda: Field(7),
+    "GF(9)": lambda: Field(3, 2, [1, 0, 1]),
+    "GF(25)": lambda: Field(5, 2, [2, 1, 1]),
+    "GF(2^8)": lambda: Field(2, 8, [1, 0, 1, 1, 1, 0, 0, 0, 1]),
+    "GF(2^16)": lambda: Field(2, 16, [1, 1, 0, 1] + [0] * 8 + [1, 0, 0, 0, 1]),
+}
+
+
+@pytest.fixture(scope="module", params=list(FIELDS))
+def field(request) -> Field:
+    return FIELDS[request.param]()
+
+
+def chain(f: Field, a, b) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every state (r_i, r_i+1) of Euclid from (a, b), by the reference
+    division, up to the last, whose second entry is zero."""
+    a, b = tuple(a), tuple(b)
+    out = [(a, b)]
+    while b:
+        a, b = b, ref_divmod(f, a, b)[1]
+        out.append((a, b))
+    return out
+
+
+def fresh_gcd(f: Field, a, b) -> tuple[int, ...]:
+    """gcd from a new kernel for the field, whose memo is empty."""
+    return kernel_for(f).gcd(a, b)
+
+
+def pair_with_common_factor(f: Field, data):
+    """Two coefficient lists with a drawn common factor, so that gcds of
+    positive degree are frequent; either may be zero."""
+    a, b, c = (data.draw(coeff_lists(f)) for _ in range(3))
+    c = c or [1]
+    return ref_mul(f, a, c), ref_mul(f, b, c)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_memoised_gcd_matches_fresh_run_and_reference(field, data):
+    """Calls on the states of one chain hit the memo that the first call
+    left; each result equals the fresh run's and the reference's."""
+    kernel = field.kernel
+    a, b = pair_with_common_factor(field, data)
+    if not (a or b):
+        return
+    expected = ref_gcd(field, a, b)
+    if field.q == 2:
+        assert PrimeKernel(field).gcd(a, b) == expected
+    for x, y in ((a, b), (b, a)):
+        assert kernel.gcd(x, y) == expected == fresh_gcd(field, x, y)
+    for u, v in chain(field, a, b):
+        for x, y in ((u, v), (v, u)):
+            if x or y:
+                assert kernel.gcd(x, y) == expected == fresh_gcd(field, x, y)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_memo_holds_only_the_last_missing_run(field, data):
+    kernel = kernel_for(field)
+    pack = kernel._euclid()[0]
+
+    def keys(a, b):
+        return [(pack(u), pack(v)) for u, v in chain(field, a, b)]
+
+    a, b = pair_with_common_factor(field, data)
+    if not b:
+        b = [1]
+    g = kernel.gcd(a, b)                          # the memo is empty: a miss
+    memo = kernel._memo
+    assert memo == dict.fromkeys(keys(a, b), g)
+    before = dict(memo)
+
+    for u, v in chain(field, a, b):
+        # (u, v) is remembered, or takes no step; (v, u) with deg v < deg u
+        # steps to (u, v) first
+        for x, y in [(u, v)] + [(v, u)] * (len(v) < len(u)):
+            assert kernel.gcd(x, y) == g
+            assert kernel._memo is memo and memo == before
+
+    c, d = pair_with_common_factor(field, data)
+    if not (c or d):
+        return
+    later = keys(c, d)
+    h = kernel.gcd(c, d)
+    if not d or any(k in before for k in later):
+        assert kernel._memo is memo and memo == before
+    else:
+        assert kernel._memo == dict.fromkeys(later, h)
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_a_hit_returns_what_the_run_would_under_any_fixed_step(field, data):
+    """The memo is exact because a run's continuation from a state is fixed,
+    not because the step computes a gcd: with a step that skips a remainder
+    at some states, a warm memo still returns what a fresh run returns."""
+    pack, step, finish = field.kernel._euclid()
+
+    def skipping(x, y):
+        r = step(x, y)
+        return step(y, r) if r and hash((x, y)) % 2 == 0 else r
+
+    warm, cold = kernel_for(field), kernel_for(field)
+    warm._euclid = cold._euclid = lambda: (pack, skipping, finish)
+    a, b = pair_with_common_factor(field, data)
+    if not b:
+        return
+    x, y = pack(a), pack(b)
+    states = [(x, y)]
+    while y:
+        x, y = y, skipping(x, y)
+        states.append((x, y))
+    warm.gcd(a, b)
+    for x, y in states:
+        for u, v in ((x, y), (y, x)):
+            if u or v:
+                u, v = unpack(field, u), unpack(field, v)
+                cold._memo = {}
+                assert warm.gcd(u, v) == cold.gcd(u, v)
+
+
+def unpack(f: Field, state) -> tuple[int, ...]:
+    """The coefficients of a packed state."""
+    if isinstance(state, bytes):
+        return tuple(memoryview(state).cast("B" if f.q <= 256 else "H"))
+    if f.q == 2:                                  # a bit row
+        return tuple((state >> i) & 1 for i in range(state.bit_length()))
+    return tuple(state.to_bytes((state.bit_length() + 7) >> 3, "little"))
+
+
+@pytest.mark.parametrize("name", ["GF(2)", "GF(2^8)"])
+def test_memo_compares_states_not_hashes(name):
+    """Bit-row and byte-row states are ints, and CPython hashes an int
+    n >= 0 to n mod M, M = sys.hash_info.modulus, so the states of a and of
+    a + M share a hash.  With a(0) = 0 and M odd, gcd(a, x) = x and
+    gcd(a + M, x) = 1; a memo keyed by hash would answer the second call
+    with the first's result."""
+    f = FIELDS[name]()
+    kernel = f.kernel
+    pack = kernel._euclid()[0]
+    base = 1 << 72
+    a, a_plus_m = unpack(f, base), unpack(f, base + sys.hash_info.modulus)
+    x = (0, 1)
+    assert pack(a) != pack(a_plus_m) and hash((pack(a), pack(x))) == hash((pack(a_plus_m), pack(x)))
+    assert kernel.gcd(a, x) == x
+    assert kernel.gcd(a_plus_m, x) == (1,)

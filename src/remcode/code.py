@@ -17,9 +17,9 @@ field's kernel over a row set the spec builds on first use:
   weight them.
 
 `CodeSpec.product` is the one place where products of moduli are formed.
-`CodeSpec.residue` reduces by one modulus (modulo a linear modulus x - r
-that is a(r)); it serves single positions, and is the reference the row
-maps are tested against, as `interpolate_direct` is for `psi_inverse`.
+`CodeSpec.residue` is the definition, a mod m_i by one division; it is the
+reference the row maps are tested against, as `interpolate_direct` is for
+`psi_inverse`.  Nothing here needs the moduli to be irreducible.
 """
 
 from __future__ import annotations
@@ -48,14 +48,14 @@ class CodeSpec:
     conditions hold, and operations whose guarantees need them refuse to run
     otherwise rather than silently reordering.
 
-    `residue(a, i)` reduces a by m_i: by Horner evaluation at the root for
-    a linear modulus, by division for the others.  `residues(a)` reduces a
+    `residue(a, i)` reduces a by m_i, by division.  `residues(a)` reduces a
     by every modulus at once, through the forward rows.
 
-    Everything is derived when the spec is built except three values built
-    on first read: `message_modulus` (M_k), which no decoder reads, and the
-    two row sets of the transform (see the module docstring), which take
-    about 2 * N^2 coefficients; K is the sum of the first k degrees.
+    Everything is derived when the spec is built except four values built
+    on first read: `message_modulus` (M_k) and `irreducible`, which no
+    decoder reads, and the two row sets of the transform (see the module
+    docstring), which take about 2 * N^2 coefficients; K is the sum of the
+    first k degrees.
 
     Validation runs in a fixed order: monic moduli, then coprimality, then
     k.  Coprimality costs no pass of its own: beta_i needs the inverse of
@@ -98,19 +98,20 @@ class CodeSpec:
         self.t_hamming = (n - k) // 2
         self.t_degree = (self.N - self.K) // 2
         self.betas = tuple(betas)
-        # root r of each monic linear modulus x - r, None for the others
-        self._roots = tuple(field.neg(m.coeffs[0]) if m.degree == 1 else None
-                            for m in moduli)
 
         self.ordered_degree = all(
             self.degrees[i] <= self.degrees[i + 1] for i in range(n - 1))
-        self.irreducible = all(is_irreducible(m) for m in moduli)
         self.tail_equal_degree = len(set(self.degrees[k:])) <= 1
 
     @cached_property
     def message_modulus(self) -> Poly:
         """M_k, the product of the first k moduli."""
         return self.product(range(self.k))
+
+    @cached_property
+    def irreducible(self) -> bool:
+        """Whether every modulus is irreducible, by Rabin's test."""
+        return all(is_irreducible(m) for m in self.moduli)
 
     def product(self, positions: Iterable[int]) -> Poly:
         """Product of the moduli at `positions`; 1 when there are none."""
@@ -120,16 +121,8 @@ class CodeSpec:
         return out
 
     def residue(self, a: Poly, i: int) -> Poly:
-        """a mod m_i.
-
-        The remainder modulo a linear modulus x - r is a(r), by Horner
-        through `Poly.evaluate`; any other modulus takes a division.
-        """
-        r = self._roots[i]
-        if r is None:
-            return a % self.moduli[i]
-        v = a.evaluate(r)
-        return Poly._raw(self.field, (v,) if v else ())
+        """a mod m_i."""
+        return a % self.moduli[i]
 
     def residues(self, a: Poly) -> tuple[Poly, ...]:
         """(a mod m_0, ..., a mod m_{n-1}), as one `combine` of the forward

@@ -362,24 +362,16 @@ def _failure(reason: FailureReason) -> DecodeOutcome:
     return DecodeOutcome(status=DecodeStatus.FAILURE, failure_reason=reason)
 
 
-def _success(spec: CodeSpec, received: Codeword, message: Poly,
-             factor: Poly, status: DecodeStatus = DecodeStatus.SUCCESS) -> DecodeOutcome:
+def _success(spec: CodeSpec, y: Poly, message: Poly, factor: Poly) -> DecodeOutcome:
     """Outcome with error_word = received - encode(spec, message).
 
-    Every caller has checked factor * (Y - message) == 0 mod M_n, so the
-    error symbol is zero wherever factor is coprime to the modulus; for a
-    linear or irreducible modulus that means it does not divide factor,
-    which `spec.residues(factor)` shows.  Only the other positions reduce
-    the message, by `spec.residue`.
+    That is psi(Y - message), for Y the received preimage: deg Y < N and
+    deg message < K, so the two residue vectors subtract position by
+    position.  It holds for any moduli, irreducible or not.
     """
-    zero = Poly.zero(spec.field)
-    f = spec.residues(factor)
-    symbols = tuple(
-        zero if (spec.irreducible or spec.degrees[i] == 1) and not f[i].is_zero
-        else received.symbols[i] - spec.residue(message, i)
-        for i in range(spec.n))
-    return DecodeOutcome(status=status, message=message,
-                         error_word=Codeword(spec, symbols), factor_poly=factor)
+    return DecodeOutcome(status=DecodeStatus.SUCCESS, message=message,
+                         error_word=Codeword(spec, spec.residues(y - message)),
+                         factor_poly=factor)
 
 
 def decode(
@@ -431,7 +423,7 @@ def decode(
         return _failure(FailureReason.NON_DIVISIBLE)
     if a.degree >= spec.K:
         return _failure(FailureReason.MESSAGE_DEGREE_OVERFLOW)
-    return _success(spec, received, a, t.monic())
+    return _success(spec, y, a, t.monic())
 
 
 def list_decode(
@@ -458,7 +450,7 @@ def list_decode(
     for g in candidates:
         verdict, z = _locator_conditions(spec, y, g)
         if verdict:
-            return _success(spec, received, z // g, g)
+            return _success(spec, y, z // g, g)
     return base
 
 

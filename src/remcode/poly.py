@@ -10,8 +10,9 @@ hand the coefficient tuples to the field's kernel (`remcode.kernels`), which
 works on plain lists with no `Field` method call per coefficient; `Poly`
 checks the operands and strips the result.
 
-Also provides irreducibility testing by exhaustive trial division and the
-closed-form count of monic irreducible polynomials.
+Also provides Rabin's irreducibility test, the sieve of all monic
+irreducibles of a degree that serves as its reference, and the closed-form
+count of monic irreducible polynomials.
 """
 
 from __future__ import annotations
@@ -257,25 +258,34 @@ def monic_polys(field: Field, degree: int) -> Iterator[Poly]:
 
 
 def is_irreducible(a: Poly) -> bool:
-    """Exhaustive trial-division irreducibility test.
+    """Rabin's irreducibility test (Rabin, 1980).
 
-    Checks roots over the whole field, then divisors of each degree up to
-    deg(a)/2.  Cost grows as q^(deg/2); fine at the field sizes this library
-    supports.
+    A monic f of degree d over GF(q) is irreducible iff x^(q^d) == x mod f
+    and gcd(x^(q^(d/r)) - x, f) = 1 for every prime r dividing d.  The
+    powers frobenius[i] = x^(q^i) mod f, i <= d, are repeated q-th powers,
+    each by square-and-multiply: about 2 * d * log2(q) products mod f.
     """
     d = a.degree
     if a.is_zero or d < 1:
         raise ConstantInput("irreducibility requires degree >= 1")
     if d == 1:
         return True
-    for beta in a.field.elements():
-        if a.evaluate(beta) == 0:
-            return False
-    for e in range(2, d // 2 + 1):
-        for cand in monic_polys(a.field, e):
-            if (a % cand).is_zero:
-                return False
-    return True
+    f, x = a.monic(), Poly.x(a.field)
+    frobenius = [x]
+    for _ in range(d):
+        frobenius.append(_pow_mod(frobenius[-1], a.field.q, f))
+    return frobenius[d] == x and all(
+        poly_gcd(frobenius[d // r] - x, f).degree == 0 for r in _prime_factors(d))
+
+
+def _pow_mod(a: Poly, e: int, f: Poly) -> Poly:
+    """a^e mod f for e >= 1, by square-and-multiply from the top bit."""
+    out = a
+    for bit in bin(e)[3:]:
+        out = out * out % f
+        if bit == "1":
+            out = out * a % f
+    return out
 
 
 @cache

@@ -13,6 +13,15 @@ def P(field: Field, *coeffs: int) -> Poly:
     return Poly(field, coeffs)
 
 
+# the reduction polynomial of GF(2^8) used throughout the tests
+GF256_REDUCTION = [1, 0, 1, 1, 1, 0, 0, 0, 1]
+# GF(2^8) moduli x - 2, ..., x - 5 and x^10 + x^3 + 1.  The last is
+# irreducible over GF(2) and splits into two quintics over GF(2^8), so it has
+# no root there: no root test settles it, and trial division up to degree 5
+# costs about q^5 divisions.
+DEGREE10_MODULI = [[r, 1] for r in (2, 3, 4, 5)] + [[1, 0, 0, 1] + [0] * 6 + [1]]
+
+
 @pytest.fixture(scope="session")
 def gf2() -> Field:
     return Field(2)

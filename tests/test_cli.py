@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import json
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from remcode.cli import main
@@ -7,7 +12,11 @@ from remcode.code import Codeword, encode
 from remcode.fileio import dumps_codeword, load_codeword, save_codeword, save_spec
 from remcode.poly import Poly
 
-from conftest import P
+from conftest import DEGREE10_MODULI, GF256_REDUCTION, P
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+# runs the CLI with the package from SRC (argv[1]) on the remaining arguments
+RUN_CLI = "import sys; sys.path.insert(0, sys.argv.pop(1)); from remcode.cli import main; sys.exit(main())"
 
 
 @pytest.fixture
@@ -31,6 +40,19 @@ def test_spec_check(rs42_file, capsys):
     assert "t_hamming: 1" in out and "t_degree: 1" in out
     assert "min_degree_distance: 3" in out
     assert "rate: 2/4" in out and "symbol_rate: 2/4" in out
+
+
+def test_spec_check_on_a_degree_10_modulus_finishes(tmp_path):
+    """The irreducibility flag is cheap to compute even for a modulus with
+    no root and two quintic factors over GF(2^8)."""
+    path = tmp_path / "degree10.json"
+    path.write_text(json.dumps({"p": 2, "m": 8, "reduction": GF256_REDUCTION,
+                                "moduli": DEGREE10_MODULI, "k": 2}))
+    done = subprocess.run([sys.executable, "-c", RUN_CLI, str(SRC), "spec-check", "--spec", str(path)],
+                          capture_output=True, text=True, timeout=30)
+    assert done.returncode == 0, done.stderr
+    assert "irreducible: False" in done.stdout.splitlines()
+    assert "N: 14" in done.stdout.splitlines()
 
 
 def test_encode_decode_round_trip(tmp_path, rs42, rs42_file, capsys):

@@ -6,7 +6,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from remcode.code import Codeword, degree_weight, encode, psi_inverse
+import remcode.code
+from remcode.code import CodeSpec, Codeword, degree_weight, encode, psi_inverse
 from remcode.decoder import (
     Algorithm,
     DecodeOptions,
@@ -41,7 +42,7 @@ from remcode.errors import (
 from remcode.field import Field
 from remcode.poly import Poly
 
-from conftest import P, random_message, random_preimage
+from conftest import DEGREE10_MODULI, GF256_REDUCTION, P, random_message, random_preimage
 from test_kernels import coprime_specs
 
 ALL_OPTIONS = [
@@ -214,6 +215,28 @@ def test_factor_equals_locator_for_irreducible_moduli(rs42, ladder5, gf4_mixed):
             e = _random_error(rng, spec, spec.N)
             factor = error_factor_poly(psi_inverse(spec, e), spec.modulus_product)
             assert factor == error_locator_poly(spec, e)
+
+
+def test_spec_with_a_degree_10_modulus_builds_and_decodes(monkeypatch):
+    """Neither the spec build nor decoding tests irreducibility: a GF(2^8)
+    spec whose last modulus has two quintic factors and no root builds with
+    `is_irreducible` refused, and every option corrects one symbol error."""
+    def refuse(m):
+        raise AssertionError(f"is_irreducible({m}) called")
+
+    monkeypatch.setattr(remcode.code, "is_irreducible", refuse)
+    f = Field(2, 8, GF256_REDUCTION)
+    spec = CodeSpec(f, [Poly(f, c) for c in DEGREE10_MODULI], 2)
+    assert (spec.N, spec.K, spec.t_degree) == (14, 2, 6)
+    message = P(f, 7, 200)
+    error = Codeword(spec, [P(f, 9) if i == 1 else Poly.zero(f) for i in range(spec.n)])
+    received = encode(spec, message) + error
+    for options in ALL_OPTIONS:
+        out = decode(spec, received, options)
+        assert out.status is DecodeStatus.SUCCESS
+        assert out.message == message and out.error_word == error
+    monkeypatch.undo()
+    assert spec.irreducible is False
 
 
 def test_reducible_moduli_factor_below_locator(reducible_spec):

@@ -1,9 +1,9 @@
-"""The decoder's invariant checks still fire, and its error-word shortcut is exact.
+"""The decoder's invariant checks still fire, and its error word is exact.
 
-`_success` no longer re-encodes the message: it leaves the error symbol at
-zero wherever the returned factor is coprime to the modulus.  These tests
-compare every outcome with the definition, received - encode(message), on
-decodable and undecodable words alike.
+`_success` does not re-encode the message: it forms the error word as the
+residues of Y - message, for Y the received preimage.  These tests compare
+every outcome with the definition, received - encode(message), on
+decodable and undecodable words alike, over reducible moduli too.
 """
 
 from __future__ import annotations
@@ -158,7 +158,7 @@ def test_per_pass_gcd_check_fires_with_the_memo_warm(monkeypatch, rs64, run):
     assert "poly_gcd(r, rt) == gcd0" in str(excinfo.traceback[-1].statement)
 
 
-# -- the error-word shortcut is exact -------------------------------------------------
+# -- the error word is exact ---------------------------------------------------------
 
 
 def test_error_word_exact_rs64(rs64):

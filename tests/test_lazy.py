@@ -1,8 +1,9 @@
 """Derived values are built on first read, once, and cached by `functools`.
 
 The field's log/exp tables, `Char2Kernel._rows` and `OddKernel._zech` are
-`cached_property`s, as are `ErasurePattern.known_product` and
-`CodeSpec.message_modulus`; `irreducible_polys` is a `functools.cache`.
+`cached_property`s, as are `ErasurePattern.known_product`,
+`CodeSpec.message_modulus` and `CodeSpec.irreducible`; `irreducible_polys`
+is a `functools.cache`.
 These tests pin that nothing is built early and nothing is built twice.
 """
 
@@ -13,10 +14,11 @@ from math import prod
 
 import pytest
 
+import remcode.code
 from remcode.code import CodeSpec
 from remcode.field import Field
 from remcode.interpolate import ErasurePattern
-from remcode.poly import Poly, irreducible_polys, poly_gcd
+from remcode.poly import Poly, irreducible_polys, is_irreducible, poly_gcd
 
 from conftest import random_spec
 from test_kernels import FIELDS
@@ -104,6 +106,25 @@ def test_spec_build_leaves_message_modulus_unbuilt(request):
         assert fresh.K == int(m_k.degree) == sum(fresh.degrees[:fresh.k])
         assert fresh.message_modulus == m_k
         assert vars(fresh)["message_modulus"] is fresh.message_modulus
+
+
+def test_spec_build_leaves_irreducible_unbuilt(request, monkeypatch):
+    calls = []
+    monkeypatch.setattr(remcode.code, "is_irreducible",
+                        lambda m: calls.append(m) or is_irreducible(m))
+    flags = set()
+    for spec in _test_specs(request):
+        calls.clear()
+        fresh = CodeSpec(spec.field, spec.moduli, spec.k)
+        assert calls == [] and "irreducible" not in vars(fresh)
+        flag = fresh.irreducible
+        assert flag == all(is_irreducible(m) for m in spec.moduli)
+        count = len(calls)
+        assert 1 <= count <= fresh.n
+        assert fresh.irreducible is flag and vars(fresh)["irreducible"] is flag
+        assert len(calls) == count
+        flags.add(flag)
+    assert flags == {True, False}
 
 
 @pytest.mark.parametrize("q, m, reduction, degree", [

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from remcode.errors import BothZero, ConstantInput, DivisionByZeroPoly, SpecMismatch
+from remcode.field import Field
 from remcode.poly import (
     NEG_DEGREE,
     Poly,
@@ -160,6 +161,23 @@ def test_is_irreducible(gf2):
         is_irreducible(Poly.one(gf2))
     with pytest.raises(ConstantInput):
         is_irreducible(Poly.zero(gf2))
+
+
+@pytest.mark.parametrize("p, m, reduction, max_degree", [
+    (2, 1, None, 9), (3, 1, None, 5), (2, 2, [1, 1, 1], 4), (5, 1, None, 4),
+    (3, 2, [1, 0, 1], 3),
+], ids=["GF(2)", "GF(3)", "GF(4)", "GF(5)", "GF(9)"])
+def test_is_irreducible_agrees_with_the_sieve(p, m, reduction, max_degree):
+    """Rabin's test against `irreducible_polys` on every monic polynomial of
+    degree 1..max_degree, and on a non-monic multiple of each one up to
+    degree 3."""
+    field = Field(p, m, reduction)
+    for d in range(1, max_degree + 1):
+        irreducible = set(irreducible_polys(field, d))
+        for f in monic_polys(field, d):
+            assert is_irreducible(f) == (f in irreducible), f
+            if d <= 3 and field.q > 2:
+                assert is_irreducible(f.scale(field.q - 1)) == (f in irreducible), f
 
 
 def test_degree3_binary_irreducibles(gf2):

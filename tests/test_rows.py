@@ -128,10 +128,6 @@ def test_slot_widths():
 
 # -- spec level -----------------------------------------------------------------------------
 
-# a spec build runs is_irreducible on each modulus, which tries every element
-# of the field as a root of a quadratic one: about 0.09 s over GF(2^16)
-SPEC_EXAMPLES = {"GF(2^16)": 12, "GF(65521)": 12}
-
 
 def _poly(data, f: Field, max_len: int) -> Poly:
     return Poly(f, data.draw(st.lists(elements(f), max_size=max_len)))
@@ -145,7 +141,7 @@ def test_row_maps_match_the_references(name):
     full support, and both return the message."""
     f = FIELDS[name]
 
-    @settings(max_examples=SPEC_EXAMPLES.get(name, 40), deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def check(data):
         spec = data.draw(coprime_specs(f, 3 if f.q <= 9 else 2, (1, 6)))

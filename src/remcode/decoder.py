@@ -32,16 +32,18 @@ from math import comb
 from typing import Callable, Iterable, Sequence
 
 # encode is re-exported: callers and perfbench/tracing.py look it up here
-from .code import CodeSpec, Codeword, encode, psi_inverse, support_degree_weight  # noqa: F401
+from .code import (  # noqa: F401
+    CodeSpec, Codeword, _times_x, encode, psi_inverse, support_degree_weight)
 from .errors import (
     CandidateExplosion,
     DegreePreconditionViolated,
     MessageDegreeOverflow,
     NonDivisible,
+    SpecMismatch,
     UnorderedDegrees,
     ZeroG,
 )
-from .poly import Poly, poly_gcd
+from .poly import Poly, _strip, poly_gcd
 
 
 @dataclass(frozen=True)
@@ -327,6 +329,10 @@ def _locator_conditions(spec: CodeSpec, received_preimage: Poly, g: Poly) -> tup
     deg Z - deg g, so deg Z >= K + deg g rejects g exactly, with no division;
     below that bound, g dividing Z is enough.  The conditions on g alone (its
     zero-residue count, which costs n divisions, then its degree cap) run last.
+
+    This is the reference, one product and one reduction per candidate, for
+    `error_locator_test` and the tests; `list_decode` scans through
+    `_locator_scan`, which reaches the same verdicts.
     """
     z = (g * received_preimage) % spec.modulus_product
     if z.degree >= spec.K + g.degree or not (z % g).is_zero:
@@ -338,6 +344,45 @@ def _locator_conditions(spec: CodeSpec, received_preimage: Poly, g: Poly) -> tup
 def _locator_degree_cap(spec: CodeSpec) -> int:
     """Largest locator degree: the sum of the t_hamming largest modulus degrees."""
     return support_degree_weight(spec, range(spec.n - spec.t_hamming, spec.n))
+
+
+def _locator_scan(spec: CodeSpec, received_preimage: Poly,
+                  candidates: Iterable[Poly]) -> tuple[Poly, Poly] | None:
+    """(g, Z) for the first candidate g that passes `_locator_conditions`,
+    or None when none does.
+
+    Z = g * Y mod M_n is GF(q)-linear in g: Z = sum_j g_j * R_j with
+    R_j = x^j * Y mod M_n.  The rows R_0..R_cap, for cap the locator degree
+    cap, are built once, one `_times_x` each, and packed; then per candidate
+    the checks run cheapest first:
+
+    * deg g > cap (the zero candidate included) rejects, as the verdict
+      needs deg g <= cap; it also keeps g within the rows;
+    * deg Z >= K + deg g rejects, read off one `combine_length`;
+    * the rare survivors form Z by `combine` and take the reference's
+      division by g and zero-residue count.
+    """
+    field, kernel, K = spec.field, spec.field.kernel, spec.K
+    cap = _locator_degree_cap(spec)
+    low = spec.modulus_product.coeffs[:spec.N]
+    row = list(received_preimage.coeffs) + [0] * (spec.N - len(received_preimage.coeffs))
+    rows = [row]
+    for _ in range(cap):
+        row = _times_x(kernel, row, low)
+        rows.append(row)
+    rows = kernel.pack(rows)
+    for g in candidates:
+        if g.field is not field and g.field != field:
+            raise SpecMismatch(f"candidate over {g.field!r}, not {field!r}")
+        coeffs = g.coeffs
+        if not coeffs or len(coeffs) > cap + 1:
+            continue
+        if kernel.combine_length(rows, coeffs) >= K + len(coeffs):
+            continue
+        z = Poly._raw(field, _strip(kernel.combine(rows, coeffs)))
+        if (z % g).is_zero and count_zero_residues(spec, g) <= spec.t_hamming:
+            return g, z
+    return None
 
 
 def error_locator_test(
@@ -431,27 +476,34 @@ def list_decode(
     received: Codeword | Sequence[Poly],
     candidates: Sequence[Poly],
     options: DecodeOptions = DecodeOptions(),
+    *,
+    gcd_outcome: DecodeOutcome | None = None,
 ) -> DecodeOutcome:
     """gcd decoding extended by a precomputed list of candidate locators.
 
     Runs the gcd decoder first; on failure, scans `candidates` (products of
-    moduli whose degree exceeds the gcd budget) with the locator test and
-    recovers from the first one that passes.  Returns the original failure
-    when none does.
+    moduli whose degree exceeds the gcd budget) in order and recovers from
+    the first one that passes the locator test.  Returns the original
+    failure when none does.  `gcd_outcome`, when given, must be
+    `decode(spec, received, options)`; it stands in for that run, so the
+    word is not decoded twice.
+
+    The scan is `_locator_scan`, one row map per received word;
+    `_locator_conditions` is its reference and gives the same first hit.
     """
     if not spec.ordered_degree:
         raise UnorderedDegrees("list decoding requires nondecreasing modulus degrees")
     if not isinstance(received, Codeword):
         received = Codeword(spec, tuple(received))
-    base = decode(spec, received, options)
+    base = decode(spec, received, options) if gcd_outcome is None else gcd_outcome
     if base.status is not DecodeStatus.FAILURE:
         return base
     y = psi_inverse(spec, received)
-    for g in candidates:
-        verdict, z = _locator_conditions(spec, y, g)
-        if verdict:
-            return _success(spec, y, z // g, g)
-    return base
+    hit = _locator_scan(spec, y, candidates)
+    if hit is None:
+        return base
+    g, z = hit
+    return _success(spec, y, z // g, g)
 
 
 def build_candidate_list(spec: CodeSpec, cap: int = 10 ** 6) -> list[Poly]:

@@ -47,7 +47,10 @@ coefficient and plane.  A slot is sized (1, 2, 4 or 8 bytes) for the
 largest sum it can receive, rows * m * (p-1)^2, so no digit carries into
 the next; each slot is reduced mod p once, when `combine` unpacks it with
 `struct`'s explicit little-endian format.  `Char2Kernel` with q > 256 (up
-to GF(2^16)) adds `scale`d rows in a plain loop.
+to GF(2^16)) adds `scale`d rows in a plain loop.  `combine_length` is the
+length of such a sum without its top zeros, which the list decoder's
+degree test reads: GF(2) takes the bit length of the xor, with no
+unpacking, and the other kernels strip the result of `combine`.
 
 Coefficient lists are lowest degree first (for byte rows, so are the bytes
 of an int: "little" byte order; for bit rows, the bits).  Inputs carry no
@@ -148,6 +151,15 @@ class _Kernel:
             if c:
                 acc = self.add(acc, self.scale(row, c))
         return acc
+
+    def combine_length(self, rows, coeffs: Coeffs) -> int:
+        """len of `combine(rows, coeffs)` without its top zeros: the degree
+        of the combination plus one, and 0 when it is zero."""
+        out = self.combine(rows, coeffs)
+        n = len(out)
+        while n and not out[n - 1]:
+            n -= 1
+        return n
 
     def _monic(self, a: list[int]) -> list[int]:
         lead = a[-1]
@@ -442,6 +454,12 @@ class Char2Kernel(_Kernel):
             if c:
                 acc ^= int.from_bytes(row.translate(times[to_log[c]]), "little")
         return list(acc.to_bytes(len(rows[0]), "little"))
+
+    def combine_length(self, rows, coeffs: Coeffs) -> int:
+        if self._bits:                            # the bit length, with no unpacking
+            assert len(coeffs) <= len(rows[1])
+            return reduce(xor, itertools.compress(rows[1], coeffs), 0).bit_length()
+        return super().combine_length(rows, coeffs)
 
     def evaluate(self, a: Coeffs, x: int) -> int:
         if not x:

@@ -182,8 +182,8 @@ def simulate(
     Exhaustive mode (fixed positions only) iterates every nonzero error
     value combination at the support, across `message_sample` messages
     drawn without replacement; total trials are capped at 10**7.  Each
-    trial is gcd-decoded once; `list_decode`, which returns the gcd outcome
-    unless it failed, runs only where it failed.
+    trial is decoded once: `list_decode`, which returns the gcd outcome
+    unless it failed, runs only where it failed, and is handed that outcome.
     """
     for name in decoders:
         if name == "list":
@@ -198,7 +198,7 @@ def simulate(
     for a, y, support in _trials(spec, model, trials, exhaustive, message_sample):
         outcome = decode(spec, y, options)
         listed = outcome if outcome.ok or "list" not in names else list_decode(
-            spec, y, candidates, options)
+            spec, y, candidates, options, gcd_outcome=outcome)
         for name in names:
             report.record(name, support, _classify(outcome if name == "gcd" else listed, a))
         report.trials += 1

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import remcode.code
+import remcode.decoder as decoder
 from remcode.code import CodeSpec, Codeword, degree_weight, encode, psi_inverse
 from remcode.decoder import (
     Algorithm,
@@ -30,17 +31,19 @@ from remcode.decoder import (
     upper_parts,
     _locator_conditions,
     _locator_degree_cap,
+    _locator_scan,
 )
 from remcode.errors import (
     CandidateExplosion,
     DegreePreconditionViolated,
     MessageDegreeOverflow,
     NonDivisible,
+    SpecMismatch,
     UnorderedDegrees,
     ZeroG,
 )
 from remcode.field import Field
-from remcode.poly import Poly
+from remcode.poly import Poly, irreducible_polys, poly_gcd, poly_mod_inverse
 
 from conftest import DEGREE10_MODULI, GF256_REDUCTION, P, random_message, random_preimage
 from test_kernels import coprime_specs
@@ -487,6 +490,163 @@ def test_list_decode_empty_candidates_keeps_failure(ladder5):
 def test_list_decode_requires_ordered_degrees(reducible_spec):
     with pytest.raises(UnorderedDegrees):
         list_decode(reducible_spec, reducible_spec.zero_word(), [])
+
+
+# -- list decoding: the row-map scan and the gcd outcome handed over ------------------
+
+
+def _first_hit_by_reference(spec, y: Poly, candidates) -> tuple[Poly, Poly] | None:
+    """The first (g, Z) whose `_locator_conditions` verdict is true, or None."""
+    for g in candidates:
+        verdict, z = _locator_conditions(spec, y, g)
+        if verdict:
+            return g, z
+    return None
+
+
+def _planted_preimage(rng: random.Random, spec, g0: Poly) -> Poly:
+    """Y with g0 * Y = Z0 mod M_n for a chosen Z0, g0 a unit mod M_n.
+
+    Z0 is g0 times a message (a hit), g0 times a polynomial of degree
+    exactly K (deg Z = K + deg g0, the degree test's bound), or a random
+    polynomial below that bound, which g0 rarely divides."""
+    f, K = spec.field, spec.K
+    kind = rng.randrange(3)
+    if kind == 0:
+        z0 = g0 * random_message(rng, spec)
+    elif kind == 1:
+        z0 = g0 * (random_message(rng, spec) + Poly.monomial(f, rng.randrange(1, f.q), K))
+    else:
+        z0 = Poly.from_int(f, rng.randrange(f.q ** (K + int(g0.degree))))
+    return (z0 * poly_mod_inverse(g0, spec.modulus_product)) % spec.modulus_product
+
+
+def _scan_probes(rng: random.Random, spec, count: int):
+    """(Y, candidates) pairs for the scan-against-reference tests.
+
+    Y is a codeword plus an error on a random support, a random preimage,
+    or planted for one candidate g0 (`_planted_preimage`).  The candidates,
+    shuffled, are the zero polynomial, constants, polynomials of degree up
+    to N + 1 (so also above the locator degree cap), products of the moduli
+    on random supports and on the error's support, g0, and part of
+    `build_candidate_list`."""
+    f, m = spec.field, spec.modulus_product
+    cap = _locator_degree_cap(spec)
+    listed = build_candidate_list(spec)
+    for _ in range(count):
+        support = [i for i in range(spec.n) if rng.random() < 0.3]
+        candidates = [Poly.zero(f), Poly.from_int(f, rng.randrange(1, f.q)),
+                      spec.product(support)]
+        candidates += [Poly.from_int(f, rng.randrange(1, f.q ** rng.randrange(1, spec.N + 2)))
+                       for _ in range(4)]
+        candidates += [spec.product(i for i in range(spec.n) if rng.random() < 0.3)
+                       for _ in range(3)]
+        candidates += rng.sample(listed, min(len(listed), 6))
+        kind = rng.randrange(3)
+        if kind == 0:
+            error = [Poly.zero(f)] * spec.n
+            for i in support:
+                error[i] = Poly.from_int(f, rng.randrange(1, f.q ** spec.degrees[i]))
+            y = psi_inverse(spec, encode(spec, random_message(rng, spec))
+                            + Codeword(spec, tuple(error)))
+        elif kind == 1:
+            y = random_preimage(rng, spec)
+        else:
+            g0 = Poly.from_int(f, rng.randrange(1, f.q ** (cap + 1)))
+            while poly_gcd(g0, m).degree:
+                g0 = Poly.from_int(f, rng.randrange(1, f.q ** (cap + 1)))
+            y = _planted_preimage(rng, spec, g0)
+            candidates.append(g0)
+        rng.shuffle(candidates)
+        yield y, candidates
+
+
+def _gf9_spec() -> CodeSpec:
+    """GF(9) code with 6 linear and 3 quadratic moduli, k = 4."""
+    gf9 = Field(3, 2, [1, 0, 1])
+    quads = list(itertools.islice(irreducible_polys(gf9, 2), 3))
+    return CodeSpec(gf9, [P(gf9, b, 1) for b in range(6)] + quads, 4)
+
+
+def test_locator_scan_matches_the_reference_on_fixed_specs(ladder5, gf4_mixed):
+    """The row scan's first hit (g, Z), or its miss, equals a loop of
+    `_locator_conditions`; the probes reach hits, misses, candidates with
+    deg Z = K + deg g that g divides, and candidates that pass the degree
+    test but do not divide Z."""
+    rng = random.Random(12)
+    seen = set()
+    for spec in (ladder5, gf4_mixed, _gf9_spec()):
+        m = spec.modulus_product
+        for y, candidates in _scan_probes(rng, spec, 60):
+            expected = _first_hit_by_reference(spec, y, candidates)
+            assert _locator_scan(spec, y, candidates) == expected
+            seen.add(expected is not None)
+            for g in candidates:
+                if g:
+                    z = (g * y) % m
+                    if z.degree == spec.K + g.degree and (z % g).is_zero:
+                        seen.add("boundary")
+                    if z.degree < spec.K + g.degree and not (z % g).is_zero:
+                        seen.add("non-divisor")
+    assert seen == {True, False, "boundary", "non-divisor"}
+
+
+@settings(max_examples=30, deadline=None)
+@given(spec=st.one_of(coprime_specs(Field(2), 4, (3, 8), ordered=True),
+                      coprime_specs(Field(3), 3, (3, 7), ordered=True),
+                      coprime_specs(Field(3, 2, [1, 0, 1]), 2, (3, 6), ordered=True)),
+       seed=st.integers(0, 2 ** 32))
+def test_locator_scan_matches_the_reference_on_random_specs(spec, seed):
+    for y, candidates in _scan_probes(random.Random(seed), spec, 4):
+        expected = _first_hit_by_reference(spec, y, candidates)
+        assert _locator_scan(spec, y, candidates) == expected
+
+
+def test_list_decode_takes_the_handed_gcd_outcome(ladder5, monkeypatch):
+    """With `gcd_outcome` given, list_decode decodes nothing itself: a
+    success comes back as it is, and a failure is scanned as without it."""
+    rng = random.Random(333)
+    cands = build_candidate_list(ladder5)
+    words = []
+    for position in (None, 0, 4):
+        error = list(ladder5.zero_word().symbols)
+        if position is not None:
+            error[position] = Poly.from_int(
+                ladder5.field, rng.randrange(1, 2 ** ladder5.degrees[position]))
+        words.append(encode(ladder5, random_message(rng, ladder5))
+                     + Codeword(ladder5, tuple(error)))
+    expected = [(decode(ladder5, w), list_decode(ladder5, w, cands)) for w in words]
+    assert [gcd.status for gcd, _ in expected] == [
+        DecodeStatus.NO_ERROR, DecodeStatus.SUCCESS, DecodeStatus.FAILURE]
+    # on the error-free word the candidate m_4 would pass the locator test
+    assert _locator_conditions(ladder5, psi_inverse(ladder5, words[0]), cands[0])[0]
+
+    def no_decode(*args, **kwargs):
+        raise AssertionError("list_decode decoded the word again")
+
+    monkeypatch.setattr(decoder, "decode", no_decode)
+    for word, (gcd, listed) in zip(words, expected):
+        out = list_decode(ladder5, word, cands, gcd_outcome=gcd)
+        assert out == listed
+        if gcd.ok:
+            assert out is gcd
+
+
+def test_list_decode_refuses_a_candidate_over_another_field(ladder5, gf4):
+    """A candidate over GF(4) raises SpecMismatch when the scan reaches it,
+    alone or after candidates that are rejected, and not after a hit."""
+    gf2 = ladder5.field
+    error = list(ladder5.zero_word().symbols)
+    error[4] = Poly.one(gf2)
+    word = encode(ladder5, P(gf2, 1, 1)) + Codeword(ladder5, tuple(error))
+    assert decode(ladder5, word).status is DecodeStatus.FAILURE
+    m = ladder5.moduli
+    foreign = P(gf4, 2, 1)
+    rejected = [Poly.zero(gf2), m[0], m[1] * m[2], m[4] * m[0]]
+    for candidates in ([foreign], rejected + [foreign]):
+        with pytest.raises(SpecMismatch):
+            list_decode(ladder5, word, candidates)
+    assert list_decode(ladder5, word, [m[4], foreign]).factor_poly == m[4]
 
 
 # -- the locator test's degree rejection ---------------------------------------------

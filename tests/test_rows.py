@@ -1,7 +1,8 @@
 """The residue transform and its inverse as packed-row maps.
 
-Kernel level: `combine` over `pack`ed rows against the sum of `scale` and
-`add` through the same kernel, on every kernel and on GF(65521), whose
+Kernel level: `combine` over `pack`ed rows, and the length of the result
+that `combine_length` reads, against the sum of `scale` and `add` through
+the same kernel, on every kernel and on GF(65521), whose
 slots need 4 or 8 bytes.  Spec level: `residues`, `encode` and `psi_inverse`
 against the references kept in the tree: `CodeSpec.residue`, `a % m_i` and
 `interpolate_direct`, on specs with reducible, unordered and mixed-degree
@@ -52,9 +53,13 @@ def reference_combine(f: Field, rows, coeffs) -> tuple[int, ...]:
 
 
 def check_combine(f: Field, rows, coeffs) -> None:
-    out = f.kernel.combine(f.kernel.pack(rows), coeffs)
+    """`combine` against the reference, and `combine_length` against its length."""
+    packed = f.kernel.pack(rows)
+    out = f.kernel.combine(packed, coeffs)
+    expected = reference_combine(f, rows, coeffs)
     assert len(out) <= len(rows[0])
-    assert _strip(out) == reference_combine(f, rows, coeffs)
+    assert _strip(out) == expected
+    assert f.kernel.combine_length(packed, coeffs) == len(expected)
 
 
 # -- kernel level ------------------------------------------------------------------------
@@ -88,6 +93,7 @@ def test_combine_of_nothing_is_zero(name):
     assert _strip(kernel.combine(rows, [])) == ()
     assert _strip(kernel.combine(rows, [0, 0])) == ()
     assert _strip(kernel.combine(kernel.pack([[0] * 5] * 3), [1, f.q - 1, 0])) == ()
+    assert kernel.combine_length(rows, [0, 0]) == kernel.combine_length(rows, []) == 0
     assert _strip(kernel.combine(rows, [1])) == _strip(first)
 
 

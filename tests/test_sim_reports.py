@@ -12,6 +12,7 @@ import hashlib
 
 import pytest
 
+import remcode.decoder as decoder
 import remcode.sim as sim
 from remcode.code import CodeSpec
 from remcode.decoder import DecodeStatus
@@ -99,9 +100,9 @@ def test_each_trial_decodes_once_and_lists_only_gcd_failures(ladder5, monkeypatc
         decoded.append((received, outcome.status))
         return outcome
 
-    def counting_list_decode(spec, received, candidates, options):
+    def counting_list_decode(spec, received, candidates, options, **kwargs):
         listed.append(received)
-        return list_decode(spec, received, candidates, options)
+        return list_decode(spec, received, candidates, options, **kwargs)
 
     monkeypatch.setattr(sim, "decode", counting_decode)
     monkeypatch.setattr(sim, "list_decode", counting_list_decode)
@@ -116,6 +117,30 @@ def test_each_trial_decodes_once_and_lists_only_gcd_failures(ladder5, monkeypatc
             assert listed == (failed if "list" in decoders else [])
             list_calls += len(listed)
     assert list_calls > 0
+
+
+def test_list_decoding_decodes_each_trial_once_in_all(ladder5, monkeypatch):
+    """simulate hands its gcd outcome to `list_decode`, so a gcd-failed
+    trial is not decoded a second time inside it: counted through both
+    names `decode` is called by, each trial decodes exactly once."""
+    decode = decoder.decode
+    statuses = []
+
+    def counting_decode(*args, **kwargs):
+        outcome = decode(*args, **kwargs)
+        statuses.append(outcome.status)
+        return outcome
+
+    monkeypatch.setattr(decoder, "decode", counting_decode)
+    monkeypatch.setattr(sim, "decode", counting_decode)
+    gcd_failures = 0
+    for mode, channel in CHANNELS["ladder5"].items():
+        for decoders in (("list",), ("gcd", "list")):
+            statuses.clear()
+            report = _run(ladder5, channel, decoders)
+            assert len(statuses) == report.trials, (mode, decoders)
+            gcd_failures += statuses.count(DecodeStatus.FAILURE)
+    assert gcd_failures > 0
 
 
 @pytest.fixture

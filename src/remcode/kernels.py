@@ -19,6 +19,16 @@ A `Field` picks one kernel when it is built, from the kind of field it is:
 * `OddKernel` (odd p, m > 1) -- log/exp multiply, add through a Zech
   logarithm table of O(q) size, built on first use.
 
+Both odd-characteristic kernels share `_SlotKernel.mul`: a product whose
+shorter operand has at least `KRONECKER_MIN` coefficients is a Kronecker
+product.  Each operand splits into its m base-p digit planes, each plane
+packed into one int of little-endian slots; the m^2 plane products are int
+multiplies, the planes for alpha^c, c >= m, fold into planes 0..m-1 through
+the digits of alpha^c (alpha the element x, the int p), and each slot is
+reduced mod p once.  Shorter products keep the per-coefficient loops
+(`_mul_loop`), and so do add, sub, division and evaluation: over GF(p^m)
+those read the Zech table.
+
 `gcd` is one Euclid loop for every kernel, on per-kernel hooks (`_euclid`):
 pack coefficients into a state, take the remainder of one state by another,
 and unpack the last one monic.  A state is an int in `Char2Kernel` for
@@ -45,8 +55,10 @@ each plane one int whose little-endian slots hold one digit per
 coefficient, so a term is m^2 int multiply-adds, one per digit of the
 coefficient and plane.  A slot is sized (1, 2, 4 or 8 bytes) for the
 largest sum it can receive, rows * m * (p-1)^2, so no digit carries into
-the next; each slot is reduced mod p once, when `combine` unpacks it with
-`struct`'s explicit little-endian format.  `Char2Kernel` with q > 256 (up
+the next; each slot is reduced mod p once, when `combine` unpacks it (a few
+`bytes.translate`s per plane for q <= 256 and 1- or 2-byte slots, else
+`struct`'s explicit little-endian format and a mod p per slot); products
+are unpacked the same way.  `Char2Kernel` with q > 256 (up
 to GF(2^16)) adds `scale`d rows in a plain loop.  `combine_length` is the
 length of such a sum without its top zeros, which the list decoder's
 degree test reads: GF(2) takes the bit length of the xor, with no
@@ -60,7 +72,9 @@ trailing zeros; outputs may, and `Poly` strips them.  `add`, `sub` and
 field's `_tables`, `Char2Kernel._rows` and `OddKernel._zech` -- is a
 `functools.cached_property`: built on first read, never when the field is
 constructed, and a plain attribute read after that.  No prime field builds
-one.  No inner loop calls a `Field` method per coefficient;
+one, and no Kronecker product reads one: `_SlotKernel`'s fold digits (from
+`Field._mul_basis`) and byte maps are plain attributes, built with the
+kernel.  No inner loop calls a `Field` method per coefficient;
 `Field._mul_basis` and `Field._digitwise` stay as the table-free reference
 the tests compare these kernels with.
 """
@@ -81,6 +95,11 @@ Coeffs = Sequence[int]
 # a short one costs O(len(rem)) per term against O(len(b)) in the list loop;
 # rs255_decode's set-up divides M_n by each of its 255 linear moduli.
 ROW_MIN = 12
+
+# PrimeKernel and OddKernel: a product whose shorter operand has at least this many
+# coefficients is a Kronecker product on packed digit planes (`_SlotKernel.mul`);
+# shorter ones keep the per-coefficient loop, which is faster there.
+KRONECKER_MIN = 4
 
 
 class _Kernel:
@@ -208,29 +227,105 @@ def _slot_layout(p: int, m: int, count: int, length: int) -> struct.Struct:
     return struct.Struct(f"<{length}{'BHIQ'[size.bit_length() - 1]}")
 
 
+def _slot_width(layout: struct.Struct) -> int:
+    """Bytes per slot of a `_slot_layout`."""
+    return struct.calcsize("<" + layout.format[-1])
+
+
 class _SlotKernel(_Kernel):
-    """`pack` and `combine` on int slots, for odd characteristic (see the
-    module docstring for the layout)."""
+    """`pack`, `combine` and long products on int slots, for odd
+    characteristic (see the module docstring for the layout).
+
+    What the products read is built here, with no table of the field's (the
+    fold digits by `Field._mul_basis`):
+
+    * `_folds[c - m]`: the digits of alpha^c mod the reduction polynomial,
+      for m <= c <= 2m - 2, alpha the element x (the int p);
+    * for q <= 256, `_digits[a]` maps each byte x to its base-p digit a
+      (so `_digits[0]` is x mod p), and `_high` maps x to 256 x mod p.  Each
+      repeats with period p^(a+1) or p, so it is one short cycle repeated.
+    """
+
+    def __init__(self, field):
+        super().__init__(field)
+        p, m, q = field.p, field.m, field.q
+        self.p = p
+        self._powers = [p ** a for a in range(m)]
+        folds, alpha = [], p ** (m - 1)
+        for _ in range(m - 1):
+            alpha = field._mul_basis(alpha, p)
+            folds.append([alpha // pa % p for pa in self._powers])
+        self._folds = folds
+        self._digits = self._high = None
+        if q <= 256:
+            cycles = [b"".join(bytes([d]) * pa for d in range(p)) for pa in self._powers]
+            self._digits = [(cycle * (256 // len(cycle) + 1))[:256] for cycle in cycles]
+            self._high = (bytes(x * 256 % p for x in range(p)) * (256 // p + 1))[:256]
+
+    def _planes(self, row: Coeffs, layout: struct.Struct) -> list[int]:
+        """The m base-p digit planes of `row`, each one int whose
+        little-endian slots, as wide as `layout`'s, hold one digit per
+        coefficient."""
+        size = _slot_width(layout)
+        if self._digits is not None:              # q <= 256: a translate per plane
+            raw, planes = bytes(row), []
+            for table in self._digits:
+                digits = raw.translate(table)
+                if size > 1:
+                    spread = bytearray(size * len(digits))
+                    spread[::size] = digits
+                    digits = spread
+                planes.append(int.from_bytes(digits, "little"))
+            return planes
+        layout = struct.Struct(f"<{len(row)}{layout.format[-1]}")
+        if self.field.m == 1:
+            return [int.from_bytes(layout.pack(*row), "little")]
+        p = self.p
+        return [int.from_bytes(layout.pack(*[x // pa % p for x in row]), "little")
+                for pa in self._powers]
+
+    def _unpack(self, planes: Sequence[int], layout: struct.Struct) -> list[int]:
+        """The coefficients, one per slot of `layout`, whose digit a is the
+        slot of planes[a] reduced mod p.
+
+        For q <= 256 and slots of 1 byte, or of 2 bytes when p < 128, this is
+        a few `bytes.translate`s per plane: a 2-byte slot lo + 256 hi reduces
+        as lo mod p + 256 hi mod p, which stays below 256, and the digits
+        recombine as bytes below q.  Otherwise each slot is reduced in a loop.
+        """
+        p, size = self.p, _slot_width(layout)
+        length = layout.size // size
+        if self._digits is not None and (size == 1 or size == 2 and p < 128):
+            mod_p, acc = self._digits[0], 0
+            for pa, plane in zip(self._powers, planes):
+                raw = plane.to_bytes(layout.size, "little")
+                if size == 2:
+                    raw = (int.from_bytes(raw[::2].translate(mod_p), "little")
+                           + int.from_bytes(raw[1::2].translate(self._high), "little")
+                           ).to_bytes(length, "little")
+                acc += pa * int.from_bytes(raw.translate(mod_p), "little")
+            return list(acc.to_bytes(length, "little"))
+        out = itertools.repeat(0)
+        for plane in reversed(planes):
+            digits = layout.unpack(plane.to_bytes(layout.size, "little"))
+            out = [x * p + d % p for x, d in zip(out, digits)]
+        return out
 
     def pack(self, rows: Sequence[Coeffs]) -> tuple[struct.Struct, list[tuple[int, ...]]]:
-        p, m = self.field.p, self.field.m
+        p, m = self.p, self.field.m
         layout = _slot_layout(p, m, len(rows), len(rows[0]))
         packed = []
         for row in rows:
             planes = []
-            for k in range(m):
-                shifted = self.scale(row, p ** k)     # x^k * row: the element x^k is the int p^k
-                for a in range(m):
-                    pa = p ** a
-                    digits = [x // pa % p for x in shifted]
-                    planes.append(int.from_bytes(layout.pack(*digits), "little"))
+            for k in range(m):                    # x^k * row: the element x^k is the int p^k
+                planes += self._planes(self.scale(row, p ** k) if k else row, layout)
             packed.append(tuple(planes))
         return layout, packed
 
     def combine(self, rows, coeffs: Coeffs) -> list[int]:
         layout, planes = rows
         assert len(coeffs) <= len(planes)
-        p, m = self.field.p, self.field.m
+        p, m = self.p, self.field.m
         acc = [0] * m
         for c, row in zip(coeffs, planes):
             k = 0                                 # digit i of c weights row[k:k + m], k = i * m,
@@ -240,23 +335,54 @@ class _SlotKernel(_Kernel):
                     for a in range(m):
                         acc[a] += d * row[k + a]
                 k += m
-        out = itertools.repeat(0)
-        for plane in reversed(acc):
-            digits = layout.unpack(plane.to_bytes(layout.size, "little"))
-            out = [x * p + d % p for x, d in zip(out, digits)]
-        return out
+        return self._unpack(acc, layout)
+
+    def mul(self, a: Coeffs, b: Coeffs) -> list[int]:
+        """a * b; a Kronecker product on digit planes when the shorter operand
+        has at least `KRONECKER_MIN` coefficients, else `_mul_loop`.
+
+        With a = sum_i alpha^i A_i and b = sum_k alpha^k B_k over their digit
+        planes, a * b = sum_c alpha^c C_c, C_c = sum_{i+k=c} A_i B_k, each
+        A_i B_k one int product of packed planes.  Planes c >= m fold into
+        planes 0..m-1 through the digits of alpha^c; a folded slot then holds
+        at most min(len a, len b) * (1 + (m-1)(p-1)) sums of m products of two
+        digits, which `_slot_layout` sizes for, so no slot carries.
+        """
+        if len(a) > len(b):
+            a, b = b, a
+        if len(a) < KRONECKER_MIN:
+            return self._mul_loop(a, b)
+        p, m = self.p, self.field.m
+        length = len(a) + len(b) - 1
+        layout = _slot_layout(p, m, len(a) * (1 + (m - 1) * (p - 1)), length)
+        pa, pb = self._planes(a, layout), self._planes(b, layout)
+        conv = [0] * (2 * m - 1)
+        for i, x in enumerate(pa):
+            for k, y in enumerate(pb):
+                conv[i + k] += x * y
+        for c, digits in zip(range(m, 2 * m - 1), self._folds):
+            for j, d in enumerate(digits):
+                if d:
+                    conv[j] += d * conv[c]
+        return self._unpack(conv[:m], layout)
+
+    def _mul_loop(self, a: Coeffs, b: Coeffs) -> list[int]:
+        """a * b, len(a) <= len(b), one coefficient at a time: the kernel's
+        short products, and the reference the tests hold `mul` to."""
+        raise NotImplementedError
 
 
 class PrimeKernel(_SlotKernel):
     """GF(p), odd p: coefficients are ints mod p.
 
+    Products whose shorter operand has at least `KRONECKER_MIN`
+    coefficients are Kronecker products on slot planes (`_SlotKernel.mul`);
+    `_mul_loop` multiplies shorter ones and reduces each output coefficient
+    once.
+
     GF(2) runs `Char2Kernel`; this kernel still computes over it, and the
     tests use it there as a reference.
     """
-
-    def __init__(self, field):
-        super().__init__(field)
-        self.p = field.p
 
     def add(self, a: Coeffs, b: Coeffs) -> list[int]:
         if len(a) < len(b):
@@ -275,9 +401,7 @@ class PrimeKernel(_SlotKernel):
             out += [(p - y) % p for y in b[len(a):]]
         return out
 
-    def mul(self, a: Coeffs, b: Coeffs) -> list[int]:
-        if len(a) > len(b):
-            a, b = b, a
+    def _mul_loop(self, a: Coeffs, b: Coeffs) -> list[int]:
         pairs = [(j, y) for j, y in enumerate(b) if y]
         out = [0] * (len(a) + len(b) - 1)
         for i, c in enumerate(a):
@@ -550,6 +674,11 @@ class Char2Kernel(_Kernel):
 class OddKernel(_SlotKernel):
     """GF(p^m), odd p, m > 1: add through Zech logarithms.
 
+    Products whose shorter operand has at least `KRONECKER_MIN`
+    coefficients are Kronecker products on slot planes (`_SlotKernel.mul`)
+    and read no table.  The Zech table below is for add, sub, division,
+    evaluation and the short products of `_mul_loop`.
+
     With n = q - 1 and g the field's generator, x + g^t for t in [0, 2n) is
     exp[t + zech[zlog[x] - t]], where
 
@@ -590,10 +719,8 @@ class OddKernel(_SlotKernel):
         out = list(a) + [0] * (len(b) - len(a))
         return self._add_into(out, b, (self.field.q - 1) // 2)
 
-    def mul(self, a: Coeffs, b: Coeffs) -> list[int]:
+    def _mul_loop(self, a: Coeffs, b: Coeffs) -> list[int]:
         exp, log, zlog, zech = self._zech
-        if len(a) > len(b):
-            a, b = b, a
         pairs = [(j, log[c]) for j, c in enumerate(b) if c]
         out = [0] * (len(a) + len(b) - 1)
         for i, c in enumerate(a):

@@ -10,6 +10,11 @@ and on divisors on both sides of `ROW_MIN`, below which the fields with
 
 GF(2) runs `Char2Kernel`; `PrimeKernel(Field(2))` stays in the tree as its
 second reference, on long rows and on whole decodes.
+
+The odd-characteristic Kronecker products (`_SlotKernel.mul`) are held to
+the per-coefficient `_mul_loop` each kernel keeps and to the reference, on
+odd fields from GF(3) to GF(65521), at lengths on both sides of
+`KRONECKER_MIN` and at the worst load of each slot width.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from hypothesis import given, settings, strategies as st
 from remcode.code import CodeSpec, Codeword, encode
 from remcode.decoder import DecodeStatus, build_candidate_list, decode, list_decode
 from remcode.field import Field
-from remcode.kernels import ROW_MIN, Char2Kernel, OddKernel, PrimeKernel
+from remcode.kernels import KRONECKER_MIN, ROW_MIN, Char2Kernel, OddKernel, PrimeKernel
 from remcode.poly import Poly, poly_gcd
 
 from test_decoder_checks import ALL_OPTIONS, _check_outcome
@@ -498,3 +503,132 @@ def test_candidate_list_is_every_support_above_the_gcd_budget(f, max_degree, dat
                 g = g * spec.moduli[i]
             expected.append(g)
     assert build_candidate_list(spec) == expected
+
+
+# -- odd characteristic: Kronecker products on digit planes ---------------------------
+
+# Every slot layout `_SlotKernel.mul` reaches: 1- and 2-byte slots with the
+# translate unpack (q <= 256), 4-byte slots (GF(257); GF(3) at its worst
+# load), 8-byte slots (GF(65521)), and digit planes split without byte maps
+# (GF(343), odd q > 256 with m > 1).  GF(243) is the largest odd q <= 256.
+ODD_FIELDS = {
+    "GF(3)": Field(3),
+    "GF(7)": Field(7),
+    "GF(9)": Field(3, 2, [1, 0, 1]),
+    "GF(25)": Field(5, 2, [2, 1, 1]),
+    "GF(27)": Field(3, 3, [1, 2, 0, 1]),
+    "GF(243)": Field(3, 5, [1, 2, 0, 0, 0, 1]),
+    "GF(257)": Field(257),
+    "GF(343)": Field(7, 3, [5, 0, 0, 1]),
+    "GF(65521)": Field(65521),
+}
+MUL_LENGTHS = (1, 2, KRONECKER_MIN - 1, KRONECKER_MIN, KRONECKER_MIN + 1, 9, 40, 150)
+
+
+def check_mul(f: Field, a: list[int], b: list[int], reference: bool = True) -> None:
+    """`mul` both ways round equals `_mul_loop` entry for entry, top zeros
+    included, and, unless `reference` is off, the table-free `ref_mul`."""
+    kernel = f.kernel
+    short, long = (a, b) if len(a) <= len(b) else (b, a)
+    out = kernel.mul(a, b)
+    assert out == kernel.mul(b, a) == kernel._mul_loop(short, long)
+    assert len(out) == len(a) + len(b) - 1
+    if reference:
+        assert _strip(list(out)) == ref_mul(f, a, b)
+
+
+def _operand(rng: random.Random, f: Field, n: int, kind: str) -> list[int]:
+    """n coefficients: uniform, mostly zeros (with 1 and -1), or uniform
+    below zeros in the top half."""
+    if kind == "sparse":
+        return [rng.choice([0] * 6 + [1, f.q - 1, rng.randrange(f.q)]) for _ in range(n)]
+    low = n if kind == "dense" else n // 2
+    return [rng.randrange(f.q) for _ in range(low)] + [0] * (n - low)
+
+
+@pytest.mark.parametrize("name", list(ODD_FIELDS))
+def test_mul_matches_loop_and_reference_across_the_crossover(name):
+    """Lengths on both sides of `KRONECKER_MIN` up to 150, 1 x n and n x 1
+    among them, on dense, zero-heavy and top-zero operands; the table-free
+    reference is run where len(a) * len(b) <= 1500."""
+    f = ODD_FIELDS[name]
+    rng = random.Random(f.q)
+    for n in MUL_LENGTHS:
+        for k in (1, KRONECKER_MIN, 40, 150):
+            for kind in ("dense", "sparse", "top zeros"):
+                a, b = _operand(rng, f, n, kind), _operand(rng, f, k, "dense")
+                check_mul(f, a, b, reference=n * k <= 1500)
+
+
+@pytest.mark.parametrize("name", list(ODD_FIELDS))
+def test_mul_matches_reference(name):
+    f = ODD_FIELDS[name]
+
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def check(data):
+        a, b = data.draw(rows(f, 40)), data.draw(rows(f, 40))
+        assert (a * b).coeffs == ref_mul(f, a.coeffs, b.coeffs)
+        if a.coeffs and b.coeffs:
+            check_mul(f, list(a.coeffs), list(b.coeffs), reference=False)
+
+    check()
+
+
+def _mul_slot_lengths(f: Field, cap: int = 20_000) -> list[int]:
+    """Shorter-operand lengths at which `mul`'s slot width changes: for each
+    width, the longest whose largest folded sum fits and the first that
+    needs the next width; only lengths from `KRONECKER_MIN` to `cap`."""
+    per_coeff = (1 + (f.m - 1) * (f.p - 1)) * f.m * (f.p - 1) ** 2
+    lengths = set()
+    for bits in (8, 16, 32):
+        first = -(-(1 << bits) // per_coeff)     # shortest length whose bound reaches 2^bits
+        lengths.update(n for n in (first - 1, first) if KRONECKER_MIN <= n <= cap)
+    return sorted(lengths)
+
+
+def _times_int(f: Field, x: int, count: int) -> int:
+    """x added to itself `count` times: each base-p digit times count, mod p."""
+    return sum(x // f.p ** i % f.p * count % f.p * f.p ** i for i in range(f.m))
+
+
+@pytest.mark.parametrize("name", list(ODD_FIELDS))
+def test_mul_at_the_worst_slot_load(name):
+    """Operands whose every digit is p - 1, at the longest length each slot
+    width holds and the first that needs the next.  A product coefficient is
+    then (q-1)^2 times the number of terms it sums, so a slot that carries
+    shows as a wrong coefficient."""
+    f = ODD_FIELDS[name]
+    top = f.q - 1
+    square = f._mul_basis(top, top)
+    lengths = _mul_slot_lengths(f)
+    assert lengths or f.q > 256            # then 4- or 8-byte slots from the crossover on
+    for n in [KRONECKER_MIN] + lengths:
+        for k in (n, n + 7):
+            out = f.kernel.mul([top] * n, [top] * k)
+            expected = [_times_int(f, square, min(i + 1, n, n + k - 1 - i))
+                        for i in range(n + k - 1)]
+            assert out == expected, (n, k)
+
+
+def test_mul_above_the_crossover_reads_no_table(monkeypatch):
+    """A product whose shorter operand has `KRONECKER_MIN` coefficients runs
+    no per-coefficient loop: over GF(7) and GF(65521) it reads no table, and
+    over GF(9) it builds neither the field's tables nor `_zech`.  A shorter
+    one runs the loop, which over GF(9) builds both."""
+    fields = (Field(7), Field(65521), Field(3, 2, [1, 0, 1]))   # built before counting
+    loops = []
+    for kind in (PrimeKernel, OddKernel):
+        loop = kind._mul_loop
+        monkeypatch.setattr(kind, "_mul_loop",
+                            lambda self, a, b, loop=loop: loops.append(len(a)) or loop(self, a, b))
+    for f in fields:
+        long = Poly(f, [1, f.q - 1] * 20)
+        assert len((Poly(f, [2, 1, 0, 1]) * long).coeffs) == 43
+        assert (long * long).degree == 78
+        assert loops == []
+        assert "_tables" not in vars(f) and not {"_rows", "_zech"} & set(vars(f.kernel))
+        Poly(f, [2, 0, 1]) * long
+        assert loops == [KRONECKER_MIN - 1]
+        loops.clear()
+    assert {"_tables", "_zech"} <= set(vars(f)) | set(vars(f.kernel))

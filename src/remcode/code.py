@@ -16,6 +16,10 @@ field's kernel over a row set the spec builds on first use:
   in position order; the coefficients of the residue vector, end to end,
   weight them.
 
+`CodeSpec._shift_rows` is the one builder of rows x^j * v mod M_n, padded to
+N coefficients: the inverse rows and the list decoder's locator rows are
+such rows.
+
 `CodeSpec.product` is the one place where products of moduli are formed.
 `CodeSpec.residue` is the definition, a mod m_i by one division; it is the
 reference the row maps are tested against, as `interpolate_direct` is for
@@ -146,21 +150,27 @@ class CodeSpec:
 
     @cached_property
     def _inverse_rows(self):
-        """x^l * beta_i mod M_n for l < deg m_i, in position order; packed.
+        """x^l * beta_i mod M_n for l < deg m_i, in position order; packed."""
+        rows = []
+        for beta, d in zip(self.betas, self.degrees):
+            rows += self._shift_rows(beta.coeffs, d)
+        return self.field.kernel.pack(rows)
 
-        Each row after the first of a position is x times the one before,
-        reduced by one scaled subtraction of M_n.
+    def _shift_rows(self, v: Sequence[int], count: int) -> list[list[int]]:
+        """x^j * v mod M_n for j < count, each zero-padded to N coefficients,
+        for v of at most N coefficients; not packed.
+
+        Each row after the first is x times the one before, reduced by one
+        scaled subtraction of M_n.
         """
         kernel, N = self.field.kernel, self.N
         low = self.modulus_product.coeffs[:N]
-        rows = []
-        for beta, d in zip(self.betas, self.degrees):
-            row = list(beta.coeffs) + [0] * (N - len(beta.coeffs))
+        row = list(v) + [0] * (N - len(v))
+        rows = [row]
+        for _ in range(count - 1):
+            row = _times_x(kernel, row, low)
             rows.append(row)
-            for _ in range(d - 1):
-                row = _times_x(kernel, row, low)
-                rows.append(row)
-        return kernel.pack(rows)
+        return rows
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, CodeSpec)

@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Sequence
 
 # encode is re-exported: callers and perfbench/tracing.py look it up here
 from .code import (  # noqa: F401
-    CodeSpec, Codeword, _times_x, encode, psi_inverse, support_degree_weight)
+    CodeSpec, Codeword, encode, psi_inverse, support_degree_weight)
 from .errors import (
     CandidateExplosion,
     DegreePreconditionViolated,
@@ -348,29 +348,24 @@ def _locator_degree_cap(spec: CodeSpec) -> int:
 
 def _locator_scan(spec: CodeSpec, received_preimage: Poly,
                   candidates: Iterable[Poly]) -> tuple[Poly, Poly] | None:
-    """(g, Z) for the first candidate g that passes `_locator_conditions`,
-    or None when none does.
+    """(g, Z / g) for the first candidate g that passes
+    `_locator_conditions`, or None when none does.
 
     Z = g * Y mod M_n is GF(q)-linear in g: Z = sum_j g_j * R_j with
     R_j = x^j * Y mod M_n.  The rows R_0..R_cap, for cap the locator degree
-    cap, are built once, one `_times_x` each, and packed; then per candidate
-    the checks run cheapest first:
+    cap, are built once by `CodeSpec._shift_rows` and packed; then per
+    candidate the checks run cheapest first:
 
     * deg g > cap (the zero candidate included) rejects, as the verdict
       needs deg g <= cap; it also keeps g within the rows;
     * deg Z >= K + deg g rejects, read off one `combine_length`;
     * the rare survivors form Z by `combine` and take the reference's
-      division by g and zero-residue count.
+      division by g, whose quotient is the message on a hit, and
+      zero-residue count.
     """
     field, kernel, K = spec.field, spec.field.kernel, spec.K
     cap = _locator_degree_cap(spec)
-    low = spec.modulus_product.coeffs[:spec.N]
-    row = list(received_preimage.coeffs) + [0] * (spec.N - len(received_preimage.coeffs))
-    rows = [row]
-    for _ in range(cap):
-        row = _times_x(kernel, row, low)
-        rows.append(row)
-    rows = kernel.pack(rows)
+    rows = kernel.pack(spec._shift_rows(received_preimage.coeffs, cap + 1))
     for g in candidates:
         if g.field is not field and g.field != field:
             raise SpecMismatch(f"candidate over {g.field!r}, not {field!r}")
@@ -379,9 +374,9 @@ def _locator_scan(spec: CodeSpec, received_preimage: Poly,
             continue
         if kernel.combine_length(rows, coeffs) >= K + len(coeffs):
             continue
-        z = Poly._raw(field, _strip(kernel.combine(rows, coeffs)))
-        if (z % g).is_zero and count_zero_residues(spec, g) <= spec.t_hamming:
-            return g, z
+        a, rem = divmod(Poly._raw(field, _strip(kernel.combine(rows, coeffs))), g)
+        if rem.is_zero and count_zero_residues(spec, g) <= spec.t_hamming:
+            return g, a
     return None
 
 
@@ -502,8 +497,8 @@ def list_decode(
     hit = _locator_scan(spec, y, candidates)
     if hit is None:
         return base
-    g, z = hit
-    return _success(spec, y, z // g, g)
+    g, a = hit
+    return _success(spec, y, a, g)
 
 
 def build_candidate_list(spec: CodeSpec, cap: int = 10 ** 6) -> list[Poly]:

@@ -15,7 +15,10 @@ Each field also picks, when it is built, the coefficient kernel
 characteristic 2 at any m, odd prime, or odd p with m > 1.
 `_mul_basis` and `_digitwise` compute products and sums without tables;
 they serve the tests as the slow reference, and `_mul_basis` gives the m
-images g * x^i from which the tables are built.
+images g * x^i from which the tables are built.  `_to_digits` and
+`_from_digits` are the one split of an element into its base-p digits and
+the one join; the per-entry loops of `_times` and the kernels' digit planes
+keep their arithmetic inline.
 """
 
 from __future__ import annotations
@@ -159,15 +162,25 @@ class Field:
 
     # -- internals -----------------------------------------------------------------
 
+    def _to_digits(self, a: int) -> list[int]:
+        """The m base-p digits of a, lowest first."""
+        p, out = self.p, []
+        for _ in range(self.m):
+            a, d = divmod(a, p)
+            out.append(d)
+        return out
+
+    def _from_digits(self, ds) -> int:
+        """The element whose base-p digits, lowest first, are ds."""
+        out = 0
+        for d in reversed(ds):
+            out = out * self.p + d
+        return out
+
     def _digitwise(self, a: int, b: int, sign: int) -> int:
         p = self.p
-        out, shift = 0, 1
-        for _ in range(self.m):
-            out += ((a % p + sign * (b % p)) % p) * shift
-            a //= p
-            b //= p
-            shift *= p
-        return out
+        return self._from_digits([(x + sign * y) % p
+                                  for x, y in zip(self._to_digits(a), self._to_digits(b))])
 
     def _mul_basis(self, a: int, b: int) -> int:
         """Schoolbook polynomial-basis product reduced by the modulus.
@@ -175,18 +188,7 @@ class Field:
         Used to build the log tables (and as an independent check in tests).
         """
         p, m, red = self.p, self.m, self.reduction
-        da = [0] * m
-        i = 0
-        while a:
-            da[i] = a % p
-            a //= p
-            i += 1
-        db = [0] * m
-        i = 0
-        while b:
-            db[i] = b % p
-            b //= p
-            i += 1
+        da, db = self._to_digits(a), self._to_digits(b)
         prod = [0] * (2 * m - 1)
         for i, ca in enumerate(da):
             if ca:
@@ -200,10 +202,7 @@ class Field:
                 prod[i] = 0
                 for j in range(m):
                     prod[i - m + j] = (prod[i - m + j] - c * red[j]) % p
-        out = 0
-        for c in reversed(prod[:m]):
-            out = out * p + c
-        return out
+        return self._from_digits(prod[:m])
 
     def _pow_basis(self, a: int, e: int) -> int:
         r = 1
@@ -267,7 +266,7 @@ class Field:
                     x ^= low
                 return acc
             return times
-        digits = [[y // p ** a % p for a in range(m)] for y in images]
+        digits = [self._to_digits(y) for y in images]
 
         def times(x: int) -> int:
             acc = [0] * m

@@ -2,17 +2,18 @@
 
 A `Field` picks one kernel when it is built, from the kind of field it is:
 
-* `Char2Kernel` (p = 2, any m, GF(2) included) -- add is xor.  GF(2) rows
-  are ints with one bit per coefficient: a product xors shifted copies of
-  one operand, a division or gcd step xors the shifted divisor under the
+* `Char2Kernel` (p = 2, any m, GF(2) included) -- add is xor.  For
+  q <= 256, GF(2) included, every coefficient fits in a byte, and `add` is
+  one xor of `int.from_bytes` values.  In GF(2) the other operations run on
+  ints with one bit per coefficient: a product xors shifted copies of one
+  operand, a division or gcd step xors the shifted divisor under the
   remainder's top bit, and no table is read.  For 2 < q <= 256 multiply is
   a lookup in the field's log/exp tables, whose exp table repeats so that
   sums of logs need no reduction mod q - 1, and rows are handled whole, as
-  bytes: `bytes.translate` through 256-byte tables scales a row, and xor of
-  `int.from_bytes` values adds rows, so a product, division or gcd takes a
-  few C-level calls per row instead of a Python step per coefficient.
-  There, division by fewer than `ROW_MIN` coefficients keeps the
-  per-coefficient loop, as does all of GF(2^16);
+  bytes: `bytes.translate` through 256-byte tables scales a row, so a
+  product, division or gcd takes a few C-level calls per row instead of a
+  Python step per coefficient.  There, division by fewer than `ROW_MIN`
+  coefficients keeps the per-coefficient loop, as does all of GF(2^16);
 * `PrimeKernel` (odd p, m = 1) -- plain int multiply-accumulate; a
   coefficient is reduced mod p once per output coefficient or division row,
   not per term;
@@ -254,7 +255,7 @@ class _SlotKernel(_Kernel):
         folds, alpha = [], p ** (m - 1)
         for _ in range(m - 1):
             alpha = field._mul_basis(alpha, p)
-            folds.append([alpha // pa % p for pa in self._powers])
+            folds.append(field._to_digits(alpha))
         self._folds = folds
         self._digits = self._high = None
         if q <= 256:
@@ -469,7 +470,12 @@ def _from_bits(x: int, length: int) -> list[int]:
 class Char2Kernel(_Kernel):
     """GF(2^m), m >= 1: add is xor.
 
-    In GF(2) a row is an int with one bit per coefficient, bit i holding the
+    `_bytes` is q <= 256: every coefficient fits in a byte, and `add` (and
+    so `sub`) xors the rows as `int.from_bytes` values, GF(2) included.
+    There that is faster than bit rows at every length measured.
+
+    `_bits` is q = 2, and every other operation checks it first: there a
+    row is an int with one bit per coefficient, bit i holding the
     coefficient of x^i (see `_to_bits`).  The only nonzero scalar is 1, so
     `scale` is the identity; a product xors shifted copies of one operand,
     one per nonzero coefficient of the other; a division or gcd step xors
@@ -477,10 +483,9 @@ class Char2Kernel(_Kernel):
     the divisor's, so each quotient term is one xor.  Evaluation at 1 is the
     parity.  GF(2) reads no table.
 
-    When 2 < q <= 256 every coefficient fits in a byte, and rows are handled
-    whole.  A row's logs come from one `bytes.translate` (zero goes to the
-    spare index 255); one more translate scales it by g^f; rows are added as
-    xor of `int.from_bytes` values.  Division by at least `ROW_MIN`
+    When 2 < q <= 256 rows are handled whole, as bytes.  A row's logs come
+    from one `bytes.translate` (zero goes to the spare index 255); one more
+    translate scales it by g^f.  Division by at least `ROW_MIN`
     coefficients, and gcd, keep their remainders as ints, so each quotient
     term costs a few C-level calls instead of a Python step per coefficient.
     For q > 256 the per-coefficient loops run.
@@ -489,7 +494,7 @@ class Char2Kernel(_Kernel):
     def __init__(self, field):
         super().__init__(field)
         self._bits = field.q == 2
-        self._bytes = 2 < field.q <= 256
+        self._bytes = field.q <= 256
 
     @cached_property
     def _rows(self) -> tuple[bytes, list[bytes]]:
@@ -508,8 +513,6 @@ class Char2Kernel(_Kernel):
     def add(self, a: Coeffs, b: Coeffs) -> list[int]:
         if len(a) < len(b):
             a, b = b, a
-        if self._bits:
-            return _from_bits(_to_bits(a) ^ _to_bits(b), len(a))
         if self._bytes:
             x = int.from_bytes(bytes(a), "little") ^ int.from_bytes(bytes(b), "little")
             return list(x.to_bytes(len(a), "little"))

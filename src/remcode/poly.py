@@ -77,6 +77,8 @@ class Poly:
 
     @classmethod
     def monomial(cls, field: Field, coeff: int, degree: int) -> "Poly":
+        if degree < 0:
+            raise ValueError(f"monomial degree {degree} is negative")
         if coeff == 0:
             return cls.zero(field)
         return cls._raw(field, (0,) * degree + (field.check(coeff),))
@@ -84,6 +86,8 @@ class Poly:
     @classmethod
     def from_int(cls, field: Field, code: int) -> "Poly":
         """Decode a base-q digit string, lowest digit = constant term."""
+        if code < 0:
+            raise ValueError(f"polynomial code {code} is negative")
         q = field.q
         coeffs = []
         while code:
@@ -167,6 +171,8 @@ class Poly:
 
     def shift(self, k: int) -> "Poly":
         """Multiply by x^k (k >= 0)."""
+        if k < 0:
+            raise ValueError(f"shift {k} is negative")
         if self.is_zero or k == 0:
             return self
         return Poly._raw(self.field, (0,) * k + self.coeffs)

@@ -113,8 +113,8 @@ def corrupt(
         support = sorted(rng.sample(range(spec.n), w))
     else:
         w = model.weight_or_positions
-        if w < 0:
-            raise InfeasibleWeight(f"degree weight {w} is negative")
+        if not 0 <= w <= spec.N:                  # before the (n+1) x (w+1) count table
+            raise InfeasibleWeight(f"degree weight {w} infeasible for N={spec.N}")
         support = _degree_weight_support(rng, spec, w) if w else []
     symbols = [Poly.zero(spec.field)] * spec.n
     for i in support:

@@ -260,6 +260,18 @@ def test_simulate_infeasible_channel_is_a_usage_error(rs42_file, channel, capsys
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("weight", ["5", "1000000000000"])
+def test_degree_weight_above_n_is_a_usage_error(rs42_file, weight, monkeypatch, capsys):
+    """rs42 has N = 4; the weight is refused before the count table is built."""
+    def no_table(*args):
+        raise AssertionError("count table built")
+    monkeypatch.setattr("remcode.sim._degree_weight_support", no_table)
+    assert main(["simulate", "--spec", rs42_file, "--trials", "2",
+                 "--degree-weight", weight]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_corrupt_negative_degree_weight_is_a_usage_error(tmp_path, rs42, rs42_file, capsys):
     word = tmp_path / "word.txt"
     save_codeword(encode(rs42, P(rs42.field, 0, 1)), str(word))

@@ -496,11 +496,11 @@ def test_list_decode_requires_ordered_degrees(reducible_spec):
 
 
 def _first_hit_by_reference(spec, y: Poly, candidates) -> tuple[Poly, Poly] | None:
-    """The first (g, Z) whose `_locator_conditions` verdict is true, or None."""
+    """The first (g, Z / g) whose `_locator_conditions` verdict is true, or None."""
     for g in candidates:
         verdict, z = _locator_conditions(spec, y, g)
         if verdict:
-            return g, z
+            return g, z // g
     return None
 
 

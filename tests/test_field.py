@@ -50,6 +50,23 @@ def test_table_arithmetic_matches_basis_reference(make):
             assert f._mul_basis(a, f.inv(a)) == 1
 
 
+@pytest.mark.parametrize("make", [
+    lambda: Field(5),
+    lambda: Field(3, 2, [1, 0, 1]),
+    lambda: Field(2, 4, [1, 1, 0, 0, 1]),
+    lambda: Field(5, 2, [2, 1, 1]),
+], ids=["GF(5)", "GF(9)", "GF(16)", "GF(25)"])
+def test_digits_round_trip(make):
+    """Every element splits into m base-p digits, lowest first, that join
+    back to it."""
+    f = make()
+    for a in f.elements():
+        digits = f._to_digits(a)
+        assert len(digits) == f.m and all(0 <= d < f.p for d in digits)
+        assert sum(d * f.p ** i for i, d in enumerate(digits)) == a
+        assert f._from_digits(digits) == a
+
+
 @pytest.mark.parametrize("make, sample", [
     (lambda: Field(3, 2, [1, 0, 1]), None),
     (lambda: Field(5, 2, [2, 1, 1]), None),

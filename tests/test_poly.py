@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -227,3 +230,28 @@ def test_shift_and_monomial(gf5):
     assert P(gf5, 1, 2).shift(2) == P(gf5, 0, 0, 1, 2)
     assert Poly.monomial(gf5, 3, 4) == P(gf5, 0, 0, 0, 0, 3)
     assert Poly.monomial(gf5, 0, 4).is_zero
+
+
+def test_negative_shift_and_monomial_degree_are_refused(gf5):
+    """x^k for k < 0 is no polynomial: both used to return a wrong answer
+    (the input unchanged, and the constant 3)."""
+    with pytest.raises(ValueError):
+        P(gf5, 1, 2).shift(-1)
+    with pytest.raises(ValueError):
+        Poly.zero(gf5).shift(-1)
+    with pytest.raises(ValueError):
+        Poly.monomial(gf5, 3, -1)
+    with pytest.raises(ValueError):
+        Poly.monomial(gf5, 0, -1)
+
+
+def test_negative_code_is_refused():
+    """`from_int` of a negative code used to loop forever, since -1 // q is
+    -1; it runs in a subprocess so that a regression fails, not hangs."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = ("import sys; sys.path.insert(0, sys.argv[1]); from remcode import Field, Poly\n"
+              "try:\n    Poly.from_int(Field(5), -1)\nexcept ValueError:\n    sys.exit(0)\n"
+              "sys.exit(3)")
+    done = subprocess.run([sys.executable, "-c", script, str(src)],
+                          capture_output=True, text=True, timeout=30)
+    assert done.returncode == 0, done.stderr

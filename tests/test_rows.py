@@ -6,7 +6,9 @@ the same kernel, on every kernel and on GF(65521), whose
 slots need 4 or 8 bytes.  Spec level: `residues`, `encode` and `psi_inverse`
 against the references kept in the tree: `CodeSpec.residue`, `a % m_i` and
 `interpolate_direct`, on specs with reducible, unordered and mixed-degree
-moduli.
+moduli, and `CodeSpec._shift_rows`, the rows x^j * v mod M_n that the
+inverse rows and the list decoder's scan are built from, against
+(x^j * v) % M_n.
 """
 
 from __future__ import annotations
@@ -168,6 +170,35 @@ def test_row_maps_match_the_references(name):
         everything = ErasurePattern(spec, frozenset(range(spec.n)))
         direct = interpolate_direct(spec, dict(enumerate(codeword.symbols)), everything)
         assert psi_inverse(spec, codeword) == direct == message
+
+    check()
+
+
+@pytest.mark.parametrize("f", [FIELDS["GF(2)"], Field(5), FIELDS["GF(2^8)"], FIELDS["GF(9)"]],
+                         ids=["GF(2)", "GF(5)", "GF(2^8)", "GF(9)"])
+def test_shift_rows_match_the_reference(f):
+    """`_shift_rows(v, count)` holds (x^j * v) % M_n for j < count, each
+    zero-padded to N coefficients, v of any degree below N (N - 1 always
+    among them) and count from 1 past N."""
+
+    def check_rows(spec, v: Poly, count: int) -> None:
+        rows = spec._shift_rows(v.coeffs, count)
+        assert len(rows) == count
+        for j, row in enumerate(rows):
+            expected = (Poly.monomial(f, 1, j) * v % spec.modulus_product).coeffs
+            assert row == list(expected) + [0] * (spec.N - len(expected))
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def check(data):
+        spec = data.draw(coprime_specs(f, 3 if f.q <= 9 else 2, (1, 4)))
+        count = data.draw(st.integers(1, spec.N + 2))
+        check_rows(spec, _poly(data, f, spec.N), count)
+        top = data.draw(st.integers(1, f.q - 1))
+        full = Poly(f, data.draw(st.lists(elements(f), min_size=spec.N - 1,
+                                          max_size=spec.N - 1)) + [top])
+        check_rows(spec, full, 1)
+        check_rows(spec, full, count)
 
     check()
 

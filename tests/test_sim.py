@@ -183,6 +183,20 @@ def test_negative_degree_weight_is_infeasible(ladder5):
         simulate(ladder5, model, trials=3)
 
 
+def test_degree_weight_above_n_is_refused_before_the_count_table(rs42, monkeypatch):
+    """A degree weight above N is infeasible without building the
+    (n+1) x (w+1) count table, which for w = 10^12 would not fit in memory."""
+    def no_table(*args):
+        raise AssertionError("count table built")
+    monkeypatch.setattr("remcode.sim._degree_weight_support", no_table)
+    for w in (rs42.N + 1, 10 ** 12):
+        model = ChannelModel(RANDOM_DEGREE, w, master_seed=2)
+        with pytest.raises(InfeasibleWeight):
+            corrupt(rs42, rs42.zero_word(), model)
+        with pytest.raises(InfeasibleWeight):
+            simulate(rs42, model, trials=3)
+
+
 @pytest.mark.parametrize("positions", [(-1,), (2, 4), (0, 99)])
 def test_exhaustive_positions_out_of_range_are_infeasible(rs42, positions):
     """Exhaustive mode range-checks its positions as `corrupt` does, so -1

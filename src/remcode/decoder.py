@@ -18,6 +18,12 @@ loop itself does no coefficient arithmetic.  It is instantiated three ways:
                          stopping rule (also yields r = t * a);
 * partial_gcd_upper   -- run on the upper coefficient windows only.
 
+The window run is the full run with every remainder degree lowered by K,
+so both partial runs are one `_partial_run` with one rule pair: RELATIVE
+stops once deg r < deg t + offset, THRESHOLD once 2 * deg r < bound, with
+offset K and bound N + K on the full preimage and offset 0 and bound N - K
+on the windows.  Every run that takes no pass returns t = 1, s = 0.
+
 Loop invariants (Bezout identity, gcd preservation, the degree ledger
 deg in1 = deg r~ + deg t, and deg t = sum of quotient degrees) are asserted
 every outer pass; they hold for arbitrary inputs, decodable or not.
@@ -26,7 +32,7 @@ every outer pass; they hold for arbitrary inputs, decodable or not.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from math import comb
 from typing import Callable, Iterable, Sequence
@@ -43,6 +49,7 @@ from .errors import (
     UnorderedDegrees,
     ZeroG,
 )
+from .field import Field
 from .poly import Poly, _strip, poly_gcd
 
 
@@ -128,12 +135,12 @@ def _euclid_loop(
     in2: Poly,
     stop: Callable[[Poly, Poly], bool],
     track_s: bool,
-) -> tuple[Poly, Poly, Poly | None, Poly, int]:
+) -> GcdResult:
     """Run the cofactor-tracking division loop until `stop(r, t)` fires.
 
     Requires deg in1 > deg in2 and in2 != 0 (callers handle the degenerate
     early exits); every stop rule fires at r = 0, so no pass divides by
-    zero.  Returns (r, r_tilde, s, t, iterations).
+    zero.  Returns r, r_tilde, s, t and the pass count at the stop.
     """
     field = in1.field
     r, rt = in1, in2
@@ -160,7 +167,7 @@ def _euclid_loop(
         assert t.degree > tt.degree
         assert t.degree == delta_sum
         if stop(r, t):
-            return r, rt, s, t, iterations
+            return GcdResult(t=t, s=s, r=r, r_tilde=rt, iterations=iterations)
         r, rt = rt, r
         if track_s:
             s, st = st, s
@@ -173,6 +180,12 @@ def _check_degrees(in1: Poly, in2: Poly) -> None:
             f"need deg first ({in1.degree}) > deg second ({in2.degree})")
 
 
+def _no_pass(field: Field, track_s: bool, r: Poly | None, r_tilde: Poly | None) -> GcdResult:
+    """Result of a run that takes no pass: t = 1, s = 0 (None untracked)."""
+    return GcdResult(t=Poly.one(field), s=Poly.zero(field) if track_s else None,
+                     r=r, r_tilde=r_tilde, iterations=0)
+
+
 def extended_gcd(modulus_product: Poly, error_preimage: Poly, track_s: bool = True) -> GcdResult:
     """Reference run on the fully known error preimage.
 
@@ -180,15 +193,31 @@ def extended_gcd(modulus_product: Poly, error_preimage: Poly, track_s: bool = Tr
     cofactors satisfy s * modulus_product + t * error_preimage = 0.
     """
     _check_degrees(modulus_product, error_preimage)
-    field = modulus_product.field
     if error_preimage.is_zero:
-        return GcdResult(t=Poly.one(field), s=Poly.zero(field) if track_s else None,
-                         r=None, r_tilde=modulus_product, iterations=0)
-    r, rt, s, t, iters = _euclid_loop(
+        return _no_pass(modulus_product.field, track_s, None, modulus_product)
+    run = _euclid_loop(
         modulus_product, error_preimage, stop=lambda r, t: r.is_zero, track_s=track_s)
     if track_s:
-        assert (s * modulus_product + t * error_preimage).is_zero
-    return GcdResult(t=t, s=s, r=None, r_tilde=rt, iterations=iters)
+        assert (run.s * modulus_product + run.t * error_preimage).is_zero
+    return replace(run, r=None)
+
+
+def _partial_run(in1: Poly, in2: Poly, offset: int, bound: int,
+                 stopping: Stopping, track_s: bool) -> GcdResult:
+    """The partial run on (in1, in2), for both partial decoders.
+
+    RELATIVE stops once deg r < deg t + offset, THRESHOLD once
+    2 * deg r < bound; an in2 of degree below offset takes no pass, with
+    r = in2 and r_tilde = in1.
+    """
+    _check_degrees(in1, in2)
+    if in2.degree < offset:
+        return _no_pass(in1.field, track_s, in2, in1)
+    if stopping is Stopping.RELATIVE:
+        stop = lambda r, t: r.degree < t.degree + offset
+    else:
+        stop = lambda r, t: 2 * r.degree < bound
+    return _euclid_loop(in1, in2, stop, track_s)
 
 
 def partial_gcd_full(
@@ -202,21 +231,11 @@ def partial_gcd_full(
 
     When 2 * deg(factor polynomial) <= N - K this returns the same s, t and
     iteration count as the reference run on the true error preimage, plus
-    the remainder r = t * message.
+    the remainder r = t * message.  A Y of degree below K is already a
+    valid message, and the run takes no pass.
     """
-    _check_degrees(modulus_product, received_preimage)
-    field = modulus_product.field
-    if received_preimage.degree < dim:
-        # no visible error: Y is already a valid message
-        return GcdResult(t=Poly.one(field), s=Poly.zero(field) if track_s else None,
-                         r=received_preimage, r_tilde=modulus_product, iterations=0)
-    if stopping is Stopping.RELATIVE:
-        stop = lambda r, t: r.degree < t.degree + dim
-    else:
-        bound = int(modulus_product.degree) + dim
-        stop = lambda r, t: 2 * r.degree < bound
-    r, rt, s, t, iters = _euclid_loop(modulus_product, received_preimage, stop, track_s)
-    return GcdResult(t=t, s=s, r=r, r_tilde=rt, iterations=iters)
+    return _partial_run(modulus_product, received_preimage, dim,
+                        int(modulus_product.degree) + dim, stopping, track_s)
 
 
 def partial_gcd_upper(
@@ -230,20 +249,11 @@ def partial_gcd_upper(
     """Partial run on the coefficient windows above K (total_degree = N, dim = K).
 
     Works entirely on known data; returns the same s, t and iteration count
-    as the reference run whenever 2 * deg(factor polynomial) <= N - K.
+    as the reference run whenever 2 * deg(factor polynomial) <= N - K.  It
+    is the full run with every degree lowered by K, so its offset is 0.
     """
-    _check_degrees(modulus_upper, error_upper)
-    field = modulus_upper.field
-    if error_upper.is_zero:
-        return GcdResult(t=Poly.one(field), s=Poly.zero(field) if track_s else None,
-                         r=None, r_tilde=None, iterations=0)
-    if stopping is Stopping.RELATIVE:
-        stop = lambda r, t: r.degree < t.degree
-    else:
-        bound = total_degree - dim
-        stop = lambda r, t: 2 * r.degree < bound
-    _, _, s, t, iters = _euclid_loop(modulus_upper, error_upper, stop, track_s)
-    return GcdResult(t=t, s=s, r=None, r_tilde=None, iterations=iters)
+    run = _partial_run(modulus_upper, error_upper, 0, total_degree - dim, stopping, track_s)
+    return replace(run, r=None, r_tilde=None)
 
 
 def upper_parts(spec: CodeSpec, received_preimage: Poly) -> tuple[Poly, Poly]:
@@ -310,11 +320,16 @@ def error_factor_test(spec: CodeSpec, received_preimage: Poly, g: Poly) -> tuple
     if g.is_zero:
         raise ZeroG("test polynomial must be nonzero")
     z = (g * received_preimage) % spec.modulus_product
-    if g.degree > spec.t_degree:
-        return False, z
-    q, rem = divmod(z, g)
-    verdict = rem.is_zero and q.degree < spec.K
-    return verdict, z
+    return g.degree <= spec.t_degree and _quotient_below_k(spec, z, g), z
+
+
+def _quotient_below_k(spec: CodeSpec, z: Poly, g: Poly) -> bool:
+    """Whether z = g * q with deg q < K.
+
+    An exact quotient has degree deg z - deg g, so deg z >= K + deg g
+    rejects with no division; below that bound, g dividing z is enough.
+    """
+    return z.degree < spec.K + g.degree and (z % g).is_zero
 
 
 def count_zero_residues(spec: CodeSpec, g: Poly) -> int:
@@ -325,17 +340,16 @@ def count_zero_residues(spec: CodeSpec, g: Poly) -> int:
 def _locator_conditions(spec: CodeSpec, received_preimage: Poly, g: Poly) -> tuple[bool, Poly]:
     """Locator verdict on a candidate g, and Z = g * Y mod M_n.
 
-    The verdict needs Z = g * q with deg q < K.  An exact quotient has degree
-    deg Z - deg g, so deg Z >= K + deg g rejects g exactly, with no division;
-    below that bound, g dividing Z is enough.  The conditions on g alone (its
-    zero-residue count, which costs n divisions, then its degree cap) run last.
+    The verdict needs Z = g * q with deg q < K (`_quotient_below_k`).  The
+    conditions on g alone (its zero-residue count, which costs n divisions,
+    then its degree cap) run last.
 
     This is the reference, one product and one reduction per candidate, for
     `error_locator_test` and the tests; `list_decode` scans through
     `_locator_scan`, which reaches the same verdicts.
     """
     z = (g * received_preimage) % spec.modulus_product
-    if z.degree >= spec.K + g.degree or not (z % g).is_zero:
+    if not _quotient_below_k(spec, z, g):
         return False, z
     return (count_zero_residues(spec, g) <= spec.t_hamming
             and g.degree <= _locator_degree_cap(spec)), z
@@ -427,8 +441,6 @@ def decode(
     of hamming weight <= t_hamming.  Outside the guarantee the outcome may
     be a failure or a different valid message; it is never an exception.
     """
-    if not isinstance(received, Codeword):
-        received = Codeword(spec, tuple(received))
     field = spec.field
     y = psi_inverse(spec, received)
     if y.degree < spec.K:

@@ -695,13 +695,17 @@ class OddKernel(_SlotKernel):
 
     @cached_property
     def _zech(self) -> tuple[list[int], list[int], list[int], list[int]]:
-        """(exp, log, zlog, zech), built on first read."""
-        field, n = self.field, self.field.q - 1
+        """(exp, log, zlog, zech), built on first read.
+
+        1 + x raises only x's lowest base-p digit, its constant coefficient.
+        """
+        field, p, n = self.field, self.field.p, self.field.q - 1
         exp, log = field._tables
         zlog = [5 * n] + [log[x] + 2 * n for x in range(1, n + 1)]
         zech = [0] * (5 * n + 1)
         for d in range(n):
-            zech[d] = zech[d + n] = zech[d + 2 * n] = log[field.add(1, exp[d])]
+            x = exp[d]
+            zech[d] = zech[d + n] = zech[d + 2 * n] = log[x - x % p + (x + 1) % p]
         return exp, log, zlog, zech
 
     def _add_into(self, out: list[int], b: Coeffs, shift: int) -> list[int]:

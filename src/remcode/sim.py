@@ -139,8 +139,8 @@ class SimReport:
         per[decoder][outcome_class] += 1
 
     def success_rate(self, decoder: str) -> float:
-        c = self.counts[decoder]
-        return c["success"] / self.trials if self.trials else 1.0
+        """Successes over trials; 1.0 with no trial, when no decoder has counts."""
+        return self.counts[decoder]["success"] / self.trials if self.trials else 1.0
 
     def render(self) -> str:
         lines = [f"trials: {self.trials}"]

@@ -38,6 +38,7 @@ from remcode.errors import (
     DegreePreconditionViolated,
     MessageDegreeOverflow,
     NonDivisible,
+    ResidueDegreeViolation,
     SpecMismatch,
     UnorderedDegrees,
     ZeroG,
@@ -141,6 +142,24 @@ def test_cofactor_tracking_can_be_skipped(rs42):
     assert lean.s is None
     assert lean.t == full.t and lean.r == full.r
     assert lean.iterations == full.iterations
+
+
+def test_upper_cofactor_tracking_can_be_skipped(rs42):
+    """The window run without s gives the same t and pass count, under both
+    stopping rules, on a zero window too."""
+    gf5 = rs42.field
+    y = list(encode(rs42, P(gf5, 0, 1)).symbols)
+    y[2] = Poly.zero(gf5)
+    big_y = psi_inverse(rs42, Codeword(rs42, tuple(y)))
+    m_upper, e_upper = upper_parts(rs42, big_y)
+    for window in (e_upper, Poly.zero(gf5)):
+        for stopping in Stopping:
+            lean = partial_gcd_upper(m_upper, window, rs42.N, rs42.K, stopping, track_s=False)
+            full = partial_gcd_upper(m_upper, window, rs42.N, rs42.K, stopping)
+            assert lean.s is None and full.s is not None
+            assert lean.t == full.t
+            assert lean.iterations == full.iterations == (0 if window.is_zero else 1)
+            assert lean.r is lean.r_tilde is full.r is full.r_tilde is None
 
 
 def test_partial_upper_zero_window(rs42):
@@ -329,6 +348,67 @@ def test_error_factor_test(rs42):
         error_factor_test(rs42, big_y, Poly.zero(gf5))
 
 
+def _factor_test_by_definition(spec, y: Poly, g: Poly) -> tuple[bool, Poly]:
+    """`error_factor_test` spelled out: deg g <= t_degree, and g divides
+    Z = g * Y mod M_n with a quotient of degree below K."""
+    z = (g * y) % spec.modulus_product
+    q, rem = divmod(z, g)
+    return g.degree <= spec.t_degree and rem.is_zero and q.degree < spec.K, z
+
+
+def _factor_probes(rng: random.Random, spec):
+    """(Y, g) pairs: g0, a unit mod M_n of degree at most t_degree, on Y = 0
+    (so Z = 0), on a random Y, and on Y planted so that Z = g0 * q for a
+    message q or for a q of degree K or more; and a random g of degree
+    above t_degree."""
+    f, m, K = spec.field, spec.modulus_product, spec.K
+    g0 = Poly.from_int(f, rng.randrange(1, f.q ** (spec.t_degree + 1)))
+    while poly_gcd(g0, m).degree:
+        g0 = Poly.from_int(f, rng.randrange(1, f.q ** (spec.t_degree + 1)))
+    inverse = poly_mod_inverse(g0, m)
+    yield Poly.zero(f), g0
+    yield random_preimage(rng, spec), g0
+    yield (g0 * random_message(rng, spec) * inverse) % m, g0
+    top = spec.N - 1 - K - int(g0.degree)
+    if top >= 0:
+        q = random_message(rng, spec) + Poly.monomial(f, rng.randrange(1, f.q),
+                                                      K + rng.randrange(top + 1))
+        yield (g0 * q * inverse) % m, g0
+    if spec.t_degree < spec.N:
+        g = Poly.from_int(f, rng.randrange(f.q ** (spec.t_degree + 1), f.q ** (spec.N + 1)))
+        yield random_preimage(rng, spec), g
+
+
+def test_error_factor_test_matches_its_definition(rs42, ladder5, gf4_mixed, reducible_spec):
+    rng = random.Random(1515)
+    seen = set()
+    for spec in (rs42, ladder5, gf4_mixed, reducible_spec):
+        for _ in range(40):
+            for y, g in _factor_probes(rng, spec):
+                got = error_factor_test(spec, y, g)
+                assert got == _factor_test_by_definition(spec, y, g)
+                z = got[1]
+                if g.degree > spec.t_degree:
+                    seen.add("heavy g")
+                elif z.is_zero:
+                    seen.add("zero Z")
+                elif not (z % g).is_zero:
+                    seen.add("non-divisor")
+                else:
+                    seen.add("hit" if got[0] else "quotient of degree K or more")
+    assert seen == {"heavy g", "zero Z", "non-divisor", "hit", "quotient of degree K or more"}
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=st.one_of(coprime_specs(Field(2), 4, (3, 8)),
+                      coprime_specs(Field(3), 3, (3, 7)),
+                      coprime_specs(Field(3, 2, [1, 0, 1]), 2, (3, 6))),
+       seed=st.integers(0, 2 ** 32))
+def test_error_factor_test_matches_its_definition_on_random_specs(spec, seed):
+    for y, g in _factor_probes(random.Random(seed), spec):
+        assert error_factor_test(spec, y, g) == _factor_test_by_definition(spec, y, g)
+
+
 def test_error_locator_test(ladder5, rs42, reducible_spec):
     gf2 = ladder5.field
     rng = random.Random(606)
@@ -417,6 +497,25 @@ def test_decode_failure_reason_exposed(rs42):
     out = decode(rs42, y)
     if out.status is DecodeStatus.FAILURE:
         assert out.failure_reason in set(FailureReason)
+
+
+def test_decode_checks_a_raw_word_as_codeword_does(rs42, gf4):
+    """A raw symbol list with the wrong count, a symbol of too high degree or
+    a symbol over another field raises what `Codeword` raises on it."""
+    gf5 = rs42.field
+    symbols = list(encode(rs42, P(gf5, 0, 1)).symbols)
+    bad = [symbols[:-1], symbols + symbols[:1],
+           [P(gf5, 1, 1)] + symbols[1:], symbols[:2] + [P(gf4, 1)] + symbols[3:]]
+    kinds = set()
+    for word in bad:
+        with pytest.raises(Exception) as expected:
+            Codeword(rs42, tuple(word))
+        kinds.add(expected.type)
+        for options in ALL_OPTIONS:
+            with pytest.raises(Exception) as got:
+                decode(rs42, word, options)
+            assert got.type is expected.type
+    assert kinds == {ResidueDegreeViolation, SpecMismatch}
 
 
 def test_decode_options_validation():

@@ -560,6 +560,19 @@ def test_mul_matches_loop_and_reference_across_the_crossover(name):
                 check_mul(f, a, b, reference=n * k <= 1500)
 
 
+@pytest.mark.parametrize("name", [k for k, f in ODD_FIELDS.items() if f.m > 1])
+def test_zech_table_matches_field_add(name):
+    """`OddKernel._zech` raises the lowest digit for 1 + x; the table equals
+    the one built by `Field.add(1, x)` per element."""
+    f = ODD_FIELDS[name]
+    exp, log, zlog, zech = f.kernel._zech
+    n = f.q - 1
+    expected = [log[f.add(1, exp[d])] for d in range(n)]
+    assert zech[:n] == zech[n:2 * n] == zech[2 * n:3 * n] == expected
+    assert zech[3 * n:] == [0] * (2 * n + 1)
+    assert zlog == [5 * n] + [log[x] + 2 * n for x in range(1, n + 1)]
+
+
 @pytest.mark.parametrize("name", list(ODD_FIELDS))
 def test_mul_matches_reference(name):
     f = ODD_FIELDS[name]

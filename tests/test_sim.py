@@ -13,6 +13,7 @@ from remcode.sim import (
     RANDOM_DEGREE,
     RANDOM_HAMMING,
     ChannelModel,
+    SimReport,
     _all_error_values,
     _trials,
     corrupt,
@@ -110,6 +111,20 @@ def test_simulate_within_guarantee_never_fails(rs42, gf4_mixed):
         model = ChannelModel(RANDOM_DEGREE, w, master_seed=13)
         report = simulate(spec, model, trials=100)
         assert report.counts["gcd"]["success"] == 100
+
+
+def test_success_rate_is_successes_over_trials(rs42, ladder5):
+    """1.0 on a report of no trial; after `simulate`, each decoder's
+    successes over the trials."""
+    assert SimReport().success_rate("gcd") == 1.0
+    empty = simulate(rs42, ChannelModel(RANDOM_HAMMING, 1, master_seed=2), trials=0)
+    assert empty.trials == 0 and empty.success_rate("gcd") == 1.0
+    model = ChannelModel(RANDOM_HAMMING, 1, master_seed=21)
+    report = simulate(ladder5, model, trials=60, decoders=("gcd", "list"))
+    rates = {name: report.success_rate(name) for name in ("gcd", "list")}
+    for name, rate in rates.items():
+        assert rate == report.counts[name]["success"] / report.trials
+    assert 0 < rates["gcd"] < rates["list"] == 1.0
 
 
 def test_simulate_exhaustive_single_position(rs42):

@@ -183,6 +183,12 @@ class CodeSpec:
         return (f"CodeSpec({self.field!r}, n={self.n}, k={self.k}, "
                 f"N={self.N}, K={self.K}, degrees={list(self.degrees)})")
 
+    def check_same(self, other: "CodeSpec", what: str) -> None:
+        """Raise SpecMismatch unless `other`, the spec of `what`, is this
+        spec; identity is tested before equality."""
+        if other is not self and other != self:
+            raise SpecMismatch(f"{what} of another spec")
+
     def check_word(self, symbols: Sequence[Poly]) -> tuple[Poly, ...]:
         symbols = tuple(symbols)
         if len(symbols) != self.n:
@@ -261,8 +267,7 @@ class Codeword:
         return Codeword(self.spec, tuple(a - b for a, b in zip(self.symbols, other.symbols)))
 
     def _check(self, other: "Codeword") -> None:
-        if self.spec != other.spec:
-            raise SpecMismatch("codewords from different specs")
+        self.spec.check_same(other.spec, "codeword")
 
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, s in enumerate(self.symbols) if not s.is_zero)
@@ -290,7 +295,11 @@ def psi_inverse(spec: CodeSpec, word: Codeword | Sequence[Poly]) -> Poly:
     weighted by the symbols' coefficients, each symbol padded to its
     modulus degree, so no product and no reduction is formed.
     """
-    symbols = word.symbols if isinstance(word, Codeword) else spec.check_word(word)
+    if isinstance(word, Codeword):
+        spec.check_same(word.spec, "word")
+        symbols = word.symbols
+    else:
+        symbols = spec.check_word(word)
     coeffs = []
     for c, d in zip(symbols, spec.degrees):
         coeffs += c.coeffs + (0,) * (d - len(c.coeffs))

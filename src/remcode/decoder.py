@@ -146,7 +146,7 @@ def _euclid_loop(
     r, rt = in1, in2
     s, st = (Poly.one(field), Poly.zero(field)) if track_s else (None, None)
     t, tt = Poly.zero(field), Poly.one(field)
-    gcd0 = poly_gcd(in1, in2)
+    gcd0 = poly_gcd(in1, in2) if __debug__ else None   # read only by an assert
     delta_sum = 0
     iterations = 0
     while True:
@@ -285,6 +285,7 @@ def error_factor_poly(error_preimage: Poly, modulus_product: Poly) -> Poly:
 
 def error_locator_poly(spec: CodeSpec, error: Codeword) -> Poly:
     """Product of the moduli at erroneous positions; degree = degree weight."""
+    spec.check_same(error.spec, "error word")
     return spec.product(error.support())
 
 
@@ -502,6 +503,7 @@ def list_decode(
         raise UnorderedDegrees("list decoding requires nondecreasing modulus degrees")
     if not isinstance(received, Codeword):
         received = Codeword(spec, tuple(received))
+    spec.check_same(received.spec, "word")      # a given gcd_outcome skips psi_inverse
     base = decode(spec, received, options) if gcd_outcome is None else gcd_outcome
     if base.status is not DecodeStatus.FAILURE:
         return base

@@ -114,7 +114,7 @@ class CandidateExplosion(RemcodeError):
 # -- oracle / simulator ----------------------------------------------------------
 
 class SearchSpaceTooLarge(RemcodeError):
-    """Exhaustive scan would enumerate more messages than the cap allows."""
+    """An exhaustive scan or irreducible sieve would enumerate more than its cap allows."""
 
 
 class InfeasibleWeight(RemcodeError):

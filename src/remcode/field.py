@@ -6,13 +6,17 @@ i.e. sum(c_i * p^i); this fixes serialization exactly.  A `Field` object
 carries the arithmetic; it never wraps the elements themselves, so the zero
 and one of every field are the ints 0 and 1.
 
-Supported field sizes are q = p^m <= 2**16.  Prime fields reduce mod p
-directly.  Extension fields multiply through log/exp tables, a
-`functools.cached_property` built on first read, not at construction; no
-kernel reads them for a prime field.
-Each field also picks, when it is built, the coefficient kernel
-(`remcode.kernels`) that runs polynomial arithmetic for its kind:
-characteristic 2 at any m, odd prime, or odd p with m > 1.
+Supported field sizes are q = p^m <= 2**16.  Each field picks, when it is
+built, the coefficient kernel (`remcode.kernels`) that runs polynomial
+arithmetic for its kind: characteristic 2 at any m, odd prime, or odd p
+with m > 1.  That is the one place the kind is decided: `add`, `sub`, `neg`
+and `mul` are one-element kernel calls, so a scalar is computed as a
+coefficient is.  `inv` keeps its own two lines: the kernels call it, and
+no kernel calls the other scalar ops, so the two never recurse.
+Extension fields have log/exp tables, a `functools.cached_property` built
+on first read, not at construction; no kernel reads them for a prime field.
+`_power` is the one square-and-multiply loop, for `pow`, the generator
+search and Rabin's test in `remcode.poly`.
 `_mul_basis` and `_digitwise` compute products and sums without tables;
 they serve the tests as the slow reference, and `_mul_basis` gives the m
 images g * x^i from which the tables are built.  `_to_digits` and
@@ -47,6 +51,20 @@ def _prime_factors(n: int) -> list[int]:
         d += 1
     if n > 1:
         out.append(n)
+    return out
+
+
+def _power(mul, a, e: int, one):
+    """a^e for e >= 0 by square-and-multiply, from the lowest bit of e, with
+    `mul` the product and `one` its identity: the one such loop, for
+    `Field.pow`, `Field._pow_basis` and Rabin's test in `remcode.poly`."""
+    out = one
+    while e:
+        if e & 1:
+            out = mul(out, a)
+        e >>= 1
+        if e:
+            a = mul(a, a)
     return out
 
 
@@ -110,33 +128,16 @@ class Field:
         return a
 
     def add(self, a: int, b: int) -> int:
-        if self.m == 1:
-            return (a + b) % self.p
-        if self.p == 2:
-            return a ^ b
-        return self._digitwise(a, b, 1)
+        return self.kernel.add([a], [b])[0]
 
     def sub(self, a: int, b: int) -> int:
-        if self.m == 1:
-            return (a - b) % self.p
-        if self.p == 2:
-            return a ^ b
-        return self._digitwise(a, b, -1)
+        return self.kernel.sub([a], [b])[0]
 
     def neg(self, a: int) -> int:
-        if self.m == 1:
-            return (-a) % self.p
-        if self.p == 2:
-            return a
-        return self._digitwise(0, a, -1)
+        return self.kernel.sub([], [a])[0]
 
     def mul(self, a: int, b: int) -> int:
-        if self.m == 1:
-            return (a * b) % self.p
-        if a == 0 or b == 0:
-            return 0
-        exp, log = self._tables
-        return exp[log[a] + log[b]]
+        return self.kernel.mul([a], [b])[0]
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -148,14 +149,8 @@ class Field:
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:
-            return self.pow(self.inv(a), -e)
-        r = 1
-        while e:
-            if e & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return r
+            a, e = self.inv(a), -e
+        return _power(self.mul, a, e, 1)
 
     def elements(self) -> range:
         return range(self.q)
@@ -205,13 +200,7 @@ class Field:
         return self._from_digits(prod[:m])
 
     def _pow_basis(self, a: int, e: int) -> int:
-        r = 1
-        while e:
-            if e & 1:
-                r = self._mul_basis(r, a)
-            a = self._mul_basis(a, a)
-            e >>= 1
-        return r
+        return _power(self._mul_basis, a, e, 1)
 
     def _find_generator(self) -> int:
         """Least generator of the multiplicative group.

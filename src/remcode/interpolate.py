@@ -73,6 +73,7 @@ def interpolate_direct(
     `symbols` must cover every position in the pattern's known set; other
     entries are ignored.
     """
+    spec.check_same(pattern.spec, "erasure pattern")
     if pattern.known_weight < spec.K:
         raise InsufficientSupport(
             f"known degree weight {pattern.known_weight} < K = {spec.K}")
@@ -104,6 +105,7 @@ def interpolate_fixed_transform(
     not depend on them as long as the erased degree weight stays within the
     code redundancy N - K.
     """
+    spec.check_same(pattern.spec, "erasure pattern")
     if pattern.erased_weight > spec.N - spec.K:
         raise ErasureBudgetExceeded(
             f"erased degree weight {pattern.erased_weight} > N - K = {spec.N - spec.K}")

@@ -11,8 +11,9 @@ works on plain lists with no `Field` method call per coefficient; `Poly`
 checks the operands and strips the result.
 
 Also provides Rabin's irreducibility test, the sieve of all monic
-irreducibles of a degree that serves as its reference, and the closed-form
-count of monic irreducible polynomials.
+irreducibles of a degree that serves as its reference (capped at
+`MAX_SIEVE_CANDIDATES` candidates), and the closed-form count of monic
+irreducible polynomials.
 """
 
 from __future__ import annotations
@@ -25,11 +26,16 @@ from .errors import (
     BothZero,
     ConstantInput,
     DivisionByZeroPoly,
+    SearchSpaceTooLarge,
     SpecMismatch,
 )
-from .field import Field, _prime_factors
+from .field import Field, _power, _prime_factors
 
 NEG_DEGREE = float("-inf")  # degree of the zero polynomial
+
+# `irreducible_polys` refuses a degree with more monic candidates than this;
+# the largest sieve in the tests, GF(2) at degree 12, has 4096
+MAX_SIEVE_CANDIDATES = 1 << 13
 
 
 def _strip(coeffs: list[int]) -> tuple[int, ...]:
@@ -269,7 +275,8 @@ def is_irreducible(a: Poly) -> bool:
     A monic f of degree d over GF(q) is irreducible iff x^(q^d) == x mod f
     and gcd(x^(q^(d/r)) - x, f) = 1 for every prime r dividing d.  The
     powers frobenius[i] = x^(q^i) mod f, i <= d, are repeated q-th powers,
-    each by square-and-multiply: about 2 * d * log2(q) products mod f.
+    each by square-and-multiply (`remcode.field._power`): about
+    2 * d * log2(q) products mod f.
     """
     d = a.degree
     if a.is_zero or d < 1:
@@ -278,20 +285,11 @@ def is_irreducible(a: Poly) -> bool:
         return True
     f, x = a.monic(), Poly.x(a.field)
     frobenius = [x]
+    mul_mod = lambda u, v: u * v % f
     for _ in range(d):
-        frobenius.append(_pow_mod(frobenius[-1], a.field.q, f))
+        frobenius.append(_power(mul_mod, frobenius[-1], a.field.q, Poly.one(a.field)))
     return frobenius[d] == x and all(
         poly_gcd(frobenius[d // r] - x, f).degree == 0 for r in _prime_factors(d))
-
-
-def _pow_mod(a: Poly, e: int, f: Poly) -> Poly:
-    """a^e mod f for e >= 1, by square-and-multiply from the top bit."""
-    out = a
-    for bit in bin(e)[3:]:
-        out = out * out % f
-        if bit == "1":
-            out = out * a % f
-    return out
 
 
 @cache
@@ -300,8 +298,12 @@ def irreducible_polys(field: Field, degree: int) -> tuple[Poly, ...]:
 
     Built inductively: a candidate of degree d survives if it has no root
     and no irreducible divisor of degree 2..d/2.  Results are cached per
-    (field, degree), by `functools.cache`.
+    (field, degree), by `functools.cache`.  More than `MAX_SIEVE_CANDIDATES`
+    candidates (q^degree) raise `SearchSpaceTooLarge` before any is built.
     """
+    if field.q ** degree > MAX_SIEVE_CANDIDATES:
+        raise SearchSpaceTooLarge(
+            f"{field.q}^{degree} candidates exceed the sieve cap {MAX_SIEVE_CANDIDATES}")
     if degree == 1:
         return tuple(monic_polys(field, 1))
     divisors = [g for e in range(2, degree // 2 + 1) for g in irreducible_polys(field, e)]

@@ -44,6 +44,7 @@ from remcode.errors import (
     ZeroG,
 )
 from remcode.field import Field
+from remcode.interpolate import ErasurePattern, interpolate_direct, interpolate_fixed_transform
 from remcode.poly import Poly, irreducible_polys, poly_gcd, poly_mod_inverse
 
 from conftest import DEGREE10_MODULI, GF256_REDUCTION, P, random_message, random_preimage
@@ -516,6 +517,87 @@ def test_decode_checks_a_raw_word_as_codeword_does(rs42, gf4):
                 decode(rs42, word, options)
             assert got.type is expected.type
     assert kinds == {ResidueDegreeViolation, SpecMismatch}
+
+
+@pytest.fixture(scope="module")
+def three_gf5_specs() -> dict[str, CodeSpec]:
+    """a = RS(4,2) over GF(5), roots 1..4; b, the quadratics x^2 + 2 and
+    x^2 + 3 with k = 1 (N = 4 and K = 2, as for a); c, a's shape with the
+    root 0 in place of 4, so that a word of c is a valid symbol list of a."""
+    gf5 = Field(5)
+    linear = lambda roots: [P(gf5, (-r) % 5, 1) for r in roots]
+    return {"a": CodeSpec(gf5, linear((1, 2, 3, 4)), 2),
+            "b": CodeSpec(gf5, [P(gf5, 2, 0, 1), P(gf5, 3, 0, 1)], 1),
+            "c": CodeSpec(gf5, linear((1, 2, 3, 0)), 2)}
+
+
+def _codeword(spec: CodeSpec) -> Codeword:
+    return encode(spec, P(spec.field, 2, 1))
+
+
+def _word(spec: CodeSpec) -> Codeword:
+    """`_codeword` with its first symbol changed."""
+    word = _codeword(spec)
+    return Codeword(spec, (word.symbols[0] + P(spec.field, 1),) + word.symbols[1:])
+
+
+def _pattern(spec: CodeSpec) -> ErasurePattern:
+    return ErasurePattern(spec, frozenset(range(spec.n - 1)))
+
+
+# each entry point with an object of b or c in place of one of a's: the
+# other spec's name, and the call given a and that spec
+SPEC_BOUND_CALLS = {
+    "decode(a, word of b)": ("b", lambda a, o: decode(a, _word(o))),
+    "decode(a, word of c)": ("c", lambda a, o: decode(a, _word(o))),
+    "list_decode(a, word of b)":
+        ("b", lambda a, o: list_decode(a, _word(o), build_candidate_list(a))),
+    "list_decode(a, word of c)":
+        ("c", lambda a, o: list_decode(a, _word(o), build_candidate_list(a))),
+    "list_decode(a, word of c, gcd_outcome=decode(c, word))":
+        ("c", lambda a, o: list_decode(a, _word(o), build_candidate_list(a),
+                                       gcd_outcome=decode(o, _word(o)))),
+    "psi_inverse(a, word of b)": ("b", lambda a, o: psi_inverse(a, _word(o))),
+    "psi_inverse(a, word of c)": ("c", lambda a, o: psi_inverse(a, _word(o))),
+    "error_locator_poly(a, word of b)": ("b", lambda a, o: error_locator_poly(a, _word(o))),
+    "error_locator_poly(a, word of c)": ("c", lambda a, o: error_locator_poly(a, _word(o))),
+    "interpolate_fixed_transform(a, word of c, pattern of a)":
+        ("c", lambda a, o: interpolate_fixed_transform(a, _word(o), _pattern(a))),
+    "interpolate_fixed_transform(a, word of a, pattern of b)":
+        ("b", lambda a, o: interpolate_fixed_transform(a, _codeword(a), _pattern(o))),
+    "interpolate_fixed_transform(a, word of a, pattern of c)":
+        ("c", lambda a, o: interpolate_fixed_transform(a, _codeword(a), _pattern(o))),
+    "interpolate_direct(a, symbols of a, pattern of b)":
+        ("b", lambda a, o: interpolate_direct(a, dict(enumerate(_codeword(a).symbols)), _pattern(o))),
+    "interpolate_direct(a, symbols of a, pattern of c)":
+        ("c", lambda a, o: interpolate_direct(a, dict(enumerate(_codeword(a).symbols)), _pattern(o))),
+}
+
+
+@pytest.mark.parametrize("case", list(SPEC_BOUND_CALLS))
+def test_entry_points_refuse_another_specs_objects(three_gf5_specs, case):
+    """Every entry point that takes a spec and a spec-bound object raises
+    SpecMismatch for an object of another spec, of the same shape (c) or of
+    another (b), instead of reading its symbols as the spec's own."""
+    other, call = SPEC_BOUND_CALLS[case]
+    with pytest.raises(SpecMismatch):
+        call(three_gf5_specs["a"], three_gf5_specs[other])
+
+
+def test_entry_points_accept_an_equal_spec_built_apart(three_gf5_specs):
+    """The check compares specs, not objects: an equal spec built apart is
+    the same code."""
+    a = three_gf5_specs["a"]
+    twin = CodeSpec(a.field, a.moduli, a.k)
+    assert twin is not a and twin == a
+    message = P(a.field, 2, 1)
+    assert decode(a, _word(twin)).message == message
+    assert list_decode(a, _word(twin), build_candidate_list(a)).message == message
+    assert psi_inverse(a, _codeword(twin)) == message
+    assert error_locator_poly(a, _word(twin) - _codeword(twin)) == a.moduli[0]
+    assert interpolate_fixed_transform(a, _word(twin), ErasurePattern(twin, {1, 2})) == message
+    assert interpolate_direct(a, dict(enumerate(_word(twin).symbols)),
+                              ErasurePattern(twin, {1, 2})) == message
 
 
 def test_decode_options_validation():

@@ -8,7 +8,11 @@ decodable and undecodable words alike, over reducible moduli too.
 
 from __future__ import annotations
 
+import json
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -120,7 +124,47 @@ def test_per_pass_gcd_check_runs_every_pass(monkeypatch, rs64, run):
     monkeypatch.setattr(decoder, "poly_gcd", counting)
     result = _gcd_runs(rs64, _corrupted_preimage(rs64))[run]()
     assert result.iterations > 0
-    assert len(calls) == (result.iterations + 1 if __debug__ else 1)
+    assert len(calls) == (result.iterations + 1 if __debug__ else 0)
+
+
+DECODE_GCD_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import remcode.decoder as decoder
+from remcode import CodeSpec, Codeword, GF, Poly, encode
+from remcode.decoder import Algorithm, DecodeOptions, Recovery, Stopping, decode
+
+gf5 = GF(5)
+spec = CodeSpec(gf5, [Poly(gf5, [(-r) % 5, 1]) for r in (1, 2, 3, 4)], 2)
+error = Codeword(spec, (Poly(gf5, [3]),) + (Poly.zero(gf5),) * 3)
+received = encode(spec, Poly(gf5, [0, 1])) + error
+real, calls = decoder.poly_gcd, []
+decoder.poly_gcd = lambda a, b: calls.append(None) or real(a, b)
+statuses = [decode(spec, received, DecodeOptions(a, s, r)).status.name
+            for a in Algorithm for s in Stopping for r in Recovery
+            if not (r is Recovery.RATIO and a is not Algorithm.FULL)]
+print(json.dumps({"debug": __debug__, "gcd_calls": len(calls),
+                  "memo": len(gf5.kernel._memo), "statuses": sorted(set(statuses))}))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "-O"])
+def test_optimized_decode_runs_no_gcd(flags):
+    """gcd0 is read only by the per-pass assert, so under `python -O` a
+    decode computes no gcd and leaves the kernel's memo empty; with asserts
+    on, every decode still runs the per-pass check.  One error on RS(4,2)
+    over GF(5), under all ten options, in a fresh interpreter."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, *flags, "-c", DECODE_GCD_PROBE, str(src)],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert report["statuses"] == ["SUCCESS"]
+    if flags:
+        assert report == {"debug": False, "gcd_calls": 0, "memo": 0, "statuses": ["SUCCESS"]}
+    else:
+        assert report["debug"] is True
+        assert report["gcd_calls"] >= 2 * 10 and report["memo"] > 0
 
 
 def _untracked_gcd_runs(spec: CodeSpec, y: Poly):

@@ -34,20 +34,36 @@ def test_gf16_table_mul_matches_basis_mul(gf16):
             assert gf16.mul(a, b) == gf16._mul_basis(a, b)
 
 
-@pytest.mark.parametrize("make", [
-    lambda: Field(3, 2, [1, 0, 1]),
-    lambda: Field(5, 2, [2, 1, 1]),
-])
-def test_table_arithmetic_matches_basis_reference(make):
-    # exhaustive: table mul and inv against _mul_basis, add/sub against _digitwise
+@pytest.mark.parametrize("make, sample", [
+    (lambda: Field(2), None),
+    (lambda: Field(5), None),
+    (lambda: Field(3, 2, [1, 0, 1]), None),
+    (lambda: Field(2, 4, [1, 1, 0, 0, 1]), None),
+    (lambda: Field(5, 2, [2, 1, 1]), None),
+    (lambda: Field(2, 8, [1, 0, 1, 1, 1, 0, 0, 0, 1]), 24),
+], ids=["GF(2)", "GF(5)", "GF(9)", "GF(16)", "GF(25)", "GF(2^8)"])
+def test_table_arithmetic_matches_basis_reference(make, sample):
+    """The scalar ops, one-element kernel calls, against the table-free
+    references on every field kind: mul and inv against `_mul_basis`, add,
+    sub and neg against `_digitwise`, and pow against `_pow_basis` at e = 0
+    and at positive and negative e.  Every pair (a, b); for GF(2^8) every a
+    against a seeded sample of b."""
     f = make()
-    for a in range(f.q):
-        for b in range(f.q):
+    others = f.elements() if sample is None else random.Random(8).sample(range(f.q), sample)
+    for a in f.elements():
+        for b in others:
             assert f.mul(a, b) == f._mul_basis(a, b)
             assert f.add(a, b) == f._digitwise(a, b, 1)
             assert f.sub(a, b) == f._digitwise(a, b, -1)
+        assert f.neg(a) == f._digitwise(0, a, -1)
+        assert f.pow(a, 0) == f._pow_basis(a, 0) == 1
+        for e in (1, 2, 5, f.q - 1, f.q):
+            assert f.pow(a, e) == f._pow_basis(a, e)
         if a:
-            assert f._mul_basis(a, f.inv(a)) == 1
+            inverse = f._pow_basis(a, f.q - 2)
+            assert f.inv(a) == inverse and f._mul_basis(a, inverse) == 1
+            for e in (1, 2, 5, f.q):
+                assert f.pow(a, -e) == f._pow_basis(inverse, e)
 
 
 @pytest.mark.parametrize("make", [

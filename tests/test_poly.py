@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from remcode.errors import BothZero, ConstantInput, DivisionByZeroPoly, SpecMismatch
+import remcode.poly
+from remcode.errors import (
+    BothZero, ConstantInput, DivisionByZeroPoly, SearchSpaceTooLarge, SpecMismatch)
 from remcode.field import Field
 from remcode.poly import (
     NEG_DEGREE,
@@ -255,3 +257,39 @@ def test_negative_code_is_refused():
     done = subprocess.run([sys.executable, "-c", script, str(src)],
                           capture_output=True, text=True, timeout=30)
     assert done.returncode == 0, done.stderr
+
+
+SIEVE_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from remcode import GF
+from remcode.errors import SearchSpaceTooLarge
+from remcode.poly import irreducible_polys
+for field, degree in ((GF(2, 4, [1, 1, 0, 0, 1]), 4), (GF(2, 8, [1, 0, 1, 1, 1, 0, 0, 0, 1]), 3)):
+    try:
+        irreducible_polys(field, degree)
+    except SearchSpaceTooLarge:
+        continue
+    sys.exit(3)
+"""
+
+
+def test_sieve_refuses_a_large_search_space_before_it_starts():
+    """GF(16) at degree 4 has 65,536 monic candidates, and GF(2^8) at
+    degree 3 has 16.7 million; the sieve refuses both before enumerating
+    any.  It runs in a subprocess so that a regression fails, not hangs."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-c", SIEVE_PROBE, str(src)],
+                          capture_output=True, text=True, timeout=20)
+    assert done.returncode == 0, done.stderr
+
+
+def test_sieve_cap_admits_exactly_the_cap(monkeypatch):
+    """q^degree equal to the cap is sieved, one more candidate is refused:
+    with the cap at 8, GF(2) at degree 3 (8 candidates) and not GF(3) at
+    degree 2 (9).  `__wrapped__` skips the cache, so the cap is read."""
+    monkeypatch.setattr(remcode.poly, "MAX_SIEVE_CANDIDATES", 8)
+    sieve = irreducible_polys.__wrapped__
+    assert [f.coeffs for f in sieve(Field(2), 3)] == [(1, 1, 0, 1), (1, 0, 1, 1)]
+    with pytest.raises(SearchSpaceTooLarge):
+        sieve(Field(3), 2)

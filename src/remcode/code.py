@@ -16,6 +16,16 @@ field's kernel over a row set the spec builds on first use:
   in position order; the coefficients of the residue vector, end to end,
   weight them.
 
+So a residue vector has one flat form that both maps read and write: its
+row, N coefficients, symbol i zero-padded to deg m_i, end to end.  That is
+a `Codeword`'s canonical form.  `encode` and the decoder's error words keep
+the forward map's output as it is, `+` and `-` are one kernel add or sub
+on rows, and `psi_inverse` weights the inverse rows by a word's row.  Only
+a reader of `Codeword.symbols` or of `CodeSpec.residues` cuts a row into
+n `Poly`s (`CodeSpec._split`), and a degree-1 position then takes a
+constant `Poly` shared per spec.  A symbol list from outside is checked and
+flattened in one pass (`CodeSpec._flatten`).
+
 `CodeSpec._shift_rows` is the one builder of rows x^j * v mod M_n, padded to
 N coefficients: the inverse rows and the list decoder's locator rows are
 such rows.
@@ -28,7 +38,6 @@ reference the row maps are tested against, as `interpolate_direct` is for
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -53,7 +62,8 @@ class CodeSpec:
     otherwise rather than silently reordering.
 
     `residue(a, i)` reduces a by m_i, by division.  `residues(a)` reduces a
-    by every modulus at once, through the forward rows.
+    by every modulus at once, through the forward rows: it is the split of
+    the residue row `_row(a)`.
 
     Everything is derived when the spec is built except four values built
     on first read: `message_modulus` (M_k) and `irreducible`, which no
@@ -102,6 +112,7 @@ class CodeSpec:
         self.t_hamming = (n - k) // 2
         self.t_degree = (self.N - self.K) // 2
         self.betas = tuple(betas)
+        self._constants: dict[int, Poly] = {}     # filled by `_split`
 
         self.ordered_degree = all(
             self.degrees[i] <= self.degrees[i + 1] for i in range(n - 1))
@@ -129,17 +140,55 @@ class CodeSpec:
         return a % self.moduli[i]
 
     def residues(self, a: Poly) -> tuple[Poly, ...]:
-        """(a mod m_0, ..., a mod m_{n-1}), as one `combine` of the forward
-        rows weighted by a's coefficients; a is first reduced mod M_n when
-        deg a >= N."""
+        """(a mod m_0, ..., a mod m_{n-1}): the split of `_row(a)`."""
+        return self._split(self._row(a))
+
+    def _row(self, a: Poly) -> tuple[int, ...]:
+        """The residue row of a: one `combine` of the forward rows weighted
+        by a's coefficients; a is first reduced mod M_n when deg a >= N."""
         if a.degree >= self.N:
             a = a % self.modulus_product
-        out = self.field.kernel.combine(self._forward_rows, a.coeffs)
-        field, lo, res = self.field, 0, []
+        return tuple(self.field.kernel.combine(self._forward_rows, a.coeffs))
+
+    def _split(self, row: Sequence[int]) -> tuple[Poly, ...]:
+        """The symbols of a residue row, each stripped of its padding.
+
+        A degree-1 position holds a constant, taken from `_constants`, which
+        maps each constant seen so far to one shared `Poly`; `Poly` is
+        immutable, so sharing it is safe.
+        """
+        field, constants, out, lo = self.field, self._constants, [], 0
         for d in self.degrees:
-            res.append(Poly._raw(field, _strip(out[lo:lo + d])))
+            if d == 1:
+                c = row[lo]
+                s = constants.get(c)
+                if s is None:
+                    s = constants[c] = Poly._raw(field, (c,) if c else ())
+            else:
+                s = Poly._raw(field, _strip(row[lo:lo + d]))
+            out.append(s)
             lo += d
-        return tuple(res)
+        return tuple(out)
+
+    def _flatten(self, symbols: tuple[Poly, ...]) -> tuple[int, ...]:
+        """The residue row of a symbol list, checked in the same pass: n
+        symbols over the spec's field (compared by value), symbol i of
+        degree below deg m_i and zero-padded to it."""
+        if len(symbols) != self.n:
+            raise ResidueDegreeViolation(
+                f"expected {self.n} symbols, got {len(symbols)}")
+        field, row = self.field, []
+        for i, (s, d) in enumerate(zip(symbols, self.degrees)):
+            if s.field is not field and s.field != field:
+                raise SpecMismatch(f"symbol {i} is over {s.field!r}")
+            c = s.coeffs
+            if len(c) > d:                        # deg s >= d; the zero symbol has none
+                raise ResidueDegreeViolation(
+                    f"symbol {i} has degree {s.degree}, modulus degree {d}")
+            row += c
+            if len(c) < d:
+                row += (0,) * (d - len(c))
+        return tuple(row)
 
     @cached_property
     def _forward_rows(self):
@@ -189,23 +238,8 @@ class CodeSpec:
         if other is not self and other != self:
             raise SpecMismatch(f"{what} of another spec")
 
-    def check_word(self, symbols: Sequence[Poly]) -> tuple[Poly, ...]:
-        symbols = tuple(symbols)
-        if len(symbols) != self.n:
-            raise ResidueDegreeViolation(
-                f"expected {self.n} symbols, got {len(symbols)}")
-        field = self.field
-        for i, (s, d) in enumerate(zip(symbols, self.degrees)):
-            if s.field is not field and s.field != field:
-                raise SpecMismatch(f"symbol {i} is over {s.field!r}")
-            if len(s.coeffs) > d:                 # deg s >= d; the zero symbol has none
-                raise ResidueDegreeViolation(
-                    f"symbol {i} has degree {s.degree}, modulus degree {d}")
-        return symbols
-
     def zero_word(self) -> "Codeword":
-        z = Poly.zero(self.field)
-        return Codeword(self, (z,) * self.n)
+        return Codeword._of_row(self, (0,) * self.N)
 
 
 def _times_x(kernel, v: list[int], low: Sequence[int]) -> list[int]:
@@ -248,23 +282,67 @@ def _first_common_factor(moduli: tuple[Poly, ...]) -> tuple[int, int]:
                 if poly_gcd(moduli[i], moduli[j]).degree != 0)
 
 
-@dataclass(frozen=True)
 class Codeword:
-    """Residue vector conforming to a spec (also used for error patterns)."""
+    """Residue vector conforming to a spec (also used for error patterns).
 
-    spec: CodeSpec
-    symbols: tuple[Poly, ...]
+    Its canonical form is `row`, a tuple of N coefficients: symbol i, zero-
+    padded to deg m_i, end to end in position order.  Equality and hash
+    read (spec, row), so they do not depend on how the word was built.
+    `Codeword(spec, symbols)` checks the symbols and flattens them in one
+    pass, and keeps them; a word built from a row (`encode`, the decoder's
+    error words, `+` and `-`) builds `symbols` on first read, by
+    `CodeSpec._split`, whose degree-1 symbols are constants shared per
+    spec.  Immutable.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "symbols", self.spec.check_word(self.symbols))
+    __slots__ = ("spec", "row", "_symbols")
+
+    def __init__(self, spec: CodeSpec, symbols: Sequence[Poly]):
+        symbols = tuple(symbols)
+        _init_word(self, spec, spec._flatten(symbols), symbols)
+
+    @classmethod
+    def _of_row(cls, spec: CodeSpec, row: tuple[int, ...]) -> "Codeword":
+        """Internal constructor for a row already in the spec's format."""
+        word = object.__new__(cls)
+        _init_word(word, spec, row, None)
+        return word
+
+    @property
+    def symbols(self) -> tuple[Poly, ...]:
+        """(w_0, ..., w_{n-1}), split from the row on first read."""
+        symbols = self._symbols
+        if symbols is None:
+            symbols = self.spec._split(self.row)
+            _set_symbols(self, symbols)
+        return symbols
+
+    def __setattr__(self, *a):
+        raise AttributeError("Codeword is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, Codeword)
+                and (self.spec, self.row) == (other.spec, other.row))
+
+    def __hash__(self) -> int:
+        return hash((self.spec, self.row))
+
+    def __repr__(self) -> str:
+        return f"Codeword(spec={self.spec!r}, symbols={self.symbols!r})"
+
+    def __reduce__(self):
+        """`copy` and `pickle` rebuild the word from its row."""
+        return Codeword._of_row, (self.spec, self.row)
 
     def __add__(self, other: "Codeword") -> "Codeword":
         self._check(other)
-        return Codeword(self.spec, tuple(a + b for a, b in zip(self.symbols, other.symbols)))
+        return Codeword._of_row(self.spec, tuple(self.spec.field.kernel.add(self.row, other.row)))
 
     def __sub__(self, other: "Codeword") -> "Codeword":
         self._check(other)
-        return Codeword(self.spec, tuple(a - b for a, b in zip(self.symbols, other.symbols)))
+        return Codeword._of_row(self.spec, tuple(self.spec.field.kernel.sub(self.row, other.row)))
 
     def _check(self, other: "Codeword") -> None:
         self.spec.check_same(other.spec, "codeword")
@@ -273,9 +351,21 @@ class Codeword:
         return tuple(i for i, s in enumerate(self.symbols) if not s.is_zero)
 
 
+# The slots' own setters, which bypass `Codeword.__setattr__`
+_set_spec, _set_row, _set_symbols = (
+    Codeword.__dict__[name].__set__ for name in ("spec", "row", "_symbols"))
+
+
+def _init_word(word: Codeword, spec: CodeSpec, row: tuple[int, ...],
+               symbols: tuple[Poly, ...] | None) -> None:
+    _set_spec(word, spec)
+    _set_row(word, row)
+    _set_symbols(word, symbols)
+
+
 def encode(spec: CodeSpec, message: Poly) -> Codeword:
-    """Residue vector of a message polynomial (deg < K), by `spec.residues`:
-    one `combine` of the first K forward rows.
+    """Residue vector of a message polynomial (deg < K), built from its row
+    `spec._row(message)`: one `combine` of the first K forward rows.
 
     When every modulus is linear (a Reed-Solomon code) this is evaluation of
     the message at the n roots; forward row j then holds the roots' j-th
@@ -285,25 +375,22 @@ def encode(spec: CodeSpec, message: Poly) -> Codeword:
         raise SpecMismatch("message over the wrong field")
     if message.degree >= spec.K:
         raise MessageTooLarge(f"deg {message.degree} >= K = {spec.K}")
-    return Codeword(spec, spec.residues(message))
+    return Codeword._of_row(spec, spec._row(message))
 
 
 def psi_inverse(spec: CodeSpec, word: Codeword | Sequence[Poly]) -> Poly:
     """Unique preimage of degree < N of a full residue vector.
 
     It is sum_i w_i * beta_i mod M_n: one `combine` of the inverse rows
-    weighted by the symbols' coefficients, each symbol padded to its
-    modulus degree, so no product and no reduction is formed.
+    weighted by the word's row, so no product and no reduction is formed.
+    A symbol list is checked and flattened first.
     """
     if isinstance(word, Codeword):
         spec.check_same(word.spec, "word")
-        symbols = word.symbols
+        row = word.row
     else:
-        symbols = spec.check_word(word)
-    coeffs = []
-    for c, d in zip(symbols, spec.degrees):
-        coeffs += c.coeffs + (0,) * (d - len(c.coeffs))
-    return Poly._raw(spec.field, _strip(spec.field.kernel.combine(spec._inverse_rows, coeffs)))
+        row = spec._flatten(tuple(word))
+    return Poly._raw(spec.field, _strip(spec.field.kernel.combine(spec._inverse_rows, row)))
 
 
 def hamming_weight(word: Codeword) -> int:

@@ -422,10 +422,11 @@ def _success(spec: CodeSpec, y: Poly, message: Poly, factor: Poly) -> DecodeOutc
 
     That is psi(Y - message), for Y the received preimage: deg Y < N and
     deg message < K, so the two residue vectors subtract position by
-    position.  It holds for any moduli, irreducible or not.
+    position.  It holds for any moduli, irreducible or not.  The word is
+    built from its row, one forward `combine`, with no split into symbols.
     """
     return DecodeOutcome(status=DecodeStatus.SUCCESS, message=message,
-                         error_word=Codeword(spec, spec.residues(y - message)),
+                         error_word=Codeword._of_row(spec, spec._row(y - message)),
                          factor_poly=factor)
 
 

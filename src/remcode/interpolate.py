@@ -70,8 +70,8 @@ def interpolate_direct(
 ) -> Poly:
     """Recombine the known residues with freshly computed coefficients.
 
-    `symbols` must cover every position in the pattern's known set; other
-    entries are ignored.
+    `symbols` must cover every position in the pattern's known set, or
+    `InsufficientSupport` is raised; other entries are ignored.
     """
     spec.check_same(pattern.spec, "erasure pattern")
     if pattern.known_weight < spec.K:
@@ -80,7 +80,10 @@ def interpolate_direct(
     ms = pattern.known_product
     acc = Poly.zero(spec.field)
     for i in sorted(pattern.known):
-        c = symbols[i]
+        try:
+            c = symbols[i]
+        except (KeyError, IndexError):
+            raise InsufficientSupport(f"no symbol at known position {i}") from None
         if c.degree >= spec.moduli[i].degree:
             raise InconsistentResidues(f"symbol {i} too large for its modulus")
         if c.is_zero:

@@ -69,7 +69,8 @@ Coefficient lists are lowest degree first (for byte rows, so are the bytes
 of an int: "little" byte order; for bit rows, the bits).  Inputs carry no
 trailing zeros; outputs may, and `Poly` strips them.  `add`, `sub` and
 `scale` keep their operands' full length, since the row builders in
-`remcode.code` read a row's top entry by position.  Every table -- the
+`remcode.code` read a row's top entry by position, and a `Codeword`'s row
+keeps its N entries through `+` and `-`.  Every table -- the
 field's `_tables`, `Char2Kernel._rows` and `OddKernel._zech` -- is a
 `functools.cached_property`: built on first read, never when the field is
 constructed, and a plain attribute read after that.  No prime field builds
@@ -162,8 +163,9 @@ class _Kernel:
     def combine(self, rows, coeffs: Coeffs) -> list[int]:
         """sum_j coeffs[j] * rows[j] over `pack`ed rows; needs len(coeffs) <= len(rows).
 
-        The result has the rows' length, or fewer entries when its top ones
-        are zero.  Here a plain loop of `scale` and `add`.
+        The result has the rows' length, top zeros included, in every
+        kernel: a `Codeword`'s row is a `combine` taken as it is.  Here a
+        plain loop of `scale` and `add`.
         """
         assert len(coeffs) <= len(rows)
         acc = [0] * len(rows[0])

@@ -298,9 +298,13 @@ def irreducible_polys(field: Field, degree: int) -> tuple[Poly, ...]:
 
     Built inductively: a candidate of degree d survives if it has no root
     and no irreducible divisor of degree 2..d/2.  Results are cached per
-    (field, degree), by `functools.cache`.  More than `MAX_SIEVE_CANDIDATES`
-    candidates (q^degree) raise `SearchSpaceTooLarge` before any is built.
+    (field, degree), by `functools.cache`.  A degree below 1 raises
+    `ConstantInput`, as `is_irreducible` does, and more than
+    `MAX_SIEVE_CANDIDATES` candidates (q^degree) raise `SearchSpaceTooLarge`,
+    both before any candidate is built.
     """
+    if degree < 1:
+        raise ConstantInput("irreducibility requires degree >= 1")
     if field.q ** degree > MAX_SIEVE_CANDIDATES:
         raise SearchSpaceTooLarge(
             f"{field.q}^{degree} candidates exceed the sieve cap {MAX_SIEVE_CANDIDATES}")

@@ -1,14 +1,15 @@
 from __future__ import annotations
 
+import copy
 import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import remcode.code
 import remcode.decoder as decoder
-from remcode.code import CodeSpec, Codeword, degree_weight, encode, psi_inverse
+from remcode.code import CodeSpec, Codeword, degree_weight, distances, encode, psi_inverse
 from remcode.decoder import (
     Algorithm,
     DecodeOptions,
@@ -38,14 +39,18 @@ from remcode.errors import (
     DegreePreconditionViolated,
     MessageDegreeOverflow,
     NonDivisible,
+    RemcodeError,
     ResidueDegreeViolation,
     SpecMismatch,
     UnorderedDegrees,
     ZeroG,
 )
 from remcode.field import Field
+from remcode.fileio import dumps_codeword, loads_codeword
 from remcode.interpolate import ErasurePattern, interpolate_direct, interpolate_fixed_transform
+from remcode.oracle import brute_force_decode
 from remcode.poly import Poly, irreducible_polys, poly_gcd, poly_mod_inverse
+from remcode.sim import ChannelModel, corrupt
 
 from conftest import DEGREE10_MODULI, GF256_REDUCTION, P, random_message, random_preimage
 from test_kernels import coprime_specs
@@ -598,6 +603,88 @@ def test_entry_points_accept_an_equal_spec_built_apart(three_gf5_specs):
     assert interpolate_fixed_transform(a, _word(twin), ErasurePattern(twin, {1, 2})) == message
     assert interpolate_direct(a, dict(enumerate(_word(twin).symbols)),
                               ErasurePattern(twin, {1, 2})) == message
+
+
+def test_words_are_equal_only_under_an_equal_spec(three_gf5_specs):
+    """Equality and hash read the spec as well as the row: a's and c's zero
+    words have the same row and differ, and an equal spec built apart gives
+    an equal word."""
+    a, c = three_gf5_specs["a"], three_gf5_specs["c"]
+    assert a.zero_word().row == c.zero_word().row
+    assert a.zero_word() != c.zero_word()
+    twin = CodeSpec(a.field, a.moduli, a.k)
+    assert twin.zero_word() == a.zero_word() and hash(twin.zero_word()) == hash(a.zero_word())
+    word = _word(a)
+    assert copy.copy(word) == word and copy.copy(word).symbols == word.symbols
+
+
+MISMATCH_FIELDS = (Field(2), Field(5), Field(3, 2, [1, 0, 1]))
+
+
+def _expect_remcode_error(call) -> None:
+    """The call must raise, and only a `RemcodeError`."""
+    with pytest.raises(RemcodeError):
+        call()
+
+
+def _result_or_remcode_error(call) -> None:
+    """The call may return; if it raises, it raises only a `RemcodeError`."""
+    try:
+        call()
+    except RemcodeError:
+        pass
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_public_entry_points_meet_another_specs_objects_with_remcode_errors(data):
+    """Spec a (ordered, so that list decoding runs) meets another spec o,
+    over the same field or another of GF(2), GF(5), GF(9).  A `Codeword`
+    or `ErasurePattern` of o raises a `RemcodeError` at every entry point
+    that takes a spec and one; o's symbols, as a list, a position map or a
+    codeword file, are decoded or raise a `RemcodeError`, and nothing else."""
+    a = data.draw(coprime_specs(data.draw(st.sampled_from(MISMATCH_FIELDS)), 2, (1, 5),
+                                ordered=True))
+    o = data.draw(coprime_specs(data.draw(st.sampled_from(MISMATCH_FIELDS)), 2, (1, 5)))
+    assume(o != a)
+    fo = o.field
+    word_o = encode(o, Poly.from_int(fo, data.draw(st.integers(0, fo.q ** o.K - 1))))
+    symbols_o = list(word_o.symbols)
+    symbols_o[0] = Poly.from_int(fo, data.draw(st.integers(0, fo.q ** o.degrees[0] - 1)))
+    word_o = Codeword(o, symbols_o)
+    word_a = encode(a, Poly.zero(a.field))
+    pattern_a = ErasurePattern(a, frozenset(range(a.n)))
+    pattern_o = ErasurePattern(o, frozenset(range(o.n)))
+    options = data.draw(st.sampled_from(ALL_OPTIONS))
+    candidates = build_candidate_list(a)
+    channel = ChannelModel("random_hamming_weight", min(1, a.n), 7)
+
+    for call in (
+        lambda: decode(a, word_o, options),
+        lambda: list_decode(a, word_o, candidates, options),
+        lambda: list_decode(a, word_o, candidates, options, gcd_outcome=decode(o, word_o)),
+        lambda: psi_inverse(a, word_o),
+        lambda: error_locator_poly(a, word_o),
+        lambda: interpolate_fixed_transform(a, word_o, pattern_a),
+        lambda: interpolate_fixed_transform(a, word_a, pattern_o),
+        lambda: interpolate_direct(a, dict(enumerate(word_a.symbols)), pattern_o),
+        lambda: corrupt(a, word_o, channel),
+        lambda: brute_force_decode(a, word_o, cap=1 << 10),
+        lambda: distances(word_a, word_o),
+        lambda: word_a + word_o,
+        lambda: word_a - word_o,
+    ):
+        _expect_remcode_error(call)
+    for call in (
+        lambda: Codeword(a, symbols_o),
+        lambda: decode(a, symbols_o, options),
+        lambda: list_decode(a, symbols_o, candidates, options),
+        lambda: psi_inverse(a, symbols_o),
+        lambda: interpolate_fixed_transform(a, symbols_o, pattern_a),
+        lambda: interpolate_direct(a, dict(enumerate(symbols_o)), pattern_a),
+        lambda: loads_codeword(a, dumps_codeword(word_o)),
+    ):
+        _result_or_remcode_error(call)
 
 
 def test_decode_options_validation():

@@ -1,8 +1,9 @@
 """The decoder's invariant checks still fire, and its error word is exact.
 
-`_success` does not re-encode the message: it forms the error word as the
-residues of Y - message, for Y the received preimage.  These tests compare
-every outcome with the definition, received - encode(message), on
+`_success` does not re-encode the message: it builds the error word from
+the residue row of Y - message, for Y the received preimage.  These tests
+compare every outcome with the definition, received - encode(message), and
+symbol by symbol with the residues of Y and of the message by division, on
 decodable and undecodable words alike, over reducible moduli too.
 """
 
@@ -17,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import remcode.decoder as decoder
-from remcode.code import CodeSpec, Codeword, encode, psi_inverse
+from remcode.code import CodeSpec, Codeword, encode, psi_inverse, weights
 from remcode.decoder import (
     Algorithm,
     DecodeOptions,
@@ -70,10 +71,19 @@ def _random_error(rng: random.Random, spec: CodeSpec, positions) -> Codeword:
 
 
 def _check_outcome(spec: CodeSpec, received: Codeword, out) -> bool:
-    """True for a success; the error word must match its definition exactly."""
+    """True for a success.  The error word must match its definition,
+    received - encode(message), exactly, and the symbol-wise reference:
+    symbol i is residue(Y, i) - residue(message, i) by division, and the
+    support and weights are read off those symbols."""
     if out.status is DecodeStatus.FAILURE:
         return False
     assert out.error_word == received - encode(spec, out.message)
+    y = psi_inverse(spec, received)
+    expected = tuple(spec.residue(y, i) - spec.residue(out.message, i) for i in range(spec.n))
+    support = tuple(i for i, e in enumerate(expected) if not e.is_zero)
+    assert out.error_word.symbols == expected
+    assert out.error_word.support() == support
+    assert weights(out.error_word) == (len(support), sum(spec.degrees[i] for i in support))
     return True
 
 

@@ -293,3 +293,16 @@ def test_sieve_cap_admits_exactly_the_cap(monkeypatch):
     assert [f.coeffs for f in sieve(Field(2), 3)] == [(1, 1, 0, 1), (1, 0, 1, 1)]
     with pytest.raises(SearchSpaceTooLarge):
         sieve(Field(3), 2)
+
+
+@pytest.mark.parametrize("degree", [0, -1])
+def test_sieve_refuses_a_degree_below_one(gf5, degree):
+    """A constant is not irreducible, as `is_irreducible` says by raising
+    `ConstantInput`.  The sieve returned (1,) at degree 0 and raised a raw
+    TypeError from `range(5 ** -1)` at degree -1."""
+    with pytest.raises(ConstantInput):
+        is_irreducible(Poly.one(gf5))
+    with pytest.raises(ConstantInput):
+        irreducible_polys(gf5, degree)
+    with pytest.raises(ConstantInput):
+        sieve_count_irreducible(gf5, degree)

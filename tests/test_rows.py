@@ -6,7 +6,9 @@ the same kernel, on every kernel and on GF(65521), whose
 slots need 4 or 8 bytes.  Spec level: `residues`, `encode` and `psi_inverse`
 against the references kept in the tree: `CodeSpec.residue`, `a % m_i` and
 `interpolate_direct`, on specs with reducible, unordered and mixed-degree
-moduli, and `CodeSpec._shift_rows`, the rows x^j * v mod M_n that the
+moduli; `Codeword`'s flat row, its lazily split symbols and its row
+arithmetic against the same words built and added symbol by symbol; and
+`CodeSpec._shift_rows`, the rows x^j * v mod M_n that the
 inverse rows and the list decoder's scan are built from, against
 (x^j * v) % M_n.
 """
@@ -16,7 +18,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from remcode.code import CodeSpec, encode, psi_inverse
+from remcode.code import CodeSpec, Codeword, encode, psi_inverse
 from remcode.field import Field
 from remcode.interpolate import ErasurePattern, interpolate_direct
 from remcode.kernels import Char2Kernel, OddKernel, PrimeKernel, _slot_layout
@@ -59,7 +61,7 @@ def check_combine(f: Field, rows, coeffs) -> None:
     packed = f.kernel.pack(rows)
     out = f.kernel.combine(packed, coeffs)
     expected = reference_combine(f, rows, coeffs)
-    assert len(out) <= len(rows[0])
+    assert len(out) == len(rows[0])
     assert _strip(out) == expected
     assert f.kernel.combine_length(packed, coeffs) == len(expected)
 
@@ -170,6 +172,58 @@ def test_row_maps_match_the_references(name):
         everything = ErasurePattern(spec, frozenset(range(spec.n)))
         direct = interpolate_direct(spec, dict(enumerate(codeword.symbols)), everything)
         assert psi_inverse(spec, codeword) == direct == message
+
+    check()
+
+
+WORD_FIELDS = {"GF(2)": FIELDS["GF(2)"], "GF(5)": Field(5), "GF(9)": FIELDS["GF(9)"],
+               "GF(25)": FIELDS["GF(25)"], "GF(2^8)": FIELDS["GF(2^8)"]}
+
+
+@pytest.mark.parametrize("name", list(WORD_FIELDS))
+def test_codeword_rows_match_the_symbolwise_reference(name):
+    """A word built from its row (`encode`, `+`, `-`) and one built from
+    symbols (`Codeword(spec, symbols)`) agree with the symbol-wise
+    reference: the symbols are `CodeSpec.residue` at every position, the
+    row is the symbols zero-padded end to end, equal words hash equal
+    whichever of `.row` or `.symbols` was read first, `+` and `-` are the
+    symbol-wise sums, and `psi_inverse` inverts `encode`.  A degree-1
+    symbol is a constant shared across words, equal to a fresh `Poly`."""
+    f = WORD_FIELDS[name]
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def check(data):
+        spec = data.draw(coprime_specs(f, 3 if f.q <= 5 else 2, (1, 7)))
+        message = _poly(data, f, spec.K)
+        reference = tuple(spec.residue(message, i) for i in range(spec.n))
+        word = encode(spec, message)
+        if data.draw(st.booleans()):
+            assert word.symbols == reference
+        built = Codeword(spec, reference)
+        assert word == built and hash(word) == hash(built)
+        assert word.symbols == reference
+        padded = [c for s, d in zip(reference, spec.degrees)
+                  for c in s.coeffs + (0,) * (d - len(s.coeffs))]
+        assert word.row == built.row == tuple(padded)
+        assert psi_inverse(spec, word) == message
+
+        error = tuple(Poly.from_int(f, data.draw(st.integers(0, f.q ** d - 1)))
+                      for d in spec.degrees)
+        for got, expected in ((word + Codeword(spec, error), map(Poly.__add__, reference, error)),
+                              (word - Codeword(spec, error), map(Poly.__sub__, reference, error))):
+            expected = Codeword(spec, tuple(expected))
+            if data.draw(st.booleans()):
+                assert got.symbols == expected.symbols
+            assert got == expected and hash(got) == hash(expected)
+            assert got.symbols == expected.symbols
+
+        again = encode(spec, message)
+        for i, (s, d) in enumerate(zip(word.symbols, spec.degrees)):
+            if d == 1:
+                fresh = Poly(f, [word.row[sum(spec.degrees[:i])]])
+                assert s == fresh and hash(s) == hash(fresh) and s.coeffs == fresh.coeffs
+                assert again.symbols[i] is s
 
     check()
 

@@ -117,6 +117,10 @@ class CodeSpec:
         self.ordered_degree = all(
             self.degrees[i] <= self.degrees[i + 1] for i in range(n - 1))
         self.tail_equal_degree = len(set(self.degrees[k:])) <= 1
+        # hashed once, from ints only, so that a copy in another process
+        # (where hash(None) differs) keeps a hash that agrees with __eq__
+        self._hash = hash((field.p, field.m, field.reduction or (),
+                           tuple(m.coeffs for m in moduli), k))
 
     @cached_property
     def message_modulus(self) -> Poly:
@@ -226,7 +230,7 @@ class CodeSpec:
                 and (self.field, self.moduli, self.k) == (other.field, other.moduli, other.k))
 
     def __hash__(self) -> int:
-        return hash((self.field, self.moduli, self.k))
+        return self._hash
 
     def __repr__(self) -> str:
         return (f"CodeSpec({self.field!r}, n={self.n}, k={self.k}, "

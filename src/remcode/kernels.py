@@ -1,22 +1,26 @@
 """Coefficient kernels: dense polynomial arithmetic on plain coefficient lists.
 
-A `Field` picks one kernel when it is built, from the kind of field it is:
+A `Field` gets one kernel when it is built, from `kernel_for`, the one
+place that compares p and q; no kernel tests the field again.  There is one
+class per row representation:
 
-* `Char2Kernel` (p = 2, any m, GF(2) included) -- add is xor.  For
-  q <= 256, GF(2) included, every coefficient fits in a byte, and `add` is
-  one xor of `int.from_bytes` values.  In GF(2) the other operations run on
-  ints with one bit per coefficient: a product xors shifted copies of one
-  operand, a division or gcd step xors the shifted divisor under the
-  remainder's top bit, and no table is read.  For 2 < q <= 256 multiply is
-  a lookup in the field's log/exp tables, whose exp table repeats so that
-  sums of logs need no reduction mod q - 1, and rows are handled whole, as
-  bytes: `bytes.translate` through 256-byte tables scales a row, so a
-  product, division or gcd takes a few C-level calls per row instead of a
-  Python step per coefficient.  There, division by fewer than `ROW_MIN`
-  coefficients keeps the per-coefficient loop, as does all of GF(2^16);
+* `BitKernel` (GF(2)) -- a row is an int with one bit per coefficient: a
+  product xors shifted copies of one operand, a division or gcd step xors
+  the shifted divisor under the remainder's top bit, and no table is read.
+  `add` and `sub` are `ByteKernel`'s byte-row xor, which is faster here.
+* `ByteKernel` (GF(2^m), 2 < q <= 256) -- every coefficient fits in a byte,
+  add is one xor of `int.from_bytes` values, and multiply is a lookup in
+  the field's log/exp tables, whose exp table repeats so that sums of logs
+  need no reduction mod q - 1.  Rows are handled whole, as bytes:
+  `bytes.translate` through 256-byte tables scales a row, so a product,
+  division or gcd takes a few C-level calls per row instead of a Python
+  step per coefficient.  Division by fewer than `ROW_MIN` coefficients
+  keeps `Char2Kernel`'s per-coefficient loop.
+* `Char2Kernel` (GF(2^m), 256 < q <= 2^16) -- add is a per-coefficient
+  xor, and multiply and division are per-coefficient log/exp loops.
 * `PrimeKernel` (odd p, m = 1) -- plain int multiply-accumulate; a
   coefficient is reduced mod p once per output coefficient or division row,
-  not per term;
+  not per term.
 * `OddKernel` (odd p, m > 1) -- log/exp multiply, add through a Zech
   logarithm table of O(q) size, built on first use.
 
@@ -27,30 +31,30 @@ packed into one int of little-endian slots; the m^2 plane products are int
 multiplies, the planes for alpha^c, c >= m, fold into planes 0..m-1 through
 the digits of alpha^c (alpha the element x, the int p), and each slot is
 reduced mod p once.  Shorter products keep the per-coefficient loops
-(`_mul_loop`), and so do add, sub, division and evaluation: over GF(p^m)
-those read the Zech table.
+(`_mul_loop`), and so do add, sub and division: over GF(p^m) those read
+the Zech table.
 
 `gcd` is one Euclid loop for every kernel, on per-kernel hooks (`_euclid`):
 pack coefficients into a state, take the remainder of one state by another,
-and unpack the last one monic.  A state is an int in `Char2Kernel` for
-GF(2) (a bit row) and for 2 < q <= 256 (a byte row), and otherwise one
-`bytes` of 1-byte (q <= 256) or 2-byte machine ints.  Each kernel remembers
-the states (x, y) of its last run that missed, each mapped to that run's
-result; a run that reaches one of them returns it.  From a given state the
-rest of a run is fixed, so a hit returns exactly what a fresh run would.
-Only a run that misses replaces the memo; a hit, or a call that takes no
-step, leaves it.  The memo holds one chain: about sum_i len(r_i)
-coefficient bytes for its remainders r_i (an eighth of that in GF(2),
-twice that for q > 256), plus a tuple and a dict entry per state.  The
-decoder checks gcd(r, r~) == gcd0 on every pass of one remainder chain, so
-after its first gcd each check is a lookup.
+and unpack the last one monic.  A state is an int in `BitKernel` (a bit
+row) and in `ByteKernel` (a byte row), and otherwise one `bytes` of 1-byte
+(q <= 256) or 2-byte machine ints.  Each kernel remembers the states (x, y)
+of its last run that missed, each mapped to that run's result; a run that
+reaches one of them returns it.  From a given state the rest of a run is
+fixed, so a hit returns exactly what a fresh run would.  Only a run that
+misses replaces the memo; a hit, or a call that takes no step, leaves it.
+The memo holds one chain: about sum_i len(r_i) coefficient bytes for its
+remainders r_i (an eighth of that in GF(2), twice that for q > 256), plus
+a tuple and a dict entry per state.  The decoder checks gcd(r, r~) == gcd0
+on every pass of one remainder chain, so after its first gcd each check is
+a lookup.
 
 `combine(rows, coeffs)` returns sum_j coeffs[j] * rows[j] over a fixed set
 of rows of one length, which `pack` converts once into the form each kernel
-reads; the code's residue transform and its inverse are such sums.  GF(2)
-keeps each row as one bit-packed int, so a term is one int xor;
-`Char2Kernel` with 2 < q <= 256 keeps each row as log bytes, so a term is
-one `bytes.translate` and an int xor.  The odd-characteristic kernels keep
+reads; the code's residue transform and its inverse are such sums.
+`BitKernel` keeps each row as one bit-packed int, so a term is one int
+xor; `ByteKernel` keeps each row as log bytes, so a term is one
+`bytes.translate` and an int xor.  The odd-characteristic kernels keep
 each row as int slots: for k < m, the m base-p digit planes of x^k * row,
 each plane one int whose little-endian slots hold one digit per
 coefficient, so a term is m^2 int multiply-adds, one per digit of the
@@ -59,11 +63,11 @@ largest sum it can receive, rows * m * (p-1)^2, so no digit carries into
 the next; each slot is reduced mod p once, when `combine` unpacks it (a few
 `bytes.translate`s per plane for q <= 256 and 1- or 2-byte slots, else
 `struct`'s explicit little-endian format and a mod p per slot); products
-are unpacked the same way.  `Char2Kernel` with q > 256 (up
-to GF(2^16)) adds `scale`d rows in a plain loop.  `combine_length` is the
-length of such a sum without its top zeros, which the list decoder's
-degree test reads: GF(2) takes the bit length of the xor, with no
-unpacking, and the other kernels strip the result of `combine`.
+are unpacked the same way.  `Char2Kernel` adds `scale`d rows in a plain
+loop.  `combine_length` is the length of such a sum without its top zeros,
+which the list decoder's degree test reads: `BitKernel` takes the bit
+length of the xor, with no unpacking, and the other kernels strip the
+result of `combine`.
 
 Coefficient lists are lowest degree first (for byte rows, so are the bytes
 of an int: "little" byte order; for bit rows, the bits).  Inputs carry no
@@ -71,7 +75,7 @@ trailing zeros; outputs may, and `Poly` strips them.  `add`, `sub` and
 `scale` keep their operands' full length, since the row builders in
 `remcode.code` read a row's top entry by position, and a `Codeword`'s row
 keeps its N entries through `+` and `-`.  Every table -- the
-field's `_tables`, `Char2Kernel._rows` and `OddKernel._zech` -- is a
+field's `_tables`, `ByteKernel._rows` and `OddKernel._zech` -- is a
 `functools.cached_property`: built on first read, never when the field is
 constructed, and a plain attribute read after that.  No prime field builds
 one, and no Kronecker product reads one: `_SlotKernel`'s fold digits (from
@@ -92,7 +96,7 @@ from typing import Sequence
 
 Coeffs = Sequence[int]
 
-# Char2Kernel, 2 < q <= 256: divisors of fewer coefficients keep the list loop.  A byte-row
+# ByteKernel: divisors of fewer coefficients keep the list loop.  A byte-row
 # quotient term shifts and xors the whole remainder, so dividing a long row by
 # a short one costs O(len(rem)) per term against O(len(b)) in the list loop;
 # rs255_decode's set-up divides M_n by each of its 255 linear moduli.
@@ -149,7 +153,8 @@ class _Kernel:
         """c * a for c != 0 (`Poly.scale` handles c = 0), by table lookup.
 
         See `Field._tables` for the layout: exp[log a + e] is a * g^e for
-        any e in [0, 2(q-1)), and 0 when a = 0.  `PrimeKernel` overrides it.
+        any e in [0, 2(q-1)), and 0 when a = 0.  `PrimeKernel`, `ByteKernel`
+        and `BitKernel` override it.
         """
         exp, log = self.field._tables
         lc = log[c]
@@ -383,7 +388,7 @@ class PrimeKernel(_SlotKernel):
     `_mul_loop` multiplies shorter ones and reduces each output coefficient
     once.
 
-    GF(2) runs `Char2Kernel`; this kernel still computes over it, and the
+    GF(2) runs `BitKernel`; this kernel still computes over it, and the
     tests use it there as a reference.
     """
 
@@ -418,13 +423,6 @@ class PrimeKernel(_SlotKernel):
         p = self.p
         return [x * c % p for x in a]
 
-    def evaluate(self, a: Coeffs, x: int) -> int:
-        p = self.p
-        acc = 0
-        for c in reversed(a):
-            acc = (acc * x + c) % p
-        return acc
-
     def _divide(self, rem: list[int], b: Coeffs, quot: list[int] | None) -> None:
         # entries of rem stay unreduced until read as a row's top or returned
         p = self.p
@@ -444,59 +442,65 @@ class PrimeKernel(_SlotKernel):
         rem[:db] = [x % p for x in rem[:db]]
 
 
-# GF(2) rows: coefficients 0/1 as the digits "0"/"1", and back
-_TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
-_FROM_DIGITS = bytes.maketrans(b"01", b"\0\1")
-
-
-def _to_bits(a: Coeffs) -> int:
-    """A GF(2) coefficient list as an int, bit i the coefficient of x^i."""
-    return int(bytes(a).translate(_TO_DIGITS)[::-1], 2) if a else 0
-
-
-def _xor_mod(x: int, y: int) -> int:
-    """x mod y for bit rows, y != 0: xor the shifted y under x's top bit."""
-    dy = y.bit_length()
-    while (top := x.bit_length()) >= dy:
-        x ^= y << (top - dy)
-    return x
-
-
-def _from_bits(x: int, length: int) -> list[int]:
-    """The coefficient list of x, padded with zeros to at least `length`."""
-    if not x:
-        return [0] * length
-    return list(bin(x)[:1:-1].encode().translate(_FROM_DIGITS).ljust(length, b"\0"))
-
-
 class Char2Kernel(_Kernel):
-    """GF(2^m), m >= 1: add is xor.
+    """GF(2^m), 256 < q <= 2^16: add is a per-coefficient xor; multiply and
+    division are per-coefficient loops through the field's log/exp tables.
 
-    `_bytes` is q <= 256: every coefficient fits in a byte, and `add` (and
-    so `sub`) xors the rows as `int.from_bytes` values, GF(2) included.
-    There that is faster than bit rows at every length measured.
-
-    `_bits` is q = 2, and every other operation checks it first: there a
-    row is an int with one bit per coefficient, bit i holding the
-    coefficient of x^i (see `_to_bits`).  The only nonzero scalar is 1, so
-    `scale` is the identity; a product xors shifted copies of one operand,
-    one per nonzero coefficient of the other; a division or gcd step xors
-    the shifted divisor into the remainder until its bit length drops below
-    the divisor's, so each quotient term is one xor.  Evaluation at 1 is the
-    parity.  GF(2) reads no table.
-
-    When 2 < q <= 256 rows are handled whole, as bytes.  A row's logs come
-    from one `bytes.translate` (zero goes to the spare index 255); one more
-    translate scales it by g^f.  Division by at least `ROW_MIN`
-    coefficients, and gcd, keep their remainders as ints, so each quotient
-    term costs a few C-level calls instead of a Python step per coefficient.
-    For q > 256 the per-coefficient loops run.
+    `scale`, `pack`, `combine` and the Euclid hooks are `_Kernel`'s, on lists
+    and on `bytes` of 2-byte ints.  `ByteKernel` derives from this class for
+    its `_divide`, which it runs on divisors of fewer than `ROW_MIN`
+    coefficients.
     """
 
-    def __init__(self, field):
-        super().__init__(field)
-        self._bits = field.q == 2
-        self._bytes = field.q <= 256
+    def add(self, a: Coeffs, b: Coeffs) -> list[int]:
+        if len(a) < len(b):
+            a, b = b, a
+        out = [x ^ y for x, y in zip(a, b)]
+        out += a[len(b):]
+        return out
+
+    sub = add
+
+    def mul(self, a: Coeffs, b: Coeffs) -> list[int]:
+        if len(a) > len(b):
+            a, b = b, a
+        exp, log = self.field._tables
+        pairs = [(j, log[c]) for j, c in enumerate(b) if c]
+        out = [0] * (len(a) + len(b) - 1)
+        for i, c in enumerate(a):
+            if c:
+                lc = log[c]
+                for j, l in pairs:
+                    out[i + j] ^= exp[lc + l]
+        return out
+
+    def _divide(self, rem: list[int], b: Coeffs, quot: list[int] | None) -> None:
+        db = len(b) - 1
+        exp, log = self.field._tables
+        pairs = [(j, log[c]) for j, c in enumerate(b[:db]) if c]
+        inv = self.field.q - 1 - log[b[-1]]   # log of 1 / lead
+        for i in range(len(rem) - 1, db - 1, -1):
+            c = rem[i]
+            if c:
+                f = log[c] + inv                  # log of c / lead, below 2(q-1)
+                if quot is not None:
+                    quot[i - db] = exp[f]
+                base = i - db
+                for j, l in pairs:
+                    rem[base + j] ^= exp[f + l]
+
+
+class ByteKernel(Char2Kernel):
+    """GF(2^m), 2 < q <= 256: rows handled whole, as bytes.
+
+    Every coefficient fits in a byte, so `add` (and `sub`) xors the rows as
+    `int.from_bytes` values.  A row's logs come from one `bytes.translate`
+    (zero goes to the spare index 255); one more translate scales it by g^f.
+    Division by at least `ROW_MIN` coefficients, and gcd, keep their
+    remainders as ints, so each quotient term costs a few C-level calls
+    instead of a Python step per coefficient; shorter divisors run
+    `Char2Kernel._divide`, the only method of that class run here.
+    """
 
     @cached_property
     def _rows(self) -> tuple[bytes, list[bytes]]:
@@ -515,67 +519,32 @@ class Char2Kernel(_Kernel):
     def add(self, a: Coeffs, b: Coeffs) -> list[int]:
         if len(a) < len(b):
             a, b = b, a
-        if self._bytes:
-            x = int.from_bytes(bytes(a), "little") ^ int.from_bytes(bytes(b), "little")
-            return list(x.to_bytes(len(a), "little"))
-        out = [x ^ y for x, y in zip(a, b)]
-        out += a[len(b):]
-        return out
+        x = int.from_bytes(bytes(a), "little") ^ int.from_bytes(bytes(b), "little")
+        return list(x.to_bytes(len(a), "little"))
 
     sub = add
 
     def mul(self, a: Coeffs, b: Coeffs) -> list[int]:
         if len(a) > len(b):
             a, b = b, a
-        if self._bits:
-            row, acc = _to_bits(b), 0
-            for i, c in enumerate(a):
-                if c:
-                    acc ^= row << i
-            return _from_bits(acc, len(a) + len(b) - 1)
-        if self._bytes:
-            to_log, times = self._rows
-            row = bytes(b).translate(to_log)
-            acc = 0
-            for i, c in enumerate(a):
-                if c:
-                    acc ^= int.from_bytes(row.translate(times[to_log[c]]), "little") << (8 * i)
-            return list(acc.to_bytes(len(a) + len(b) - 1, "little"))
-        exp, log = self.field._tables
-        pairs = [(j, log[c]) for j, c in enumerate(b) if c]
-        out = [0] * (len(a) + len(b) - 1)
+        to_log, times = self._rows
+        row = bytes(b).translate(to_log)
+        acc = 0
         for i, c in enumerate(a):
             if c:
-                lc = log[c]
-                for j, l in pairs:
-                    out[i + j] ^= exp[lc + l]
-        return out
+                acc ^= int.from_bytes(row.translate(times[to_log[c]]), "little") << (8 * i)
+        return list(acc.to_bytes(len(a) + len(b) - 1, "little"))
 
     def scale(self, a: Coeffs, c: int) -> list[int]:
-        if self._bits:
-            return list(a)
-        if self._bytes:
-            to_log, times = self._rows
-            return list(bytes(a).translate(to_log).translate(times[to_log[c]]))
-        return super().scale(a, c)
+        to_log, times = self._rows
+        return list(bytes(a).translate(to_log).translate(times[to_log[c]]))
 
-    def pack(self, rows: Sequence[Coeffs]):
-        """(row length, one int per row) in GF(2); log bytes (zero as 255,
-        see `_rows`) when 2 < q <= 256."""
-        if self._bits:
-            return len(rows[0]), [_to_bits(row) for row in rows]
-        if not self._bytes:
-            return super().pack(rows)
+    def pack(self, rows: Sequence[Coeffs]) -> list[bytes]:
+        """Log bytes, zero as 255 (see `_rows`)."""
         to_log = self._rows[0]
         return [bytes(row).translate(to_log) for row in rows]
 
     def combine(self, rows, coeffs: Coeffs) -> list[int]:
-        if self._bits:
-            length, ints = rows
-            assert len(coeffs) <= len(ints)
-            return _from_bits(reduce(xor, itertools.compress(ints, coeffs), 0), length)
-        if not self._bytes:
-            return super().combine(rows, coeffs)
         assert len(coeffs) <= len(rows)
         to_log, times = self._rows
         acc = 0
@@ -584,42 +553,8 @@ class Char2Kernel(_Kernel):
                 acc ^= int.from_bytes(row.translate(times[to_log[c]]), "little")
         return list(acc.to_bytes(len(rows[0]), "little"))
 
-    def combine_length(self, rows, coeffs: Coeffs) -> int:
-        if self._bits:                            # the bit length, with no unpacking
-            assert len(coeffs) <= len(rows[1])
-            return reduce(xor, itertools.compress(rows[1], coeffs), 0).bit_length()
-        return super().combine_length(rows, coeffs)
-
-    def evaluate(self, a: Coeffs, x: int) -> int:
-        if not x:
-            return a[0] if a else 0
-        if self._bits:
-            return a.count(1) & 1                 # x = 1: the parity
-        exp, log = self.field._tables
-        lx = log[x]
-        acc = 0
-        for c in reversed(a):
-            acc = exp[log[acc] + lx] ^ c
-        return acc
-
-    def divmod(self, a: Coeffs, b: Coeffs) -> tuple[list[int], list[int]]:
-        if not self._bits:
-            return super().divmod(a, b)
-        r, y, nb = _to_bits(a), _to_bits(b), len(b)
-        quot = [0] * (len(a) - nb + 1)
-        while (top := r.bit_length()) >= nb:
-            quot[top - nb] = 1                    # x^(top - nb) * b clears r's top bit
-            r ^= y << (top - nb)
-        return quot, _from_bits(r, nb - 1)
-
     def _euclid(self):
-        """A state is an int: the bit row in GF(2), the byte row when
-        2 < q <= 256, both little-endian; for q > 256, `_Kernel`'s bytes."""
-        if self._bits:
-            # monic: GF(2) has no other lead
-            return _to_bits, _xor_mod, lambda x: tuple(_from_bits(x, x.bit_length()))
-        if not self._bytes:
-            return super()._euclid()
+        """A state is an int: the byte row, little-endian."""
         reduce_row, monic = self._reducer(), self._monic
 
         def step(x: int, y: int) -> int:
@@ -657,23 +592,91 @@ class Char2Kernel(_Kernel):
         return reduce_row
 
     def _divide(self, rem: list[int], b: Coeffs, quot: list[int] | None) -> None:
-        db = len(b) - 1
-        if self._bytes and len(b) >= ROW_MIN:
-            r = self._reducer()(int.from_bytes(bytes(rem), "little"), bytes(b), quot)
-            rem[:db] = r.to_bytes(db, "little")
+        if len(b) < ROW_MIN:
+            super()._divide(rem, b, quot)
             return
-        exp, log = self.field._tables
-        pairs = [(j, log[c]) for j, c in enumerate(b[:db]) if c]
-        inv = self.field.q - 1 - log[b[-1]]   # log of 1 / lead
-        for i in range(len(rem) - 1, db - 1, -1):
-            c = rem[i]
+        db = len(b) - 1
+        r = self._reducer()(int.from_bytes(bytes(rem), "little"), bytes(b), quot)
+        rem[:db] = r.to_bytes(db, "little")
+
+
+# GF(2) rows: coefficients 0/1 as the digits "0"/"1", and back
+_TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_FROM_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _to_bits(a: Coeffs) -> int:
+    """A GF(2) coefficient list as an int, bit i the coefficient of x^i."""
+    return int(bytes(a).translate(_TO_DIGITS)[::-1], 2) if a else 0
+
+
+def _xor_mod(x: int, y: int) -> int:
+    """x mod y for bit rows, y != 0: xor the shifted y under x's top bit."""
+    dy = y.bit_length()
+    while (top := x.bit_length()) >= dy:
+        x ^= y << (top - dy)
+    return x
+
+
+def _from_bits(x: int, length: int) -> list[int]:
+    """The coefficient list of x, padded with zeros to at least `length`."""
+    if not x:
+        return [0] * length
+    return list(bin(x)[:1:-1].encode().translate(_FROM_DIGITS).ljust(length, b"\0"))
+
+
+class BitKernel(_Kernel):
+    """GF(2): a row is an int with one bit per coefficient, bit i holding the
+    coefficient of x^i (see `_to_bits`), and no table is read.
+
+    The only nonzero scalar is 1, so `scale` is the identity; a product xors
+    shifted copies of one operand, one per nonzero coefficient of the other;
+    a division or gcd step xors the shifted divisor into the remainder until
+    its bit length drops below the divisor's, so each quotient term is one
+    xor.  `add` and `sub` are `ByteKernel.add`, the byte-row xor, which is
+    faster than bit rows at every length measured.  `_Kernel`'s `_divide`
+    and `_monic` never run here: `divmod` and the Euclid hooks work on bit
+    rows, and every nonzero lead is 1.
+    """
+
+    add = sub = ByteKernel.add
+
+    def mul(self, a: Coeffs, b: Coeffs) -> list[int]:
+        if len(a) > len(b):
+            a, b = b, a
+        row, acc = _to_bits(b), 0
+        for i, c in enumerate(a):
             if c:
-                f = log[c] + inv                  # log of c / lead, below 2(q-1)
-                if quot is not None:
-                    quot[i - db] = exp[f]
-                base = i - db
-                for j, l in pairs:
-                    rem[base + j] ^= exp[f + l]
+                acc ^= row << i
+        return _from_bits(acc, len(a) + len(b) - 1)
+
+    def scale(self, a: Coeffs, c: int) -> list[int]:
+        return list(a)
+
+    def pack(self, rows: Sequence[Coeffs]) -> tuple[int, list[int]]:
+        """(row length, one int per row)."""
+        return len(rows[0]), [_to_bits(row) for row in rows]
+
+    def combine(self, rows, coeffs: Coeffs) -> list[int]:
+        length, ints = rows
+        assert len(coeffs) <= len(ints)
+        return _from_bits(reduce(xor, itertools.compress(ints, coeffs), 0), length)
+
+    def combine_length(self, rows, coeffs: Coeffs) -> int:
+        assert len(coeffs) <= len(rows[1])      # the bit length, with no unpacking
+        return reduce(xor, itertools.compress(rows[1], coeffs), 0).bit_length()
+
+    def divmod(self, a: Coeffs, b: Coeffs) -> tuple[list[int], list[int]]:
+        r, y, nb = _to_bits(a), _to_bits(b), len(b)
+        quot = [0] * (len(a) - nb + 1)
+        while (top := r.bit_length()) >= nb:
+            quot[top - nb] = 1                    # x^(top - nb) * b clears r's top bit
+            r ^= y << (top - nb)
+        return quot, _from_bits(r, nb - 1)
+
+    def _euclid(self):
+        """A state is an int, the bit row; a finished one is monic as it is."""
+        return _to_bits, _xor_mod, lambda x: tuple(_from_bits(x, x.bit_length()))
 
 
 class OddKernel(_SlotKernel):
@@ -681,8 +684,8 @@ class OddKernel(_SlotKernel):
 
     Products whose shorter operand has at least `KRONECKER_MIN`
     coefficients are Kronecker products on slot planes (`_SlotKernel.mul`)
-    and read no table.  The Zech table below is for add, sub, division,
-    evaluation and the short products of `_mul_loop`.
+    and read no table.  The Zech table below is for add, sub, division
+    and the short products of `_mul_loop`.
 
     With n = q - 1 and g the field's generator, x + g^t for t in [0, 2n) is
     exp[t + zech[zlog[x] - t]], where
@@ -740,19 +743,6 @@ class OddKernel(_SlotKernel):
                     out[i + j] = exp[t + zech[zlog[out[i + j]] - t]]
         return out
 
-    def evaluate(self, a: Coeffs, x: int) -> int:
-        if not x:
-            return a[0] if a else 0
-        exp, log, zlog, zech = self._zech
-        lx = log[x]
-        acc = 0
-        for c in reversed(a):
-            acc = exp[log[acc] + lx]
-            if c:
-                t = log[c]
-                acc = exp[t + zech[zlog[acc] - t]]
-        return acc
-
     def _divide(self, rem: list[int], b: Coeffs, quot: list[int] | None) -> None:
         exp, log, zlog, zech = self._zech
         n = self.field.q - 1
@@ -775,9 +765,12 @@ class OddKernel(_SlotKernel):
 
 
 def kernel_for(field) -> _Kernel:
-    """The kernel for the field's kind."""
+    """The kernel for the field's kind and row representation: the one
+    place that compares p and q to choose one."""
+    if field.q == 2:
+        return BitKernel(field)
     if field.p == 2:
-        return Char2Kernel(field)
+        return ByteKernel(field) if field.q <= 256 else Char2Kernel(field)
     if field.m == 1:
         return PrimeKernel(field)
     return OddKernel(field)

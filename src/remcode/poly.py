@@ -5,20 +5,23 @@ of x^l) with no trailing zeros; the zero polynomial has an empty coefficient
 tuple and degree NEG_DEGREE, a sentinel strictly below every integer so that
 every bound of the form `deg r < limit` is automatically satisfied by r = 0.
 
-Arithmetic (`+`, `-`, `*`, `divmod`, `scale`, `evaluate`) and `poly_gcd`
-hand the coefficient tuples to the field's kernel (`remcode.kernels`), which
-works on plain lists with no `Field` method call per coefficient; `Poly`
-checks the operands and strips the result.
+Arithmetic (`+`, `-`, `*`, `divmod`, `scale`) and `poly_gcd` hand the
+coefficient tuples to the field's kernel (`remcode.kernels`), which works on
+plain lists with no `Field` method call per coefficient; `Poly` checks the
+operands and strips the result.  `evaluate(beta)` is the remainder of
+division by x - beta.
 
-Also provides Rabin's irreducibility test, the sieve of all monic
-irreducibles of a degree that serves as its reference (capped at
-`MAX_SIEVE_CANDIDATES` candidates), and the closed-form count of monic
+Also provides Rabin's irreducibility test, the sieve that serves as its
+reference: every monic polynomial of a degree that is not a product of a
+monic irreducible of degree at most half of it and a monic cofactor (capped
+at `MAX_SIEVE_CANDIDATES` candidates), and the closed-form count of monic
 irreducible polynomials.
 """
 
 from __future__ import annotations
 
 from functools import cache
+from itertools import product
 from math import prod
 from typing import Iterable, Iterator
 
@@ -205,9 +208,9 @@ class Poly:
         return self.scale(self.field.inv(self.coeffs[-1]))
 
     def evaluate(self, beta: int) -> int:
-        """Horner evaluation at a field element."""
-        self.field.check(beta)
-        return self.field.kernel.evaluate(self.coeffs, beta)
+        """The value at a field element: the remainder of division by x - beta."""
+        field = self.field
+        return (self % Poly._raw(field, (field.neg(field.check(beta)), 1))).coeff(0)
 
 
 # The slots' own setters: they bypass `Poly.__setattr__`, and cost less than
@@ -259,14 +262,10 @@ def poly_mod_inverse(a: Poly, modulus: Poly) -> Poly:
 
 
 def monic_polys(field: Field, degree: int) -> Iterator[Poly]:
-    """All monic polynomials of the exact degree, in lexicographic code order."""
-    if degree == 0:
-        yield Poly.one(field)
-        return
-    q = field.q
-    for code in range(q ** degree):
-        low = Poly.from_int(field, code).coeffs
-        yield Poly._raw(field, low + (0,) * (degree - len(low)) + (1,))
+    """All monic polynomials of the exact degree, in lexicographic code order:
+    `product` steps its last entry fastest, and that is the constant term."""
+    for digits in product(field.elements(), repeat=degree):
+        yield Poly._raw(field, digits[::-1] + (1,))
 
 
 def is_irreducible(a: Poly) -> bool:
@@ -296,26 +295,29 @@ def is_irreducible(a: Poly) -> bool:
 def irreducible_polys(field: Field, degree: int) -> tuple[Poly, ...]:
     """All monic irreducible polynomials of the given degree, by sieve.
 
-    Built inductively: a candidate of degree d survives if it has no root
-    and no irreducible divisor of degree 2..d/2.  Results are cached per
-    (field, degree), by `functools.cache`.  A degree below 1 raises
-    `ConstantInput`, as `is_irreducible` does, and more than
-    `MAX_SIEVE_CANDIDATES` candidates (q^degree) raise `SearchSpaceTooLarge`,
-    both before any candidate is built.
+    A monic f of degree d is reducible exactly when f = g * h for a monic
+    irreducible g of some degree e in 1..d/2 and a monic h of degree d - e.
+    The sieve builds every such product, on the kernel's coefficient lists,
+    and keeps the candidates of `monic_polys` that are none of them, in
+    that order; the products are keyed by their coefficients, which hash
+    faster than a `Poly`.  Results are cached per (field, degree), by
+    `functools.cache`.  A degree below 1 raises `ConstantInput`, as
+    `is_irreducible` does, and more than `MAX_SIEVE_CANDIDATES` candidates
+    (q^degree) raise `SearchSpaceTooLarge`, both before any candidate is
+    built.
     """
     if degree < 1:
         raise ConstantInput("irreducibility requires degree >= 1")
     if field.q ** degree > MAX_SIEVE_CANDIDATES:
         raise SearchSpaceTooLarge(
             f"{field.q}^{degree} candidates exceed the sieve cap {MAX_SIEVE_CANDIDATES}")
-    if degree == 1:
-        return tuple(monic_polys(field, 1))
-    divisors = [g for e in range(2, degree // 2 + 1) for g in irreducible_polys(field, e)]
-    return tuple(
-        f for f in monic_polys(field, degree)
-        if all(f.evaluate(beta) != 0 for beta in field.elements())
-        and all(not (f % g).is_zero for g in divisors)
-    )
+    mul, reducible = field.kernel.mul, set()
+    for e in range(1, degree // 2 + 1):
+        cofactors = [h.coeffs for h in monic_polys(field, degree - e)]
+        # monic times monic: the kernel's product has no top zeros to strip
+        reducible.update(tuple(mul(g.coeffs, h)) for g in irreducible_polys(field, e)
+                         for h in cofactors)
+    return tuple(f for f in monic_polys(field, degree) if f.coeffs not in reducible)
 
 
 def sieve_count_irreducible(field: Field, degree: int) -> int:

@@ -96,6 +96,26 @@ def test_coprime_spec_build_runs_no_pairwise_gcd(monkeypatch, gf16):
     assert spec.N == 16
 
 
+@pytest.mark.parametrize("name", ["rs42", "ladder5", "gf4_mixed"])
+def test_spec_hash_is_computed_once(name, request, monkeypatch):
+    """After a spec's first hash, hashing it, or a word of it, hashes no
+    modulus again; a spec built apart from equal moduli is equal and hashes
+    equal."""
+    spec = request.getfixturevalue(name)
+    f = spec.field
+    g = Field(f.p, f.m, f.reduction)
+    twin = CodeSpec(g, [Poly(g, m.coeffs) for m in spec.moduli], spec.k)
+    word = encode(spec, Poly(f, [1]))
+    first = hash(spec), hash(twin)
+    calls = []
+    poly_hash = Poly.__hash__
+    monkeypatch.setattr(Poly, "__hash__", lambda self: calls.append(self) or poly_hash(self))
+    assert hash(spec) == hash(twin) == first[0] == first[1]
+    assert twin == spec
+    assert hash(word) == hash(Codeword(twin, [Poly(twin.field, s.coeffs) for s in word.symbols]))
+    assert calls == []
+
+
 def test_product_of_moduli(ladder5, gf4_mixed):
     for spec in (ladder5, gf4_mixed):
         assert spec.product([]) == Poly.one(spec.field)

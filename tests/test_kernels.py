@@ -3,12 +3,13 @@
 The reference below uses only `Field._mul_basis` and `Field._digitwise`, so
 it shares no table, no kernel and no `Poly` arithmetic with the code under
 test.  Each field kind is covered: odd prime (GF(5)), characteristic 2
-(GF(2), GF(2^4), GF(2^8), GF(2^16)) and odd characteristic (GF(9), GF(25)).
-The characteristic-2 fields are also run on rows of up to 80 coefficients,
-and on divisors on both sides of `ROW_MIN`, below which the fields with
-2 < q <= 256 divide by the list loop instead of by byte rows.
+(GF(2), GF(2^4), GF(2^8), GF(2^9), GF(2^16)) and odd characteristic (GF(9),
+GF(25)).  The characteristic-2 fields, which take each of the three row
+representations and both sides of q = 256, are also run on rows of up to
+80 coefficients, and on divisors on both sides of `ROW_MIN`, below which
+`ByteKernel` divides by the list loop instead of by byte rows.
 
-GF(2) runs `Char2Kernel`; `PrimeKernel(Field(2))` stays in the tree as its
+GF(2) runs `BitKernel`; `PrimeKernel(Field(2))` stays in the tree as its
 second reference, on long rows and on whole decodes.
 
 The odd-characteristic Kronecker products (`_SlotKernel.mul`) are held to
@@ -27,7 +28,15 @@ from hypothesis import given, settings, strategies as st
 from remcode.code import CodeSpec, Codeword, encode
 from remcode.decoder import DecodeStatus, build_candidate_list, decode, list_decode
 from remcode.field import Field
-from remcode.kernels import KRONECKER_MIN, ROW_MIN, Char2Kernel, OddKernel, PrimeKernel
+from remcode.kernels import (
+    KRONECKER_MIN,
+    ROW_MIN,
+    BitKernel,
+    ByteKernel,
+    Char2Kernel,
+    OddKernel,
+    PrimeKernel,
+)
 from remcode.poly import Poly, poly_gcd
 
 from test_decoder_checks import ALL_OPTIONS, _check_outcome
@@ -39,6 +48,7 @@ FIELDS = {
     "GF(2^8)": lambda: Field(2, 8, [1, 0, 1, 1, 1, 0, 0, 0, 1]),
     "GF(9)": lambda: Field(3, 2, [1, 0, 1]),
     "GF(25)": lambda: Field(5, 2, [2, 1, 1]),
+    "GF(2^9)": lambda: Field(2, 9, [1, 0, 0, 0, 1, 0, 0, 0, 0, 1]),
     "GF(2^16)": lambda: Field(2, 16, [1, 1, 0, 1] + [0] * 8 + [1, 0, 0, 0, 1]),
 }
 
@@ -120,13 +130,21 @@ def polys(f: Field):
 # -- tests ------------------------------------------------------------------------------
 
 
+# the exact kernel class of each field in FIELDS: one per row representation
+KINDS = {"GF(2)": BitKernel, "GF(5)": PrimeKernel, "GF(2^4)": ByteKernel,
+         "GF(2^8)": ByteKernel, "GF(9)": OddKernel, "GF(25)": OddKernel,
+         "GF(2^9)": Char2Kernel, "GF(2^16)": Char2Kernel}
+
+
 def test_kernel_choice_and_lazy_tables():
-    kinds = {"GF(2)": Char2Kernel, "GF(5)": PrimeKernel, "GF(2^4)": Char2Kernel,
-             "GF(9)": OddKernel, "GF(25)": OddKernel}
-    for name, kind in kinds.items():
+    """Each field gets its exact kernel class and builds no table with it.
+    GF(2) adds on byte rows: its `add` and `sub` are `ByteKernel`'s code."""
+    assert set(KINDS) == set(FIELDS)
+    for name, kind in KINDS.items():
         f = FIELDS[name]()
         assert type(f.kernel) is kind
         assert "_tables" not in vars(f)
+    assert BitKernel.add is BitKernel.sub is ByteKernel.add is ByteKernel.sub
     f = FIELDS["GF(9)"]()
     assert "_zech" not in vars(f.kernel)
     Poly(f, [1, 2]) + Poly(f, [2, 2])
@@ -189,9 +207,9 @@ def test_gf2_tables():
 # -- characteristic 2: bit rows (GF(2)), byte rows and list loops ---------------------
 
 # GF(2): bit rows; GF(2^4): q < 256, so the byte tables are padded; GF(2^8):
-# q = 256, so the spare index 255 is exactly the zero slot; GF(2^16): the list
-# loops only.
-CHAR2 = ["GF(2)", "GF(2^4)", "GF(2^8)", "GF(2^16)"]
+# q = 256, so the spare index 255 is exactly the zero slot; GF(2^9), the
+# smallest q above 256, and GF(2^16): the list loops only.
+CHAR2 = ["GF(2)", "GF(2^4)", "GF(2^8)", "GF(2^9)", "GF(2^16)"]
 
 
 def rows(f: Field, max_len: int = 40):
@@ -243,7 +261,7 @@ def test_char2_rows_at_the_threshold(field):
     """Divisors of 1, 2, ROW_MIN - 1, ROW_MIN and ROW_MIN + 1 coefficients,
     with zeros inside and a lead that is not 1 (GF(2) has no other)."""
     rng = random.Random(field.q)
-    assert type(field.kernel) is Char2Kernel
+    assert type(field.kernel) is KINDS[repr(field)]
     for n in (1, 2, ROW_MIN - 1, ROW_MIN, ROW_MIN + 1):
         for _ in range(5):
             coeffs = [rng.choice([0, rng.randrange(1, field.q)]) for _ in range(n - 1)]
@@ -255,7 +273,24 @@ def test_char2_rows_at_the_threshold(field):
             check_char2_gcd(field, a * b, b * Poly(field, [rng.randrange(1, field.q), 1]))
 
 
-# -- GF(2): Char2Kernel against PrimeKernel -------------------------------------------
+@pytest.mark.parametrize("name", ["GF(2^4)", "GF(2^8)"])
+def test_byte_rows_divide_by_rows_from_row_min(name, monkeypatch):
+    """`ByteKernel` divides by byte rows (`_reducer`) exactly when the divisor
+    has at least `ROW_MIN` coefficients, and by the list loop below that."""
+    f = FIELDS[name]()
+    rng = random.Random(f.q)
+    reducer, calls = ByteKernel._reducer, []
+    monkeypatch.setattr(ByteKernel, "_reducer", lambda self: calls.append(1) or reducer(self))
+    for n in (1, 2, ROW_MIN - 1, ROW_MIN, ROW_MIN + 1, 40):
+        b = Poly(f, [rng.randrange(f.q) for _ in range(n - 1)] + [rng.randrange(1, f.q)])
+        a = Poly(f, [rng.randrange(f.q) for _ in range(3 * n)] + [1])
+        calls.clear()
+        q, r = divmod(a, b)
+        assert q * b + r == a and r.degree < b.degree
+        assert len(calls) == (n >= ROW_MIN), n
+
+
+# -- GF(2): BitKernel against PrimeKernel ---------------------------------------------
 
 
 def _prime_gf2() -> Field:
@@ -273,11 +308,11 @@ def _strip_list(c) -> tuple[int, ...]:
 @given(data=st.data())
 def test_gf2_char2_matches_prime_kernel_on_long_rows(data):
     """+, *, divmod and gcd on rows of up to 200 coefficients, and by divisors
-    of 1 and 2 coefficients.  add, sub, scale, evaluate at 0 and 1, and
-    pack + combine on rows whose top entries may be zero: there the outputs
-    must match entry for entry, so the bit rows must unpack to full length."""
+    of 1 and 2 coefficients.  add, sub, scale, and pack + combine on rows
+    whose top entries may be zero: there the outputs must match entry for
+    entry, so the bit rows must unpack to full length."""
     char2, prime = Field(2).kernel, _prime_gf2().kernel
-    assert type(char2) is Char2Kernel
+    assert type(char2) is BitKernel
 
     def bits(n):
         return data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
@@ -312,7 +347,6 @@ def test_gf2_char2_matches_prime_kernel_on_long_rows(data):
         assert char2.add(x, y) == prime.add(x, y)
         assert char2.sub(x, y) == prime.sub(x, y)
     assert char2.scale(u, 1) == prime.scale(u, 1)
-    assert [char2.evaluate(u, x) for x in (0, 1)] == [prime.evaluate(u, x) for x in (0, 1)]
     length, count = data.draw(st.integers(1, 150)), data.draw(st.integers(1, 12))
     rows = [padded(length) for _ in range(count)]
     coeffs = bits(data.draw(st.integers(0, count)))
@@ -355,10 +389,10 @@ def _word_over(spec: CodeSpec, symbols) -> Codeword:
 @given(spec=gf2_specs(), data=st.data())
 def test_gf2_decode_same_under_both_kernels(spec, data):
     """Every decode option, and list decoding on ordered specs, give the same
-    outcome under `Char2Kernel` and `PrimeKernel`; none raises, and every
+    outcome under `BitKernel` and `PrimeKernel`; none raises, and every
     success has error_word == received - encode(message)."""
     other = _same_spec_over(_prime_gf2(), spec)
-    assert type(spec.field.kernel) is Char2Kernel
+    assert type(spec.field.kernel) is BitKernel
     assert type(other.field.kernel) is PrimeKernel
     f = spec.field
     if data.draw(st.booleans()):

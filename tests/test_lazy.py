@@ -1,6 +1,6 @@
 """Derived values are built on first read, once, and cached by `functools`.
 
-The field's log/exp tables, `Char2Kernel._rows` and `OddKernel._zech` are
+The field's log/exp tables, `ByteKernel._rows` and `OddKernel._zech` are
 `cached_property`s, as are `ErasurePattern.known_product`,
 `CodeSpec.message_modulus` and `CodeSpec.irreducible`; `irreducible_polys`
 is a `functools.cache`.

@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 from remcode.code import CodeSpec, Codeword, encode, psi_inverse
 from remcode.field import Field
 from remcode.interpolate import ErasurePattern, interpolate_direct
-from remcode.kernels import Char2Kernel, OddKernel, PrimeKernel, _slot_layout
+from remcode.kernels import BitKernel, ByteKernel, Char2Kernel, OddKernel, PrimeKernel, _slot_layout
 from remcode.poly import Poly
 
 from test_kernels import coprime_specs, elements
@@ -32,12 +32,13 @@ FIELDS = {
     "GF(9)": Field(3, 2, [1, 0, 1]),
     "GF(25)": Field(5, 2, [2, 1, 1]),
     "GF(2^8)": Field(2, 8, [1, 0, 1, 1, 1, 0, 0, 0, 1]),
+    "GF(2^9)": Field(2, 9, [1, 0, 0, 0, 1, 0, 0, 0, 0, 1]),
     "GF(2^16)": Field(2, 16, [1, 1, 0, 1] + [0] * 8 + [1, 0, 0, 0, 1]),
     "GF(65521)": Field(65521),
 }
-KINDS = {"GF(2)": Char2Kernel, "GF(7)": PrimeKernel, "GF(9)": OddKernel,
-         "GF(25)": OddKernel, "GF(2^8)": Char2Kernel, "GF(2^16)": Char2Kernel,
-         "GF(65521)": PrimeKernel}
+KINDS = {"GF(2)": BitKernel, "GF(7)": PrimeKernel, "GF(9)": OddKernel,
+         "GF(25)": OddKernel, "GF(2^8)": ByteKernel, "GF(2^9)": Char2Kernel,
+         "GF(2^16)": Char2Kernel, "GF(65521)": PrimeKernel}
 
 
 def _strip(c) -> tuple[int, ...]:

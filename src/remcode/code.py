@@ -17,14 +17,17 @@ field's kernel over a row set the spec builds on first use:
   weight them.
 
 So a residue vector has one flat form that both maps read and write: its
-row, N coefficients, symbol i zero-padded to deg m_i, end to end.  That is
-a `Codeword`'s canonical form.  `encode` and the decoder's error words keep
-the forward map's output as it is, `+` and `-` are one kernel add or sub
-on rows, and `psi_inverse` weights the inverse rows by a word's row.  Only
-a reader of `Codeword.symbols` or of `CodeSpec.residues` cuts a row into
-n `Poly`s (`CodeSpec._split`), and a degree-1 position then takes a
-constant `Poly` shared per spec.  A symbol list from outside is checked and
-flattened in one pass (`CodeSpec._flatten`).
+row, N coefficients, symbol i zero-padded to deg m_i, end to end, so that
+symbol i is the slice between the spec's offsets o_i and o_(i+1).  That
+row is the only form of a `Codeword`.  `encode` and the decoder's error
+words keep the forward map's output as it is, `+` and `-` are one kernel
+add or sub on rows, `psi_inverse` weights the inverse rows by a word's
+row, and the support, both weights and the zero-residue count read which
+slices are nonzero (`CodeSpec._support`).  The library cuts no row into
+n `Poly`s: only `Codeword.symbols` and `CodeSpec.residues`, for callers
+outside it and for printing, do so (`CodeSpec._split`), and a degree-1
+position then takes a constant `Poly` shared per spec.  A symbol list from
+outside is checked and flattened in one pass (`CodeSpec._flatten`).
 
 `CodeSpec._shift_rows` is the one builder of rows x^j * v mod M_n, padded to
 N coefficients: the inverse rows and the list decoder's locator rows are
@@ -39,6 +42,7 @@ reference the row maps are tested against, as `interpolate_direct` is for
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -106,6 +110,8 @@ class CodeSpec:
         self.n = n
         self.k = k
         self.degrees = tuple(int(m.degree) for m in moduli)
+        # symbol i of a residue row is row[o_i:o_(i+1)]
+        self._offsets = tuple(accumulate(self.degrees, initial=0))
         self.modulus_product = m_n        # product of all moduli
         self.N = int(m_n.degree)
         self.K = sum(self.degrees[:k])    # degree of the product of the first k
@@ -161,18 +167,22 @@ class CodeSpec:
         maps each constant seen so far to one shared `Poly`; `Poly` is
         immutable, so sharing it is safe.
         """
-        field, constants, out, lo = self.field, self._constants, [], 0
-        for d in self.degrees:
-            if d == 1:
+        field, constants, o, out = self.field, self._constants, self._offsets, []
+        for lo, hi in zip(o, o[1:]):
+            if hi - lo == 1:
                 c = row[lo]
                 s = constants.get(c)
                 if s is None:
                     s = constants[c] = Poly._raw(field, (c,) if c else ())
             else:
-                s = Poly._raw(field, _strip(row[lo:lo + d]))
+                s = Poly._raw(field, _strip(row[lo:hi]))
             out.append(s)
-            lo += d
         return tuple(out)
+
+    def _support(self, row: Sequence[int]) -> tuple[int, ...]:
+        """The positions whose slice of a residue row is nonzero."""
+        o = self._offsets
+        return tuple(i for i in range(self.n) if any(row[o[i]:o[i + 1]]))
 
     def _flatten(self, symbols: tuple[Poly, ...]) -> tuple[int, ...]:
         """The residue row of a symbol list, checked in the same pass: n
@@ -232,6 +242,11 @@ class CodeSpec:
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self):
+        """`copy` and `pickle` rebuild the spec from its field, moduli and k,
+        not from its caches."""
+        return CodeSpec, (self.field, self.moduli, self.k)
+
     def __repr__(self) -> str:
         return (f"CodeSpec({self.field!r}, n={self.n}, k={self.k}, "
                 f"N={self.N}, K={self.K}, degrees={list(self.degrees)})")
@@ -289,37 +304,34 @@ def _first_common_factor(moduli: tuple[Poly, ...]) -> tuple[int, int]:
 class Codeword:
     """Residue vector conforming to a spec (also used for error patterns).
 
-    Its canonical form is `row`, a tuple of N coefficients: symbol i, zero-
-    padded to deg m_i, end to end in position order.  Equality and hash
-    read (spec, row), so they do not depend on how the word was built.
-    `Codeword(spec, symbols)` checks the symbols and flattens them in one
-    pass, and keeps them; a word built from a row (`encode`, the decoder's
-    error words, `+` and `-`) builds `symbols` on first read, by
-    `CodeSpec._split`, whose degree-1 symbols are constants shared per
-    spec.  Immutable.
+    It holds only `spec` and `row`, a tuple of N coefficients: symbol i,
+    zero-padded to deg m_i, end to end in position order.  Equality and
+    hash read (spec, row), so they do not depend on how the word was built.
+    `Codeword(spec, symbols)` checks the symbols, flattens them in one pass
+    and keeps only the row.  `symbols` is split from the row on each read,
+    by `CodeSpec._split`, whose degree-1 symbols are constants shared per
+    spec; so it equals the symbols a word was built from, but is not the
+    same tuple.  Immutable.
     """
 
-    __slots__ = ("spec", "row", "_symbols")
+    __slots__ = ("spec", "row")
 
     def __init__(self, spec: CodeSpec, symbols: Sequence[Poly]):
-        symbols = tuple(symbols)
-        _init_word(self, spec, spec._flatten(symbols), symbols)
+        _set_spec(self, spec)
+        _set_row(self, spec._flatten(tuple(symbols)))
 
     @classmethod
     def _of_row(cls, spec: CodeSpec, row: tuple[int, ...]) -> "Codeword":
         """Internal constructor for a row already in the spec's format."""
         word = object.__new__(cls)
-        _init_word(word, spec, row, None)
+        _set_spec(word, spec)
+        _set_row(word, row)
         return word
 
     @property
     def symbols(self) -> tuple[Poly, ...]:
-        """(w_0, ..., w_{n-1}), split from the row on first read."""
-        symbols = self._symbols
-        if symbols is None:
-            symbols = self.spec._split(self.row)
-            _set_symbols(self, symbols)
-        return symbols
+        """(w_0, ..., w_{n-1}), split from the row on each read."""
+        return self.spec._split(self.row)
 
     def __setattr__(self, *a):
         raise AttributeError("Codeword is immutable")
@@ -352,19 +364,11 @@ class Codeword:
         self.spec.check_same(other.spec, "codeword")
 
     def support(self) -> tuple[int, ...]:
-        return tuple(i for i, s in enumerate(self.symbols) if not s.is_zero)
+        return self.spec._support(self.row)
 
 
 # The slots' own setters, which bypass `Codeword.__setattr__`
-_set_spec, _set_row, _set_symbols = (
-    Codeword.__dict__[name].__set__ for name in ("spec", "row", "_symbols"))
-
-
-def _init_word(word: Codeword, spec: CodeSpec, row: tuple[int, ...],
-               symbols: tuple[Poly, ...] | None) -> None:
-    _set_spec(word, spec)
-    _set_row(word, row)
-    _set_symbols(word, symbols)
+_set_spec, _set_row = (Codeword.__dict__[name].__set__ for name in ("spec", "row"))
 
 
 def encode(spec: CodeSpec, message: Poly) -> Codeword:
@@ -398,17 +402,18 @@ def psi_inverse(spec: CodeSpec, word: Codeword | Sequence[Poly]) -> Poly:
 
 
 def hamming_weight(word: Codeword) -> int:
-    return sum(1 for s in word.symbols if not s.is_zero)
+    return len(word.support())
 
 
 def degree_weight(word: Codeword) -> int:
     """Sum of modulus degrees over the nonzero symbol positions."""
-    return sum(d for s, d in zip(word.symbols, word.spec.degrees) if not s.is_zero)
+    return support_degree_weight(word.spec, word.support())
 
 
 def weights(word: Codeword) -> tuple[int, int]:
-    """(hamming, degree) weight pair."""
-    return hamming_weight(word), degree_weight(word)
+    """(hamming, degree) weight pair, from one support."""
+    support = word.support()
+    return len(support), support_degree_weight(word.spec, support)
 
 
 def distances(x: Codeword, y: Codeword) -> tuple[int, int]:

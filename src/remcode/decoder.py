@@ -334,16 +334,16 @@ def _quotient_below_k(spec: CodeSpec, z: Poly, g: Poly) -> bool:
 
 
 def count_zero_residues(spec: CodeSpec, g: Poly) -> int:
-    """Number of moduli dividing g."""
-    return sum(1 for r in spec.residues(g) if r.is_zero)
+    """Number of moduli dividing g: n less the support of g's residue row."""
+    return spec.n - len(spec._support(spec._row(g)))
 
 
 def _locator_conditions(spec: CodeSpec, received_preimage: Poly, g: Poly) -> tuple[bool, Poly]:
     """Locator verdict on a candidate g, and Z = g * Y mod M_n.
 
     The verdict needs Z = g * q with deg q < K (`_quotient_below_k`).  The
-    conditions on g alone (its zero-residue count, which costs n divisions,
-    then its degree cap) run last.
+    conditions on g alone (its zero-residue count, which costs one forward
+    `combine`, then its degree cap) run last.
 
     This is the reference, one product and one reduction per candidate, for
     `error_locator_test` and the tests; `list_decode` scans through
@@ -536,8 +536,8 @@ def build_candidate_list(spec: CodeSpec, cap: int = 10 ** 6) -> list[Poly]:
     redundancy = spec.N - spec.K
     out = []
     for size in range(1, th + 1):
-        for support in itertools.combinations(range(spec.n), size):
-            d = support_degree_weight(spec, support)
-            if 2 * d > redundancy:
+        for support, degrees in zip(itertools.combinations(range(spec.n), size),
+                                    itertools.combinations(spec.degrees, size)):
+            if 2 * sum(degrees) > redundancy:
                 out.append(spec.product(support))
     return out

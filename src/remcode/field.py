@@ -115,6 +115,11 @@ class Field:
     def __hash__(self) -> int:
         return hash((self.p, self.m, self.reduction))
 
+    def __reduce__(self):
+        """`copy` and `pickle` rebuild the field from (p, m, reduction),
+        not from its tables or kernel."""
+        return Field, (self.p, self.m, self.reduction)
+
     def __repr__(self) -> str:
         if self.m == 1:
             return f"GF({self.p})"

@@ -4,8 +4,9 @@ Spec files are JSON objects with fields p, m, reduction (null for prime
 fields), moduli (coefficient lists, lowest degree first, field elements as
 their integer encodings), and k.
 
-Codeword files are line oriented: `n=<n>` followed by one line per symbol
-holding exactly deg(m_i) integers, lowest degree first, zero padded.
+Codeword files are a word's residue row, line oriented: `n=<n>` followed by
+one line per symbol, the row's slice for it, so exactly deg(m_i) integers,
+lowest degree first, zero padded.
 
 Message files hold one polynomial in bracket form, e.g. `[0,1,1]`.
 """
@@ -100,11 +101,9 @@ def loads_spec(text: str) -> CodeSpec:
 # -- codewords ----------------------------------------------------------------
 
 def dumps_codeword(word: Codeword) -> str:
-    spec = word.spec
+    spec, row, o = word.spec, word.row, word.spec._offsets
     lines = [f"n={spec.n}"]
-    for sym, d in zip(word.symbols, spec.degrees):
-        padded = list(sym.coeffs) + [0] * (d - len(sym.coeffs))
-        lines.append(" ".join(str(c) for c in padded))
+    lines += (" ".join(map(str, row[o[i]:o[i + 1]])) for i in range(spec.n))
     return "\n".join(lines) + "\n"
 
 
@@ -121,7 +120,7 @@ def loads_codeword(spec: CodeSpec, text: str) -> Codeword:
     body = [ln for ln in lines[1:] if ln.strip()]
     if len(body) != spec.n:
         raise ParseError(f"expected {spec.n} symbol lines, found {len(body)}")
-    symbols = []
+    row = []
     for i, ln in enumerate(body):
         try:
             values = [int(tok) for tok in ln.split()]
@@ -133,8 +132,8 @@ def loads_codeword(spec: CodeSpec, text: str) -> Codeword:
                 line=i + 2)
         if any(not 0 <= v < spec.field.q for v in values):
             raise ParseError(f"symbol {i} value outside {spec.field!r}", line=i + 2)
-        symbols.append(Poly(spec.field, values))
-    return Codeword(spec, tuple(symbols))
+        row += values
+    return Codeword._of_row(spec, tuple(row))
 
 
 # -- files ------------------------------------------------------------------------

@@ -70,6 +70,10 @@ class Poly:
 
     __delattr__ = __setattr__
 
+    def __reduce__(self):
+        """`copy` and `pickle` rebuild the polynomial from its coefficients."""
+        return Poly._raw, (self.field, self.coeffs)
+
     # -- constructors ---------------------------------------------------------
 
     @classmethod

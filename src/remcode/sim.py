@@ -57,11 +57,6 @@ class ChannelModel:
                                tuple(sorted(set(self.weight_or_positions))))
 
 
-def _random_nonzero_symbol(rng: random.Random, spec: CodeSpec, i: int) -> Poly:
-    size = spec.field.q ** spec.degrees[i]
-    return Poly.from_int(spec.field, rng.randrange(1, size))
-
-
 def _degree_weight_support(rng: random.Random, spec: CodeSpec, weight: int) -> list[int]:
     """Uniform subset with exact degree weight, sampled through a count table."""
     n = spec.n
@@ -100,8 +95,10 @@ def corrupt(
     """Apply the channel: returns (received, true error).
 
     The error has exactly the requested weight; nonzero symbol values are
-    uniform over the nonzero residues.  Deterministic in
-    (model.master_seed, trial_index).
+    uniform over the nonzero residues.  One code in 1..q^deg(m_i) - 1 is
+    drawn per support position i, in increasing order of i, and its base-q
+    digits are that position's slice of the error row (`_error_word`).
+    Deterministic in (model.master_seed, trial_index).
     """
     rng = random.Random(mix64(model.master_seed, trial_index))
     if model.kind == FIXED_POSITIONS:
@@ -116,11 +113,20 @@ def corrupt(
         if not 0 <= w <= spec.N:                  # before the (n+1) x (w+1) count table
             raise InfeasibleWeight(f"degree weight {w} infeasible for N={spec.N}")
         support = _degree_weight_support(rng, spec, w) if w else []
-    symbols = [Poly.zero(spec.field)] * spec.n
-    for i in support:
-        symbols[i] = _random_nonzero_symbol(rng, spec, i)
-    error = Codeword(spec, tuple(symbols))
+    q = spec.field.q
+    error = _error_word(spec, support, [rng.randrange(1, q ** spec.degrees[i]) for i in support])
     return word + error, error
+
+
+def _error_word(spec: CodeSpec, support, codes) -> Codeword:
+    """The word that holds, at each position support[j], the symbol whose
+    base-q digits, lowest first, are those of codes[j]: a zero row with
+    those digits placed in the positions' slices."""
+    row, q, o = [0] * spec.N, spec.field.q, spec._offsets
+    for i, code in zip(support, codes):
+        for j in range(o[i], o[i + 1]):
+            code, row[j] = divmod(code, q)
+    return Codeword._of_row(spec, tuple(row))
 
 
 @dataclass
@@ -249,11 +255,6 @@ def _all_error_values(spec: CodeSpec, support: tuple[int, ...]):
 
     The first support position varies slowest.
     """
-    field = spec.field
-    choices = [[Poly.from_int(field, code) for code in range(1, field.q ** spec.degrees[i])]
-               for i in support]
-    for values in itertools.product(*choices):
-        symbols = [Poly.zero(field)] * spec.n
-        for i, v in zip(support, values):
-            symbols[i] = v
-        yield Codeword(spec, tuple(symbols))
+    q = spec.field.q
+    for codes in itertools.product(*(range(1, q ** spec.degrees[i]) for i in support)):
+        yield _error_word(spec, support, codes)

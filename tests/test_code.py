@@ -1,6 +1,12 @@
 from __future__ import annotations
 
+import copy
+import itertools
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -24,7 +30,9 @@ from remcode.errors import (
     SpecMismatch,
     UnorderedDegrees,
 )
+from remcode.decoder import decode
 from remcode.field import Field
+from remcode.interpolate import ErasurePattern, interpolate_fixed_transform
 from remcode.poly import Poly, irreducible_polys
 
 from conftest import P, random_message, random_preimage, random_spec
@@ -307,3 +315,77 @@ def test_residues_equal_remainders(name, request):
             assert spec.residues(a) == tuple(a % m for m in spec.moduli)
         message = random_message(rng, spec)
         assert encode(spec, message).symbols == tuple(message % m for m in spec.moduli)
+
+
+PICKLE_FIELDS = {
+    "GF(2)": Field(2),
+    "GF(5)": Field(5),
+    "GF(9)": Field(3, 2, [1, 0, 1]),
+    "GF(2^8)": Field(2, 8, [1, 0, 1, 1, 1, 0, 0, 0, 1]),
+}
+
+
+def _pickle_case(f: Field):
+    """A fresh spec of up to 10 irreducible moduli of degree 1 to 3 with
+    t_hamming = 1, a word with an error at position 1, and a message."""
+    moduli = list(itertools.islice((m for d in (1, 2, 3) for m in irreducible_polys(f, d)), 10))
+    spec = CodeSpec(f, moduli, len(moduli) - 2)
+    message = Poly.from_int(f, 3 * f.q + 2)
+    error = [Poly.zero(f)] * spec.n
+    error[1] = Poly.one(f)
+    return spec, message, encode(spec, message) + Codeword(spec, error)
+
+
+def _assert_copies_equal(value) -> None:
+    for copied in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert copied == value and hash(copied) == hash(value)
+
+
+@pytest.mark.parametrize("name", PICKLE_FIELDS)
+def test_values_copy_and_pickle_from_their_canonical_form(name):
+    """Fields, polynomials, specs, words, decode outcomes and erasure
+    patterns round-trip through `copy.copy`, `copy.deepcopy` and `pickle`
+    to equal, hash-equal values: a spec before and after it builds its row
+    sets, which are not pickled (nor are the field's tables), so a word
+    pickles to a few hundred bytes and its copy decodes alike."""
+    spec, message, received = _pickle_case(PICKLE_FIELDS[name])
+    for value in (spec.field, message, spec):
+        _assert_copies_equal(value)
+    outcome = decode(spec, received)
+    assert outcome.ok and outcome.message == message
+    pattern = ErasurePattern(spec, set(range(spec.n)) - {1})
+    assert interpolate_fixed_transform(spec, received, pattern) == message
+    assert pattern.known_product.degree == spec.N - spec.degrees[1]   # built before it is copied
+    for value in (spec.field, spec, received, outcome, pattern):
+        _assert_copies_equal(value)
+    assert len(pickle.dumps(received)) < 1000
+    spec_copy, word_copy = pickle.loads(pickle.dumps((spec, received)))
+    assert word_copy.spec is spec_copy
+    assert decode(spec_copy, word_copy) == outcome
+
+
+# unpickles (spec, word) from stdin with the package from argv[1], decodes,
+# and writes the outcome back pickled
+DECODE_PICKLED = """
+import pickle, sys
+sys.path.insert(0, sys.argv[1])
+from remcode.decoder import decode
+spec, word = pickle.load(sys.stdin.buffer)
+sys.stdout.buffer.write(pickle.dumps(decode(spec, word)))
+"""
+
+
+@pytest.mark.parametrize("name", ["GF(9)", "GF(2^8)"])
+def test_a_pickled_word_decodes_alike_in_a_fresh_interpreter(name):
+    """A word and its spec, pickled after the spec built its rows, decode
+    in another interpreter, where `hash(None)` differs, to the outcome
+    decoded here."""
+    spec, message, received = _pickle_case(PICKLE_FIELDS[name])
+    outcome = decode(spec, received)
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-c", DECODE_PICKLED, str(src)],
+                          input=pickle.dumps((spec, received)), capture_output=True, timeout=60)
+    assert done.returncode == 0, done.stderr.decode()
+    theirs = pickle.loads(done.stdout)
+    assert theirs == outcome and hash(theirs) == hash(outcome)
+    assert theirs.message == message

@@ -6,11 +6,12 @@ the same kernel, on every kernel and on GF(65521), whose
 slots need 4 or 8 bytes.  Spec level: `residues`, `encode` and `psi_inverse`
 against the references kept in the tree: `CodeSpec.residue`, `a % m_i` and
 `interpolate_direct`, on specs with reducible, unordered and mixed-degree
-moduli; `Codeword`'s flat row, its lazily split symbols and its row
-arithmetic against the same words built and added symbol by symbol; and
-`CodeSpec._shift_rows`, the rows x^j * v mod M_n that the
-inverse rows and the list decoder's scan are built from, against
-(x^j * v) % M_n.
+moduli; `Codeword`'s flat row, the symbols split from it, its row
+arithmetic, its support and weights and the zero-residue count against the
+same words built and added symbol by symbol; a count of row splits on every
+library path, which split none; and `CodeSpec._shift_rows`, the rows
+x^j * v mod M_n that the inverse rows and the list decoder's scan are
+built from, against (x^j * v) % M_n.
 """
 
 from __future__ import annotations
@@ -18,11 +19,16 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from remcode.code import CodeSpec, Codeword, encode, psi_inverse
+from remcode.code import (
+    CodeSpec, Codeword, degree_weight, distances, encode, hamming_weight, psi_inverse, weights)
+from remcode.decoder import build_candidate_list, count_zero_residues, decode, error_locator_poly
 from remcode.field import Field
+from remcode.fileio import dumps_codeword, loads_codeword
 from remcode.interpolate import ErasurePattern, interpolate_direct
 from remcode.kernels import BitKernel, ByteKernel, Char2Kernel, OddKernel, PrimeKernel, _slot_layout
+from remcode.oracle import brute_force_decode, exhaustive_scan
 from remcode.poly import Poly
+from remcode.sim import FIXED_POSITIONS, RANDOM_DEGREE, ChannelModel, corrupt, simulate
 
 from test_kernels import coprime_specs, elements
 
@@ -189,7 +195,9 @@ def test_codeword_rows_match_the_symbolwise_reference(name):
     row is the symbols zero-padded end to end, equal words hash equal
     whichever of `.row` or `.symbols` was read first, `+` and `-` are the
     symbol-wise sums, and `psi_inverse` inverts `encode`.  A degree-1
-    symbol is a constant shared across words, equal to a fresh `Poly`."""
+    symbol is a constant shared across words, equal to a fresh `Poly`.
+    `support()`, both weights and `count_zero_residues`, which read the
+    row's slices, agree with their symbol-wise definitions."""
     f = WORD_FIELDS[name]
 
     @settings(max_examples=40, deadline=None)
@@ -219,6 +227,16 @@ def test_codeword_rows_match_the_symbolwise_reference(name):
             assert got == expected and hash(got) == hash(expected)
             assert got.symbols == expected.symbols
 
+        support = tuple(i for i, s in enumerate(error) if not s.is_zero)
+        degree = sum(d for s, d in zip(error, spec.degrees) if not s.is_zero)
+        error_word = Codeword(spec, error)
+        assert error_word.support() == support
+        assert weights(error_word) == (hamming_weight(error_word), degree_weight(error_word)) \
+            == (len(support), degree)
+        g = spec.product(data.draw(st.sets(st.integers(0, spec.n - 1)))) * message
+        assert count_zero_residues(spec, g) == sum(
+            1 for i in range(spec.n) if spec.residue(g, i).is_zero)
+
         again = encode(spec, message)
         for i, (s, d) in enumerate(zip(word.symbols, spec.degrees)):
             if d == 1:
@@ -227,6 +245,29 @@ def test_codeword_rows_match_the_symbolwise_reference(name):
                 assert again.symbols[i] is s
 
     check()
+
+
+def test_no_library_path_splits_a_row(monkeypatch, ladder5):
+    """The simulator in both modes with both decoders, the channel, the
+    weights and distances, the oracles, the codeword file format, the
+    locator of a decoded error word and the zero-residue count all read
+    rows: none calls `CodeSpec._split`."""
+    spec, calls, split = ladder5, [], CodeSpec._split
+    monkeypatch.setattr(CodeSpec, "_split", lambda self, row: calls.append(1) or split(self, row))
+    candidates = build_candidate_list(spec)
+    simulate(spec, ChannelModel(RANDOM_DEGREE, 5, 19), 20, ("gcd", "list"), candidates=candidates)
+    simulate(spec, ChannelModel(FIXED_POSITIONS, (4,), 19), 0, ("gcd", "list"),
+             exhaustive=True, message_sample=3, candidates=candidates)
+    word = encode(spec, Poly.from_int(spec.field, 45))
+    received, error = corrupt(spec, word, ChannelModel(FIXED_POSITIONS, (1, 3), 19))
+    assert weights(error)[0] == 2 and distances(received, word) == weights(error)
+    brute_force_decode(spec, received)
+    exhaustive_scan(spec)
+    assert loads_codeword(spec, dumps_codeword(received)) == received
+    outcome = decode(spec, word + Codeword._of_row(spec, (0,) * 6 + (1,) * 4 + (0,) * 5))
+    assert error_locator_poly(spec, outcome.error_word) == spec.moduli[3]
+    assert count_zero_residues(spec, spec.product([1, 3])) == 2
+    assert calls == []
 
 
 @pytest.mark.parametrize("f", [FIELDS["GF(2)"], Field(5), FIELDS["GF(2^8)"], FIELDS["GF(9)"]],

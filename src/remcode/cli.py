@@ -153,7 +153,7 @@ def cmd_decode(args) -> int:
     spec = load_spec(args.spec)
     word = load_codeword(spec, args.infile)
     started = time.perf_counter()
-    if args.erase:
+    if args.erase is not None:                # an empty list erases nothing
         return _decode_erasures(spec, word, args.erase, args, started)
     options = _options(args)
     if args.list:

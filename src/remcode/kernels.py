@@ -17,7 +17,8 @@ class per row representation:
   step per coefficient.  Division by fewer than `ROW_MIN` coefficients
   keeps `Char2Kernel`'s per-coefficient loop.
 * `Char2Kernel` (GF(2^m), 256 < q <= 2^16) -- add is a per-coefficient
-  xor, and multiply and division are per-coefficient log/exp loops.
+  xor, and multiply and division are per-coefficient log/exp loops.  It
+  is the base of the other two characteristic-2 kernels, for `combine`.
 * `PrimeKernel` (odd p, m = 1) -- plain int multiply-accumulate; a
   coefficient is reduced mod p once per output coefficient or division row,
   not per term.
@@ -51,23 +52,30 @@ a lookup.
 
 `combine(rows, coeffs)` returns sum_j coeffs[j] * rows[j] over a fixed set
 of rows of one length, which `pack` converts once into the form each kernel
-reads; the code's residue transform and its inverse are such sums.
-`BitKernel` keeps each row as one bit-packed int, so a term is one int
-xor; `ByteKernel` keeps each row as log bytes, so a term is one
-`bytes.translate` and an int xor.  The odd-characteristic kernels keep
-each row as int slots: for k < m, the m base-p digit planes of x^k * row,
-each plane one int whose little-endian slots hold one digit per
-coefficient, so a term is m^2 int multiply-adds, one per digit of the
-coefficient and plane.  A slot is sized (1, 2, 4 or 8 bytes) for the
-largest sum it can receive, rows * m * (p-1)^2, so no digit carries into
-the next; each slot is reduced mod p once, when `combine` unpacks it (a few
-`bytes.translate`s per plane for q <= 256 and 1- or 2-byte slots, else
-`struct`'s explicit little-endian format and a mod p per slot); products
-are unpacked the same way.  `Char2Kernel` adds `scale`d rows in a plain
-loop.  `combine_length` is the length of such a sum without its top zeros,
-which the list decoder's degree test reads: `BitKernel` takes the bit
-length of the xor, with no unpacking, and the other kernels strip the
-result of `combine`.
+reads; the code's residue transform and its inverse are such sums.  The
+characteristic-2 kernels share one `combine` (`Char2Kernel`'s).  A packed
+row is one int: a bit row in `BitKernel`, a little-endian byte row in
+`ByteKernel` and 2-byte little-endian slots in `Char2Kernel`.  Since
+multiplying by c = sum_b c_b alpha^b (alpha the element x) is GF(2)-linear
+in the bits c_b, the sum is sum_b alpha^b * (the xor of the rows whose
+coefficient has bit b set): for each bit b < m, one C-level
+`reduce(xor, compress(rows, selector))`, the selector being bit b of every
+coefficient as bytes (one `bytes.translate` through `_BIT_OF[b]`), and
+then one scaling by alpha^b unless b = 0.  That is m xor reductions and at
+most m - 1 scalings, whatever the number of rows, and no Python step per
+row.  The odd-characteristic kernels keep each row as int slots: for
+k < m, the m base-p digit planes of x^k * row, each plane one int whose
+little-endian slots hold one digit per coefficient, so a term is m^2 int
+multiply-adds, one per digit of the coefficient and plane.  A slot is sized
+(1, 2, 4 or 8 bytes) for the largest sum it can receive,
+rows * m * (p-1)^2, so no digit carries into the next; each slot is reduced
+mod p once, when `combine` unpacks it (a few `bytes.translate`s per plane
+for q <= 256 and 1- or 2-byte slots, else `struct`'s explicit little-endian
+format and a mod p per slot); products are unpacked the same way.
+`combine_length` is the length of such a sum without its top zeros, which
+the list decoder's degree test reads: the characteristic-2 kernels read it
+off the packed sum's bit length, with no unpacking, and the odd ones strip
+the result of `combine`.
 
 Coefficient lists are lowest degree first (for byte rows, so are the bytes
 of an int: "little" byte order; for bit rows, the bits).  Inputs carry no
@@ -77,7 +85,8 @@ trailing zeros; outputs may, and `Poly` strips them.  `add`, `sub` and
 keeps its N entries through `+` and `-`.  Every table -- the
 field's `_tables`, `ByteKernel._rows` and `OddKernel._zech` -- is a
 `functools.cached_property`: built on first read, never when the field is
-constructed, and a plain attribute read after that.  No prime field builds
+constructed, and a plain attribute read after that; the selector tables
+`_BIT_OF` depend on no field and are module constants.  No prime field builds
 one, and no Kronecker product reads one: `_SlotKernel`'s fold digits (from
 `Field._mul_basis`) and byte maps are plain attributes, built with the
 kernel.  No inner loop calls a `Field` method per coefficient;
@@ -106,6 +115,10 @@ ROW_MIN = 12
 # coefficients is a Kronecker product on packed digit planes (`_SlotKernel.mul`);
 # shorter ones keep the per-coefficient loop, which is faster there.
 KRONECKER_MIN = 4
+
+# _BIT_OF[b] maps each byte to its bit b, as a byte 0 or 1: a selector for
+# `itertools.compress` (the characteristic-2 `combine`)
+_BIT_OF = [bytes((x >> b) & 1 for x in range(256)) for b in range(8)]
 
 
 class _Kernel:
@@ -159,34 +172,6 @@ class _Kernel:
         exp, log = self.field._tables
         lc = log[c]
         return [exp[lc + log[x]] for x in a]
-
-    def pack(self, rows: Sequence[Coeffs]) -> list:
-        """One or more rows, all of one length, in the form `combine` reads:
-        here plain lists."""
-        return [list(row) for row in rows]
-
-    def combine(self, rows, coeffs: Coeffs) -> list[int]:
-        """sum_j coeffs[j] * rows[j] over `pack`ed rows; needs len(coeffs) <= len(rows).
-
-        The result has the rows' length, top zeros included, in every
-        kernel: a `Codeword`'s row is a `combine` taken as it is.  Here a
-        plain loop of `scale` and `add`.
-        """
-        assert len(coeffs) <= len(rows)
-        acc = [0] * len(rows[0])
-        for c, row in zip(coeffs, rows):
-            if c:
-                acc = self.add(acc, self.scale(row, c))
-        return acc
-
-    def combine_length(self, rows, coeffs: Coeffs) -> int:
-        """len of `combine(rows, coeffs)` without its top zeros: the degree
-        of the combination plus one, and 0 when it is zero."""
-        out = self.combine(rows, coeffs)
-        n = len(out)
-        while n and not out[n - 1]:
-            n -= 1
-        return n
 
     def _monic(self, a: list[int]) -> list[int]:
         lead = a[-1]
@@ -320,6 +305,8 @@ class _SlotKernel(_Kernel):
         return out
 
     def pack(self, rows: Sequence[Coeffs]) -> tuple[struct.Struct, list[tuple[int, ...]]]:
+        """One or more rows, all of one length, in the form `combine` reads:
+        their slot layout, and for each row the planes of x^k * row, k < m."""
         p, m = self.p, self.field.m
         layout = _slot_layout(p, m, len(rows), len(rows[0]))
         packed = []
@@ -331,6 +318,12 @@ class _SlotKernel(_Kernel):
         return layout, packed
 
     def combine(self, rows, coeffs: Coeffs) -> list[int]:
+        """sum_j coeffs[j] * rows[j] over `pack`ed rows; needs len(coeffs) <= len(rows).
+
+        The result has the rows' length, top zeros included, in every
+        kernel: a `Codeword`'s row is a `combine` taken as it is.  Here each
+        coefficient is m^2 int multiply-adds on the planes.
+        """
         layout, planes = rows
         assert len(coeffs) <= len(planes)
         p, m = self.p, self.field.m
@@ -344,6 +337,15 @@ class _SlotKernel(_Kernel):
                         acc[a] += d * row[k + a]
                 k += m
         return self._unpack(acc, layout)
+
+    def combine_length(self, rows, coeffs: Coeffs) -> int:
+        """len of `combine(rows, coeffs)` without its top zeros: the degree
+        of the combination plus one, and 0 when it is zero."""
+        out = self.combine(rows, coeffs)
+        n = len(out)
+        while n and not out[n - 1]:
+            n -= 1
+        return n
 
     def mul(self, a: Coeffs, b: Coeffs) -> list[int]:
         """a * b; a Kronecker product on digit planes when the shorter operand
@@ -446,11 +448,66 @@ class Char2Kernel(_Kernel):
     """GF(2^m), 256 < q <= 2^16: add is a per-coefficient xor; multiply and
     division are per-coefficient loops through the field's log/exp tables.
 
-    `scale`, `pack`, `combine` and the Euclid hooks are `_Kernel`'s, on lists
-    and on `bytes` of 2-byte ints.  `ByteKernel` derives from this class for
-    its `_divide`, which it runs on divisors of fewer than `ROW_MIN`
-    coefficients.
+    `scale` and the Euclid hooks are `_Kernel`'s, on lists and on `bytes` of
+    2-byte ints.  `pack`, `combine` and `combine_length` are written here
+    once for every characteristic-2 kernel, on hooks that each of them sets
+    for its row form: `_slot`, the bits per coefficient; `_to_int` and
+    `_unpack`, a row to its int and back; `_bit_planes`, the selectors of
+    the coefficients' bits; and `_times_alpha`, a packed row times alpha^b.
+    Here a row is 2-byte little-endian slots.
+    `ByteKernel` derives from this class for its `_divide`, which it runs on
+    divisors of fewer than `ROW_MIN` coefficients, and `BitKernel` from
+    `ByteKernel`.
     """
+
+    _slot = 16
+
+    def _to_int(self, a: Coeffs) -> int:
+        return int.from_bytes(struct.pack(f"<{len(a)}H", *a), "little")
+
+    def _unpack(self, x: int, length: int) -> list[int]:
+        return list(struct.unpack(f"<{length}H", x.to_bytes(2 * length, "little")))
+
+    def _bit_planes(self, coeffs: Coeffs) -> list[bytes]:
+        """For each bit b < m, one byte per coefficient: bit b of it."""
+        raw = struct.pack(f"<{len(coeffs)}H", *coeffs)
+        low, high = raw[::2], raw[1::2]
+        return [(high if b >> 3 else low).translate(_BIT_OF[b & 7]) for b in range(self.field.m)]
+
+    def _times_alpha(self, x: int, b: int, length: int) -> int:
+        """alpha^b * x, x a packed row: here one table lookup per slot."""
+        return self._to_int(self.scale(self._unpack(x, length), 1 << b))
+
+    def pack(self, rows: Sequence[Coeffs]) -> tuple[int, list[int]]:
+        """One or more rows, all of one length, in the form `combine` reads:
+        (row length, one `_to_int` per row)."""
+        return len(rows[0]), [self._to_int(row) for row in rows]
+
+    def combine(self, rows, coeffs: Coeffs) -> list[int]:
+        """sum_j coeffs[j] * rows[j] over `pack`ed rows; needs len(coeffs) <= len(rows).
+
+        The result has the rows' length, top zeros included, in every
+        kernel: a `Codeword`'s row is a `combine` taken as it is.
+        """
+        return self._unpack(self._xor_sum(rows, coeffs), rows[0])
+
+    def combine_length(self, rows, coeffs: Coeffs) -> int:
+        """len of `combine(rows, coeffs)` without its top zeros, read off the
+        packed sum's bit length with no unpacking."""
+        return -(-self._xor_sum(rows, coeffs).bit_length() // self._slot)
+
+    def _xor_sum(self, rows, coeffs: Coeffs) -> int:
+        """`combine` as a packed int: for each bit b < m, the xor of the rows
+        whose coefficient has bit b set, scaled once by alpha^b (alpha the
+        element x, the int 2) unless b = 0.  Multiplying by c = sum_b c_b
+        alpha^b is GF(2)-linear in the bits c_b, so that is the sum."""
+        length, ints = rows
+        assert len(coeffs) <= len(ints)
+        acc = 0
+        for b, plane in enumerate(self._bit_planes(coeffs)):
+            part = reduce(xor, itertools.compress(ints, plane), 0)
+            acc ^= self._times_alpha(part, b, length) if b and part else part
+        return acc
 
     def add(self, a: Coeffs, b: Coeffs) -> list[int]:
         if len(a) < len(b):
@@ -499,8 +556,27 @@ class ByteKernel(Char2Kernel):
     Division by at least `ROW_MIN` coefficients, and gcd, keep their
     remainders as ints, so each quotient term costs a few C-level calls
     instead of a Python step per coefficient; shorter divisors run
-    `Char2Kernel._divide`, the only method of that class run here.
+    `Char2Kernel._divide`.  `pack`, `combine` and `combine_length` are
+    `Char2Kernel`'s, on byte rows: a packed row is its bytes as one
+    little-endian int, and alpha^b scales one by the translate pair.
     """
+
+    _slot = 8
+
+    def _to_int(self, a: Coeffs) -> int:
+        return int.from_bytes(bytes(a), "little")
+
+    def _unpack(self, x: int, length: int) -> list[int]:
+        return list(x.to_bytes(length, "little"))
+
+    def _bit_planes(self, coeffs: Coeffs) -> list[bytes]:
+        raw = bytes(coeffs)
+        return [raw.translate(_BIT_OF[b]) for b in range(self.field.m)]
+
+    def _times_alpha(self, x: int, b: int, length: int) -> int:
+        to_log, times = self._rows
+        raw = x.to_bytes(length, "little").translate(to_log)
+        return int.from_bytes(raw.translate(times[to_log[1 << b]]), "little")
 
     @cached_property
     def _rows(self) -> tuple[bytes, list[bytes]]:
@@ -539,20 +615,6 @@ class ByteKernel(Char2Kernel):
         to_log, times = self._rows
         return list(bytes(a).translate(to_log).translate(times[to_log[c]]))
 
-    def pack(self, rows: Sequence[Coeffs]) -> list[bytes]:
-        """Log bytes, zero as 255 (see `_rows`)."""
-        to_log = self._rows[0]
-        return [bytes(row).translate(to_log) for row in rows]
-
-    def combine(self, rows, coeffs: Coeffs) -> list[int]:
-        assert len(coeffs) <= len(rows)
-        to_log, times = self._rows
-        acc = 0
-        for c, row in zip(coeffs, rows):
-            if c:
-                acc ^= int.from_bytes(row.translate(times[to_log[c]]), "little")
-        return list(acc.to_bytes(len(rows[0]), "little"))
-
     def _euclid(self):
         """A state is an int: the byte row, little-endian."""
         reduce_row, monic = self._reducer(), self._monic
@@ -563,7 +625,7 @@ class ByteKernel(Char2Kernel):
         def finish(x: int) -> tuple[int, ...]:
             return tuple(monic(list(x.to_bytes((x.bit_length() + 7) >> 3, "little"))))
 
-        return (lambda a: int.from_bytes(bytes(a), "little")), step, finish
+        return self._to_int, step, finish
 
     def _reducer(self):
         """`reduce_row(r, b, quot)`: r mod b, r an int and b `bytes`, rows
@@ -625,7 +687,7 @@ def _from_bits(x: int, length: int) -> list[int]:
     return list(bin(x)[:1:-1].encode().translate(_FROM_DIGITS).ljust(length, b"\0"))
 
 
-class BitKernel(_Kernel):
+class BitKernel(ByteKernel):
     """GF(2): a row is an int with one bit per coefficient, bit i holding the
     coefficient of x^i (see `_to_bits`), and no table is read.
 
@@ -634,12 +696,26 @@ class BitKernel(_Kernel):
     a division or gcd step xors the shifted divisor into the remainder until
     its bit length drops below the divisor's, so each quotient term is one
     xor.  `add` and `sub` are `ByteKernel.add`, the byte-row xor, which is
-    faster than bit rows at every length measured.  `_Kernel`'s `_divide`
-    and `_monic` never run here: `divmod` and the Euclid hooks work on bit
-    rows, and every nonzero lead is 1.
+    faster than bit rows at every length measured.  `combine` is
+    `Char2Kernel`'s on bit rows, with `_xor_sum` its m = 1 case: one xor of
+    the rows whose coefficient is 1, with no selector built and no scaling;
+    `combine_length` is the sum's bit length, with no rounding to slots.  A
+    list scan calls `combine_length` once per candidate, so a per-call
+    selector or division would show.  No other inherited code runs here:
+    `divmod` and the Euclid hooks work on bit rows, and every nonzero lead
+    is 1.
     """
 
-    add = sub = ByteKernel.add
+    _to_int = staticmethod(_to_bits)
+    _unpack = staticmethod(_from_bits)
+
+    def _xor_sum(self, rows, coeffs: Coeffs) -> int:
+        """m = 1: the coefficients are their own bit plane, and nothing is scaled."""
+        assert len(coeffs) <= len(rows[1])
+        return reduce(xor, itertools.compress(rows[1], coeffs), 0)
+
+    def combine_length(self, rows, coeffs: Coeffs) -> int:
+        return self._xor_sum(rows, coeffs).bit_length()
 
     def mul(self, a: Coeffs, b: Coeffs) -> list[int]:
         if len(a) > len(b):
@@ -652,19 +728,6 @@ class BitKernel(_Kernel):
 
     def scale(self, a: Coeffs, c: int) -> list[int]:
         return list(a)
-
-    def pack(self, rows: Sequence[Coeffs]) -> tuple[int, list[int]]:
-        """(row length, one int per row)."""
-        return len(rows[0]), [_to_bits(row) for row in rows]
-
-    def combine(self, rows, coeffs: Coeffs) -> list[int]:
-        length, ints = rows
-        assert len(coeffs) <= len(ints)
-        return _from_bits(reduce(xor, itertools.compress(ints, coeffs), 0), length)
-
-    def combine_length(self, rows, coeffs: Coeffs) -> int:
-        assert len(coeffs) <= len(rows[1])      # the bit length, with no unpacking
-        return reduce(xor, itertools.compress(rows[1], coeffs), 0).bit_length()
 
     def divmod(self, a: Coeffs, b: Coeffs) -> tuple[list[int], list[int]]:
         r, y, nb = _to_bits(a), _to_bits(b), len(b)

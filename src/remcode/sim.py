@@ -190,7 +190,11 @@ def simulate(
     drawn without replacement; total trials are capped at 10**7.  Each
     trial is decoded once: `list_decode`, which returns the gcd outcome
     unless it failed, runs only where it failed, and is handed that outcome.
+    The count the mode reads must not be negative; zero runs no trial.
     """
+    param, count = ("message_sample", message_sample) if exhaustive else ("trials", trials)
+    if count < 0:
+        raise ValueError(f"{param} must be >= 0, got {count}")
     for name in decoders:
         if name == "list":
             if not spec.ordered_degree:

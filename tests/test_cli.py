@@ -120,6 +120,17 @@ def test_decode_erasures_time(tmp_path, rs42, rs42_file, capsys, erase, code):
     assert "elapsed_s: " in capsys.readouterr().err
 
 
+def test_decode_empty_erasure_list_erases_nothing(tmp_path, rs42, rs42_file, capsys):
+    """`--erase ""` is erasure decoding with every position known, not the
+    gcd decoder: the fixed transform reports success and the message."""
+    word = tmp_path / "word.txt"
+    save_codeword(encode(rs42, P(rs42.field, 0, 1)), str(word))
+    assert main(["decode", "--spec", rs42_file, "--in", str(word), "--erase", ""]) == 0
+    out = capsys.readouterr().out
+    assert "status: success" in out and "status: no_error" not in out
+    assert "message: [0,1]" in out
+
+
 def test_decode_erasure_budget_failure(tmp_path, rs42, rs42_file, capsys):
     word = tmp_path / "word.txt"
     save_codeword(encode(rs42, P(rs42.field, 0, 1)), str(word))
@@ -183,6 +194,17 @@ def test_simulate_exhaustive_beyond_the_sample_range(tmp_path, rs12_gf256, capsy
     captured = capsys.readouterr()
     assert "gcd: success=255 miscorrect=0 failure=0" in captured.out
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("args, param", [
+    (["--trials", "-3", "--hamming-weight", "1"], "trials"),
+    (["--trials", "0", "--exhaustive", "--positions", "2", "--messages", "-1"], "message_sample"),
+])
+def test_simulate_negative_count_is_a_usage_error(rs42_file, args, param, capsys):
+    assert main(["simulate", "--spec", rs42_file] + args) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and param in captured.err
+    assert "trials:" not in captured.out
 
 
 def test_simulate_needs_exactly_one_weight_flag(rs42_file, capsys):

@@ -3,10 +3,12 @@
 Kernel level: `combine` over `pack`ed rows, and the length of the result
 that `combine_length` reads, against the sum of `scale` and `add` through
 the same kernel, on every kernel and on GF(65521), whose
-slots need 4 or 8 bytes.  Spec level: `residues`, `encode` and `psi_inverse`
-against the references kept in the tree: `CodeSpec.residue`, `a % m_i` and
-`interpolate_direct`, on specs with reducible, unordered and mixed-degree
-moduli; `Codeword`'s flat row, the symbols split from it, its row
+slots need 4 or 8 bytes, and at full size (255 rows of 300 coefficients)
+on the characteristic-2 kernels.  Spec level: `residues`, `encode` and
+`psi_inverse` against the references kept in the tree: `CodeSpec.residue`,
+`a % m_i` and `interpolate_direct`, on specs with reducible, unordered and
+mixed-degree moduli, and at full size on RS(255,223) and over GF(2^16);
+`Codeword`'s flat row, the symbols split from it, its row
 arithmetic, its support and weights and the zero-residue count against the
 same words built and added symbol by symbol; a count of row splits on every
 library path, which split none; and `CodeSpec._shift_rows`, the rows
@@ -15,6 +17,8 @@ built from, against (x^j * v) % M_n.
 """
 
 from __future__ import annotations
+
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -131,6 +135,34 @@ def test_combine_at_the_worst_slot_load(name):
         check_combine(f, rows, [top] * count)
 
 
+@pytest.mark.parametrize("name", ["GF(2)", "GF(2^8)", "GF(2^9)", "GF(2^16)"])
+def test_char2_combine_at_full_size(name):
+    """255 rows of 300 coefficients, each row's top entries zero from a
+    drawn point on: `combine` against the reference and `combine_length`
+    against its length, for coefficients all q - 1 (every bit of every
+    coefficient set), drawn, one 1 and none.  Then two rows that agree from
+    position `cut` up, taken with one coefficient: the sum is zero from
+    `cut` up and not below it, so its length is exactly `cut`."""
+    f = FIELDS[name]
+    rng = random.Random(name)
+    count, length = 255, 300
+    rows = []
+    for _ in range(count):
+        top = rng.randrange(length + 1)
+        rows.append([rng.randrange(f.q) for _ in range(top)] + [0] * (length - top))
+    for coeffs in ([f.q - 1] * count, [rng.randrange(f.q) for _ in range(count)],
+                   [0] * (count - 1) + [1], []):
+        check_combine(f, rows, coeffs)
+    for cut in (0, 1, 2, 150, length - 1, length):
+        a = [rng.randrange(f.q) for _ in range(length)]
+        b = [rng.randrange(f.q) for _ in range(cut)] + a[cut:]
+        if cut:
+            b[cut - 1] = a[cut - 1] ^ rng.randrange(1, f.q)
+        c = rng.randrange(1, f.q)
+        check_combine(f, [a, b], [c, c])
+        assert f.kernel.combine_length(f.kernel.pack([a, b]), [c, c]) == cut
+
+
 def test_slot_widths():
     """Slots are 1, 2, 4 or 8 bytes, the narrowest that holds rows * m * (p-1)^2,
     and unpack in little-endian order whatever the host's."""
@@ -181,6 +213,38 @@ def test_row_maps_match_the_references(name):
         assert psi_inverse(spec, codeword) == direct == message
 
     check()
+
+
+FULL_SIZE = {
+    # RS(255,223) over GF(2^8): 223 forward and 255 inverse rows
+    "RS(255,223)": (FIELDS["GF(2^8)"], range(255), 223),
+    # over GF(2^16): 64 forward and 80 inverse rows, 2-byte slots
+    "GF(2^16) (80,64)": (FIELDS["GF(2^16)"], range(0, 80 * 821, 821), 64),
+}
+
+
+@pytest.mark.parametrize("name", list(FULL_SIZE))
+def test_full_size_transforms_match_the_references(name):
+    """At full size, on linear moduli x + b: `encode` equals
+    `CodeSpec.residue` at every position and `psi_inverse(encode(a)) == a`,
+    for messages with every coefficient q - 1, drawn, and with only a top
+    or a constant term; `psi_inverse` of a word that is no codeword has
+    degree below N and the word's residues."""
+    f, roots, k = FULL_SIZE[name]
+    spec = CodeSpec(f, [Poly(f, [b, 1]) for b in roots], k)
+    rng = random.Random(name)
+    top = f.q - 1
+    for coeffs in ([top] * k, [rng.randrange(f.q) for _ in range(k)],
+                   [0] * (k - 1) + [top], [top]):
+        a = Poly(f, coeffs)
+        word = encode(spec, a)
+        assert word.symbols == tuple(spec.residue(a, i) for i in range(spec.n))
+        assert psi_inverse(spec, word) == a
+    for symbols in ([top] * spec.n, [rng.randrange(f.q) for _ in range(spec.n)]):
+        y = psi_inverse(spec, [Poly(f, [c]) for c in symbols])
+        assert y.degree < spec.N
+        assert tuple(spec.residue(y, i) for i in range(spec.n)) == tuple(
+            Poly(f, [c]) for c in symbols)
 
 
 WORD_FIELDS = {"GF(2)": FIELDS["GF(2)"], "GF(5)": Field(5), "GF(9)": FIELDS["GF(9)"],

@@ -7,6 +7,7 @@ import pytest
 
 from remcode.code import CodeSpec, degree_weight, encode, hamming_weight
 from remcode.errors import InfeasibleWeight, SearchSpaceTooLarge
+from remcode import sim
 from remcode.poly import Poly
 from remcode.sim import (
     FIXED_POSITIONS,
@@ -221,6 +222,27 @@ def test_exhaustive_positions_out_of_range_are_infeasible(rs42, positions):
         corrupt(rs42, rs42.zero_word(), model)
     with pytest.raises(InfeasibleWeight):
         simulate(rs42, model, trials=0, exhaustive=True, message_sample=2)
+
+
+@pytest.mark.parametrize("spec_name, exhaustive, counts, param", [
+    ("rs42", False, {"trials": -3}, "trials"),
+    ("rs42", True, {"trials": 0, "message_sample": -1}, "message_sample"),
+    ("rs12_gf256", True, {"trials": 0, "message_sample": -1}, "message_sample"),
+])
+def test_negative_counts_are_refused_before_any_trial(
+        spec_name, exhaustive, counts, param, request, monkeypatch):
+    """A negative trial count, or a negative message sample in exhaustive
+    mode, below sys.maxsize messages (rs42) and above it (rs12_gf256), raises
+    a ValueError naming the parameter and encodes nothing; zero runs no trial."""
+    spec = request.getfixturevalue(spec_name)
+    model = ChannelModel(FIXED_POSITIONS, (2,), master_seed=1)
+    encoded = []
+    monkeypatch.setattr(sim, "encode", lambda *a: encoded.append(a) or encode(*a))
+    with pytest.raises(ValueError, match=f"^{param} must be >= 0"):
+        simulate(spec, model, exhaustive=exhaustive, **counts)
+    assert encoded == []
+    zero = {name: 0 for name in counts}
+    assert simulate(spec, model, exhaustive=exhaustive, **zero).trials == 0
 
 
 def test_simulate_exhaustive_beyond_the_sample_range(rs12_gf256):

@@ -30,8 +30,9 @@ position then takes a constant `Poly` shared per spec.  A symbol list from
 outside is checked and flattened in one pass (`CodeSpec._flatten`).
 
 `CodeSpec._shift_rows` is the one builder of rows x^j * v mod M_n, padded to
-N coefficients: the inverse rows and the list decoder's locator rows are
-such rows.
+N coefficients: the inverse rows and, outside GF(2), the list decoder's
+locator rows are such rows.  Over GF(2) the scan's kernel builds its
+locator rows as bit rows by shift and xor (`BitKernel.locator_survivors`).
 
 `CodeSpec.product` is the one place where products of moduli are formed.
 `CodeSpec.residue` is the definition, a mod m_i by one division; it is the
@@ -47,6 +48,7 @@ from typing import Iterable, Sequence
 
 from .errors import (
     BadK,
+    InfeasibleWeight,
     MessageTooLarge,
     NonCoprimeModuli,
     NonMonicModulus,
@@ -137,6 +139,17 @@ class CodeSpec:
     def irreducible(self) -> bool:
         """Whether every modulus is irreducible, by Rabin's test."""
         return all(is_irreducible(m) for m in self.moduli)
+
+    def check_positions(self, positions: Iterable[int]) -> tuple[int, ...]:
+        """`positions` as a tuple, once checked to be distinct positions
+        0 <= i < n; raises InfeasibleWeight otherwise, so that -1 is not
+        read as position n - 1 and no modulus is counted twice."""
+        positions = tuple(positions)
+        if any(not 0 <= i < self.n for i in positions):
+            raise InfeasibleWeight(f"positions {list(positions)} out of range for n={self.n}")
+        if len(set(positions)) < len(positions):
+            raise InfeasibleWeight(f"positions {list(positions)} repeat a position")
+        return positions
 
     def product(self, positions: Iterable[int]) -> Poly:
         """Product of the moduli at `positions`; 1 when there are none."""

@@ -367,29 +367,25 @@ def _locator_scan(spec: CodeSpec, received_preimage: Poly,
     `_locator_conditions`, or None when none does.
 
     Z = g * Y mod M_n is GF(q)-linear in g: Z = sum_j g_j * R_j with
-    R_j = x^j * Y mod M_n.  The rows R_0..R_cap, for cap the locator degree
-    cap, are built once by `CodeSpec._shift_rows` and packed; then per
-    candidate the checks run cheapest first:
-
-    * deg g > cap (the zero candidate included) rejects, as the verdict
-      needs deg g <= cap; it also keeps g within the rows;
-    * deg Z >= K + deg g rejects, read off one `combine_length`;
-    * the rare survivors form Z by `combine` and take the reference's
-      division by g, whose quotient is the message on a hit, and
-      zero-residue count.
+    R_j = x^j * Y mod M_n, for j up to the locator degree cap.  The
+    field's kernel builds those rows once per word and runs the cheap
+    rejections (`locator_survivors`): deg g > cap (the zero candidate
+    included), which the verdict forbids, and deg Z >= K + deg g, which no
+    quotient below K allows.  Over GF(2) that test is bit-sliced, one pass
+    for every candidate; the other fields test one candidate at a time.
+    The kernel yields the survivors in list order.  This loop, the only
+    scan loop, raises on a candidate over another field; for any other
+    survivor it forms Z by `combine`, divides it by g as the reference
+    does (on a hit the quotient is the message) and counts g's zero
+    residues.
     """
-    field, kernel, K = spec.field, spec.field.kernel, spec.K
-    cap = _locator_degree_cap(spec)
-    rows = kernel.pack(spec._shift_rows(received_preimage.coeffs, cap + 1))
-    for g in candidates:
+    field, kernel = spec.field, spec.field.kernel
+    rows, survivors = kernel.locator_survivors(
+        spec, received_preimage.coeffs, candidates, _locator_degree_cap(spec))
+    for g in survivors:
         if g.field is not field and g.field != field:
             raise SpecMismatch(f"candidate over {g.field!r}, not {field!r}")
-        coeffs = g.coeffs
-        if not coeffs or len(coeffs) > cap + 1:
-            continue
-        if kernel.combine_length(rows, coeffs) >= K + len(coeffs):
-            continue
-        a, rem = divmod(Poly._raw(field, _strip(kernel.combine(rows, coeffs))), g)
+        a, rem = divmod(Poly._raw(field, _strip(kernel.combine(rows, g.coeffs))), g)
         if rem.is_zero and count_zero_residues(spec, g) <= spec.t_hamming:
             return g, a
     return None
@@ -403,11 +399,13 @@ def error_locator_test(
     The candidate polynomial is the product of the moduli at `positions`.
     Under the promise hamming_weight(error) <= t_hamming, a true verdict
     implies the candidate is a multiple of the error locator polynomial and
-    Z = candidate * message.  Requires nondecreasing modulus degrees.
+    Z = candidate * message.  Requires nondecreasing modulus degrees, and
+    distinct positions 0 <= i < n (`CodeSpec.check_positions`).
     """
     if not spec.ordered_degree:
         raise UnorderedDegrees("locator test requires nondecreasing modulus degrees")
-    return _locator_conditions(spec, received_preimage, spec.product(positions))
+    support = spec.check_positions(positions)
+    return _locator_conditions(spec, received_preimage, spec.product(support))
 
 
 # -- the decoder --------------------------------------------------------------------

@@ -73,9 +73,11 @@ mod p once, when `combine` unpacks it (a few `bytes.translate`s per plane
 for q <= 256 and 1- or 2-byte slots, else `struct`'s explicit little-endian
 format and a mod p per slot); products are unpacked the same way.
 `combine_length` is the length of such a sum without its top zeros, which
-the list decoder's degree test reads: the characteristic-2 kernels read it
-off the packed sum's bit length, with no unpacking, and the odd ones strip
-the result of `combine`.
+the list decoder's degree test reads (`locator_survivors`): the
+characteristic-2 kernels read it off the packed sum's bit length, with no
+unpacking, and the odd ones strip the result of `combine`.  Over GF(2) the
+same linearity runs sideways: `BitKernel.locator_survivors` holds one bit
+per candidate in each mask and tests every candidate's degree at once.
 
 Coefficient lists are lowest degree first (for byte rows, so are the bytes
 of an int: "little" byte order; for bit rows, the bits).  Inputs carry no
@@ -100,7 +102,7 @@ import itertools
 import struct
 from array import array
 from functools import cached_property, reduce
-from operator import xor
+from operator import or_, xor
 from typing import Sequence
 
 Coeffs = Sequence[int]
@@ -161,6 +163,24 @@ class _Kernel:
                 break
             x, y = state = (y, step(x, y))
         return memo[state]
+
+    def locator_survivors(self, spec, y: Coeffs, candidates, cap: int):
+        """The list decoder's rows and degree test, for received preimage
+        coefficients `y` and locator degree cap `cap`: (rows, survivors).
+
+        `rows` are x^j * Y mod M_n, j <= cap, `pack`ed.  `survivors` yields,
+        in list order, every candidate over another field (the scan raises
+        on it) and every candidate g with 0 <= deg g <= cap and
+        deg Z < K + deg g, for Z = g * Y mod M_n the `combine` of the rows
+        by g; each test is one `combine_length`, made only when the scan
+        asks for the next survivor.
+        """
+        rows = self.pack(spec._shift_rows(y, cap + 1))
+        field, k = self.field, spec.K
+        return rows, (g for g in candidates
+                      if (g.field is not field and g.field != field)
+                      or (0 < len(g.coeffs) <= cap + 1
+                          and self.combine_length(rows, g.coeffs) < k + len(g.coeffs)))
 
     def scale(self, a: Coeffs, c: int) -> list[int]:
         """c * a for c != 0 (`Poly.scale` handles c = 0), by table lookup.
@@ -687,6 +707,14 @@ def _from_bits(x: int, length: int) -> list[int]:
     return list(bin(x)[:1:-1].encode().translate(_FROM_DIGITS).ljust(length, b"\0"))
 
 
+def _walk(items: tuple, mask: int):
+    """The items at the set bits of `mask`, lowest bit first."""
+    while mask:
+        low = mask & -mask
+        yield items[low.bit_length() - 1]
+        mask ^= low
+
+
 class BitKernel(ByteKernel):
     """GF(2): a row is an int with one bit per coefficient, bit i holding the
     coefficient of x^i (see `_to_bits`), and no table is read.
@@ -699,23 +727,84 @@ class BitKernel(ByteKernel):
     faster than bit rows at every length measured.  `combine` is
     `Char2Kernel`'s on bit rows, with `_xor_sum` its m = 1 case: one xor of
     the rows whose coefficient is 1, with no selector built and no scaling;
-    `combine_length` is the sum's bit length, with no rounding to slots.  A
-    list scan calls `combine_length` once per candidate, so a per-call
-    selector or division would show.  No other inherited code runs here:
-    `divmod` and the Euclid hooks work on bit rows, and every nonzero lead
-    is 1.
+    with one bit per slot, `combine_length` is the sum's bit length.  The
+    list scan makes no `combine_length` call here: `locator_survivors`
+    runs the degree test of every candidate at once, on masks with one bit
+    per candidate, and `combine` runs only for its few survivors.  No other
+    inherited code runs here: `divmod` and the Euclid hooks work on bit
+    rows, and every nonzero lead is 1.
     """
 
+    _slot = 1
     _to_int = staticmethod(_to_bits)
     _unpack = staticmethod(_from_bits)
+    # (key, masks) of the last candidate list scanned; see `locator_survivors`
+    _scan_memo: tuple = (None, None)
 
     def _xor_sum(self, rows, coeffs: Coeffs) -> int:
         """m = 1: the coefficients are their own bit plane, and nothing is scaled."""
         assert len(coeffs) <= len(rows[1])
         return reduce(xor, itertools.compress(rows[1], coeffs), 0)
 
-    def combine_length(self, rows, coeffs: Coeffs) -> int:
-        return self._xor_sum(rows, coeffs).bit_length()
+    def locator_survivors(self, spec, y: Coeffs, candidates, cap: int):
+        """`_Kernel.locator_survivors` with one degree test for every
+        candidate at once, bit-sliced: bit i of a mask stands for candidate i.
+
+        Row j is x^j * Y mod M_n as a bit row, built by shift and xor with
+        M_n.  With G_j the mask of the candidates that have an x^j term,
+        coefficient k of every candidate's Z is one mask, W_k = the xor of
+        the G_j whose row has coefficient k set: one `reduce(xor, compress)`
+        per k >= K, over the rows transposed once.  Candidate i fails
+        exactly when some W_k with k >= K + deg g_i has bit i set, so with
+        S_d the OR of W_k for k >= K + d, the failures are the OR over d of
+        (the mask of the candidates of degree d) & S_d.  The survivors, and
+        the candidates over another field, are yielded lowest index first.
+
+        The masks depend on the candidate list alone; they are built on
+        the first scan of a list and kept for the next scan while
+        `(cap, tuple(candidates))` stays equal, so an edited list, or a
+        generator, is read afresh.
+        """
+        n, k = spec.N, spec.K
+        m, top, r = _to_bits(spec.modulus_product.coeffs), 1 << n, _to_bits(y)
+        ints = [r]
+        for _ in range(cap):
+            r <<= 1
+            if r & top:
+                r ^= m
+            ints.append(r)
+        key = (cap, tuple(candidates))
+        memo_key, masks = self._scan_memo
+        if memo_key != key:
+            masks = self._scan_masks(key[1], cap)
+            self._scan_memo = key, masks
+        g_masks, by_degree, valid, foreign = masks
+        # coefficients K..N-1 of every row, highest first, as 0/1 bytes
+        tops = [format(x >> k, f"0{n - k}b").encode().translate(_FROM_DIGITS) for x in ints]
+        acc = fail = 0
+        for d, column in zip(range(n - k - 1, -1, -1), zip(*tops)):
+            acc |= reduce(xor, itertools.compress(g_masks, column), 0)     # S_d
+            if d <= cap:
+                fail |= by_degree[d] & acc
+        return (n, ints), _walk(key[1], valid & ~fail | foreign)
+
+    def _scan_masks(self, candidates: tuple, cap: int) -> tuple:
+        """(G_j for j <= cap, the mask of each degree d <= cap, the valid
+        mask, the foreign mask): a candidate is valid when it is over this
+        field with 0 <= deg <= cap, and foreign when it is over another."""
+        field, width = self.field, cap + 1
+        by_degree, padded, foreign = [0] * width, [], 0
+        for i, g in enumerate(candidates):
+            c = g.coeffs
+            if g.field is not field and g.field != field:
+                foreign |= 1 << i
+            elif 0 < len(c) <= width:
+                by_degree[len(c) - 1] |= 1 << i
+                padded.append(bytes(c).ljust(width, b"\0"))
+                continue
+            padded.append(bytes(width))
+        g_masks = [_to_bits(column) for column in zip(*padded)]
+        return g_masks, by_degree, reduce(or_, by_degree), foreign
 
     def mul(self, a: Coeffs, b: Coeffs) -> list[int]:
         if len(a) > len(b):

@@ -79,13 +79,6 @@ def _degree_weight_support(rng: random.Random, spec: CodeSpec, weight: int) -> l
     return support
 
 
-def _checked_positions(spec: CodeSpec, model: ChannelModel) -> tuple[int, ...]:
-    support = model.weight_or_positions
-    if any(not 0 <= i < spec.n for i in support):
-        raise InfeasibleWeight(f"positions {list(support)} out of range for n={spec.n}")
-    return support
-
-
 def corrupt(
     spec: CodeSpec,
     word: Codeword,
@@ -102,7 +95,7 @@ def corrupt(
     """
     rng = random.Random(mix64(model.master_seed, trial_index))
     if model.kind == FIXED_POSITIONS:
-        support = _checked_positions(spec, model)
+        support = spec.check_positions(model.weight_or_positions)
     elif model.kind == RANDOM_HAMMING:
         w = model.weight_or_positions
         if not 0 <= w <= spec.n:
@@ -222,7 +215,7 @@ def _trials(spec: CodeSpec, model: ChannelModel, trials, exhaustive, message_sam
     if exhaustive:
         if model.kind != FIXED_POSITIONS:
             raise ValueError("exhaustive mode requires fixed error positions")
-        support = _checked_positions(spec, model)
+        support = spec.check_positions(model.weight_or_positions)
         value_count = math.prod(spec.field.q ** spec.degrees[i] - 1 for i in support)
         sample = min(message_sample, total_messages)
         if value_count * sample > EXHAUSTIVE_TRIAL_CAP:

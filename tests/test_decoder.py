@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import remcode.code
 import remcode.decoder as decoder
+import remcode.kernels as kernels
 from remcode.code import CodeSpec, Codeword, degree_weight, distances, encode, psi_inverse
 from remcode.decoder import (
     Algorithm,
@@ -37,6 +38,7 @@ from remcode.decoder import (
 from remcode.errors import (
     CandidateExplosion,
     DegreePreconditionViolated,
+    InfeasibleWeight,
     MessageDegreeOverflow,
     NonDivisible,
     RemcodeError,
@@ -437,6 +439,16 @@ def test_error_locator_test(ladder5, rs42, reducible_spec):
     assert count_zero_residues(rs42, rs42.moduli[0] * rs42.moduli[1]) == 2
     with pytest.raises(UnorderedDegrees):
         error_locator_test(reducible_spec, big_y, {0})
+
+
+@pytest.mark.parametrize("positions", [[9], [-1], [0, 0]],
+                         ids=["past n", "negative", "repeated"])
+def test_error_locator_test_refuses_positions_that_name_no_support(ladder5, positions):
+    """A position past n, a negative one (not read as n - 1) and a repeated
+    one (whose product m_0^2 locates no support) raise InfeasibleWeight."""
+    y = psi_inverse(ladder5, encode(ladder5, P(ladder5.field, 1, 1)))
+    with pytest.raises(InfeasibleWeight):
+        error_locator_test(ladder5, y, positions)
 
 
 # -- decode ------------------------------------------------------------------------
@@ -915,6 +927,148 @@ def test_list_decode_refuses_a_candidate_over_another_field(ladder5, gf4):
         with pytest.raises(SpecMismatch):
             list_decode(ladder5, word, candidates)
     assert list_decode(ladder5, word, [m[4], foreign]).factor_poly == m[4]
+
+
+# -- the bit-sliced GF(2) scan -----------------------------------------------------------
+
+LADDER20_DEGREES = (1, 1, 2, 3, 3, 4, 4, 4, 5, 5, 5, 5, 6, 6, 6, 6, 7, 7, 7, 7)
+
+
+@pytest.fixture(scope="module")
+def ladder20(gf2) -> tuple[CodeSpec, list[Poly]]:
+    """GF(2) code with 20 irreducible moduli of degrees 1..7 and k = 8, and
+    its 442 list candidates: each scan mask then spans 442 bits, so hits
+    lie past bit 63."""
+    moduli = []
+    for d in sorted(set(LADDER20_DEGREES)):
+        moduli += irreducible_polys(gf2, d)[:LADDER20_DEGREES.count(d)]
+    spec = CodeSpec(gf2, moduli, 8)
+    return spec, build_candidate_list(spec)
+
+
+def _error_on(rng: random.Random, spec, g: Poly) -> Codeword:
+    """A codeword plus a random error on the positions whose modulus divides g."""
+    f = spec.field
+    error = [Poly.zero(f)] * spec.n
+    for i, m in enumerate(spec.moduli):
+        if (g % m).is_zero:
+            error[i] = Poly.from_int(f, rng.randrange(1, f.q ** spec.degrees[i]))
+    return encode(spec, random_message(rng, spec)) + Codeword(spec, tuple(error))
+
+
+def _without(spec, candidates, positions):
+    """The candidates that some modulus at `positions` does not divide."""
+    return [g for g in candidates if any((g % spec.moduli[i]) for i in positions)]
+
+
+def test_locator_scan_on_a_workload_sized_list_matches_the_reference(ladder20):
+    spec, cands = ladder20
+    assert len(cands) >= 400
+    rng = random.Random(2101)
+    hits = set()
+    for index in (0, 63, 64, 200, len(cands) - 1):
+        y = psi_inverse(spec, _error_on(rng, spec, cands[index]))
+        expected = _first_hit_by_reference(spec, y, cands)
+        assert _locator_scan(spec, y, cands) == expected
+        hits.add(cands.index(expected[0]))
+    assert max(hits) >= 64
+
+
+def test_locator_scan_takes_the_lowest_index_among_ties_and_duplicates(ladder20):
+    """Two passing candidates, a multiple of the locator and the locator
+    itself, and an equal copy of the locator: the lowest index wins."""
+    spec, cands = ladder20
+    y = psi_inverse(spec, _error_on(random.Random(2102), spec, spec.product([16, 17])))
+    exact, wider = spec.product([16, 17]), spec.product([0, 16, 17])
+    twin = Poly(exact.field, exact.coeffs)
+    filler = _without(spec, cands, [16, 17])[:100]
+    for ties in ([wider, exact, twin], [twin, exact, wider], [exact, twin]):
+        listed = filler + ties + cands
+        got = _locator_scan(spec, y, listed)
+        assert got == _first_hit_by_reference(spec, y, listed)
+        assert got[0] is ties[0]
+
+
+def test_locator_scan_misses_when_no_candidate_passes(ladder20, ladder5):
+    rng = random.Random(2103)
+    for spec, cands in (ladder20, (ladder5, build_candidate_list(ladder5))):
+        for _ in range(5):
+            y = random_preimage(rng, spec)
+            assert _first_hit_by_reference(spec, y, cands) is None
+            assert _locator_scan(spec, y, cands) is None
+        assert _locator_scan(spec, y, []) is None
+
+
+def test_locator_scan_sees_a_list_edited_in_place(ladder20):
+    """The masks of a list are kept between scans, but never for a list
+    whose entries changed since."""
+    spec, cands = ladder20
+    g = spec.product([16, 17])
+    y = psi_inverse(spec, _error_on(random.Random(2104), spec, g))
+    listed = _without(spec, cands, [16, 17])
+    assert _locator_scan(spec, y, listed) is None
+    listed[70] = g
+    assert _locator_scan(spec, y, listed) == _first_hit_by_reference(spec, y, listed)
+    assert _locator_scan(spec, y, listed)[0] is g
+    listed[70] = Poly.zero(spec.field)
+    assert _locator_scan(spec, y, listed) is None
+    listed.append(g)
+    assert _locator_scan(spec, y, listed)[0] is g
+
+
+def test_locator_scan_takes_a_tuple_or_a_generator(ladder20, gf4_mixed):
+    spec, cands = ladder20
+    word = _error_on(random.Random(2105), spec, cands[300])
+    y = psi_inverse(spec, word)
+    assert decode(spec, word).status is DecodeStatus.FAILURE
+    expected = _first_hit_by_reference(spec, y, cands)
+    listed = list_decode(spec, word, cands)
+    assert listed.factor_poly == expected[0]
+    for form in (tuple, iter, lambda c: (g for g in c)):
+        assert _locator_scan(spec, y, form(cands)) == expected
+        assert list_decode(spec, word, form(cands)) == listed
+    gf4_cands = list(gf4_mixed.moduli)
+    y = psi_inverse(gf4_mixed, _error_on(random.Random(2106), gf4_mixed, gf4_cands[-1]))
+    expected = _first_hit_by_reference(gf4_mixed, y, gf4_cands)
+    assert expected is not None
+    for form in (tuple, iter):
+        assert _locator_scan(gf4_mixed, y, form(gf4_cands)) == expected
+
+
+def test_locator_scan_raises_on_a_foreign_candidate_before_the_hit(ladder20, gf4):
+    """A candidate over GF(4) placed before the hit, past bit 63, raises;
+    placed after it, it is never reached."""
+    spec, cands = ladder20
+    word = _error_on(random.Random(2108), spec, cands[300])
+    y = psi_inverse(spec, word)
+    foreign = P(gf4, 2, 1)
+    with pytest.raises(SpecMismatch):
+        _locator_scan(spec, y, cands[:100] + [foreign] + cands[100:])
+    with pytest.raises(SpecMismatch):
+        list_decode(spec, word, [foreign] + cands)
+    assert _locator_scan(spec, y, cands + [foreign]) == _locator_scan(spec, y, cands)
+
+
+def test_locator_scan_over_gf2_makes_no_combine_length_call(ladder20, gf4_mixed, monkeypatch):
+    """Over GF(2) the degree test is the sliced one: no candidate takes a
+    `combine_length`, which GF(4)'s scan, the control, does call."""
+    calls = []
+    combine_length = kernels.Char2Kernel.combine_length
+
+    def counting(self, rows, coeffs):
+        calls.append(self)
+        return combine_length(self, rows, coeffs)
+
+    monkeypatch.setattr(kernels.Char2Kernel, "combine_length", counting)
+    spec, cands = ladder20
+    for index in (5, 300):
+        word = _error_on(random.Random(index), spec, cands[index])
+        assert list_decode(spec, word, cands).ok
+    assert calls == []
+    gf4_cands = list(gf4_mixed.moduli)
+    y = psi_inverse(gf4_mixed, _error_on(random.Random(2107), gf4_mixed, gf4_cands[-1]))
+    assert _locator_scan(gf4_mixed, y, gf4_cands) is not None
+    assert calls and all(kernel is gf4_mixed.field.kernel for kernel in calls)
 
 
 # -- the locator test's degree rejection ---------------------------------------------

@@ -57,7 +57,8 @@ from .errors import (
     UnorderedDegrees,
 )
 from .field import Field
-from .poly import Poly, _strip, poly_gcd, poly_mod_inverse, is_irreducible
+from .kernels import _strip
+from .poly import Poly, _born, poly_gcd, poly_mod_inverse, is_irreducible
 
 
 class CodeSpec:
@@ -411,7 +412,7 @@ def psi_inverse(spec: CodeSpec, word: Codeword | Sequence[Poly]) -> Poly:
         row = word.row
     else:
         row = spec._flatten(tuple(word))
-    return Poly._raw(spec.field, _strip(spec.field.kernel.combine(spec._inverse_rows, row)))
+    return _born(spec.field, spec.field.kernel.combine_packed(spec._inverse_rows, row))
 
 
 def hamming_weight(word: Codeword) -> int:

@@ -50,7 +50,7 @@ from .errors import (
     ZeroG,
 )
 from .field import Field
-from .poly import Poly, _strip, poly_gcd
+from .poly import Poly, _born, poly_gcd
 
 
 @dataclass(frozen=True)
@@ -381,11 +381,11 @@ def _locator_scan(spec: CodeSpec, received_preimage: Poly,
     """
     field, kernel = spec.field, spec.field.kernel
     rows, survivors = kernel.locator_survivors(
-        spec, received_preimage.coeffs, candidates, _locator_degree_cap(spec))
+        spec, received_preimage, candidates, _locator_degree_cap(spec))
     for g in survivors:
         if g.field is not field and g.field != field:
             raise SpecMismatch(f"candidate over {g.field!r}, not {field!r}")
-        a, rem = divmod(Poly._raw(field, _strip(kernel.combine(rows, g.coeffs))), g)
+        a, rem = divmod(_born(field, kernel.combine_packed(rows, g.coeffs)), g)
         if rem.is_zero and count_zero_residues(spec, g) <= spec.t_hamming:
             return g, a
     return None

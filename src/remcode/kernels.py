@@ -1,4 +1,5 @@
-"""Coefficient kernels: dense polynomial arithmetic on plain coefficient lists.
+"""Coefficient kernels: dense polynomial arithmetic on packed values and
+on plain coefficient lists.
 
 A `Field` gets one kernel when it is built, from `kernel_for`, the one
 place that compares p and q; no kernel tests the field again.  There is one
@@ -18,12 +19,27 @@ class per row representation:
   keeps `Char2Kernel`'s per-coefficient loop.
 * `Char2Kernel` (GF(2^m), 256 < q <= 2^16) -- add is a per-coefficient
   xor, and multiply and division are per-coefficient log/exp loops.  It
-  is the base of the other two characteristic-2 kernels, for `combine`.
+  is the base of the other two characteristic-2 kernels, for `combine`
+  and for `ByteKernel`'s division by short divisors.
 * `PrimeKernel` (odd p, m = 1) -- plain int multiply-accumulate; a
   coefficient is reduced mod p once per output coefficient or division row,
   not per term.
 * `OddKernel` (odd p, m > 1) -- log/exp multiply, add through a Zech
   logarithm table of O(q) size, built on first use.
+
+`Poly` computes only through the kernel's entry points on packed values,
+which take and return values with no top zeros: `to_packed`,
+`from_packed` and `packed_len` (a value from coefficients, its
+coefficients, its coefficient count), `poly_add`, `poly_sub`, `poly_mul`,
+`poly_divmod`, `gcd` and `combine_packed`.  `BitKernel` and `ByteKernel`
+set `packs`: there a packed value is one int, the bit row or the
+little-endian byte row, which is also the kernel's gcd state, so a
+polynomial is packed once, when it is first computed on, results are
+born packed, and coefficients are unpacked only when read.  Every other
+kernel packs nothing: a packed value is the coefficient tuple, and the
+entry points strip the results of the list operations.  Those, `add`,
+`sub`, `mul` and `scale` on coefficient lists, serve the row builders in
+`remcode.code`, `Field`'s scalar operations and the irreducible sieve.
 
 Both odd-characteristic kernels share `_SlotKernel.mul`: a product whose
 shorter operand has at least `KRONECKER_MIN` coefficients is a Kronecker
@@ -36,12 +52,13 @@ reduced mod p once.  Shorter products keep the per-coefficient loops
 the Zech table.
 
 `gcd` is one Euclid loop for every kernel, on per-kernel hooks (`_euclid`):
-pack coefficients into a state, take the remainder of one state by another,
-and unpack the last one monic.  A state is an int in `BitKernel` (a bit
-row) and in `ByteKernel` (a byte row), and otherwise one `bytes` of 1-byte
-(q <= 256) or 2-byte machine ints.  Each kernel remembers the states (x, y)
-of its last run that missed, each mapped to that run's result; a run that
-reaches one of them returns it.  From a given state the rest of a run is
+turn a packed value into a state, take the remainder of one state by
+another, and turn the last one into its monic packed value.  A state is
+the packed value itself in `BitKernel` (a bit row) and in `ByteKernel` (a
+byte row), and otherwise one `bytes` of 1-byte (q <= 256) or 2-byte
+machine ints.  Each kernel remembers the states (x, y) of its last run
+that missed, each mapped to that run's result; a run that reaches one of
+them returns it.  From a given state the rest of a run is
 fixed, so a hit returns exactly what a fresh run would.  Only a run that
 misses replaces the memo; a hit, or a call that takes no step, leaves it.
 The memo holds one chain: about sum_i len(r_i) coefficient bytes for its
@@ -80,8 +97,8 @@ same linearity runs sideways: `BitKernel.locator_survivors` holds one bit
 per candidate in each mask and tests every candidate's degree at once.
 
 Coefficient lists are lowest degree first (for byte rows, so are the bytes
-of an int: "little" byte order; for bit rows, the bits).  Inputs carry no
-trailing zeros; outputs may, and `Poly` strips them.  `add`, `sub` and
+of an int: "little" byte order; for bit rows, the bits).  The list
+operations' outputs may carry trailing zeros: `add`, `sub` and
 `scale` keep their operands' full length, since the row builders in
 `remcode.code` read a row's top entry by position, and a `Codeword`'s row
 keeps its N entries through `+` and `-`.  Every table -- the
@@ -107,11 +124,21 @@ from typing import Sequence
 
 Coeffs = Sequence[int]
 
+
+def _strip(coeffs: Sequence[int]) -> tuple[int, ...]:
+    """The coefficients without their top zeros, as a tuple."""
+    n = len(coeffs)
+    while n and coeffs[n - 1] == 0:
+        n -= 1
+    return tuple(coeffs[:n])
+
 # ByteKernel: divisors of fewer coefficients keep the list loop.  A byte-row
-# quotient term shifts and xors the whole remainder, so dividing a long row by
-# a short one costs O(len(rem)) per term against O(len(b)) in the list loop;
-# rs255_decode's set-up divides M_n by each of its 255 linear moduli.
-ROW_MIN = 12
+# quotient term costs about the same at any divisor length, a few C-level calls
+# on the whole row; a list-loop term costs one Python step per divisor
+# coefficient.  Over GF(2^8) the two met at 7 divisor coefficients for 255-
+# and 64-coefficient dividends (rs255_decode's (t * Y mod M_n) / t), at 8 for
+# 128 and at 5 to 6 for 17 to 32; at 7 neither side loses more than about 10 %.
+ROW_MIN = 7
 
 # PrimeKernel and OddKernel: a product whose shorter operand has at least this many
 # coefficients is a Kronecker product on packed digit planes (`_SlotKernel.mul`);
@@ -124,25 +151,55 @@ _BIT_OF = [bytes((x >> b) & 1 for x in range(256)) for b in range(8)]
 
 
 class _Kernel:
-    """Operations shared by every kernel: `divmod` built on its `_divide`,
-    `gcd` on its `_euclid` hooks, and the table-based `scale` of the
-    extension-field kernels."""
+    """Operations shared by every kernel: `Poly`'s entry points for the
+    kernels that pack nothing, `poly_divmod` built on `_divide`, `gcd` on
+    the `_euclid` hooks, and the table-based `scale` of the extension-field
+    kernels."""
 
     def __init__(self, field):
         self.field = field
         self._memo = {}
 
-    def divmod(self, a: Coeffs, b: Coeffs) -> tuple[list[int], list[int]]:
-        """Quotient and remainder; needs len(a) >= len(b) >= 1."""
-        rem = list(a)
-        db = len(b) - 1
-        quot = [0] * (len(rem) - db)
-        self._divide(rem, b, quot)
-        del rem[db:]
-        return quot, rem
+    # -- `Poly`'s entry points: on packed values, with no top zeros ------------
+    # A packed value is the coefficient tuple itself here, and one int in
+    # `ByteKernel` and `BitKernel`, which override these and set `packs`.
 
-    def gcd(self, a: Coeffs, b: Coeffs) -> tuple[int, ...]:
-        """Monic gcd of a and b (not both empty), by Euclid on packed states.
+    packs = False
+
+    def to_packed(self, coeffs: tuple[int, ...]):
+        return coeffs
+
+    def from_packed(self, x) -> tuple[int, ...]:
+        return x
+
+    packed_len = staticmethod(len)
+
+    def poly_add(self, x, y):
+        return _strip(self.add(x, y))
+
+    def poly_sub(self, x, y):
+        return _strip(self.sub(x, y))
+
+    def poly_mul(self, x, y):
+        """x * y, both nonzero."""
+        return _strip(self.mul(x, y))
+
+    def poly_divmod(self, x, y):
+        """Quotient and remainder; needs len(x) >= len(y) >= 1."""
+        rem = list(x)
+        db = len(y) - 1
+        quot = [0] * (len(rem) - db)
+        self._divide(rem, y, quot)
+        del rem[db:]
+        return _strip(quot), _strip(rem)
+
+    def combine_packed(self, rows, coeffs: Coeffs):
+        """`combine(rows, coeffs)` packed, without its top zeros."""
+        return _strip(self.combine(rows, coeffs))
+
+    def gcd(self, a, b):
+        """Monic gcd of the packed values a and b (not both zero), packed,
+        by Euclid on states.
 
         A state (x, y) steps to (y, x mod y) until y = 0.  `_memo` maps each
         state of the last run that missed to that run's result, and a run
@@ -164,9 +221,9 @@ class _Kernel:
             x, y = state = (y, step(x, y))
         return memo[state]
 
-    def locator_survivors(self, spec, y: Coeffs, candidates, cap: int):
-        """The list decoder's rows and degree test, for received preimage
-        coefficients `y` and locator degree cap `cap`: (rows, survivors).
+    def locator_survivors(self, spec, y, candidates, cap: int):
+        """The list decoder's rows and degree test, for the received
+        preimage `y` (a `Poly`) and locator degree cap `cap`: (rows, survivors).
 
         `rows` are x^j * Y mod M_n, j <= cap, `pack`ed.  `survivors` yields,
         in list order, every candidate over another field (the scan raises
@@ -175,7 +232,7 @@ class _Kernel:
         by g; each test is one `combine_length`, made only when the scan
         asks for the next survivor.
         """
-        rows = self.pack(spec._shift_rows(y, cap + 1))
+        rows = self.pack(spec._shift_rows(y.coeffs, cap + 1))
         field, k = self.field, spec.K
         return rows, (g for g in candidates
                       if (g.field is not field and g.field != field)
@@ -198,10 +255,10 @@ class _Kernel:
         return a if lead == 1 else self.scale(a, self.field.inv(lead))
 
     def _euclid(self):
-        """`gcd`'s (pack, step, finish), with the tables read once: pack
-        coefficients into a state, the remainder of one state by another,
-        and a state's monic coefficients.  Here a state is the coefficients
-        as one `bytes` of 1- or 2-byte machine ints, with no top zeros."""
+        """`gcd`'s (pack, step, finish), with the tables read once: a packed
+        value's state, the remainder of one state by another, and a state's
+        monic packed value.  Here a state is the coefficients as one `bytes`
+        of 1- or 2-byte machine ints, with no top zeros."""
         code = "B" if self.field.q <= 256 else "H"
         divide, monic = self._divide, self._monic
 
@@ -474,10 +531,10 @@ class Char2Kernel(_Kernel):
     for its row form: `_slot`, the bits per coefficient; `_to_int` and
     `_unpack`, a row to its int and back; `_bit_planes`, the selectors of
     the coefficients' bits; and `_times_alpha`, a packed row times alpha^b.
-    Here a row is 2-byte little-endian slots.
-    `ByteKernel` derives from this class for its `_divide`, which it runs on
-    divisors of fewer than `ROW_MIN` coefficients, and `BitKernel` from
-    `ByteKernel`.
+    Here a row is 2-byte little-endian slots.  Polynomials are not packed
+    here.  `ByteKernel` derives from this class for its `_divide`, which it
+    runs on divisors of fewer than `ROW_MIN` coefficients, and `BitKernel`
+    from `ByteKernel`.
     """
 
     _slot = 16
@@ -570,15 +627,16 @@ class Char2Kernel(_Kernel):
 class ByteKernel(Char2Kernel):
     """GF(2^m), 2 < q <= 256: rows handled whole, as bytes.
 
-    Every coefficient fits in a byte, so `add` (and `sub`) xors the rows as
-    `int.from_bytes` values.  A row's logs come from one `bytes.translate`
-    (zero goes to the spare index 255); one more translate scales it by g^f.
-    Division by at least `ROW_MIN` coefficients, and gcd, keep their
-    remainders as ints, so each quotient term costs a few C-level calls
-    instead of a Python step per coefficient; shorter divisors run
-    `Char2Kernel._divide`.  `pack`, `combine` and `combine_length` are
-    `Char2Kernel`'s, on byte rows: a packed row is its bytes as one
-    little-endian int, and alpha^b scales one by the translate pair.
+    A polynomial's packed value is its byte row as one little-endian int,
+    so its sum and difference are one int xor.  A row's logs come from one
+    `bytes.translate` (zero goes to the spare index 255); one more translate
+    scales it by g^f.  A product, a division by at least `ROW_MIN`
+    coefficients and a gcd keep their rows as ints, so each term costs a
+    few C-level calls instead of a Python step per coefficient; shorter
+    divisors run `Char2Kernel._divide` on the unpacked remainder.  The list
+    `mul` is the packed one, packed and unpacked.  `pack`, `combine` and
+    `combine_length` are `Char2Kernel`'s, on byte rows (a packed row is a
+    packed value), and alpha^b scales one by the translate pair.
     """
 
     _slot = 8
@@ -594,9 +652,14 @@ class ByteKernel(Char2Kernel):
         return [raw.translate(_BIT_OF[b]) for b in range(self.field.m)]
 
     def _times_alpha(self, x: int, b: int, length: int) -> int:
+        return self._times(x, length, self._rows[0][1 << b])
+
+    def _times(self, x: int, length: int, f: int) -> int:
+        """g^f * x, x a packed row of `length` bytes: a translate to logs
+        and one by g^f."""
         to_log, times = self._rows
-        raw = x.to_bytes(length, "little").translate(to_log)
-        return int.from_bytes(raw.translate(times[to_log[1 << b]]), "little")
+        return int.from_bytes(x.to_bytes(length, "little").translate(to_log).translate(times[f]),
+                              "little")
 
     @cached_property
     def _rows(self) -> tuple[bytes, list[bytes]]:
@@ -621,36 +684,77 @@ class ByteKernel(Char2Kernel):
     sub = add
 
     def mul(self, a: Coeffs, b: Coeffs) -> list[int]:
-        if len(a) > len(b):
-            a, b = b, a
-        to_log, times = self._rows
-        row = bytes(b).translate(to_log)
-        acc = 0
-        for i, c in enumerate(a):
-            if c:
-                acc ^= int.from_bytes(row.translate(times[to_log[c]]), "little") << (8 * i)
-        return list(acc.to_bytes(len(a) + len(b) - 1, "little"))
+        return self._unpack(self.poly_mul(self._to_int(a), self._to_int(b)), len(a) + len(b) - 1)
 
     def scale(self, a: Coeffs, c: int) -> list[int]:
         to_log, times = self._rows
         return list(bytes(a).translate(to_log).translate(times[to_log[c]]))
 
+    # -- `Poly`'s entry points: a packed value is the byte row as an int ------
+
+    packs = True
+
+    to_packed = _to_int
+
+    def from_packed(self, x: int) -> tuple[int, ...]:
+        return tuple(self._unpack(x, self.packed_len(x)))
+
+    @staticmethod
+    def packed_len(x: int) -> int:
+        return (x.bit_length() + 7) >> 3
+
+    poly_add = poly_sub = staticmethod(xor)
+
+    def poly_mul(self, x: int, y: int) -> int:
+        """x * y: for each nonzero byte c of the shorter row, the longer
+        row's logs translated to c times it, shifted into place."""
+        a, b = x.to_bytes(self.packed_len(x), "little"), y.to_bytes(self.packed_len(y), "little")
+        if len(a) > len(b):
+            a, b = b, a
+        to_log, times = self._rows
+        row = b.translate(to_log)
+        acc = 0
+        for i, c in enumerate(a):
+            if c:
+                acc ^= int.from_bytes(row.translate(times[to_log[c]]), "little") << (8 * i)
+        return acc
+
+    def poly_divmod(self, x: int, y: int) -> tuple[int, int]:
+        """By byte rows (`_reducer`) when the divisor has at least `ROW_MIN`
+        coefficients, else by `Char2Kernel`'s per-coefficient loop."""
+        nx, ny = self.packed_len(x), self.packed_len(y)
+        b, quot = y.to_bytes(ny, "little"), bytearray(nx - ny + 1)
+        if ny >= ROW_MIN:
+            r = self._reducer()(x, b, quot)
+        else:
+            rem = list(x.to_bytes(nx, "little"))
+            self._divide(rem, b, quot)
+            r = int.from_bytes(bytes(rem[:ny - 1]), "little")
+        return int.from_bytes(quot, "little"), r
+
+    def combine_packed(self, rows, coeffs: Coeffs) -> int:
+        return self._xor_sum(rows, coeffs)
+
     def _euclid(self):
-        """A state is an int: the byte row, little-endian."""
-        reduce_row, monic = self._reducer(), self._monic
+        """A state is the packed value itself; a finished one is scaled by
+        the inverse of its lead."""
+        reduce_row, to_log, n = self._reducer(), self._rows[0], self.field.q - 1
 
         def step(x: int, y: int) -> int:
             return reduce_row(x, y.to_bytes((y.bit_length() + 7) >> 3, "little"), None)
 
-        def finish(x: int) -> tuple[int, ...]:
-            return tuple(monic(list(x.to_bytes((x.bit_length() + 7) >> 3, "little"))))
+        def finish(x: int) -> int:
+            length = self.packed_len(x)
+            lead = x >> (8 * length - 8)
+            return x if lead == 1 else self._times(x, length, n - to_log[lead])
 
-        return self._to_int, step, finish
+        return _same, step, finish
 
     def _reducer(self):
         """`reduce_row(r, b, quot)`: r mod b, r an int and b `bytes`, rows
-        packed little-endian; the quotient as in `_divide`.  The tables are
-        read here, once, and not per call of `reduce_row`.
+        packed little-endian; the quotient, unless None, written to `quot`
+        as by `_divide`.  The tables are read here, once, and not per call
+        of `reduce_row`.
 
         Subtracting c/lead * b, lead included, clears the top byte of r, so
         each quotient term costs a few C-level calls on the whole row.
@@ -659,7 +763,7 @@ class ByteKernel(Char2Kernel):
         to_log, times = self._rows
         n = self.field.q - 1
 
-        def reduce_row(r: int, b: bytes, quot: list[int] | None) -> int:
+        def reduce_row(r: int, b: bytes, quot) -> int:
             db = len(b) - 1
             row = b.translate(to_log)
             inv = n - to_log[b[-1]]               # log of 1 / lead
@@ -672,14 +776,6 @@ class ByteKernel(Char2Kernel):
             return r
 
         return reduce_row
-
-    def _divide(self, rem: list[int], b: Coeffs, quot: list[int] | None) -> None:
-        if len(b) < ROW_MIN:
-            super()._divide(rem, b, quot)
-            return
-        db = len(b) - 1
-        r = self._reducer()(int.from_bytes(bytes(rem), "little"), bytes(b), quot)
-        rem[:db] = r.to_bytes(db, "little")
 
 
 # GF(2) rows: coefficients 0/1 as the digits "0"/"1", and back
@@ -697,6 +793,11 @@ def _xor_mod(x: int, y: int) -> int:
     dy = y.bit_length()
     while (top := x.bit_length()) >= dy:
         x ^= y << (top - dy)
+    return x
+
+
+def _same(x):
+    """The Euclid hooks' pack and finish where a state is the packed value."""
     return x
 
 
@@ -719,20 +820,22 @@ class BitKernel(ByteKernel):
     """GF(2): a row is an int with one bit per coefficient, bit i holding the
     coefficient of x^i (see `_to_bits`), and no table is read.
 
-    The only nonzero scalar is 1, so `scale` is the identity; a product xors
-    shifted copies of one operand, one per nonzero coefficient of the other;
-    a division or gcd step xors the shifted divisor into the remainder until
-    its bit length drops below the divisor's, so each quotient term is one
-    xor.  `add` and `sub` are `ByteKernel.add`, the byte-row xor, which is
-    faster than bit rows at every length measured.  `combine` is
+    A polynomial's packed value is its bit row.  The only nonzero scalar is
+    1, so `scale` is the identity; a product xors shifted copies of one
+    operand, one per set bit of the other; a division or gcd step xors the
+    shifted divisor into the remainder until its bit length drops below the
+    divisor's, so each quotient term is one xor.  The sum of two packed
+    values is their xor (`ByteKernel.poly_add`); the list `add` and `sub`
+    are `ByteKernel.add`, the byte-row xor, which is faster than bit rows
+    at every length measured.  `combine` is
     `Char2Kernel`'s on bit rows, with `_xor_sum` its m = 1 case: one xor of
     the rows whose coefficient is 1, with no selector built and no scaling;
     with one bit per slot, `combine_length` is the sum's bit length.  The
     list scan makes no `combine_length` call here: `locator_survivors`
     runs the degree test of every candidate at once, on masks with one bit
     per candidate, and `combine` runs only for its few survivors.  No other
-    inherited code runs here: `divmod` and the Euclid hooks work on bit
-    rows, and every nonzero lead is 1.
+    inherited code runs here: `poly_divmod` and the Euclid hooks work on
+    bit rows, and every nonzero lead is 1.
     """
 
     _slot = 1
@@ -746,7 +849,7 @@ class BitKernel(ByteKernel):
         assert len(coeffs) <= len(rows[1])
         return reduce(xor, itertools.compress(rows[1], coeffs), 0)
 
-    def locator_survivors(self, spec, y: Coeffs, candidates, cap: int):
+    def locator_survivors(self, spec, y, candidates, cap: int):
         """`_Kernel.locator_survivors` with one degree test for every
         candidate at once, bit-sliced: bit i of a mask stands for candidate i.
 
@@ -766,7 +869,7 @@ class BitKernel(ByteKernel):
         generator, is read afresh.
         """
         n, k = spec.N, spec.K
-        m, top, r = _to_bits(spec.modulus_product.coeffs), 1 << n, _to_bits(y)
+        m, top, r = spec.modulus_product.packed, 1 << n, y.packed
         ints = [r]
         for _ in range(cap):
             r <<= 1
@@ -806,29 +909,37 @@ class BitKernel(ByteKernel):
         g_masks = [_to_bits(column) for column in zip(*padded)]
         return g_masks, by_degree, reduce(or_, by_degree), foreign
 
-    def mul(self, a: Coeffs, b: Coeffs) -> list[int]:
-        if len(a) > len(b):
-            a, b = b, a
-        row, acc = _to_bits(b), 0
-        for i, c in enumerate(a):
-            if c:
-                acc ^= row << i
-        return _from_bits(acc, len(a) + len(b) - 1)
-
     def scale(self, a: Coeffs, c: int) -> list[int]:
         return list(a)
 
-    def divmod(self, a: Coeffs, b: Coeffs) -> tuple[list[int], list[int]]:
-        r, y, nb = _to_bits(a), _to_bits(b), len(b)
-        quot = [0] * (len(a) - nb + 1)
-        while (top := r.bit_length()) >= nb:
-            quot[top - nb] = 1                    # x^(top - nb) * b clears r's top bit
-            r ^= y << (top - nb)
-        return quot, _from_bits(r, nb - 1)
+    # -- `Poly`'s entry points: a packed value is the bit row ----------------
+
+    to_packed = _to_int
+    packed_len = staticmethod(int.bit_length)
+
+    @staticmethod
+    def poly_mul(x: int, y: int) -> int:
+        """x * y: y shifted to each set bit of the shorter x, lowest first."""
+        if x.bit_length() > y.bit_length():
+            x, y = y, x
+        acc = 0
+        while x:
+            low = x & -x
+            acc ^= y << (low.bit_length() - 1)
+            x ^= low
+        return acc
+
+    @staticmethod
+    def poly_divmod(x: int, y: int) -> tuple[int, int]:
+        ny, quot = y.bit_length(), 0
+        while (top := x.bit_length()) >= ny:
+            quot |= 1 << (top - ny)               # x^(top - ny) * y clears x's top bit
+            x ^= y << (top - ny)
+        return quot, x
 
     def _euclid(self):
-        """A state is an int, the bit row; a finished one is monic as it is."""
-        return _to_bits, _xor_mod, lambda x: tuple(_from_bits(x, x.bit_length()))
+        """A state is the bit row; a finished one is monic as it is."""
+        return _same, _xor_mod, _same
 
 
 class OddKernel(_SlotKernel):

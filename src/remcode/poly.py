@@ -5,11 +5,21 @@ of x^l) with no trailing zeros; the zero polynomial has an empty coefficient
 tuple and degree NEG_DEGREE, a sentinel strictly below every integer so that
 every bound of the form `deg r < limit` is automatically satisfied by r = 0.
 
-Arithmetic (`+`, `-`, `*`, `divmod`, `scale`) and `poly_gcd` hand the
-coefficient tuples to the field's kernel (`remcode.kernels`), which works on
-plain lists with no `Field` method call per coefficient; `Poly` checks the
-operands and strips the result.  `evaluate(beta)` is the remainder of
-division by x - beta.
+A polynomial also has a packed value, the form its field's kernel
+(`remcode.kernels`) computes on: over GF(2) its bit row as an int, over
+GF(2^m) with q <= 256 its byte row as a little-endian int (`BitKernel` and
+`ByteKernel` set `packs`), and elsewhere the coefficient tuple itself.
+`+`, `-`, `*`, `divmod` and `poly_gcd` check the operands, hand their packed
+values to the kernel's entry points and return polynomials born packed,
+with their coefficient count, so `degree`, `is_zero` and `bool` read no
+coefficients.  Over a packing field a polynomial is a `_LazyPoly`: born
+from its coefficients or from its packed value, it fills the other form on
+its first read, so a chain of arithmetic packs each input once and unpacks
+only what is read.  Equality compares packed values over one `Field`
+object and coefficients otherwise; hashing, `repr`, `serialize`, `copy`
+and `pickle` read the coefficients.  `scale` and `shift` work on
+coefficients, and `evaluate(beta)` is the remainder of division by
+x - beta.
 
 Also provides Rabin's irreducibility test, the sieve that serves as its
 reference: every monic polynomial of a degree that is not a product of a
@@ -33,6 +43,7 @@ from .errors import (
     SpecMismatch,
 )
 from .field import Field, _power, _prime_factors
+from .kernels import _strip
 
 NEG_DEGREE = float("-inf")  # degree of the zero polynomial
 
@@ -41,27 +52,32 @@ NEG_DEGREE = float("-inf")  # degree of the zero polynomial
 MAX_SIEVE_CANDIDATES = 1 << 13
 
 
-def _strip(coeffs: list[int]) -> tuple[int, ...]:
-    n = len(coeffs)
-    while n and coeffs[n - 1] == 0:
-        n -= 1
-    return tuple(coeffs[:n])
-
-
 class Poly:
-    """Immutable dense polynomial over a `Field`."""
+    """Immutable dense polynomial over a `Field`.
 
-    __slots__ = ("field", "coeffs")
+    Four slots: the field, the coefficient count `_n`, and two forms of the
+    coefficients: `coeffs`, the tuple, and `packed`, the value the field's
+    kernel computes on (see the module docstring).  Where the kernel packs
+    nothing the two are one tuple, set at birth.  Where it packs, the
+    polynomial is a `_LazyPoly`, born with one of the two.
+    """
 
-    def __init__(self, field: Field, coeffs: Iterable[int] = ()):
-        _set_field(self, field)
-        _set_coeffs(self, _strip([field.check(int(c)) for c in coeffs]))
+    __slots__ = ("field", "_n", "coeffs", "packed")
 
-    @classmethod
-    def _raw(cls, field: Field, coeffs: tuple[int, ...]) -> "Poly":
-        """Internal constructor for already-normalized coefficients."""
-        p = object.__new__(cls)
+    def __new__(cls, field: Field, coeffs: Iterable[int] = ()):
+        return Poly._raw(field, _strip([field.check(int(c)) for c in coeffs]))
+
+    @staticmethod
+    def _raw(field: Field, coeffs: tuple[int, ...]) -> "Poly":
+        """Internal constructor for already-normalized coefficients (a
+        static method: calling it costs less than a class method)."""
+        if field.kernel.packs:
+            p = _new(_LazyPoly)
+        else:
+            p = _new(Poly)
+            _set_packed(p, coeffs)
         _set_field(p, field)
+        _set_n(p, len(coeffs))
         _set_coeffs(p, coeffs)
         return p
 
@@ -76,17 +92,24 @@ class Poly:
 
     # -- constructors ---------------------------------------------------------
 
+    @staticmethod
+    def _constant(field: Field, coeffs: tuple[int, ...]) -> "Poly":
+        """`_raw` with both forms set: the constructors below."""
+        p = Poly._raw(field, coeffs)
+        _set_packed(p, field.kernel.to_packed(coeffs))
+        return p
+
     @classmethod
     def zero(cls, field: Field) -> "Poly":
-        return cls._raw(field, ())
+        return cls._constant(field, ())
 
     @classmethod
     def one(cls, field: Field) -> "Poly":
-        return cls._raw(field, (1,))
+        return cls._constant(field, (1,))
 
     @classmethod
     def x(cls, field: Field) -> "Poly":
-        return cls._raw(field, (0, 1))
+        return cls._constant(field, (0, 1))
 
     @classmethod
     def monomial(cls, field: Field, coeff: int, degree: int) -> "Poly":
@@ -119,28 +142,34 @@ class Poly:
 
     @property
     def degree(self) -> int | float:
-        return len(self.coeffs) - 1 if self.coeffs else NEG_DEGREE
+        return self._n - 1 if self._n else NEG_DEGREE
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._n
 
     @property
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
+        return bool(self._n) and self.coeffs[-1] == 1
 
     def coeff(self, i: int) -> int:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
+        return self.coeffs[i] if 0 <= i < self._n else 0
 
     def __eq__(self, other: object) -> bool:
-        return (isinstance(other, Poly)
-                and self.field == other.field and self.coeffs == other.coeffs)
+        """By value.  Over one `Field` object the packed values compare, so
+        neither side unpacks; over equal fields the coefficients do, since
+        the two kernels may pack differently."""
+        if not isinstance(other, Poly):
+            return False
+        if self.field is other.field:
+            return self._n == other._n and self.packed == other.packed
+        return self.field == other.field and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
         return hash((self.field, self.coeffs))
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return self._n != 0
 
     def serialize(self) -> str:
         return "[" + ",".join(str(c) for c in self.coeffs) + "]"
@@ -154,26 +183,33 @@ class Poly:
     # -- arithmetic -------------------------------------------------------------------
 
     def _check_field(self, other: "Poly") -> None:
+        """Operands over equal fields; the operators test identity first,
+        inline, and call this only when it fails."""
         if self.field is not other.field and self.field != other.field:
             raise SpecMismatch(f"operands over {self.field!r} and {other.field!r}")
 
     def __add__(self, other: "Poly") -> "Poly":
-        self._check_field(other)
-        return Poly._raw(self.field, _strip(self.field.kernel.add(self.coeffs, other.coeffs)))
+        field = self.field
+        if other.field is not field:
+            self._check_field(other)
+        return _born(field, field.kernel.poly_add(self.packed, other.packed))
 
     def __sub__(self, other: "Poly") -> "Poly":
-        self._check_field(other)
-        return Poly._raw(self.field, _strip(self.field.kernel.sub(self.coeffs, other.coeffs)))
+        field = self.field
+        if other.field is not field:
+            self._check_field(other)
+        return _born(field, field.kernel.poly_sub(self.packed, other.packed))
 
     def __neg__(self) -> "Poly":
-        return Poly._raw(self.field, tuple(self.field.kernel.sub((), self.coeffs)))
+        return Poly.zero(self.field) - self
 
     def __mul__(self, other: "Poly") -> "Poly":
-        self._check_field(other)
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly.zero(self.field)
-        return Poly._raw(self.field, _strip(self.field.kernel.mul(a, b)))
+        field = self.field
+        if other.field is not field:
+            self._check_field(other)
+        if not self._n or not other._n:
+            return Poly.zero(field)
+        return _born(field, field.kernel.poly_mul(self.packed, other.packed))
 
     def scale(self, c: int) -> "Poly":
         if c == 0:
@@ -191,13 +227,15 @@ class Poly:
         return Poly._raw(self.field, (0,) * k + self.coeffs)
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        self._check_field(other)
-        if other.is_zero:
+        field = self.field
+        if other.field is not field:
+            self._check_field(other)
+        if not other._n:
             raise DivisionByZeroPoly("polynomial division by zero")
-        if len(self.coeffs) < len(other.coeffs):
-            return Poly.zero(self.field), self
-        quot, rem = self.field.kernel.divmod(self.coeffs, other.coeffs)
-        return Poly._raw(self.field, _strip(quot)), Poly._raw(self.field, _strip(rem))
+        if self._n < other._n:
+            return Poly.zero(field), self
+        quot, rem = field.kernel.poly_divmod(self.packed, other.packed)
+        return _born(field, quot), _born(field, rem)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
@@ -220,7 +258,45 @@ class Poly:
 # The slots' own setters: they bypass `Poly.__setattr__`, and cost less than
 # `object.__setattr__`, which looks the slot up by name on every call.
 _set_field = Poly.__dict__["field"].__set__
+_set_n = Poly.__dict__["_n"].__set__
 _set_coeffs = Poly.__dict__["coeffs"].__set__
+_set_packed = Poly.__dict__["packed"].__set__
+_new = object.__new__
+
+
+class _LazyPoly(Poly):
+    """A `Poly` over a field whose kernel packs: of `coeffs` and `packed`,
+    the one not set at birth is filled on its first read, by `__getattr__`,
+    which Python calls only when a slot is unset.  Only this class has a
+    `__getattr__`, since with one every attribute read of an instance
+    takes a slower path."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name: str):
+        if name == "coeffs":
+            value = self.field.kernel.from_packed(self.packed)
+            _set_coeffs(self, value)
+        elif name == "packed":
+            value = self.field.kernel.to_packed(self.coeffs)
+            _set_packed(self, value)
+        else:
+            raise AttributeError(name)
+        return value
+
+
+def _born(field: Field, packed) -> Poly:
+    """A polynomial born packed: a kernel's result, with no top zeros."""
+    kernel = field.kernel
+    if kernel.packs:
+        p = _new(_LazyPoly)
+    else:
+        p = _new(Poly)
+        _set_coeffs(p, packed)
+    _set_field(p, field)
+    _set_n(p, kernel.packed_len(packed))
+    _set_packed(p, packed)
+    return p
 
 
 # -- gcd machinery ------------------------------------------------------------------
@@ -231,7 +307,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     a._check_field(b)
     if a.is_zero and b.is_zero:
         raise BothZero("gcd(0, 0) is undefined")
-    return Poly._raw(a.field, tuple(a.field.kernel.gcd(a.coeffs, b.coeffs)))
+    return _born(a.field, a.field.kernel.gcd(a.packed, b.packed))
 
 
 def poly_xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:

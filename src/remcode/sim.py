@@ -54,7 +54,7 @@ class ChannelModel:
             raise ValueError(f"unknown channel kind {self.kind!r}")
         if self.kind == FIXED_POSITIONS:
             object.__setattr__(self, "weight_or_positions",
-                               tuple(sorted(set(self.weight_or_positions))))
+                               tuple(sorted(self.weight_or_positions)))
 
 
 def _degree_weight_support(rng: random.Random, spec: CodeSpec, weight: int) -> list[int]:

@@ -274,7 +274,10 @@ def test_usage_error_exit_code():
     ["--exhaustive", "--positions=-1"],
     ["--exhaustive", "--positions", "4"],
     ["--degree-weight=-1"],
-], ids=["exhaustive-negative", "exhaustive-past-n", "negative-degree-weight"])
+    ["--positions", "2,2"],
+    ["--exhaustive", "--positions", "1,2,1"],
+], ids=["exhaustive-negative", "exhaustive-past-n", "negative-degree-weight",
+        "repeated-position", "exhaustive-repeated-position"])
 def test_simulate_infeasible_channel_is_a_usage_error(rs42_file, channel, capsys):
     assert main(["simulate", "--spec", rs42_file, "--trials", "2", "--messages", "2"]
                 + channel) == 2
@@ -300,3 +303,14 @@ def test_corrupt_negative_degree_weight_is_a_usage_error(tmp_path, rs42, rs42_fi
     assert main(["corrupt", "--spec", rs42_file, "--in", str(word),
                  "--degree-weight=-1"]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_corrupt_repeated_position_is_a_usage_error(tmp_path, rs42, rs42_file, capsys):
+    """`--positions 2,2` is refused, not read as one error at position 2."""
+    word, out = tmp_path / "word.txt", tmp_path / "recv.txt"
+    save_codeword(encode(rs42, P(rs42.field, 0, 1)), str(word))
+    assert main(["corrupt", "--spec", rs42_file, "--in", str(word), "--out", str(out),
+                 "--positions", "2,2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "repeat" in err and "Traceback" not in err
+    assert not out.exists()

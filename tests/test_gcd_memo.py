@@ -1,7 +1,10 @@
 """The kernels' one gcd loop and its memo of the last remainder chain.
 
 `_Kernel.gcd` runs Euclid on packed states (x, y) and keeps the states of
-its last run that missed, each mapped to that run's monic result.  On every
+its last run that missed, each mapped to that run's monic result.  It takes
+and returns packed values (`to_packed`): coefficient tuples where the
+kernel packs nothing, bit or byte row ints in `BitKernel` and
+`ByteKernel`, where a value is its own state.  On every
 kernel kind these tests check that a call returns what a fresh run (a new
 kernel, whose memo is empty) and the table-free reference return: on random
 pairs in both orders, on every state of one chain (so that calls hit), and
@@ -48,9 +51,19 @@ def chain(f: Field, a, b) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     return out
 
 
+def packed(kernel, coeffs):
+    """Coefficients with no top zeros as the kernel's packed value."""
+    return kernel.to_packed(tuple(coeffs))
+
+
+def kernel_gcd(kernel, a, b) -> tuple[int, ...]:
+    """The kernel's gcd of two coefficient lists, as coefficients."""
+    return kernel.from_packed(kernel.gcd(packed(kernel, a), packed(kernel, b)))
+
+
 def fresh_gcd(f: Field, a, b) -> tuple[int, ...]:
     """gcd from a new kernel for the field, whose memo is empty."""
-    return kernel_for(f).gcd(a, b)
+    return kernel_gcd(kernel_for(f), a, b)
 
 
 def pair_with_common_factor(f: Field, data):
@@ -74,11 +87,11 @@ def test_memoised_gcd_matches_fresh_run_and_reference(field, data):
     if field.q == 2:
         assert PrimeKernel(field).gcd(a, b) == expected
     for x, y in ((a, b), (b, a)):
-        assert kernel.gcd(x, y) == expected == fresh_gcd(field, x, y)
+        assert kernel_gcd(kernel, x, y) == expected == fresh_gcd(field, x, y)
     for u, v in chain(field, a, b):
         for x, y in ((u, v), (v, u)):
             if x or y:
-                assert kernel.gcd(x, y) == expected == fresh_gcd(field, x, y)
+                assert kernel_gcd(kernel, x, y) == expected == fresh_gcd(field, x, y)
 
 
 @settings(max_examples=25, deadline=None)
@@ -88,12 +101,15 @@ def test_memo_holds_only_the_last_missing_run(field, data):
     pack = kernel._euclid()[0]
 
     def keys(a, b):
-        return [(pack(u), pack(v)) for u, v in chain(field, a, b)]
+        return [(pack(packed(kernel, u)), pack(packed(kernel, v))) for u, v in chain(field, a, b)]
+
+    def gcd(a, b):
+        return kernel.gcd(packed(kernel, a), packed(kernel, b))
 
     a, b = pair_with_common_factor(field, data)
     if not b:
         b = [1]
-    g = kernel.gcd(a, b)                          # the memo is empty: a miss
+    g = gcd(a, b)                                 # the memo is empty: a miss
     memo = kernel._memo
     assert memo == dict.fromkeys(keys(a, b), g)
     before = dict(memo)
@@ -102,14 +118,14 @@ def test_memo_holds_only_the_last_missing_run(field, data):
         # (u, v) is remembered, or takes no step; (v, u) with deg v < deg u
         # steps to (u, v) first
         for x, y in [(u, v)] + [(v, u)] * (len(v) < len(u)):
-            assert kernel.gcd(x, y) == g
+            assert gcd(x, y) == g
             assert kernel._memo is memo and memo == before
 
     c, d = pair_with_common_factor(field, data)
     if not (c or d):
         return
     later = keys(c, d)
-    h = kernel.gcd(c, d)
+    h = gcd(c, d)
     if not d or any(k in before for k in later):
         assert kernel._memo is memo and memo == before
     else:
@@ -133,18 +149,18 @@ def test_a_hit_returns_what_the_run_would_under_any_fixed_step(field, data):
     a, b = pair_with_common_factor(field, data)
     if not b:
         return
-    x, y = pack(a), pack(b)
+    x, y = pack(packed(warm, a)), pack(packed(warm, b))
     states = [(x, y)]
     while y:
         x, y = y, skipping(x, y)
         states.append((x, y))
-    warm.gcd(a, b)
+    kernel_gcd(warm, a, b)
     for x, y in states:
         for u, v in ((x, y), (y, x)):
             if u or v:
                 u, v = unpack(field, u), unpack(field, v)
                 cold._memo = {}
-                assert warm.gcd(u, v) == cold.gcd(u, v)
+                assert kernel_gcd(warm, u, v) == kernel_gcd(cold, u, v)
 
 
 def unpack(f: Field, state) -> tuple[int, ...]:
@@ -167,8 +183,8 @@ def test_memo_compares_states_not_hashes(name):
     kernel = f.kernel
     pack = kernel._euclid()[0]
     base = 1 << 72
-    a, a_plus_m = unpack(f, base), unpack(f, base + sys.hash_info.modulus)
-    x = (0, 1)
-    assert pack(a) != pack(a_plus_m) and hash((pack(a), pack(x))) == hash((pack(a_plus_m), pack(x)))
-    assert kernel.gcd(a, x) == x
-    assert kernel.gcd(a_plus_m, x) == (1,)
+    a, a_plus_m, x = (pack(packed(kernel, c)) for c in (
+        unpack(f, base), unpack(f, base + sys.hash_info.modulus), (0, 1)))
+    assert a != a_plus_m and hash((a, x)) == hash((a_plus_m, x))
+    assert kernel.from_packed(kernel.gcd(a, x)) == (0, 1)
+    assert kernel.from_packed(kernel.gcd(a_plus_m, x)) == (1,)

@@ -276,18 +276,22 @@ def test_char2_rows_at_the_threshold(field):
 @pytest.mark.parametrize("name", ["GF(2^4)", "GF(2^8)"])
 def test_byte_rows_divide_by_rows_from_row_min(name, monkeypatch):
     """`ByteKernel` divides by byte rows (`_reducer`) exactly when the divisor
-    has at least `ROW_MIN` coefficients, and by the list loop below that."""
+    has at least `ROW_MIN` = 7 coefficients, the crossover measured on
+    255-coefficient dividends, and by the list loop below that, whatever the
+    dividend's length."""
+    assert ROW_MIN == 7
     f = FIELDS[name]()
     rng = random.Random(f.q)
     reducer, calls = ByteKernel._reducer, []
     monkeypatch.setattr(ByteKernel, "_reducer", lambda self: calls.append(1) or reducer(self))
     for n in (1, 2, ROW_MIN - 1, ROW_MIN, ROW_MIN + 1, 40):
         b = Poly(f, [rng.randrange(f.q) for _ in range(n - 1)] + [rng.randrange(1, f.q)])
-        a = Poly(f, [rng.randrange(f.q) for _ in range(3 * n)] + [1])
-        calls.clear()
-        q, r = divmod(a, b)
-        assert q * b + r == a and r.degree < b.degree
-        assert len(calls) == (n >= ROW_MIN), n
+        for length in (n, 3 * n + 1, 255):
+            a = Poly(f, [rng.randrange(f.q) for _ in range(length - 1)] + [1])
+            calls.clear()
+            q, r = divmod(a, b)
+            assert q * b + r == a and r.degree < b.degree
+            assert len(calls) == (n >= ROW_MIN), (n, length)
 
 
 # -- GF(2): BitKernel against PrimeKernel ---------------------------------------------
@@ -308,7 +312,8 @@ def _strip_list(c) -> tuple[int, ...]:
 @given(data=st.data())
 def test_gf2_char2_matches_prime_kernel_on_long_rows(data):
     """+, *, divmod and gcd on rows of up to 200 coefficients, and by divisors
-    of 1 and 2 coefficients.  add, sub, scale, and pack + combine on rows
+    of 1 and 2 coefficients: the packed ops on bit rows against the prime
+    kernel's on coefficient tuples.  add, sub, scale, and pack + combine on rows
     whose top entries may be zero: there the outputs must match entry for
     entry, so the bit rows must unpack to full length."""
     char2, prime = Field(2).kernel, _prime_gf2().kernel
@@ -328,19 +333,22 @@ def test_gf2_char2_matches_prime_kernel_on_long_rows(data):
     a, b, c = row(200), row(200), row(60)
     d = tuple(bits(data.draw(st.integers(0, 1)))) + (1,)
     for x, y in ((a, b), (a, c), (c, a), (a, d), (c, d), (d, d)):
+        px, py, unpack = char2.to_packed(x), char2.to_packed(y), char2.from_packed
         assert _strip_list(char2.add(x, y)) == _strip_list(prime.add(x, y))
+        assert unpack(char2.poly_add(px, py)) == prime.poly_add(x, y)
         if x and y:
             assert _strip_list(char2.mul(x, y)) == _strip_list(prime.mul(x, y))
+            assert unpack(char2.poly_mul(px, py)) == prime.poly_mul(x, y)
         if y and len(x) >= len(y):
-            q1, r1 = char2.divmod(x, y)
-            q2, r2 = prime.divmod(x, y)
-            assert (_strip_list(q1), _strip_list(r1)) == (_strip_list(q2), _strip_list(r2))
+            q, r = char2.poly_divmod(px, py)
+            assert (unpack(q), unpack(r)) == prime.poly_divmod(x, y)
         if x or y:
-            assert char2.gcd(x, y) == prime.gcd(x, y)
+            assert unpack(char2.gcd(px, py)) == prime.gcd(x, y)
     if a and b and c:
-        ac, bc = prime.mul(a, c), prime.mul(b, c)
-        assert char2.gcd(ac, bc) == prime.gcd(ac, bc)
-        assert len(char2.gcd(ac, bc)) >= len(c)
+        ac, bc = _strip_list(prime.mul(a, c)), _strip_list(prime.mul(b, c))
+        g = unpack(char2.gcd(char2.to_packed(ac), char2.to_packed(bc)))
+        assert g == prime.gcd(ac, bc)
+        assert len(g) >= len(c)
 
     u, v = padded(data.draw(st.integers(0, 150))), padded(data.draw(st.integers(0, 150)))
     for x, y in ((u, v), (v, u), (u, [])):

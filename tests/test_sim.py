@@ -93,6 +93,20 @@ def test_infeasible_weights_rejected(gf2, rs42):
         corrupt(rs42, rs42.zero_word(), ChannelModel(FIXED_POSITIONS, (7,)))
 
 
+def test_repeated_fixed_positions_are_refused(rs42):
+    """A channel keeps a repeated position, sorted, so that the one
+    positions check refuses it: an error at position 2 "twice" is not an
+    error at position 2 once."""
+    model = ChannelModel(FIXED_POSITIONS, (3, 2, 2), master_seed=1)
+    assert model.weight_or_positions == (2, 2, 3)
+    with pytest.raises(InfeasibleWeight, match="repeat"):
+        corrupt(rs42, rs42.zero_word(), model)
+    with pytest.raises(InfeasibleWeight, match="repeat"):
+        simulate(rs42, model, trials=3)
+    with pytest.raises(InfeasibleWeight, match="repeat"):
+        simulate(rs42, model, trials=0, exhaustive=True, message_sample=2)
+
+
 def test_simulate_weight_zero_all_success(rs42):
     report = simulate(rs42, ChannelModel(RANDOM_HAMMING, 0, master_seed=3), trials=50)
     assert report.trials == 50

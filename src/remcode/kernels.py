@@ -80,14 +80,25 @@ coefficient has bit b set): for each bit b < m, one C-level
 coefficient as bytes (one `bytes.translate` through `_BIT_OF[b]`), and
 then one scaling by alpha^b unless b = 0.  That is m xor reductions and at
 most m - 1 scalings, whatever the number of rows, and no Python step per
-row.  The odd-characteristic kernels keep each row as int slots: for
-k < m, the m base-p digit planes of x^k * row, each plane one int whose
-little-endian slots hold one digit per coefficient, so a term is m^2 int
-multiply-adds, one per digit of the coefficient and plane.  A slot is sized
-(1, 2, 4 or 8 bytes) for the largest sum it can receive,
-rows * m * (p-1)^2, so no digit carries into the next; each slot is reduced
-mod p once, when `combine` unpacks it (a few `bytes.translate`s per plane
-for q <= 256 and 1- or 2-byte slots, else `struct`'s explicit little-endian
+row.  The odd-characteristic kernels keep, for each k < m, the column of
+x^k * row over the rows.  Each entry is one int that holds the row's m
+base-p digit planes end to end, each plane a run of little-endian slots
+with one digit per coefficient.  Digit i of a coefficient weights the
+column i entry, and multiplying by a digit d = sum_b d_b 2^b is linear in
+its bits, so the sum is sum over the classes (i, b) of 2^b * (the sum of
+the column i entries whose coefficient has bit b of digit i set): for
+q <= 256, one C-level `sum(compress(column, selector))` per class, the
+selector one or two `bytes.translate`s of the coefficients (through
+`_digits[i]`, skipped for m = 1, then `_BIT_OF[b]`).  That is m times the
+digit's bit count of sums, and no Python step per row.  A class sum adds a
+row once per set bit of its digit, so digits of more than `CLASS_BITS`
+bits, and the fields with q > 256, which have no byte digit tables, keep a
+loop of one multiply-add per nonzero digit.  A slot is sized (1, 2, 4 or 8
+bytes) for the largest sum it can receive, rows * m * (p-1)^2; each slot
+ends with the same sum on both paths and no partial sum exceeds it, so no
+digit carries into the next slot or plane.  Each slot is reduced mod p
+once, when `combine` unpacks it (a few `bytes.translate`s per plane for
+q <= 256 and 1- or 2-byte slots, else `struct`'s explicit little-endian
 format and a mod p per slot); products are unpacked the same way.
 `combine_length` is the length of such a sum without its top zeros, which
 the list decoder's degree test reads (`locator_survivors`): the
@@ -105,7 +116,8 @@ keeps its N entries through `+` and `-`.  Every table -- the
 field's `_tables`, `ByteKernel._rows` and `OddKernel._zech` -- is a
 `functools.cached_property`: built on first read, never when the field is
 constructed, and a plain attribute read after that; the selector tables
-`_BIT_OF` depend on no field and are module constants.  No prime field builds
+`_BIT_OF` depend on no field and are module constants, shared by both
+characteristics' `combine`.  No prime field builds
 one, and no Kronecker product reads one: `_SlotKernel`'s fold digits (from
 `Field._mul_basis`) and byte maps are plain attributes, built with the
 kernel.  No inner loop calls a `Field` method per coefficient;
@@ -145,8 +157,16 @@ ROW_MIN = 7
 # shorter ones keep the per-coefficient loop, which is faster there.
 KRONECKER_MIN = 4
 
+# PrimeKernel and OddKernel over q <= 256: `combine` sums rows by (digit, bit)
+# classes when p - 1 has at most this many bits, and otherwise keeps one
+# multiply-add per digit.  A class sum adds a row once per set bit of its digit:
+# on square row sets of 64 to 255 rows, class sums won by 1.2-1.5x at 4 bits
+# (GF(11), GF(13), GF(121)), were even to 15 % slower at 5 (GF(17) to GF(31))
+# and lost at 6 or more (GF(61) 0.37 vs 0.23 ms at 255 rows).
+CLASS_BITS = 4
+
 # _BIT_OF[b] maps each byte to its bit b, as a byte 0 or 1: a selector for
-# `itertools.compress` (the characteristic-2 `combine`)
+# `itertools.compress` (every `combine` that sums rows by bits)
 _BIT_OF = [bytes((x >> b) & 1 for x in range(256)) for b in range(8)]
 
 
@@ -306,14 +326,17 @@ class _SlotKernel(_Kernel):
     """`pack`, `combine` and long products on int slots, for odd
     characteristic (see the module docstring for the layout).
 
-    What the products read is built here, with no table of the field's (the
-    fold digits by `Field._mul_basis`):
+    What the products and `combine` read is built here, with no table of
+    the field's (the fold digits by `Field._mul_basis`):
 
     * `_folds[c - m]`: the digits of alpha^c mod the reduction polynomial,
       for m <= c <= 2m - 2, alpha the element x (the int p);
     * for q <= 256, `_digits[a]` maps each byte x to its base-p digit a
       (so `_digits[0]` is x mod p), and `_high` maps x to 256 x mod p.  Each
-      repeats with period p^(a+1) or p, so it is one short cycle repeated.
+      repeats with period p^(a+1) or p, so it is one short cycle repeated;
+    * `_class_bits`: the bits of a digit, (p - 1).bit_length(), when
+      `combine` sums rows by (digit, bit) classes, that is for q <= 256 and
+      at most `CLASS_BITS` bits; else 0, and `combine` keeps its loop.
     """
 
     def __init__(self, field):
@@ -331,11 +354,12 @@ class _SlotKernel(_Kernel):
             cycles = [b"".join(bytes([d]) * pa for d in range(p)) for pa in self._powers]
             self._digits = [(cycle * (256 // len(cycle) + 1))[:256] for cycle in cycles]
             self._high = (bytes(x * 256 % p for x in range(p)) * (256 // p + 1))[:256]
+        bits = (p - 1).bit_length()
+        self._class_bits = bits if q <= 256 and bits <= CLASS_BITS else 0
 
-    def _planes(self, row: Coeffs, layout: struct.Struct) -> list[int]:
-        """The m base-p digit planes of `row`, each one int whose
-        little-endian slots, as wide as `layout`'s, hold one digit per
-        coefficient."""
+    def _planes(self, row: Coeffs, layout: struct.Struct) -> list[bytes]:
+        """The m base-p digit planes of `row`, each as little-endian slots,
+        as wide as `layout`'s, that hold one digit per coefficient."""
         size = _slot_width(layout)
         if self._digits is not None:              # q <= 256: a translate per plane
             raw, planes = bytes(row), []
@@ -345,30 +369,30 @@ class _SlotKernel(_Kernel):
                     spread = bytearray(size * len(digits))
                     spread[::size] = digits
                     digits = spread
-                planes.append(int.from_bytes(digits, "little"))
+                planes.append(digits)
             return planes
         layout = struct.Struct(f"<{len(row)}{layout.format[-1]}")
         if self.field.m == 1:
-            return [int.from_bytes(layout.pack(*row), "little")]
+            return [layout.pack(*row)]
         p = self.p
-        return [int.from_bytes(layout.pack(*[x // pa % p for x in row]), "little")
-                for pa in self._powers]
+        return [layout.pack(*[x // pa % p for x in row]) for pa in self._powers]
 
-    def _unpack(self, planes: Sequence[int], layout: struct.Struct) -> list[int]:
+    def _unpack(self, planes: bytes, layout: struct.Struct) -> list[int]:
         """The coefficients, one per slot of `layout`, whose digit a is the
-        slot of planes[a] reduced mod p.
+        slot of plane a reduced mod p; `planes` holds the m planes end to
+        end, `layout.size` bytes each.
 
         For q <= 256 and slots of 1 byte, or of 2 bytes when p < 128, this is
         a few `bytes.translate`s per plane: a 2-byte slot lo + 256 hi reduces
         as lo mod p + 256 hi mod p, which stays below 256, and the digits
         recombine as bytes below q.  Otherwise each slot is reduced in a loop.
         """
-        p, size = self.p, _slot_width(layout)
-        length = layout.size // size
+        p, size, span = self.p, _slot_width(layout), layout.size
+        length = span // size
         if self._digits is not None and (size == 1 or size == 2 and p < 128):
             mod_p, acc = self._digits[0], 0
-            for pa, plane in zip(self._powers, planes):
-                raw = plane.to_bytes(layout.size, "little")
+            for a, pa in enumerate(self._powers):
+                raw = planes[a * span:(a + 1) * span]
                 if size == 2:
                     raw = (int.from_bytes(raw[::2].translate(mod_p), "little")
                            + int.from_bytes(raw[1::2].translate(self._high), "little")
@@ -376,44 +400,56 @@ class _SlotKernel(_Kernel):
                 acc += pa * int.from_bytes(raw.translate(mod_p), "little")
             return list(acc.to_bytes(length, "little"))
         out = itertools.repeat(0)
-        for plane in reversed(planes):
-            digits = layout.unpack(plane.to_bytes(layout.size, "little"))
+        for a in reversed(range(self.field.m)):
+            digits = layout.unpack_from(planes, a * span)
             out = [x * p + d % p for x, d in zip(out, digits)]
         return out
 
-    def pack(self, rows: Sequence[Coeffs]) -> tuple[struct.Struct, list[tuple[int, ...]]]:
+    def pack(self, rows: Sequence[Coeffs]) -> tuple[struct.Struct, list[list[int]]]:
         """One or more rows, all of one length, in the form `combine` reads:
-        their slot layout, and for each row the planes of x^k * row, k < m."""
+        their slot layout, and for each k < m the column of x^k * row over
+        the rows, each entry one int that holds the m planes of x^k * row
+        end to end."""
         p, m = self.p, self.field.m
         layout = _slot_layout(p, m, len(rows), len(rows[0]))
-        packed = []
-        for row in rows:
-            planes = []
-            for k in range(m):                    # x^k * row: the element x^k is the int p^k
-                planes += self._planes(self.scale(row, p ** k) if k else row, layout)
-            packed.append(tuple(planes))
-        return layout, packed
+        columns = []
+        for k in range(m):                        # x^k * row: the element x^k is the int p^k
+            shifted = (self.scale(row, p ** k) if k else row for row in rows)
+            columns.append([int.from_bytes(b"".join(self._planes(x, layout)), "little")
+                            for x in shifted])
+        return layout, columns
 
     def combine(self, rows, coeffs: Coeffs) -> list[int]:
         """sum_j coeffs[j] * rows[j] over `pack`ed rows; needs len(coeffs) <= len(rows).
 
         The result has the rows' length, top zeros included, in every
-        kernel: a `Codeword`'s row is a `combine` taken as it is.  Here each
-        coefficient is m^2 int multiply-adds on the planes.
+        kernel: a `Codeword`'s row is a `combine` taken as it is.  Digit i of
+        coeffs[j] weights the column entry of x^i * rows[j], so the sum is
+        sum over (i, b) of 2^b * (the sum of the column i entries whose
+        coefficient has bit b of digit i set).  Where `_class_bits` is set, each
+        such class sum is one C-level `sum(compress(...))`, the selector
+        built by `bytes.translate`; elsewhere each digit is one multiply-add.
+        Either way each slot ends with the same sum, and no partial sum
+        exceeds it, so no slot carries into the next.
         """
-        layout, planes = rows
-        assert len(coeffs) <= len(planes)
-        p, m = self.p, self.field.m
-        acc = [0] * m
-        for c, row in zip(coeffs, planes):
-            k = 0                                 # digit i of c weights row[k:k + m], k = i * m,
-            while c:                              # the planes of x^i * row
-                c, d = divmod(c, p)
-                if d:
-                    for a in range(m):
-                        acc[a] += d * row[k + a]
-                k += m
-        return self._unpack(acc, layout)
+        layout, columns = rows
+        assert len(coeffs) <= len(columns[0])
+        p, m, acc = self.p, self.field.m, 0
+        if self._class_bits:
+            raw = bytes(coeffs)
+            for i, column in enumerate(columns):
+                digits = raw if m == 1 else raw.translate(self._digits[i])
+                for b in range(self._class_bits):
+                    acc += sum(itertools.compress(column, digits.translate(_BIT_OF[b]))) << b
+        else:
+            for j, c in enumerate(coeffs):
+                i = 0
+                while c:
+                    c, d = divmod(c, p)
+                    if d:
+                        acc += d * columns[i][j]
+                    i += 1
+        return self._unpack(acc.to_bytes(m * layout.size, "little"), layout)
 
     def combine_length(self, rows, coeffs: Coeffs) -> int:
         """len of `combine(rows, coeffs)` without its top zeros: the degree
@@ -442,7 +478,7 @@ class _SlotKernel(_Kernel):
         p, m = self.p, self.field.m
         length = len(a) + len(b) - 1
         layout = _slot_layout(p, m, len(a) * (1 + (m - 1) * (p - 1)), length)
-        pa, pb = self._planes(a, layout), self._planes(b, layout)
+        pa, pb = ([int.from_bytes(x, "little") for x in self._planes(y, layout)] for y in (a, b))
         conv = [0] * (2 * m - 1)
         for i, x in enumerate(pa):
             for k, y in enumerate(pb):
@@ -451,7 +487,8 @@ class _SlotKernel(_Kernel):
             for j, d in enumerate(digits):
                 if d:
                     conv[j] += d * conv[c]
-        return self._unpack(conv[:m], layout)
+        return self._unpack(b"".join(x.to_bytes(layout.size, "little") for x in conv[:m]),
+                            layout)
 
     def _mul_loop(self, a: Coeffs, b: Coeffs) -> list[int]:
         """a * b, len(a) <= len(b), one coefficient at a time: the kernel's

@@ -30,6 +30,7 @@ irreducible polynomials.
 
 from __future__ import annotations
 
+import operator
 from functools import cache
 from itertools import product
 from math import prod
@@ -122,6 +123,7 @@ class Poly:
     @classmethod
     def from_int(cls, field: Field, code: int) -> "Poly":
         """Decode a base-q digit string, lowest digit = constant term."""
+        code = operator.index(code)
         if code < 0:
             raise ValueError(f"polynomial code {code} is negative")
         q = field.q
@@ -212,6 +214,7 @@ class Poly:
         return _born(field, field.kernel.poly_mul(self.packed, other.packed))
 
     def scale(self, c: int) -> "Poly":
+        c = self.field.check(c)
         if c == 0:
             return Poly.zero(self.field)
         if c == 1:

@@ -57,16 +57,42 @@ class ChannelModel:
                                tuple(sorted(self.weight_or_positions)))
 
 
-def _degree_weight_support(rng: random.Random, spec: CodeSpec, weight: int) -> list[int]:
-    """Uniform subset with exact degree weight, sampled through a count table."""
-    n = spec.n
-    # ways[i][w] = number of subsets of positions i..n-1 with degree sum w
+def _build_counts(degrees: tuple[int, ...], weight: int) -> list[list[int]]:
+    """ways[i][w], the number of subsets of positions i..n-1 with degree sum
+    w, for w <= weight."""
+    n = len(degrees)
     ways = [[0] * (weight + 1) for _ in range(n + 1)]
     ways[n][0] = 1
     for i in range(n - 1, -1, -1):
-        d = spec.degrees[i]
+        d = degrees[i]
         for w in range(weight + 1):
             ways[i][w] = ways[i + 1][w] + (ways[i + 1][w - d] if w >= d else 0)
+    return ways
+
+
+# (degrees, ways) of the last count table built; see `_count_table`
+_count_memo: tuple = ((), [[1]])
+
+
+def _count_table(degrees: tuple[int, ...], weight: int) -> list[list[int]]:
+    """A `_build_counts` table for `degrees` that reaches at least `weight`.
+
+    An entry does not depend on how far the table reaches, so the last
+    table built serves every weight up to its own; other degrees, or a
+    larger weight, build it afresh up to that weight.  Callers only read it.
+    """
+    global _count_memo
+    memo_degrees, ways = _count_memo
+    if memo_degrees != degrees or len(ways[0]) <= weight:
+        ways = _build_counts(degrees, weight)
+        _count_memo = degrees, ways
+    return ways
+
+
+def _degree_weight_support(rng: random.Random, spec: CodeSpec, weight: int) -> list[int]:
+    """Uniform subset with exact degree weight, sampled through a count table."""
+    n = spec.n
+    ways = _count_table(spec.degrees, weight)
     if ways[0][weight] == 0:
         raise InfeasibleWeight(f"no support has degree weight {weight}")
     support, w = [], weight

@@ -259,6 +259,31 @@ def test_negative_code_is_refused():
     assert done.returncode == 0, done.stderr
 
 
+def test_from_int_refuses_a_non_int_code():
+    """A code is an int: 3.0 used to give a `Poly` whose coefficient was the
+    float 3.0, on which later kernel calls raised raw `TypeError`s."""
+    gf9 = Field(3, 2, [1, 0, 1])
+    for code in (3.0, 1.5, "3", None):
+        with pytest.raises(TypeError):
+            Poly.from_int(gf9, code)
+    assert Poly.from_int(gf9, True) == Poly(gf9, [1])
+
+
+def test_scale_checks_its_scalar(gf2, gf5):
+    """A scalar outside the field raises ValueError, as `monomial` and
+    `evaluate` do.  Over GF(9), 9 used to raise a raw IndexError and -1 to
+    give [8, 8]; over GF(2), every c but 0 and 1 gave the polynomial back."""
+    gf9 = Field(3, 2, [1, 0, 1])
+    for field in (gf2, gf5, gf9):
+        for p in (Poly(field, [1, 1]), Poly.zero(field)):
+            for c in (-1, field.q, field.q + 7):
+                with pytest.raises(ValueError):
+                    p.scale(c)
+    assert Poly(gf9, [1, 1]).scale(8) == Poly(gf9, [8, 8])
+    assert Poly(gf2, [1, 1]).scale(1) == Poly(gf2, [1, 1])
+    assert Poly(gf5, [1, 1]).scale(0).is_zero
+
+
 SIEVE_PROBE = """
 import sys
 sys.path.insert(0, sys.argv[1])

@@ -2,12 +2,14 @@
 
 Kernel level: `combine` over `pack`ed rows, and the length of the result
 that `combine_length` reads, against the sum of `scale` and `add` through
-the same kernel, on every kernel and on GF(65521), whose
-slots need 4 or 8 bytes, and at full size (255 rows of 300 coefficients)
-on the characteristic-2 kernels.  Spec level: `residues`, `encode` and
-`psi_inverse` against the references kept in the tree: `CodeSpec.residue`,
-`a % m_i` and `interpolate_direct`, on specs with reducible, unordered and
-mixed-degree moduli, and at full size on RS(255,223) and over GF(2^16);
+the same kernel, on every kernel, on both sides of the odd kernels'
+`CLASS_BITS` (class sums over GF(3) to GF(27), the multiply-add loop over
+GF(251) and GF(65521), whose slots need 4 or 8 bytes), and at full size
+(255 rows of 300 coefficients) on every field.  Spec level: `residues`,
+`encode` and `psi_inverse` against the references kept in the tree:
+`CodeSpec.residue`, `a % m_i` and `interpolate_direct`, on specs with
+reducible, unordered and mixed-degree moduli, and at full size on
+RS(255,223) and over GF(2^16);
 `Codeword`'s flat row, the symbols split from it, its row
 arithmetic, its support and weights and the zero-residue count against the
 same words built and added symbol by symbol; a count of row splits on every
@@ -29,7 +31,8 @@ from remcode.decoder import build_candidate_list, count_zero_residues, decode, e
 from remcode.field import Field
 from remcode.fileio import dumps_codeword, loads_codeword
 from remcode.interpolate import ErasurePattern, interpolate_direct
-from remcode.kernels import BitKernel, ByteKernel, Char2Kernel, OddKernel, PrimeKernel, _slot_layout
+from remcode.kernels import (
+    CLASS_BITS, BitKernel, ByteKernel, Char2Kernel, OddKernel, PrimeKernel, _slot_layout)
 from remcode.oracle import brute_force_decode, exhaustive_scan
 from remcode.poly import Poly
 from remcode.sim import FIXED_POSITIONS, RANDOM_DEGREE, ChannelModel, corrupt, simulate
@@ -38,17 +41,22 @@ from test_kernels import coprime_specs, elements
 
 FIELDS = {
     "GF(2)": Field(2),
+    "GF(3)": Field(3),
     "GF(7)": Field(7),
     "GF(9)": Field(3, 2, [1, 0, 1]),
     "GF(25)": Field(5, 2, [2, 1, 1]),
+    "GF(27)": Field(3, 3, [1, 2, 0, 1]),
+    "GF(251)": Field(251),
     "GF(2^8)": Field(2, 8, [1, 0, 1, 1, 1, 0, 0, 0, 1]),
     "GF(2^9)": Field(2, 9, [1, 0, 0, 0, 1, 0, 0, 0, 0, 1]),
     "GF(2^16)": Field(2, 16, [1, 1, 0, 1] + [0] * 8 + [1, 0, 0, 0, 1]),
     "GF(65521)": Field(65521),
 }
-KINDS = {"GF(2)": BitKernel, "GF(7)": PrimeKernel, "GF(9)": OddKernel,
-         "GF(25)": OddKernel, "GF(2^8)": ByteKernel, "GF(2^9)": Char2Kernel,
-         "GF(2^16)": Char2Kernel, "GF(65521)": PrimeKernel}
+KINDS = {"GF(2)": BitKernel, "GF(3)": PrimeKernel, "GF(7)": PrimeKernel, "GF(9)": OddKernel,
+         "GF(25)": OddKernel, "GF(27)": OddKernel, "GF(251)": PrimeKernel,
+         "GF(2^8)": ByteKernel, "GF(2^9)": Char2Kernel, "GF(2^16)": Char2Kernel,
+         "GF(65521)": PrimeKernel}
+ODD = [name for name, f in FIELDS.items() if f.p > 2]
 
 
 def _strip(c) -> tuple[int, ...]:
@@ -135,14 +143,13 @@ def test_combine_at_the_worst_slot_load(name):
         check_combine(f, rows, [top] * count)
 
 
-@pytest.mark.parametrize("name", ["GF(2)", "GF(2^8)", "GF(2^9)", "GF(2^16)"])
-def test_char2_combine_at_full_size(name):
+def check_full_size(name: str) -> None:
     """255 rows of 300 coefficients, each row's top entries zero from a
     drawn point on: `combine` against the reference and `combine_length`
-    against its length, for coefficients all q - 1 (every bit of every
-    coefficient set), drawn, one 1 and none.  Then two rows that agree from
-    position `cut` up, taken with one coefficient: the sum is zero from
-    `cut` up and not below it, so its length is exactly `cut`."""
+    against its length, for coefficients all q - 1 (every digit p - 1),
+    drawn, one 1 and none.  Then two rows that agree from position `cut`
+    up, taken with coefficients c and -c: the sum is zero from `cut` up and
+    not below it, so its length is exactly `cut`."""
     f = FIELDS[name]
     rng = random.Random(name)
     count, length = 255, 300
@@ -157,10 +164,44 @@ def test_char2_combine_at_full_size(name):
         a = [rng.randrange(f.q) for _ in range(length)]
         b = [rng.randrange(f.q) for _ in range(cut)] + a[cut:]
         if cut:
-            b[cut - 1] = a[cut - 1] ^ rng.randrange(1, f.q)
+            b[cut - 1] = f.add(a[cut - 1], rng.randrange(1, f.q))
         c = rng.randrange(1, f.q)
-        check_combine(f, [a, b], [c, c])
-        assert f.kernel.combine_length(f.kernel.pack([a, b]), [c, c]) == cut
+        check_combine(f, [a, b], [c, f.neg(c)])
+        assert f.kernel.combine_length(f.kernel.pack([a, b]), [c, f.neg(c)]) == cut
+
+
+@pytest.mark.parametrize("name", ["GF(2)", "GF(2^8)", "GF(2^9)", "GF(2^16)"])
+def test_char2_combine_at_full_size(name):
+    check_full_size(name)
+
+
+@pytest.mark.parametrize("name", ODD)
+def test_odd_combine_at_full_size(name):
+    """As the characteristic-2 test, on both sides of `CLASS_BITS`: class
+    sums over GF(3) to GF(27), the multiply-add loop over GF(251) and
+    GF(65521), whose slots need 4 and 8 bytes."""
+    check_full_size(name)
+
+
+def test_combine_path_follows_the_digit_bits():
+    """`combine` sums rows by (digit, bit) classes exactly when q <= 256 and
+    a digit has at most `CLASS_BITS` bits, the crossover measured against
+    the multiply-add loop; both paths give the reference sum on either side
+    of the bound, at 1- and 2-byte slots."""
+    assert CLASS_BITS == 4
+    gf121, gf729 = Field(11, 2, [7, 1, 1]), Field(3, 6, [2, 1, 0, 0, 0, 0, 1])
+    for f, bits in ((Field(13), 4), (gf121, 4), (Field(17), 0), (FIELDS["GF(3)"], 2),
+                    (FIELDS["GF(27)"], 2), (FIELDS["GF(251)"], 0), (gf729, 0),
+                    (FIELDS["GF(65521)"], 0)):
+        assert f.kernel._class_bits == bits, f
+    rng = random.Random(5)
+    for f in (Field(13), gf121, Field(17), Field(3, 3, [1, 2, 0, 1])):
+        for count in (1, 2, 60):
+            rows = [[rng.randrange(f.q) for _ in range(7)] for _ in range(count)]
+            coeffs = [rng.randrange(f.q) for _ in range(count)]
+            for path in ((f.p - 1).bit_length(), 0):
+                f.kernel._class_bits = path
+                check_combine(f, rows, coeffs)
 
 
 def test_slot_widths():

@@ -83,6 +83,29 @@ def test_degree_weight_support_is_uniform(gf4_mixed):
     assert seen == {(0, 1), (0, 2), (1, 2), (3,), (4,)}
 
 
+def test_count_table_is_built_once_per_spec_and_largest_weight(ladder5, gf4_mixed, monkeypatch):
+    """`RANDOM_DEGREE` trials share one count table per modulus degrees,
+    built again only for a weight above its reach, not one per trial, and
+    draw the same supports from it as from a table built for each trial."""
+    builds, build = [], sim._build_counts
+    monkeypatch.setattr(sim, "_build_counts", lambda d, w: builds.append((d, w)) or build(d, w))
+    monkeypatch.setattr(sim, "_count_memo", ((), [[1]]))
+    for w in (5, 3, 5, 6, 1, 6):
+        simulate(ladder5, ChannelModel(RANDOM_DEGREE, w, master_seed=19), trials=10)
+    assert builds == [(ladder5.degrees, 5), (ladder5.degrees, 6)]
+    simulate(gf4_mixed, ChannelModel(RANDOM_DEGREE, 2, master_seed=19), trials=10)
+    assert builds[2:] == [(gf4_mixed.degrees, 2)]
+    for spec in (ladder5, gf4_mixed):
+        for w in (1, 4):
+            model = ChannelModel(RANDOM_DEGREE, w, master_seed=23)
+            shared = [corrupt(spec, spec.zero_word(), model, trial)[1] for trial in range(20)]
+            fresh = []
+            for trial in range(20):
+                monkeypatch.setattr(sim, "_count_memo", ((), [[1]]))
+                fresh.append(corrupt(spec, spec.zero_word(), model, trial)[1])
+            assert shared == fresh
+
+
 def test_infeasible_weights_rejected(gf2, rs42):
     gap_spec = CodeSpec(gf2, [P(gf2, 0, 0, 1), P(gf2, 1, 0, 1)], 1)  # degrees 2, 2
     with pytest.raises(InfeasibleWeight):

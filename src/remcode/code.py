@@ -42,6 +42,7 @@ reference the row maps are tested against, as `interpolate_direct` is for
 
 from __future__ import annotations
 
+import operator
 from functools import cached_property
 from itertools import accumulate
 from typing import Iterable, Sequence
@@ -142,10 +143,12 @@ class CodeSpec:
         return all(is_irreducible(m) for m in self.moduli)
 
     def check_positions(self, positions: Iterable[int]) -> tuple[int, ...]:
-        """`positions` as a tuple, once checked to be distinct positions
-        0 <= i < n; raises InfeasibleWeight otherwise, so that -1 is not
-        read as position n - 1 and no modulus is counted twice."""
-        positions = tuple(positions)
+        """`positions` as a tuple of ints, once checked to be distinct
+        positions 0 <= i < n; raises InfeasibleWeight otherwise, so that -1
+        is not read as position n - 1 and no modulus is counted twice, and
+        TypeError on a non-integer, so that 1.5 is not read as between 1
+        and 2."""
+        positions = tuple(map(operator.index, positions))
         if any(not 0 <= i < self.n for i in positions):
             raise InfeasibleWeight(f"positions {list(positions)} out of range for n={self.n}")
         if len(set(positions)) < len(positions):

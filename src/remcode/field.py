@@ -27,6 +27,7 @@ keep their arithmetic inline.
 
 from __future__ import annotations
 
+import operator
 from functools import cached_property
 
 from .errors import DegreeMismatch, NonPrimeCharacteristic, ReducibleModulus, ZeroInverse
@@ -128,6 +129,9 @@ class Field:
     # -- element arithmetic -----------------------------------------------------
 
     def check(self, a: int) -> int:
+        """a as an int, once checked to be an element: a non-integer raises
+        TypeError, and an int outside 0 <= a < q raises ValueError."""
+        a = operator.index(a)
         if not 0 <= a < self.q:
             raise ValueError(f"{a} is not an element of {self!r}")
         return a

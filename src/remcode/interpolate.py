@@ -43,11 +43,9 @@ class ErasurePattern:
     erased_weight: int = dc_field(init=False)     # degree weight of the complement
 
     def __post_init__(self):
-        known = frozenset(self.known)
+        known = frozenset(self.spec.check_positions(self.known))
         if not known:
             raise InsufficientSupport("at least one known position required")
-        if not all(0 <= i < self.spec.n for i in known):
-            raise ValueError(f"positions out of range 0..{self.spec.n - 1}")
         object.__setattr__(self, "known", known)
         erased = self.spec.product(i for i in range(self.spec.n) if i not in known)
         object.__setattr__(self, "erased_product", erased)

@@ -31,9 +31,9 @@ class per row representation:
 which take and return values with no top zeros: `to_packed`,
 `from_packed` and `packed_len` (a value from coefficients, its
 coefficients, its coefficient count), `poly_add`, `poly_sub`, `poly_mul`,
-`poly_divmod`, `gcd` and `combine_packed`.  `BitKernel` and `ByteKernel`
-set `packs`: there a packed value is one int, the bit row or the
-little-endian byte row, which is also the kernel's gcd state, so a
+`poly_divmod`, `poly_mod`, `poly_monic`, `gcd` and `combine_packed`.
+`BitKernel` and `ByteKernel` set `packs`: there a packed value is one int,
+the bit row or the little-endian byte row, so a
 polynomial is packed once, when it is first computed on, results are
 born packed, and coefficients are unpacked only when read.  Every other
 kernel packs nothing: a packed value is the coefficient tuple, and the
@@ -51,21 +51,19 @@ reduced mod p once.  Shorter products keep the per-coefficient loops
 (`_mul_loop`), and so do add, sub and division: over GF(p^m) those read
 the Zech table.
 
-`gcd` is one Euclid loop for every kernel, on per-kernel hooks (`_euclid`):
-turn a packed value into a state, take the remainder of one state by
-another, and turn the last one into its monic packed value.  A state is
-the packed value itself in `BitKernel` (a bit row) and in `ByteKernel` (a
-byte row), and otherwise one `bytes` of 1-byte (q <= 256) or 2-byte
-machine ints.  Each kernel remembers the states (x, y) of its last run
-that missed, each mapped to that run's result; a run that reaches one of
-them returns it.  From a given state the rest of a run is
-fixed, so a hit returns exactly what a fresh run would.  Only a run that
-misses replaces the memo; a hit, or a call that takes no step, leaves it.
-The memo holds one chain: about sum_i len(r_i) coefficient bytes for its
-remainders r_i (an eighth of that in GF(2), twice that for q > 256), plus
-a tuple and a dict entry per state.  The decoder checks gcd(r, r~) == gcd0
-on every pass of one remainder chain, so after its first gcd each check is
-a lookup.
+`gcd` is one Euclid loop for every kernel, on packed values: a state is a
+pair (x, y) of them, which steps to (y, `poly_mod(x, y)`), and the last x
+is made monic by `poly_monic`, once per run.  Each kernel remembers the
+states of its last run that missed, each mapped to that run's result; a
+run that reaches one of them returns it.  From a given state the rest of a
+run is fixed, so a hit returns exactly what a fresh run would.  Only a run
+that misses replaces the memo; a hit, or a call that takes no step, leaves
+it.  The memo holds one chain of packed remainders r_i: about
+sum_i len(r_i) bytes of int in `ByteKernel` (an eighth of that in
+`BitKernel`), and elsewhere one coefficient tuple per remainder, 8 bytes
+of pointer per coefficient; plus a tuple and a dict entry per state.  The
+decoder checks gcd(r, r~) == gcd0 on every pass of one remainder chain, so
+after its first gcd each check is a lookup.
 
 `combine(rows, coeffs)` returns sum_j coeffs[j] * rows[j] over a fixed set
 of rows of one length, which `pack` converts once into the form each kernel
@@ -99,11 +97,10 @@ ends with the same sum on both paths and no partial sum exceeds it, so no
 digit carries into the next slot or plane.  Each slot is reduced mod p
 once, when `combine` unpacks it (a few `bytes.translate`s per plane for
 q <= 256 and 1- or 2-byte slots, else `struct`'s explicit little-endian
-format and a mod p per slot); products are unpacked the same way.
-`combine_length` is the length of such a sum without its top zeros, which
-the list decoder's degree test reads (`locator_survivors`): the
-characteristic-2 kernels read it off the packed sum's bit length, with no
-unpacking, and the odd ones strip the result of `combine`.  Over GF(2) the
+format and a mod p per slot); products are unpacked the same way.  The
+list decoder's degree test (`locator_survivors`) reads the `packed_len`
+of such a sum's `combine_packed`: in `ByteKernel` the packed sum's byte
+length, with no unpacking.  Over GF(2) the
 same linearity runs sideways: `BitKernel.locator_survivors` holds one bit
 per candidate in each mask and tests every candidate's degree at once.
 
@@ -129,7 +126,6 @@ from __future__ import annotations
 
 import itertools
 import struct
-from array import array
 from functools import cached_property, reduce
 from operator import or_, xor
 from typing import Sequence
@@ -172,9 +168,9 @@ _BIT_OF = [bytes((x >> b) & 1 for x in range(256)) for b in range(8)]
 
 class _Kernel:
     """Operations shared by every kernel: `Poly`'s entry points for the
-    kernels that pack nothing, `poly_divmod` built on `_divide`, `gcd` on
-    the `_euclid` hooks, and the table-based `scale` of the extension-field
-    kernels."""
+    kernels that pack nothing, `poly_divmod` and `poly_mod` built on
+    `_divide`, `poly_monic` and `gcd` on the packed entry points, and the
+    table-based `scale` of the extension-field kernels."""
 
     def __init__(self, field):
         self.field = field
@@ -213,6 +209,15 @@ class _Kernel:
         del rem[db:]
         return _strip(quot), _strip(rem)
 
+    def poly_mod(self, x, y):
+        """x mod y, y nonzero."""
+        return self.poly_divmod(x, y)[1] if len(x) >= len(y) else x
+
+    def poly_monic(self, x):
+        """x scaled by the inverse of its lead, x nonzero."""
+        lead = self.from_packed(x)[-1]
+        return x if lead == 1 else self.poly_mul(x, self.to_packed((self.field.inv(lead),)))
+
     def combine_packed(self, rows, coeffs: Coeffs):
         """`combine(rows, coeffs)` packed, without its top zeros."""
         return _strip(self.combine(rows, coeffs))
@@ -221,24 +226,22 @@ class _Kernel:
         """Monic gcd of the packed values a and b (not both zero), packed,
         by Euclid on states.
 
-        A state (x, y) steps to (y, x mod y) until y = 0.  `_memo` maps each
+        A state (a, b) steps to (b, a mod b) until b = 0.  `_memo` maps each
         state of the last run that missed to that run's result, and a run
         that reaches one of them returns it there (the module docstring says
         why that is exact).  A hit, or a call that takes no step (b = 0),
         leaves the memo as it is.
         """
-        pack, step, finish = self._euclid()
-        x, y = pack(a), pack(b)
-        if not y:
-            return finish(x)
+        if not b:
+            return self.poly_monic(a)
         memo, chain = self._memo, []
-        state = (x, y)
+        state = (a, b)
         while state not in memo:
             chain.append(state)
-            if not y:
-                self._memo = memo = dict.fromkeys(chain, finish(x))
+            if not b:
+                self._memo = memo = dict.fromkeys(chain, self.poly_monic(a))
                 break
-            x, y = state = (y, step(x, y))
+            a, b = state = (b, self.poly_mod(a, b))
         return memo[state]
 
     def locator_survivors(self, spec, y, candidates, cap: int):
@@ -249,15 +252,15 @@ class _Kernel:
         in list order, every candidate over another field (the scan raises
         on it) and every candidate g with 0 <= deg g <= cap and
         deg Z < K + deg g, for Z = g * Y mod M_n the `combine` of the rows
-        by g; each test is one `combine_length`, made only when the scan
-        asks for the next survivor.
+        by g; each test is the `packed_len` of one `combine_packed`, made
+        only when the scan asks for the next survivor.
         """
         rows = self.pack(spec._shift_rows(y.coeffs, cap + 1))
-        field, k = self.field, spec.K
+        field, k, length = self.field, spec.K, self.packed_len
         return rows, (g for g in candidates
                       if (g.field is not field and g.field != field)
                       or (0 < len(g.coeffs) <= cap + 1
-                          and self.combine_length(rows, g.coeffs) < k + len(g.coeffs)))
+                          and length(self.combine_packed(rows, g.coeffs)) < k + len(g.coeffs)))
 
     def scale(self, a: Coeffs, c: int) -> list[int]:
         """c * a for c != 0 (`Poly.scale` handles c = 0), by table lookup.
@@ -270,38 +273,11 @@ class _Kernel:
         lc = log[c]
         return [exp[lc + log[x]] for x in a]
 
-    def _monic(self, a: list[int]) -> list[int]:
-        lead = a[-1]
-        return a if lead == 1 else self.scale(a, self.field.inv(lead))
-
-    def _euclid(self):
-        """`gcd`'s (pack, step, finish), with the tables read once: a packed
-        value's state, the remainder of one state by another, and a state's
-        monic packed value.  Here a state is the coefficients as one `bytes`
-        of 1- or 2-byte machine ints, with no top zeros."""
-        code = "B" if self.field.q <= 256 else "H"
-        divide, monic = self._divide, self._monic
-
-        def pack(a: Coeffs) -> bytes:
-            return array(code, a).tobytes()
-
-        def step(x: bytes, y: bytes) -> bytes:
-            rem, b = memoryview(x).cast(code).tolist(), memoryview(y).cast(code).tolist()
-            if len(rem) < len(b):
-                return x
-            divide(rem, b, None)
-            del rem[len(b) - 1:]
-            while rem and not rem[-1]:
-                rem.pop()
-            return pack(rem)
-
-        return pack, step, lambda x: tuple(monic(memoryview(x).cast(code).tolist()))
-
-    def _divide(self, rem: list[int], b: Coeffs, quot: list[int] | None) -> None:
+    def _divide(self, rem: list[int], b: Coeffs, quot: list[int] | bytearray) -> None:
         """Divide `rem` by `b` in place; needs len(rem) >= len(b).
 
         Afterwards rem[:len(b) - 1] holds the remainder and the entries
-        above it are stale.  The quotient is written to `quot` unless None.
+        above it are stale.  The quotient is written to `quot`.
         """
         raise NotImplementedError
 
@@ -451,15 +427,6 @@ class _SlotKernel(_Kernel):
                     i += 1
         return self._unpack(acc.to_bytes(m * layout.size, "little"), layout)
 
-    def combine_length(self, rows, coeffs: Coeffs) -> int:
-        """len of `combine(rows, coeffs)` without its top zeros: the degree
-        of the combination plus one, and 0 when it is zero."""
-        out = self.combine(rows, coeffs)
-        n = len(out)
-        while n and not out[n - 1]:
-            n -= 1
-        return n
-
     def mul(self, a: Coeffs, b: Coeffs) -> list[int]:
         """a * b; a Kronecker product on digit planes when the shorter operand
         has at least `KRONECKER_MIN` coefficients, else `_mul_loop`.
@@ -539,7 +506,7 @@ class PrimeKernel(_SlotKernel):
         p = self.p
         return [x * c % p for x in a]
 
-    def _divide(self, rem: list[int], b: Coeffs, quot: list[int] | None) -> None:
+    def _divide(self, rem: list[int], b: Coeffs, quot: list[int] | bytearray) -> None:
         # entries of rem stay unreduced until read as a row's top or returned
         p = self.p
         db = len(b) - 1
@@ -549,8 +516,7 @@ class PrimeKernel(_SlotKernel):
             c = rem[i] % p
             if c:
                 f = c * inv % p
-                if quot is not None:
-                    quot[i - db] = f
+                quot[i - db] = f
                 g = p - f                         # rem -= f * b, as += (p - f) * b
                 base = i - db
                 for j, y in pairs:
@@ -562,19 +528,16 @@ class Char2Kernel(_Kernel):
     """GF(2^m), 256 < q <= 2^16: add is a per-coefficient xor; multiply and
     division are per-coefficient loops through the field's log/exp tables.
 
-    `scale` and the Euclid hooks are `_Kernel`'s, on lists and on `bytes` of
-    2-byte ints.  `pack`, `combine` and `combine_length` are written here
-    once for every characteristic-2 kernel, on hooks that each of them sets
-    for its row form: `_slot`, the bits per coefficient; `_to_int` and
-    `_unpack`, a row to its int and back; `_bit_planes`, the selectors of
-    the coefficients' bits; and `_times_alpha`, a packed row times alpha^b.
-    Here a row is 2-byte little-endian slots.  Polynomials are not packed
-    here.  `ByteKernel` derives from this class for its `_divide`, which it
-    runs on divisors of fewer than `ROW_MIN` coefficients, and `BitKernel`
-    from `ByteKernel`.
+    `scale` and the packed entry points are `_Kernel`'s, on lists and
+    tuples.  `pack` and `combine` are written here once for every
+    characteristic-2 kernel, on hooks that each of them sets for its row
+    form: `_to_int` and `_unpack`, a row to its int and back; `_bit_planes`,
+    the selectors of the coefficients' bits; and `_times_alpha`, a packed
+    row times alpha^b.  Here a row is 2-byte little-endian slots.
+    Polynomials are not packed here.  `ByteKernel` derives from this class
+    for its `_divide`, which it runs on divisors of fewer than `ROW_MIN`
+    coefficients, and `BitKernel` from `ByteKernel`.
     """
-
-    _slot = 16
 
     def _to_int(self, a: Coeffs) -> int:
         return int.from_bytes(struct.pack(f"<{len(a)}H", *a), "little")
@@ -604,11 +567,6 @@ class Char2Kernel(_Kernel):
         kernel: a `Codeword`'s row is a `combine` taken as it is.
         """
         return self._unpack(self._xor_sum(rows, coeffs), rows[0])
-
-    def combine_length(self, rows, coeffs: Coeffs) -> int:
-        """len of `combine(rows, coeffs)` without its top zeros, read off the
-        packed sum's bit length with no unpacking."""
-        return -(-self._xor_sum(rows, coeffs).bit_length() // self._slot)
 
     def _xor_sum(self, rows, coeffs: Coeffs) -> int:
         """`combine` as a packed int: for each bit b < m, the xor of the rows
@@ -645,7 +603,7 @@ class Char2Kernel(_Kernel):
                     out[i + j] ^= exp[lc + l]
         return out
 
-    def _divide(self, rem: list[int], b: Coeffs, quot: list[int] | None) -> None:
+    def _divide(self, rem: list[int], b: Coeffs, quot: list[int] | bytearray) -> None:
         db = len(b) - 1
         exp, log = self.field._tables
         pairs = [(j, log[c]) for j, c in enumerate(b[:db]) if c]
@@ -654,8 +612,7 @@ class Char2Kernel(_Kernel):
             c = rem[i]
             if c:
                 f = log[c] + inv                  # log of c / lead, below 2(q-1)
-                if quot is not None:
-                    quot[i - db] = exp[f]
+                quot[i - db] = exp[f]
                 base = i - db
                 for j, l in pairs:
                     rem[base + j] ^= exp[f + l]
@@ -668,15 +625,13 @@ class ByteKernel(Char2Kernel):
     so its sum and difference are one int xor.  A row's logs come from one
     `bytes.translate` (zero goes to the spare index 255); one more translate
     scales it by g^f.  A product, a division by at least `ROW_MIN`
-    coefficients and a gcd keep their rows as ints, so each term costs a
-    few C-level calls instead of a Python step per coefficient; shorter
-    divisors run `Char2Kernel._divide` on the unpacked remainder.  The list
-    `mul` is the packed one, packed and unpacked.  `pack`, `combine` and
-    `combine_length` are `Char2Kernel`'s, on byte rows (a packed row is a
-    packed value), and alpha^b scales one by the translate pair.
+    coefficients and a gcd step (`poly_mod`) keep their rows as ints, so
+    each term costs a few C-level calls instead of a Python step per
+    coefficient; shorter divisors run `Char2Kernel._divide` on the unpacked
+    remainder.  The list `mul` is the packed one, packed and unpacked.
+    `pack` and `combine` are `Char2Kernel`'s, on byte rows (a packed row is
+    a packed value), and alpha^b scales one by the translate pair.
     """
-
-    _slot = 8
 
     def _to_int(self, a: Coeffs) -> int:
         return int.from_bytes(bytes(a), "little")
@@ -689,14 +644,10 @@ class ByteKernel(Char2Kernel):
         return [raw.translate(_BIT_OF[b]) for b in range(self.field.m)]
 
     def _times_alpha(self, x: int, b: int, length: int) -> int:
-        return self._times(x, length, self._rows[0][1 << b])
-
-    def _times(self, x: int, length: int, f: int) -> int:
-        """g^f * x, x a packed row of `length` bytes: a translate to logs
-        and one by g^f."""
+        """Here a translate to logs and one by alpha^b."""
         to_log, times = self._rows
-        return int.from_bytes(x.to_bytes(length, "little").translate(to_log).translate(times[f]),
-                              "little")
+        row = x.to_bytes(length, "little").translate(to_log)
+        return int.from_bytes(row.translate(times[to_log[1 << b]]), "little")
 
     @cached_property
     def _rows(self) -> tuple[bytes, list[bytes]]:
@@ -757,62 +708,50 @@ class ByteKernel(Char2Kernel):
         return acc
 
     def poly_divmod(self, x: int, y: int) -> tuple[int, int]:
-        """By byte rows (`_reducer`) when the divisor has at least `ROW_MIN`
-        coefficients, else by `Char2Kernel`'s per-coefficient loop."""
+        """By byte rows (`poly_mod`, the quotient written as it goes) when
+        the divisor has at least `ROW_MIN` coefficients, else by
+        `Char2Kernel`'s per-coefficient loop."""
         nx, ny = self.packed_len(x), self.packed_len(y)
-        b, quot = y.to_bytes(ny, "little"), bytearray(nx - ny + 1)
+        quot = bytearray(nx - ny + 1)
         if ny >= ROW_MIN:
-            r = self._reducer()(x, b, quot)
+            r = self.poly_mod(x, y, quot)
         else:
             rem = list(x.to_bytes(nx, "little"))
-            self._divide(rem, b, quot)
+            self._divide(rem, y.to_bytes(ny, "little"), quot)
             r = int.from_bytes(bytes(rem[:ny - 1]), "little")
         return int.from_bytes(quot, "little"), r
 
     def combine_packed(self, rows, coeffs: Coeffs) -> int:
         return self._xor_sum(rows, coeffs)
 
-    def _euclid(self):
-        """A state is the packed value itself; a finished one is scaled by
-        the inverse of its lead."""
-        reduce_row, to_log, n = self._reducer(), self._rows[0], self.field.q - 1
+    @cached_property
+    def poly_mod(self):
+        """`poly_mod(x, y, quot=None)`: x mod y by byte rows, y nonzero; the
+        quotient, unless None, written to `quot` as by `_divide`.  A closure
+        built on first read, so the tables are read once, and a Euclid step
+        is one Python call.
 
-        def step(x: int, y: int) -> int:
-            return reduce_row(x, y.to_bytes((y.bit_length() + 7) >> 3, "little"), None)
-
-        def finish(x: int) -> int:
-            length = self.packed_len(x)
-            lead = x >> (8 * length - 8)
-            return x if lead == 1 else self._times(x, length, n - to_log[lead])
-
-        return _same, step, finish
-
-    def _reducer(self):
-        """`reduce_row(r, b, quot)`: r mod b, r an int and b `bytes`, rows
-        packed little-endian; the quotient, unless None, written to `quot`
-        as by `_divide`.  The tables are read here, once, and not per call
-        of `reduce_row`.
-
-        Subtracting c/lead * b, lead included, clears the top byte of r, so
+        Subtracting c/lead * y, lead included, clears the top byte of x, so
         each quotient term costs a few C-level calls on the whole row.
         """
         exp = self.field._tables[0]
         to_log, times = self._rows
         n = self.field.q - 1
 
-        def reduce_row(r: int, b: bytes, quot) -> int:
+        def poly_mod(x: int, y: int, quot=None) -> int:
+            b = y.to_bytes((y.bit_length() + 7) >> 3, "little")
             db = len(b) - 1
             row = b.translate(to_log)
             inv = n - to_log[b[-1]]               # log of 1 / lead
-            while (bits := r.bit_length()) > 8 * db:
+            while (bits := x.bit_length()) > 8 * db:
                 i = (bits - 1) >> 3
-                f = to_log[r >> (8 * i)] + inv    # log of c / lead, below 2(q-1)
+                f = to_log[x >> (8 * i)] + inv    # log of c / lead, below 2(q-1)
                 if quot is not None:
                     quot[i - db] = exp[f]
-                r ^= int.from_bytes(row.translate(times[f]), "little") << (8 * (i - db))
-            return r
+                x ^= int.from_bytes(row.translate(times[f]), "little") << (8 * (i - db))
+            return x
 
-        return reduce_row
+        return poly_mod
 
 
 # GF(2) rows: coefficients 0/1 as the digits "0"/"1", and back
@@ -823,19 +762,6 @@ _FROM_DIGITS = bytes.maketrans(b"01", b"\0\1")
 def _to_bits(a: Coeffs) -> int:
     """A GF(2) coefficient list as an int, bit i the coefficient of x^i."""
     return int(bytes(a).translate(_TO_DIGITS)[::-1], 2) if a else 0
-
-
-def _xor_mod(x: int, y: int) -> int:
-    """x mod y for bit rows, y != 0: xor the shifted y under x's top bit."""
-    dy = y.bit_length()
-    while (top := x.bit_length()) >= dy:
-        x ^= y << (top - dy)
-    return x
-
-
-def _same(x):
-    """The Euclid hooks' pack and finish where a state is the packed value."""
-    return x
 
 
 def _from_bits(x: int, length: int) -> list[int]:
@@ -866,16 +792,15 @@ class BitKernel(ByteKernel):
     are `ByteKernel.add`, the byte-row xor, which is faster than bit rows
     at every length measured.  `combine` is
     `Char2Kernel`'s on bit rows, with `_xor_sum` its m = 1 case: one xor of
-    the rows whose coefficient is 1, with no selector built and no scaling;
-    with one bit per slot, `combine_length` is the sum's bit length.  The
-    list scan makes no `combine_length` call here: `locator_survivors`
+    the rows whose coefficient is 1, with no selector built and no scaling.
+    The list scan forms no sum to test a degree here: `locator_survivors`
     runs the degree test of every candidate at once, on masks with one bit
-    per candidate, and `combine` runs only for its few survivors.  No other
-    inherited code runs here: `poly_divmod` and the Euclid hooks work on
-    bit rows, and every nonzero lead is 1.
+    per candidate, and `combine_packed` runs only for its few survivors.
+    No other inherited code runs here: `poly_divmod` and `poly_mod` work on
+    bit rows, and every nonzero lead is 1, so `poly_monic` is the identity
+    and a gcd unpacks nothing.
     """
 
-    _slot = 1
     _to_int = staticmethod(_to_bits)
     _unpack = staticmethod(_from_bits)
     # (key, masks) of the last candidate list scanned; see `locator_survivors`
@@ -974,9 +899,17 @@ class BitKernel(ByteKernel):
             x ^= y << (top - ny)
         return quot, x
 
-    def _euclid(self):
-        """A state is the bit row; a finished one is monic as it is."""
-        return _same, _xor_mod, _same
+    @staticmethod
+    def poly_monic(x: int) -> int:
+        return x
+
+    @staticmethod
+    def poly_mod(x: int, y: int) -> int:
+        """x mod y, y nonzero: xor the shifted y under x's top bit."""
+        ny = y.bit_length()
+        while (top := x.bit_length()) >= ny:
+            x ^= y << (top - ny)
+        return x
 
 
 class OddKernel(_SlotKernel):
@@ -1043,7 +976,7 @@ class OddKernel(_SlotKernel):
                     out[i + j] = exp[t + zech[zlog[out[i + j]] - t]]
         return out
 
-    def _divide(self, rem: list[int], b: Coeffs, quot: list[int] | None) -> None:
+    def _divide(self, rem: list[int], b: Coeffs, quot: list[int] | bytearray) -> None:
         exp, log, zlog, zech = self._zech
         n = self.field.q - 1
         db = len(b) - 1
@@ -1054,8 +987,7 @@ class OddKernel(_SlotKernel):
             c = rem[i]
             if c:
                 lc = log[c]
-                if quot is not None:
-                    quot[i - db] = exp[lc + inv]
+                quot[i - db] = exp[lc + inv]
                 f = (lc + neg) % n                # log of -c / lead
                 base = i - db
                 for j, l in pairs:

@@ -116,9 +116,10 @@ class Poly:
     def monomial(cls, field: Field, coeff: int, degree: int) -> "Poly":
         if degree < 0:
             raise ValueError(f"monomial degree {degree} is negative")
+        coeff = field.check(coeff)
         if coeff == 0:
             return cls.zero(field)
-        return cls._raw(field, (0,) * degree + (field.check(coeff),))
+        return cls._raw(field, (0,) * degree + (coeff,))
 
     @classmethod
     def from_int(cls, field: Field, code: int) -> "Poly":

@@ -1049,26 +1049,39 @@ def test_locator_scan_raises_on_a_foreign_candidate_before_the_hit(ladder20, gf4
     assert _locator_scan(spec, y, cands + [foreign]) == _locator_scan(spec, y, cands)
 
 
-def test_locator_scan_over_gf2_makes_no_combine_length_call(ladder20, gf4_mixed, monkeypatch):
-    """Over GF(2) the degree test is the sliced one: no candidate takes a
-    `combine_length`, which GF(4)'s scan, the control, does call."""
-    calls = []
-    combine_length = kernels.Char2Kernel.combine_length
+def test_locator_scan_over_gf2_forms_z_only_for_survivors(ladder20, gf4_mixed, monkeypatch):
+    """Over GF(2) the degree test is the sliced one: the scan forms a Z (one
+    `combine_packed`) only for each survivor it divides.  GF(4)'s scan, the
+    control, also forms one in its degree test for every candidate it
+    tests, so it makes more `combine_packed` calls than divisions."""
+    calls = {"combine": [], "divmod": []}
+    combine_packed, poly_divmod = kernels.ByteKernel.combine_packed, Poly.__divmod__
 
-    def counting(self, rows, coeffs):
-        calls.append(self)
-        return combine_length(self, rows, coeffs)
+    def counting_combine(self, rows, coeffs):
+        calls["combine"].append(self)
+        return combine_packed(self, rows, coeffs)
 
-    monkeypatch.setattr(kernels.Char2Kernel, "combine_length", counting)
+    def counting_divmod(a, b):
+        calls["divmod"].append(a.field.kernel)
+        return poly_divmod(a, b)
+
     spec, cands = ladder20
-    for index in (5, 300):
-        word = _error_on(random.Random(index), spec, cands[index])
-        assert list_decode(spec, word, cands).ok
-    assert calls == []
     gf4_cands = list(gf4_mixed.moduli)
-    y = psi_inverse(gf4_mixed, _error_on(random.Random(2107), gf4_mixed, gf4_cands[-1]))
-    assert _locator_scan(gf4_mixed, y, gf4_cands) is not None
-    assert calls and all(kernel is gf4_mixed.field.kernel for kernel in calls)
+    scans = [(spec, _error_on(random.Random(index), spec, cands[index]), cands)
+             for index in (5, 300)]
+    scans.append((gf4_mixed, _error_on(random.Random(2107), gf4_mixed, gf4_cands[-1]), gf4_cands))
+    scans = [(s, psi_inverse(s, word), c) for s, word, c in scans]
+    monkeypatch.setattr(kernels.ByteKernel, "combine_packed", counting_combine)
+    monkeypatch.setattr(Poly, "__divmod__", counting_divmod)
+    for s, y, c in scans:
+        for key in calls:
+            calls[key].clear()
+        assert _locator_scan(s, y, c) is not None
+        assert calls["divmod"] and {*calls["combine"], *calls["divmod"]} == {s.field.kernel}
+        if s is spec:
+            assert len(calls["combine"]) == len(calls["divmod"]) < len(c) // 10
+        else:
+            assert len(calls["combine"]) > len(calls["divmod"])
 
 
 # -- the locator test's degree rejection ---------------------------------------------

@@ -1,16 +1,19 @@
 """The kernels' one gcd loop and its memo of the last remainder chain.
 
-`_Kernel.gcd` runs Euclid on packed states (x, y) and keeps the states of
-its last run that missed, each mapped to that run's monic result.  It takes
-and returns packed values (`to_packed`): coefficient tuples where the
-kernel packs nothing, bit or byte row ints in `BitKernel` and
-`ByteKernel`, where a value is its own state.  On every
-kernel kind these tests check that a call returns what a fresh run (a new
-kernel, whose memo is empty) and the table-free reference return: on random
-pairs in both orders, on every state of one chain (so that calls hit), and
-with a zero operand.  They also check that the memo holds exactly the states
-of the last run that missed, that neither a hit nor a call that takes no
-step replaces it, and that the memo compares states, not their hashes.
+`_Kernel.gcd` runs Euclid on states (x, y) of packed values (`to_packed`):
+coefficient tuples where the kernel packs nothing, bit or byte row ints in
+`BitKernel` and `ByteKernel`.  A state steps to (y, `poly_mod(x, y)`), and
+the last x is made monic by `poly_monic`; the kernel keeps the states of
+its last run that missed, each mapped to that run's monic result.  These
+tests hold `poly_mod` and `poly_monic` to the table-free reference, with
+the dividend shorter than, as long as and longer than the divisor.  On
+every kernel kind they check that a gcd call returns what a fresh run (a
+new kernel, whose memo is empty) and the reference return: on random pairs
+in both orders, on every state of one chain (so that calls hit), and with
+a zero operand.  They also check that the memo holds exactly the states of
+the last run that missed, that neither a hit nor a call that takes no step
+replaces it, that a hit is exact under any fixed step, and that the memo
+compares states, not their hashes.
 """
 
 from __future__ import annotations
@@ -21,9 +24,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from remcode.field import Field
-from remcode.kernels import PrimeKernel, kernel_for
+from remcode.kernels import PrimeKernel, _strip, kernel_for
 
-from test_kernels import coeff_lists, ref_divmod, ref_gcd, ref_mul
+from test_kernels import coeff_lists, elements, ref_divmod, ref_gcd, ref_mul
 
 FIELDS = {
     "GF(2)": lambda: Field(2),
@@ -74,6 +77,22 @@ def pair_with_common_factor(f: Field, data):
     return ref_mul(f, a, c), ref_mul(f, b, c)
 
 
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_poly_mod_and_poly_monic_match_the_reference(field, data):
+    """`poly_mod(x, y)` is the remainder of x by y, also when x is shorter
+    than y or as long, and `poly_monic(x)` is x over its lead."""
+    kernel = field.kernel
+    a = _strip(data.draw(coeff_lists(field, 12)))
+    b = _strip(data.draw(coeff_lists(field, 6))) or (data.draw(elements(field)) or 1,)
+    for x in (a, a[:len(b)], a[:len(b) - 1]):
+        x = _strip(x)
+        got = kernel.from_packed(kernel.poly_mod(packed(kernel, x), packed(kernel, b)))
+        assert got == ref_divmod(field, x, b)[1]
+    if a:
+        assert kernel.from_packed(kernel.poly_monic(packed(kernel, a))) == ref_gcd(field, a, ())
+
+
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_memoised_gcd_matches_fresh_run_and_reference(field, data):
@@ -85,7 +104,7 @@ def test_memoised_gcd_matches_fresh_run_and_reference(field, data):
         return
     expected = ref_gcd(field, a, b)
     if field.q == 2:
-        assert PrimeKernel(field).gcd(a, b) == expected
+        assert PrimeKernel(field).gcd(tuple(a), tuple(b)) == expected
     for x, y in ((a, b), (b, a)):
         assert kernel_gcd(kernel, x, y) == expected == fresh_gcd(field, x, y)
     for u, v in chain(field, a, b):
@@ -98,10 +117,9 @@ def test_memoised_gcd_matches_fresh_run_and_reference(field, data):
 @given(data=st.data())
 def test_memo_holds_only_the_last_missing_run(field, data):
     kernel = kernel_for(field)
-    pack = kernel._euclid()[0]
 
     def keys(a, b):
-        return [(pack(packed(kernel, u)), pack(packed(kernel, v))) for u, v in chain(field, a, b)]
+        return [(packed(kernel, u), packed(kernel, v)) for u, v in chain(field, a, b)]
 
     def gcd(a, b):
         return kernel.gcd(packed(kernel, a), packed(kernel, b))
@@ -136,55 +154,43 @@ def test_memo_holds_only_the_last_missing_run(field, data):
 @given(data=st.data())
 def test_a_hit_returns_what_the_run_would_under_any_fixed_step(field, data):
     """The memo is exact because a run's continuation from a state is fixed,
-    not because the step computes a gcd: with a step that skips a remainder
-    at some states, a warm memo still returns what a fresh run returns."""
-    pack, step, finish = field.kernel._euclid()
+    not because the step computes a gcd: with a `poly_mod` that skips a
+    remainder at some states, a warm memo still returns what a fresh run
+    returns."""
+    step = field.kernel.poly_mod
 
     def skipping(x, y):
         r = step(x, y)
         return step(y, r) if r and hash((x, y)) % 2 == 0 else r
 
     warm, cold = kernel_for(field), kernel_for(field)
-    warm._euclid = cold._euclid = lambda: (pack, skipping, finish)
+    warm.poly_mod = cold.poly_mod = skipping
     a, b = pair_with_common_factor(field, data)
     if not b:
         return
-    x, y = pack(packed(warm, a)), pack(packed(warm, b))
+    x, y = packed(warm, a), packed(warm, b)
     states = [(x, y)]
     while y:
         x, y = y, skipping(x, y)
         states.append((x, y))
-    kernel_gcd(warm, a, b)
+    warm.gcd(*states[0])
     for x, y in states:
         for u, v in ((x, y), (y, x)):
             if u or v:
-                u, v = unpack(field, u), unpack(field, v)
                 cold._memo = {}
-                assert kernel_gcd(warm, u, v) == kernel_gcd(cold, u, v)
-
-
-def unpack(f: Field, state) -> tuple[int, ...]:
-    """The coefficients of a packed state."""
-    if isinstance(state, bytes):
-        return tuple(memoryview(state).cast("B" if f.q <= 256 else "H"))
-    if f.q == 2:                                  # a bit row
-        return tuple((state >> i) & 1 for i in range(state.bit_length()))
-    return tuple(state.to_bytes((state.bit_length() + 7) >> 3, "little"))
+                assert warm.gcd(u, v) == cold.gcd(u, v)
 
 
 @pytest.mark.parametrize("name", ["GF(2)", "GF(2^8)"])
 def test_memo_compares_states_not_hashes(name):
-    """Bit-row and byte-row states are ints, and CPython hashes an int
-    n >= 0 to n mod M, M = sys.hash_info.modulus, so the states of a and of
-    a + M share a hash.  With a(0) = 0 and M odd, gcd(a, x) = x and
+    """Bit-row and byte-row packed values are ints, and CPython hashes an int
+    n >= 0 to n mod M, M = sys.hash_info.modulus, so the states (a, x) and
+    (a + M, x) share a hash.  With a(0) = 0 and M odd, gcd(a, x) = x and
     gcd(a + M, x) = 1; a memo keyed by hash would answer the second call
     with the first's result."""
-    f = FIELDS[name]()
-    kernel = f.kernel
-    pack = kernel._euclid()[0]
-    base = 1 << 72
-    a, a_plus_m, x = (pack(packed(kernel, c)) for c in (
-        unpack(f, base), unpack(f, base + sys.hash_info.modulus), (0, 1)))
-    assert a != a_plus_m and hash((a, x)) == hash((a_plus_m, x))
+    kernel = FIELDS[name]().kernel
+    a = 1 << 72
+    a_plus_m, x = a + sys.hash_info.modulus, packed(kernel, (0, 1))
+    assert hash((a, x)) == hash((a_plus_m, x))
     assert kernel.from_packed(kernel.gcd(a, x)) == (0, 1)
     assert kernel.from_packed(kernel.gcd(a_plus_m, x)) == (1,)

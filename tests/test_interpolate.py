@@ -4,10 +4,12 @@ import random
 
 import pytest
 
-from remcode.code import Codeword, encode
+from remcode.code import Codeword, encode, psi_inverse
+from remcode.decoder import error_locator_test
 from remcode.errors import (
     ErasureBudgetExceeded,
     InconsistentResidues,
+    InfeasibleWeight,
     InsufficientSupport,
     NonDivisible,
 )
@@ -114,6 +116,40 @@ def test_insufficient_support_rejected(rs42):
         interpolate_fixed_transform(rs42, cw, pattern)
     with pytest.raises(InsufficientSupport):
         ErasurePattern(rs42, frozenset())
+
+
+class Index:
+    """An integer that is not an int, as `operator.index` admits."""
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __index__(self) -> int:
+        return self.value
+
+
+def test_positions_are_checked_as_integers(rs42):
+    """A position is an integer below n.  1.5 used to be kept in the known
+    set, so positions 2 and 3 were erased; 1.0 in `error_locator_test` raised
+    a raw `TypeError` from a tuple index; and an erasure pattern's position
+    out of range raised `ValueError`, where `check_positions` raises
+    `InfeasibleWeight`, as it does for a repeated position."""
+    y = psi_inverse(rs42, encode(rs42, P(rs42.field, 0, 1)))
+    for bad in (1.5, 1.0, "1", None):
+        with pytest.raises(TypeError, match="integer"):
+            ErasurePattern(rs42, [0, 1, bad])
+        with pytest.raises(TypeError, match="interpreted as an integer"):
+            error_locator_test(rs42, y, [bad])
+        with pytest.raises(TypeError, match="integer"):
+            rs42.check_positions([0, bad])
+    for bad in (-1, 4, 1, Index(1)):
+        with pytest.raises(InfeasibleWeight):
+            ErasurePattern(rs42, [0, 1, bad])
+    pattern = ErasurePattern(rs42, [Index(0), 1, 3])
+    assert pattern.known == {0, 1, 3} and pattern.erased_weight == 1
+    assert all(type(i) is int for i in pattern.known)
+    assert rs42.check_positions((Index(2), True)) == (2, 1)
+    assert error_locator_test(rs42, y, [Index(2)]) == error_locator_test(rs42, y, [2])
 
 
 def test_inconsistent_residues_detected(rs42):

@@ -275,15 +275,16 @@ def test_char2_rows_at_the_threshold(field):
 
 @pytest.mark.parametrize("name", ["GF(2^4)", "GF(2^8)"])
 def test_byte_rows_divide_by_rows_from_row_min(name, monkeypatch):
-    """`ByteKernel` divides by byte rows (`_reducer`) exactly when the divisor
-    has at least `ROW_MIN` = 7 coefficients, the crossover measured on
-    255-coefficient dividends, and by the list loop below that, whatever the
-    dividend's length."""
+    """`ByteKernel` divides by byte rows (its `poly_mod` reducer, one call
+    per division) exactly when the divisor has at least `ROW_MIN` = 7
+    coefficients, the crossover measured on 255-coefficient dividends, and
+    by the list loop below that, whatever the dividend's length."""
     assert ROW_MIN == 7
     f = FIELDS[name]()
+    assert type(f.kernel) is ByteKernel
+    reducer, calls = f.kernel.poly_mod, []
+    monkeypatch.setattr(f.kernel, "poly_mod", lambda *args: calls.append(1) or reducer(*args))
     rng = random.Random(f.q)
-    reducer, calls = ByteKernel._reducer, []
-    monkeypatch.setattr(ByteKernel, "_reducer", lambda self: calls.append(1) or reducer(self))
     for n in (1, 2, ROW_MIN - 1, ROW_MIN, ROW_MIN + 1, 40):
         b = Poly(f, [rng.randrange(f.q) for _ in range(n - 1)] + [rng.randrange(1, f.q)])
         for length in (n, 3 * n + 1, 255):

@@ -284,6 +284,29 @@ def test_scale_checks_its_scalar(gf2, gf5):
     assert Poly(gf5, [1, 1]).scale(0).is_zero
 
 
+def test_field_elements_are_checked_as_integers():
+    """`Field.check` takes `operator.index` of its value first, so a float
+    raises `TypeError` at the boundary: `monomial` used to keep the float 3.0
+    as a coefficient, and `scale` and `evaluate` passed the check and raised
+    a raw `TypeError` from the kernel's tables."""
+    gf9 = Field(3, 2, [1, 0, 1])
+    p = Poly(gf9, [1, 1])
+    for bad in (3.0, 0.0, 2.5, "3", None):
+        with pytest.raises(TypeError, match="integer"):
+            gf9.check(bad)
+        with pytest.raises(TypeError, match="integer"):
+            Poly.monomial(gf9, bad, 2)
+        with pytest.raises(TypeError, match="interpreted as an integer"):
+            p.scale(bad)
+        with pytest.raises(TypeError, match="interpreted as an integer"):
+            p.evaluate(bad)
+    three = type("Three", (), {"__index__": lambda self: 3})()
+    assert gf9.check(three) == 3 and type(gf9.check(three)) is int
+    assert Poly.monomial(gf9, three, 2) == Poly(gf9, [0, 0, 3])
+    assert p.scale(three) == Poly(gf9, [3, 3]) and p.evaluate(three) == p.evaluate(3)
+    assert gf9.check(True) == 1
+
+
 SIEVE_PROBE = """
 import sys
 sys.path.insert(0, sys.argv[1])

@@ -1,7 +1,8 @@
 """The residue transform and its inverse as packed-row maps.
 
-Kernel level: `combine` over `pack`ed rows, and the length of the result
-that `combine_length` reads, against the sum of `scale` and `add` through
+Kernel level: `combine` over `pack`ed rows, and `combine_packed` and its
+`packed_len`, which the list scan's degree test reads, against the sum of
+`scale` and `add` through
 the same kernel, on every kernel, on both sides of the odd kernels'
 `CLASS_BITS` (class sums over GF(3) to GF(27), the multiply-add loop over
 GF(251) and GF(65521), whose slots need 4 or 8 bytes), and at full size
@@ -76,13 +77,16 @@ def reference_combine(f: Field, rows, coeffs) -> tuple[int, ...]:
 
 
 def check_combine(f: Field, rows, coeffs) -> None:
-    """`combine` against the reference, and `combine_length` against its length."""
-    packed = f.kernel.pack(rows)
-    out = f.kernel.combine(packed, coeffs)
+    """`combine` against the reference, and `combine_packed` against it
+    unpacked and its `packed_len` against its length."""
+    kernel = f.kernel
+    packed = kernel.pack(rows)
+    out = kernel.combine(packed, coeffs)
     expected = reference_combine(f, rows, coeffs)
     assert len(out) == len(rows[0])
     assert _strip(out) == expected
-    assert f.kernel.combine_length(packed, coeffs) == len(expected)
+    assert kernel.from_packed(kernel.combine_packed(packed, coeffs)) == expected
+    assert kernel.packed_len(kernel.combine_packed(packed, coeffs)) == len(_strip(out))
 
 
 # -- kernel level ------------------------------------------------------------------------
@@ -116,7 +120,8 @@ def test_combine_of_nothing_is_zero(name):
     assert _strip(kernel.combine(rows, [])) == ()
     assert _strip(kernel.combine(rows, [0, 0])) == ()
     assert _strip(kernel.combine(kernel.pack([[0] * 5] * 3), [1, f.q - 1, 0])) == ()
-    assert kernel.combine_length(rows, [0, 0]) == kernel.combine_length(rows, []) == 0
+    assert not kernel.combine_packed(rows, [0, 0]) and not kernel.combine_packed(rows, [])
+    assert kernel.packed_len(kernel.combine_packed(rows, [])) == 0
     assert _strip(kernel.combine(rows, [1])) == _strip(first)
 
 
@@ -145,9 +150,9 @@ def test_combine_at_the_worst_slot_load(name):
 
 def check_full_size(name: str) -> None:
     """255 rows of 300 coefficients, each row's top entries zero from a
-    drawn point on: `combine` against the reference and `combine_length`
-    against its length, for coefficients all q - 1 (every digit p - 1),
-    drawn, one 1 and none.  Then two rows that agree from position `cut`
+    drawn point on: `combine` against the reference and `combine_packed`'s
+    `packed_len` against its length, for coefficients all q - 1 (every
+    digit p - 1), drawn, one 1 and none.  Then two rows that agree from position `cut`
     up, taken with coefficients c and -c: the sum is zero from `cut` up and
     not below it, so its length is exactly `cut`."""
     f = FIELDS[name]
@@ -167,7 +172,8 @@ def check_full_size(name: str) -> None:
             b[cut - 1] = f.add(a[cut - 1], rng.randrange(1, f.q))
         c = rng.randrange(1, f.q)
         check_combine(f, [a, b], [c, f.neg(c)])
-        assert f.kernel.combine_length(f.kernel.pack([a, b]), [c, f.neg(c)]) == cut
+        kernel = f.kernel
+        assert kernel.packed_len(kernel.combine_packed(kernel.pack([a, b]), [c, f.neg(c)])) == cut
 
 
 @pytest.mark.parametrize("name", ["GF(2)", "GF(2^8)", "GF(2^9)", "GF(2^16)"])

@@ -16,6 +16,11 @@ field's kernel over a row set the spec builds on first use:
   in position order; the coefficients of the residue vector, end to end,
   weight them.
 
+A third row set serves the fixed-transform erasure decoder
+(`remcode.interpolate`): reduction rows, x^(N+j) mod M_n for j < N - K.
+`CodeSpec._reduce` reduces a polynomial of degree below 2N - K mod M_n as
+its low N coefficients plus one `combine` of these rows by its top ones.
+
 So a residue vector has one flat form that both maps read and write: its
 row, N coefficients, symbol i zero-padded to deg m_i, end to end, so that
 symbol i is the slice between the spec's offsets o_i and o_(i+1).  That
@@ -30,9 +35,10 @@ position then takes a constant `Poly` shared per spec.  A symbol list from
 outside is checked and flattened in one pass (`CodeSpec._flatten`).
 
 `CodeSpec._shift_rows` is the one builder of rows x^j * v mod M_n, padded to
-N coefficients: the inverse rows and, outside GF(2), the list decoder's
-locator rows are such rows.  Over GF(2) the scan's kernel builds its
-locator rows as bit rows by shift and xor (`BitKernel.locator_survivors`).
+N coefficients: the inverse rows, the reduction rows and, outside GF(2),
+the list decoder's locator rows are such rows.  Over GF(2) the scan's
+kernel builds its locator rows as bit rows by shift and xor
+(`BitKernel.locator_survivors`).
 
 `CodeSpec.product` is the one place where products of moduli are formed.
 `CodeSpec.residue` is the definition, a mod m_i by one division; it is the
@@ -73,11 +79,12 @@ class CodeSpec:
     by every modulus at once, through the forward rows: it is the split of
     the residue row `_row(a)`.
 
-    Everything is derived when the spec is built except four values built
+    Everything is derived when the spec is built except five values built
     on first read: `message_modulus` (M_k) and `irreducible`, which no
-    decoder reads, and the two row sets of the transform (see the module
-    docstring), which take about 2 * N^2 coefficients; K is the sum of the
-    first k degrees.
+    decoder reads, the two row sets of the transform, which take about
+    2 * N^2 coefficients, and the reduction rows of the fixed-transform
+    erasure decoder, (N - K) * N coefficients (see the module docstring);
+    K is the sum of the first k degrees.
 
     Validation runs in a fixed order: monic moduli, then coprimality, then
     k.  Coprimality costs no pass of its own: beta_i needs the inverse of
@@ -235,6 +242,25 @@ class CodeSpec:
         for beta, d in zip(self.betas, self.degrees):
             rows += self._shift_rows(beta.coeffs, d)
         return self.field.kernel.pack(rows)
+
+    @cached_property
+    def _reduction_rows(self):
+        """x^(N+j) mod M_n for j < N - K; packed.  Row 0, x^N mod M_n, is
+        minus M_n's lower coefficients, since M_n is monic."""
+        kernel, N = self.field.kernel, self.N
+        first = kernel.sub([0] * N, self.modulus_product.coeffs[:N])
+        return kernel.pack(self._shift_rows(first, N - self.K))
+
+    def _reduce(self, a: Poly) -> Poly:
+        """a mod M_n, for deg a < 2N - K: a's low N coefficients plus the
+        `combine` of the reduction rows by its top ones, with no division."""
+        N = self.N
+        if a.degree < N:
+            return a
+        assert a.degree < 2 * N - self.K, "beyond the reduction rows"
+        kernel, c = self.field.kernel, a.coeffs
+        high = kernel.combine_packed(self._reduction_rows, c[N:])
+        return _born(self.field, kernel.poly_add(kernel.to_packed(_strip(c[:N])), high))
 
     def _shift_rows(self, v: Sequence[int], count: int) -> list[list[int]]:
         """x^j * v mod M_n for j < count, each zero-padded to N coefficients,

@@ -5,10 +5,13 @@ Two routes:
 * direct — classic residue recombination restricted to the known support,
   recomputing support-dependent coefficients each call;
 * fixed transform — apply the full inverse transform to the received vector
-  with arbitrary fill at erased positions, multiply by the product of the
-  erased moduli, reduce, and divide exactly.  Uses only the precomputed
-  spec coefficients, never per-support inverses, which is why it is the
-  production path; the direct route is kept as an oracle.
+  with arbitrary fill at erased positions, multiply by the product E of the
+  erased moduli, reduce mod M_n, and divide exactly by E.  Uses only the
+  precomputed spec coefficients, never per-support inverses, which is why
+  it is the production path; the direct route is kept as an oracle.  The
+  product has degree below 2N - K, since deg E <= N - K is checked first,
+  so the reduction is one `combine` of the spec's reduction rows by its
+  top coefficients (`CodeSpec._reduce`), and E is the one divisor.
 """
 
 from __future__ import annotations
@@ -110,7 +113,7 @@ def interpolate_fixed_transform(
     if pattern.erased_weight > spec.N - spec.K:
         raise ErasureBudgetExceeded(
             f"erased degree weight {pattern.erased_weight} > N - K = {spec.N - spec.K}")
-    z = (pattern.erased_product * psi_inverse(spec, received)) % spec.modulus_product
+    z = spec._reduce(pattern.erased_product * psi_inverse(spec, received))
     a, rem = divmod(z, pattern.erased_product)
     if not rem.is_zero:
         raise NonDivisible("reduced product is not a multiple of the erased moduli")

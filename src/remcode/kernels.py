@@ -48,8 +48,14 @@ packed into one int of little-endian slots; the m^2 plane products are int
 multiplies, the planes for alpha^c, c >= m, fold into planes 0..m-1 through
 the digits of alpha^c (alpha the element x, the int p), and each slot is
 reduced mod p once.  Shorter products keep the per-coefficient loops
-(`_mul_loop`), and so do add, sub and division: over GF(p^m) those read
-the Zech table.
+(`_mul_loop`).  They share `_SlotKernel.poly_divmod` too: a division by at
+least `PLANE_DIVIDE_MIN` coefficients runs on the same planes
+(`_divide_planes`).  The remainder is one int of m planes, and each
+quotient term reads the top slot of each plane mod p, then adds m
+small-int multiples of the packed divisor times alpha^a, shifted into
+place; slots are sized for every term, so they are reduced only once, at
+the end.  Shorter divisors keep the list `_divide`, and add and sub keep
+their per-coefficient loops: over GF(p^m) those read the Zech table.
 
 `gcd` is one Euclid loop for every kernel, on packed values: a state is a
 pair (x, y) of them, which steps to (y, `poly_mod(x, y)`), and the last x
@@ -97,7 +103,8 @@ ends with the same sum on both paths and no partial sum exceeds it, so no
 digit carries into the next slot or plane.  Each slot is reduced mod p
 once, when `combine` unpacks it (a few `bytes.translate`s per plane for
 q <= 256 and 1- or 2-byte slots, else `struct`'s explicit little-endian
-format and a mod p per slot); products are unpacked the same way.  The
+format and a mod p per slot); products and division remainders are
+unpacked the same way.  The
 list decoder's degree test (`locator_survivors`) reads the `packed_len`
 of such a sum's `combine_packed`: in `ByteKernel` the packed sum's byte
 length, with no unpacking.  Over GF(2) the
@@ -152,6 +159,16 @@ ROW_MIN = 7
 # coefficients is a Kronecker product on packed digit planes (`_SlotKernel.mul`);
 # shorter ones keep the per-coefficient loop, which is faster there.
 KRONECKER_MIN = 4
+
+# PrimeKernel and OddKernel: division by at least this many coefficients runs on
+# packed digit planes (`_SlotKernel._divide_planes`); shorter divisors keep the
+# list `_divide`.  A plane quotient term costs about the same at any divisor
+# length, a list term one Python step per divisor coefficient, but packing and
+# unpacking cost about as much as ten plane terms.  With 71-term quotients (the
+# erasure decoder's division by the erased product) planes won over GF(9) from
+# 20 divisor coefficients and lost at 14 or fewer; over GF(7) they met at 10 to
+# 16.  One-term quotients gain only from about 40 coefficients on.
+PLANE_DIVIDE_MIN = 20
 
 # PrimeKernel and OddKernel over q <= 256: `combine` sums rows by (digit, bit)
 # classes when p - 1 has at most this many bits, and otherwise keeps one
@@ -299,8 +316,9 @@ def _slot_width(layout: struct.Struct) -> int:
 
 
 class _SlotKernel(_Kernel):
-    """`pack`, `combine` and long products on int slots, for odd
-    characteristic (see the module docstring for the layout).
+    """`pack`, `combine`, long products and division by long divisors on
+    int slots, for odd characteristic (see the module docstring for the
+    layout).
 
     What the products and `combine` read is built here, with no table of
     the field's (the fold digits by `Field._mul_basis`):
@@ -386,14 +404,14 @@ class _SlotKernel(_Kernel):
         their slot layout, and for each k < m the column of x^k * row over
         the rows, each entry one int that holds the m planes of x^k * row
         end to end."""
-        p, m = self.p, self.field.m
-        layout = _slot_layout(p, m, len(rows), len(rows[0]))
-        columns = []
-        for k in range(m):                        # x^k * row: the element x^k is the int p^k
-            shifted = (self.scale(row, p ** k) if k else row for row in rows)
-            columns.append([int.from_bytes(b"".join(self._planes(x, layout)), "little")
-                            for x in shifted])
-        return layout, columns
+        layout = _slot_layout(self.p, self.field.m, len(rows), len(rows[0]))
+        return layout, [[self._packed(self.scale(row, pk) if pk > 1 else row, layout)
+                         for row in rows]
+                        for pk in self._powers]   # x^k * row: the element x^k is the int p^k
+
+    def _packed(self, row: Coeffs, layout: struct.Struct) -> int:
+        """The m planes of `row` end to end, as one int."""
+        return int.from_bytes(b"".join(self._planes(row, layout)), "little")
 
     def combine(self, rows, coeffs: Coeffs) -> list[int]:
         """sum_j coeffs[j] * rows[j] over `pack`ed rows; needs len(coeffs) <= len(rows).
@@ -462,6 +480,61 @@ class _SlotKernel(_Kernel):
         short products, and the reference the tests hold `mul` to."""
         raise NotImplementedError
 
+    def poly_divmod(self, x, y):
+        """Quotient and remainder; needs len(x) >= len(y) >= 1.  On packed
+        digit planes (`_divide_planes`) when y has at least
+        `PLANE_DIVIDE_MIN` coefficients, else by the list `_divide`."""
+        if len(y) < PLANE_DIVIDE_MIN:
+            return super().poly_divmod(x, y)
+        quot, rem = self._divide_planes(x, y)
+        return _strip(quot), _strip(rem)
+
+    def _divide_planes(self, x: Coeffs, y: Coeffs) -> tuple[list[int], list[int]]:
+        """(quotient, remainder) of x by y, len(x) >= len(y) >= 1, on packed
+        digit planes; the remainder has len(y) - 1 entries, top zeros included.
+
+        The remainder is one int that holds x's m planes end to end, in
+        slots sized for (quotient terms + 1) * m * (p-1)^2, and y * alpha^a
+        for each a < m is one int of the same layout, as `pack` builds its
+        columns.  For the quotient term of x^j, digit a of the remainder's
+        coefficient c at x^(j + deg y) is that slot of plane a mod p.
+        Subtracting c/lead * x^j * y adds, for each digit g_a of -c/lead,
+        g_a * y * alpha^a shifted up j slots: at most m (p-1)^2 per slot, on
+        top of x's digit, so no slot carries.  That sum is formed once per
+        distinct c.  One `_unpack` at the end reduces every slot mod p.
+        """
+        p, m = self.p, self.field.m
+        n, db = len(x), len(y) - 1
+        layout = _slot_layout(p, m, n - db + 1, n)
+        bits, span = 8 * _slot_width(layout), 8 * layout.size
+        pad = [0] * (n - db - 1)
+        columns = [self._packed((self.scale(y, pa) if pa > 1 else list(y)) + pad, layout)
+                   for pa in self._powers]
+        rem, mask, quot = self._packed(x, layout), (1 << bits) - 1, [0] * (n - db)
+        over_lead, terms = self._over_lead(y[-1]), {}
+        high = list(zip(range(span, m * span, span), self._powers[1:]))
+        for j in range(n - db - 1, -1, -1):      # the term of x^j, at slot j + db
+            s = j * bits
+            t = rem >> (s + db * bits)
+            c = (t & mask) % p
+            for off, pa in high:
+                c += (t >> off & mask) % p * pa
+            if c:
+                term = terms.get(c)
+                if term is None:                  # (c / lead, -c / lead * y packed)
+                    f, g = over_lead(c)
+                    term = terms[c] = f, sum(g // pa % p * column
+                                             for column, pa in zip(columns, self._powers))
+                quot[j], multiple = term
+                rem += multiple << s
+        return quot, self._unpack(rem.to_bytes(m * layout.size, "little"), layout)[:db]
+
+    def _over_lead(self, lead: int):
+        """The map c -> (c / lead, -c / lead) on nonzero elements, for a
+        divisor's lead: a quotient term, and what `_divide_planes` weights
+        the divisor by."""
+        raise NotImplementedError
+
 
 class PrimeKernel(_SlotKernel):
     """GF(p), odd p: coefficients are ints mod p.
@@ -469,7 +542,8 @@ class PrimeKernel(_SlotKernel):
     Products whose shorter operand has at least `KRONECKER_MIN`
     coefficients are Kronecker products on slot planes (`_SlotKernel.mul`);
     `_mul_loop` multiplies shorter ones and reduces each output coefficient
-    once.
+    once.  Likewise `_divide` divides by fewer than `PLANE_DIVIDE_MIN`
+    coefficients, and `_SlotKernel._divide_planes` by more.
 
     GF(2) runs `BitKernel`; this kernel still computes over it, and the
     tests use it there as a reference.
@@ -505,6 +579,11 @@ class PrimeKernel(_SlotKernel):
     def scale(self, a: Coeffs, c: int) -> list[int]:
         p = self.p
         return [x * c % p for x in a]
+
+    def _over_lead(self, lead: int):
+        p = self.p
+        inv = pow(lead, p - 2, p)
+        return lambda c: (c * inv % p, -c * inv % p)
 
     def _divide(self, rem: list[int], b: Coeffs, quot: list[int] | bytearray) -> None:
         # entries of rem stay unreduced until read as a row's top or returned
@@ -917,8 +996,10 @@ class OddKernel(_SlotKernel):
 
     Products whose shorter operand has at least `KRONECKER_MIN`
     coefficients are Kronecker products on slot planes (`_SlotKernel.mul`)
-    and read no table.  The Zech table below is for add, sub, division
-    and the short products of `_mul_loop`.
+    and read no table.  The Zech table below is for add, sub, division by
+    fewer than `PLANE_DIVIDE_MIN` coefficients and the short products of
+    `_mul_loop`; division by more (`_SlotKernel._divide_planes`) reads the
+    log/exp tables once per distinct quotient term.
 
     With n = q - 1 and g the field's generator, x + g^t for t in [0, 2n) is
     exp[t + zech[zlog[x] - t]], where
@@ -975,6 +1056,13 @@ class OddKernel(_SlotKernel):
                     t = lc + l
                     out[i + j] = exp[t + zech[zlog[out[i + j]] - t]]
         return out
+
+    def _over_lead(self, lead: int):
+        exp, log = self.field._tables
+        n = self.field.q - 1
+        inv = n - log[lead]                       # log of 1 / lead
+        neg = (inv + n // 2) % n                  # log of -1 / lead
+        return lambda c: (exp[log[c] + inv], exp[log[c] + neg])
 
     def _divide(self, rem: list[int], b: Coeffs, quot: list[int] | bytearray) -> None:
         exp, log, zlog, zech = self._zech

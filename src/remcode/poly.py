@@ -66,7 +66,7 @@ class Poly:
     __slots__ = ("field", "_n", "coeffs", "packed")
 
     def __new__(cls, field: Field, coeffs: Iterable[int] = ()):
-        return Poly._raw(field, _strip([field.check(int(c)) for c in coeffs]))
+        return Poly._raw(field, _strip([field.check(c) for c in coeffs]))
 
     @staticmethod
     def _raw(field: Field, coeffs: tuple[int, ...]) -> "Poly":

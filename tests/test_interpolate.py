@@ -13,6 +13,7 @@ from remcode.errors import (
     InsufficientSupport,
     NonDivisible,
 )
+from remcode.field import Field
 from remcode.interpolate import ErasurePattern, interpolate_direct, interpolate_fixed_transform
 from remcode.poly import Poly
 
@@ -189,3 +190,31 @@ def test_pattern_products_split_modulus_product(ladder5, gf4_mixed):
             assert pattern.known_product * pattern.erased_product == spec.modulus_product
             assert pattern.erased_weight == sum(
                 d for i, d in enumerate(spec.degrees) if i not in known)
+
+
+def test_fixed_transform_divides_once_by_the_erased_product(monkeypatch, gf2, gf5, gf16):
+    """The transform reduces E * psi^-1(y) mod M_n by the spec's reduction
+    rows (`CodeSpec._reduce`), so its one division is the exact one by the
+    erased product E; the erased positions are filled so that the product
+    reaches degree N and over."""
+    gf9 = Field(3, 2, [1, 0, 1])
+    divisors = []
+    divide = Poly.__divmod__
+    monkeypatch.setattr(Poly, "__divmod__", lambda a, b: divisors.append(b) or divide(a, b))
+    rng = random.Random(29)
+    for field in (gf2, gf5, gf16, gf9):
+        for _ in range(10):
+            spec = random_spec(rng, field, (3, 6))
+            a = random_message(rng, spec)
+            symbols = list(encode(spec, a).symbols)
+            erased, weight = [], 0
+            for i in rng.sample(range(spec.n), spec.n):
+                if weight + spec.degrees[i] <= spec.N - spec.K:
+                    erased.append(i)
+                    weight += spec.degrees[i]
+            for i in erased:
+                symbols[i] = Poly.from_int(field, rng.randrange(1, field.q ** spec.degrees[i]))
+            pattern = ErasurePattern(spec, set(range(spec.n)) - set(erased))
+            divisors.clear()
+            assert interpolate_fixed_transform(spec, symbols, pattern) == a
+            assert len(divisors) == 1 and divisors[0] is pattern.erased_product

@@ -15,7 +15,11 @@ second reference, on long rows and on whole decodes.
 The odd-characteristic Kronecker products (`_SlotKernel.mul`) are held to
 the per-coefficient `_mul_loop` each kernel keeps and to the reference, on
 odd fields from GF(3) to GF(65521), at lengths on both sides of
-`KRONECKER_MIN` and at the worst load of each slot width.
+`KRONECKER_MIN` and at the worst load of each slot width.  Their division
+on packed digit planes (`_SlotKernel._divide_planes`) is held to the list
+`_divide` on odd fields from GF(3) to GF(65521), GF(3^6) among them, on
+divisors on both sides of `PLANE_DIVIDE_MIN`, and at the worst load of
+each slot width.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from remcode.decoder import DecodeStatus, build_candidate_list, decode, list_dec
 from remcode.field import Field
 from remcode.kernels import (
     KRONECKER_MIN,
+    PLANE_DIVIDE_MIN,
     ROW_MIN,
     BitKernel,
     ByteKernel,
@@ -689,3 +694,115 @@ def test_mul_above_the_crossover_reads_no_table(monkeypatch):
         assert loops == [KRONECKER_MIN - 1]
         loops.clear()
     assert {"_tables", "_zech"} <= set(vars(f)) | set(vars(f.kernel))
+
+
+# -- odd characteristic: division on packed digit planes ------------------------------
+
+# GF(251) is the largest odd prime q <= 256, whose every division needs 4-byte
+# slots; GF(3^6) is an odd q > 256 with m > 1, whose planes `struct` splits
+# and joins; GF(65521) needs 8-byte slots
+DIVIDE_FIELDS = {
+    "GF(3)": Field(3),
+    "GF(7)": Field(7),
+    "GF(9)": Field(3, 2, [1, 0, 1]),
+    "GF(25)": Field(5, 2, [2, 1, 1]),
+    "GF(27)": Field(3, 3, [1, 2, 0, 1]),
+    "GF(251)": Field(251),
+    "GF(3^6)": Field(3, 6, [2, 1, 0, 0, 0, 0, 1]),
+    "GF(65521)": Field(65521),
+}
+DIVISOR_LENGTHS = (PLANE_DIVIDE_MIN - 1, PLANE_DIVIDE_MIN, PLANE_DIVIDE_MIN + 1, 140)
+
+
+def check_divide(f: Field, x: list[int], y: list[int]) -> None:
+    """`_divide_planes(x, y)` equals the list `_divide` entry for entry, top
+    zeros included, and `poly_divmod` returns both stripped."""
+    kernel = f.kernel
+    rem, quot = list(x), [0] * (len(x) - len(y) + 1)
+    kernel._divide(rem, y, quot)
+    expected = (quot, rem[:len(y) - 1])
+    assert kernel._divide_planes(x, y) == expected
+    assert kernel.poly_divmod(tuple(x), tuple(y)) == tuple(_strip(list(e)) for e in expected)
+
+
+def _lead_top(rng: random.Random, f: Field, n: int, lead: int | None = None) -> list[int]:
+    """n uniform coefficients under a nonzero top, `lead` when given."""
+    return [rng.randrange(f.q) for _ in range(n - 1)] + [lead or rng.randrange(1, f.q)]
+
+
+@pytest.mark.parametrize("name", list(DIVIDE_FIELDS))
+def test_plane_division_matches_the_list_divide(name):
+    """Divisors on both sides of `PLANE_DIVIDE_MIN` and of 140 coefficients,
+    with leads 1, q - 1 and uniform, by dividends shorter than, as long as
+    and longer than them: quotients of 0, 1, 2 and 71 terms."""
+    f = DIVIDE_FIELDS[name]
+    rng = random.Random(f.q)
+    for ny in DIVISOR_LENGTHS:
+        for lead in (1, f.q - 1, None):
+            y = _lead_top(rng, f, ny, lead)
+            shorter = Poly(f, _lead_top(rng, f, ny - 1))
+            assert divmod(shorter, Poly(f, y)) == (Poly.zero(f), shorter)
+            for terms in (1, 2, 71):
+                check_divide(f, _lead_top(rng, f, ny + terms - 1), y)
+
+
+def _divide_slot_terms(f: Field, cap: int = 300) -> list[int]:
+    """Quotient lengths at which `_divide_planes`' slot width changes: for
+    each width, the longest whose bound fits and the first that needs the
+    next width; only lengths from 1 to `cap`."""
+    per_term = f.m * (f.p - 1) ** 2
+    terms = set()
+    for bits in (8, 16, 32):
+        first = -(-(1 << bits) // per_term) - 1   # fewest terms whose bound reaches 2^bits
+        terms.update(t for t in (first - 1, first) if 1 <= t <= cap)
+    return sorted(terms)
+
+
+@pytest.mark.parametrize("name", list(DIVIDE_FIELDS))
+def test_plane_division_at_the_worst_slot_load(name):
+    """Every digit of the divisor is p - 1, and so is every digit of each
+    quotient term's -c / lead, so each step adds the most a slot can take;
+    the divisor is at least as long as the quotient, so the middle slots take
+    every step.  Quotient lengths at each slot-width change, and 150."""
+    f = DIVIDE_FIELDS[name]
+    kernel, top = f.kernel, f.q - 1
+    for terms in _divide_slot_terms(f) + [150]:
+        ny = max(terms, PLANE_DIVIDE_MIN)
+        y, quot, rem = [top] * ny, [f.neg(top)] * terms, [top] * (ny - 1)
+        x = kernel.add(kernel.mul(quot, y), rem)
+        check_divide(f, x, y)
+        assert kernel.poly_divmod(tuple(x), tuple(y)) == (tuple(quot), tuple(rem))
+
+
+@pytest.mark.parametrize("name", ["GF(7)", "GF(9)", "GF(3^6)", "GF(65521)"])
+def test_plane_division_matches_the_list_divide_on_random_operands(name):
+    f = DIVIDE_FIELDS[name]
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def check(data):
+        y = data.draw(st.lists(elements(f), min_size=PLANE_DIVIDE_MIN - 1, max_size=60))
+        x = y + data.draw(st.lists(elements(f), max_size=60))
+        y.append(data.draw(st.integers(1, f.q - 1)))
+        x.append(data.draw(st.integers(1, f.q - 1)))
+        check_divide(f, x, y)
+
+    check()
+
+
+def test_plane_division_runs_from_plane_divide_min(monkeypatch):
+    """`poly_divmod` divides on planes by `PLANE_DIVIDE_MIN` coefficients and
+    more, and by the list `_divide` below that, over a prime and an
+    extension field."""
+    calls = []
+    for kind in (PrimeKernel, OddKernel):
+        for name in ("_divide", "_divide_planes"):
+            method = getattr(kind, name)
+            monkeypatch.setattr(kind, name, lambda self, *a, method=method, name=name:
+                                calls.append(name) or method(self, *a))
+    for f in (DIVIDE_FIELDS["GF(7)"], DIVIDE_FIELDS["GF(9)"]):
+        x = Poly(f, [1] * 60)
+        for ny, path in ((PLANE_DIVIDE_MIN - 1, "_divide"), (PLANE_DIVIDE_MIN, "_divide_planes")):
+            divmod(x, Poly(f, [2] * ny))
+            assert calls == [path]
+            calls.clear()

@@ -307,6 +307,19 @@ def test_field_elements_are_checked_as_integers():
     assert gf9.check(True) == 1
 
 
+def test_poly_coefficients_are_checked_as_integers():
+    """`Poly(field, coeffs)` hands each coefficient to `Field.check` as it
+    is: a float or a string raises `TypeError` instead of being truncated
+    to an int ([3.7, 1] used to give (3, 1), ["3", 1] (3, 1) and [1.5] (1,))."""
+    gf9 = Field(3, 2, [1, 0, 1])
+    for bad in ([3.7, 1], ["3", 1], [1.5], [0.0], [1, 2, 3.0]):
+        with pytest.raises(TypeError, match="integer"):
+            Poly(gf9, bad)
+    three = type("Three", (), {"__index__": lambda self: 3})()
+    assert Poly(gf9, [three, 1]).coeffs == (3, 1)
+    assert type(Poly(gf9, [three]).coeffs[0]) is int
+
+
 SIEVE_PROBE = """
 import sys
 sys.path.insert(0, sys.argv[1])

@@ -16,7 +16,8 @@ arithmetic, its support and weights and the zero-residue count against the
 same words built and added symbol by symbol; a count of row splits on every
 library path, which split none; and `CodeSpec._shift_rows`, the rows
 x^j * v mod M_n that the inverse rows and the list decoder's scan are
-built from, against (x^j * v) % M_n.
+built from, against (x^j * v) % M_n, and `CodeSpec._reduce`, the
+fixed-transform decoder's reduction mod M_n by rows, against a % M_n.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from remcode.code import (
 from remcode.decoder import build_candidate_list, count_zero_residues, decode, error_locator_poly
 from remcode.field import Field
 from remcode.fileio import dumps_codeword, loads_codeword
-from remcode.interpolate import ErasurePattern, interpolate_direct
+from remcode.interpolate import ErasurePattern, interpolate_direct, interpolate_fixed_transform
 from remcode.kernels import (
     CLASS_BITS, BitKernel, ByteKernel, Char2Kernel, OddKernel, PrimeKernel, _slot_layout)
 from remcode.oracle import brute_force_decode, exhaustive_scan
@@ -410,6 +411,32 @@ def test_shift_rows_match_the_reference(f):
     check()
 
 
+@pytest.mark.parametrize("f", [FIELDS["GF(2)"], Field(5), FIELDS["GF(2^8)"], FIELDS["GF(9)"]],
+                         ids=["GF(2)", "GF(5)", "GF(2^8)", "GF(9)"])
+def test_reduce_matches_the_division(f):
+    """`_reduce(a)` equals a % M_n at deg a = N - 1, N and 2N - K - 1, the
+    most the reduction rows cover, on specs with K < N; a of degree below N
+    comes back as it is."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def check(data):
+        spec = data.draw(coprime_specs(f, 3 if f.q <= 9 else 2, (2, 6)))
+        N, K = spec.N, spec.K
+        if K == N:
+            return
+        for degree in (N - 1, N, 2 * N - K - 1):
+            low = data.draw(st.lists(elements(f), min_size=degree, max_size=degree))
+            a = Poly(f, low + [data.draw(st.integers(1, f.q - 1))])
+            reduced = spec._reduce(a)
+            assert reduced == a % spec.modulus_product
+            assert reduced.coeffs == (a % spec.modulus_product).coeffs
+            if degree < N:
+                assert reduced is a
+
+    check()
+
+
 def test_rows_are_built_once_on_first_use(rs42):
     spec = CodeSpec(rs42.field, rs42.moduli, rs42.k)
     assert not {"_forward_rows", "_inverse_rows"} & set(vars(spec))
@@ -419,6 +446,14 @@ def test_rows_are_built_once_on_first_use(rs42):
     psi_inverse(spec, word)
     encode(spec, Poly(spec.field, [3]))
     assert vars(spec)["_forward_rows"] is rows and "_inverse_rows" in vars(spec)
+    assert "_reduction_rows" not in vars(spec)
+    filled = word.symbols[:2] + (Poly(spec.field, [4]),) * 2    # a preimage of degree N - 1
+    assert psi_inverse(spec, filled).degree == spec.N - 1
+    erased = ErasurePattern(spec, {0, 1})
+    assert interpolate_fixed_transform(spec, filled, erased) == Poly(spec.field, [1, 2])
+    rows = vars(spec)["_reduction_rows"]
+    interpolate_fixed_transform(spec, filled, erased)
+    assert vars(spec)["_reduction_rows"] is rows
 
 
 def test_rs_rows_are_root_powers_and_betas():

@@ -3,11 +3,25 @@
 Commands: spec-check, encode, decode, corrupt, simulate, scan, tables.
 Exit codes: 0 success (including decode without errors), 1 decode failure,
 2 usage or parse errors.
+
+Every command returns (exit code, report, elapsed seconds or None), and
+`main` alone prints reports and timings and maps library, file and value
+errors to exit 2.  A report is a list of (key, value) pairs, printed as
+`key: value` lines (a tuple value comma-separated), or a text printed as it
+is.  It goes to stdout, except corrupt's, whose stdout carries the received
+word.  With `--time`, decode and simulate write one `elapsed_s` line to
+stderr before the report.  It covers the decode or simulate call only: with
+`--list` that includes building the candidate list, and with `--erase` the
+positions check and the erasure pattern.  `--erase` positions pass
+`CodeSpec.check_positions`, so a position outside 0..n-1 or a repeated one
+is a usage error.  Encoded and corrupted words and tables go to `--out`, or
+to stdout without it; `decode --out` receives the decoded message.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import time
 
@@ -56,30 +70,43 @@ def _indices(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated indices, got {text!r}")
 
 
-def _add_decoder_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--algorithm", choices=[a.value for a in Algorithm], default="gcd1")
-    p.add_argument("--stop", choices=[s.value for s in Stopping], default="relative")
-    p.add_argument("--recover", choices=[r.value for r in Recovery], default="quotient")
+# -- flag groups: each flag's add_argument keywords, defined once ----------------
+
+_SPEC = {"--spec": dict(required=True)}
+_FILES = {"--in": dict(dest="infile", required=True), "--out": {}}
+_CHANNEL = {
+    "--seed": dict(type=int, default=0),
+    "--positions": dict(type=_indices, default=None),
+    "--hamming-weight": dict(type=int, default=None),
+    "--degree-weight": dict(type=int, default=None),
+}
+_DECODER = {
+    "--algorithm": dict(choices=[a.value for a in Algorithm], default="gcd1"),
+    "--stop": dict(choices=[s.value for s in Stopping], default="relative"),
+    "--recover": dict(choices=[r.value for r in Recovery], default="quotient"),
+}
+_TIME = {"--time": dict(action="store_true")}
+
+# the channel kind each weight flag selects, by its argparse name
+_WEIGHT_FLAGS = {
+    "positions": FIXED_POSITIONS,
+    "hamming_weight": RANDOM_HAMMING,
+    "degree_weight": RANDOM_DEGREE,
+}
 
 
 def _options(args) -> DecodeOptions:
     return DecodeOptions(Algorithm(args.algorithm), Stopping(args.stop), Recovery(args.recover))
 
 
-def _model(args, seed: int) -> ChannelModel:
-    chosen = [
-        args.positions is not None,
-        args.hamming_weight is not None,
-        args.degree_weight is not None,
-    ]
-    if sum(chosen) != 1:
+def _model(args) -> ChannelModel:
+    given = [(kind, getattr(args, name)) for name, kind in _WEIGHT_FLAGS.items()
+             if getattr(args, name) is not None]
+    if len(given) != 1:
         raise ValueError(
             "give exactly one of --positions, --hamming-weight, --degree-weight")
-    if args.positions is not None:
-        return ChannelModel(FIXED_POSITIONS, tuple(args.positions), seed)
-    if args.hamming_weight is not None:
-        return ChannelModel(RANDOM_HAMMING, args.hamming_weight, seed)
-    return ChannelModel(RANDOM_DEGREE, args.degree_weight, seed)
+    (kind, value), = given
+    return ChannelModel(kind, value, args.seed)
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -90,102 +117,79 @@ def _emit(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-# -- commands -----------------------------------------------------------------
+def _elapsed(args, started: float) -> float | None:
+    return time.perf_counter() - started if args.time else None
 
 
-def cmd_spec_check(args) -> int:
+# -- commands: each returns (exit code, report, elapsed seconds or None) ---------
+
+_SPEC_FIELDS = ("field", "n", "k", "N", "K", "degrees", "t_hamming", "t_degree",
+                "ordered_degree", "irreducible", "tail_equal_degree")
+
+
+def cmd_spec_check(args):
     spec = load_spec(args.spec)
-    print(f"field: {spec.field!r}")
-    print(f"n: {spec.n}")
-    print(f"k: {spec.k}")
-    print(f"N: {spec.N}")
-    print(f"K: {spec.K}")
-    print(f"degrees: {','.join(map(str, spec.degrees))}")
-    print(f"t_hamming: {spec.t_hamming}")
-    print(f"t_degree: {spec.t_degree}")
-    print(f"ordered_degree: {spec.ordered_degree}")
-    print(f"irreducible: {spec.irreducible}")
-    print(f"tail_equal_degree: {spec.tail_equal_degree}")
-    print(f"min_degree_distance: {min_degree_distance(spec)}")
+    report = [(name, getattr(spec, name)) for name in _SPEC_FIELDS]
+    report.append(("min_degree_distance", min_degree_distance(spec)))
     try:
-        print(f"min_hamming_distance: {min_hamming_distance(spec)}")
+        report.append(("min_hamming_distance", min_hamming_distance(spec)))
     except UnorderedDegrees:
-        print("min_hamming_distance: unavailable (unordered degrees)")
-    print(f"rate: {spec.K}/{spec.N}")
-    print(f"symbol_rate: {spec.k}/{spec.n}")
-    return 0
+        report.append(("min_hamming_distance", "unavailable (unordered degrees)"))
+    report += [("rate", f"{spec.K}/{spec.N}"), ("symbol_rate", f"{spec.k}/{spec.n}")]
+    return 0, report, None
 
 
-def cmd_encode(args) -> int:
+def cmd_encode(args):
     spec = load_spec(args.spec)
-    message = load_message(spec.field, args.infile)
-    word = encode(spec, message)
-    _emit(dumps_codeword(word), args.out)
-    return 0
+    _emit(dumps_codeword(encode(spec, load_message(spec.field, args.infile))), args.out)
+    return 0, [], None
 
 
-def _print_elapsed(args, started: float) -> None:
-    if args.time:
-        print(f"elapsed_s: {time.perf_counter() - started:.6f}", file=sys.stderr)
-
-
-def _decode_erasures(spec, word, erase, args, started: float) -> int:
-    if any(not 0 <= i < spec.n for i in erase):
-        raise ValueError(f"--erase indices must lie in 0..{spec.n - 1}")
-    known = frozenset(range(spec.n)) - frozenset(erase)
-    pattern = ErasurePattern(spec, known)
-    try:
-        message = interpolate_fixed_transform(spec, word, pattern)
-    except (ErasureBudgetExceeded, NonDivisible, InconsistentResidues) as exc:
-        _print_elapsed(args, started)
-        print("status: failure")
-        print(f"failure_reason: {exc}")
-        return 1
-    _print_elapsed(args, started)
-    print("status: success")
-    print(f"message: {message}")
-    if args.out:
-        save_message(message, args.out)
-    return 0
-
-
-def cmd_decode(args) -> int:
-    spec = load_spec(args.spec)
-    word = load_codeword(spec, args.infile)
-    started = time.perf_counter()
+def _decoded(spec, word, args):
+    """(status, the failure reason or the message, further report pairs)."""
     if args.erase is not None:                # an empty list erases nothing
-        return _decode_erasures(spec, word, args.erase, args, started)
+        known = frozenset(range(spec.n)) - frozenset(spec.check_positions(args.erase))
+        try:
+            message = interpolate_fixed_transform(spec, word, ErasurePattern(spec, known))
+        except (ErasureBudgetExceeded, NonDivisible, InconsistentResidues) as exc:
+            return "failure", exc, []
+        return "success", message, []
     options = _options(args)
     if args.list:
         outcome = list_decode(spec, word, build_candidate_list(spec), options)
     else:
         outcome = decode(spec, word, options)
-    _print_elapsed(args, started)
-    print(f"status: {outcome.status.value}")
     if outcome.status is DecodeStatus.FAILURE:
-        print(f"failure_reason: {outcome.failure_reason.value}")
-        return 1
-    print(f"message: {outcome.message}")
-    print(f"factor_poly: {outcome.factor_poly}")
-    print("error_word: " + " ".join(str(s) for s in outcome.error_word.symbols))
-    if args.out:
-        save_message(outcome.message, args.out)
-    return 0
+        return "failure", outcome.failure_reason.value, []
+    return outcome.status.value, outcome.message, [
+        ("factor_poly", outcome.factor_poly),
+        ("error_word", " ".join(map(str, outcome.error_word.symbols)))]
 
 
-def cmd_corrupt(args) -> int:
+def cmd_decode(args):
     spec = load_spec(args.spec)
     word = load_codeword(spec, args.infile)
-    model = _model(args, args.seed)
-    received, error = corrupt(spec, word, model, args.trial)
-    _emit(dumps_codeword(received), args.out)
-    print("error_word: " + " ".join(str(s) for s in error.symbols), file=sys.stderr)
-    return 0
+    started = time.perf_counter()
+    status, detail, report = _decoded(spec, word, args)
+    elapsed = _elapsed(args, started)
+    if status == "failure":
+        return 1, [("status", status), ("failure_reason", detail)], elapsed
+    if args.out:
+        save_message(detail, args.out)
+    return 0, [("status", status), ("message", detail)] + report, elapsed
 
 
-def cmd_simulate(args) -> int:
+def cmd_corrupt(args):
     spec = load_spec(args.spec)
-    model = _model(args, args.seed)
+    word = load_codeword(spec, args.infile)
+    received, error = corrupt(spec, word, _model(args), args.trial)
+    _emit(dumps_codeword(received), args.out)
+    return 0, [("error_word", " ".join(map(str, error.symbols)))], None
+
+
+def cmd_simulate(args):
+    spec = load_spec(args.spec)
+    model = _model(args)
     decoders = ("gcd", "list") if args.decoder == "both" else (args.decoder,)
     started = time.perf_counter()
     report = simulate(
@@ -195,26 +199,16 @@ def cmd_simulate(args) -> int:
         exhaustive=args.exhaustive,
         message_sample=args.messages,
     )
-    _print_elapsed(args, started)
-    print(report.render())
-    return 0
+    return 0, report.render(), _elapsed(args, started)
 
 
-def cmd_scan(args) -> int:
-    spec = load_spec(args.spec)
-    report = exhaustive_scan(spec)
-    print(f"dmin_hamming: {report.dmin_hamming}")
-    print(f"dmin_degree: {report.dmin_degree}")
-    print(f"codeword_count: {report.codeword_count}")
-    print(f"singleton_hamming_rhs: {report.singleton_hamming_rhs}")
-    print(f"singleton_degree_rhs: {report.singleton_degree_rhs}")
-    return 0
+def cmd_scan(args):
+    return 0, list(dataclasses.asdict(exhaustive_scan(load_spec(args.spec))).items()), None
 
 
-def cmd_tables(args) -> int:
-    text = emit_tables(args.q, args.max_degree, "csv" if args.csv else "text")
-    _emit(text, args.out)
-    return 0
+def cmd_tables(args):
+    _emit(emit_tables(args.q, args.max_degree, "csv" if args.csv else "text"), args.out)
+    return 0, [], None
 
 
 # -- parser ------------------------------------------------------------------------
@@ -226,73 +220,56 @@ def build_parser() -> argparse.ArgumentParser:
         description="polynomial remainder codes: encode, decode, simulate")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kw):
-        p = sub.add_parser(name, **kw)
+    def add(name, fn, summary, *groups):
+        p = sub.add_parser(name, help=summary)
         p.set_defaults(func=fn)
-        return p
+        for group in groups:
+            for flag, kw in group.items():
+                p.add_argument(flag, **kw)
 
-    p = add("spec-check", cmd_spec_check, help="validate a spec file and report parameters")
-    p.add_argument("--spec", required=True)
-
-    p = add("encode", cmd_encode, help="encode a message file")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out")
-
-    p = add("decode", cmd_decode, help="decode a received word (errors or erasures)")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out")
-    p.add_argument("--erase", type=_indices, default=None,
-                   help="comma-separated erased positions (erasure decoding)")
-    p.add_argument("--list", action="store_true",
-                   help="fall back to the candidate-locator list on gcd failure")
-    p.add_argument("--time", action="store_true")
-    _add_decoder_flags(p)
-
-    p = add("corrupt", cmd_corrupt, help="add a random error to a codeword")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trial", type=int, default=0)
-    p.add_argument("--positions", type=_indices, default=None)
-    p.add_argument("--hamming-weight", type=int, default=None)
-    p.add_argument("--degree-weight", type=int, default=None)
-
-    p = add("simulate", cmd_simulate, help="monte-carlo or exhaustive decoder comparison")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--positions", type=_indices, default=None)
-    p.add_argument("--hamming-weight", type=int, default=None)
-    p.add_argument("--degree-weight", type=int, default=None)
-    p.add_argument("--exhaustive", action="store_true",
-                   help="iterate every error value at the fixed positions")
-    p.add_argument("--messages", type=int, default=20,
-                   help="message sample size in exhaustive mode")
-    p.add_argument("--decoder", choices=["gcd", "list", "both"], default="gcd")
-    p.add_argument("--time", action="store_true")
-    _add_decoder_flags(p)
-
-    p = add("scan", cmd_scan, help="exhaustive minimum-distance scan")
-    p.add_argument("--spec", required=True)
-
-    p = add("tables", cmd_tables, help="irreducible polynomial count tables")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--max-degree", type=int, default=16)
-    p.add_argument("--csv", action="store_true")
-    p.add_argument("--out")
-
+    add("spec-check", cmd_spec_check, "validate a spec file and report parameters", _SPEC)
+    add("encode", cmd_encode, "encode a message file", _SPEC, _FILES)
+    add("decode", cmd_decode, "decode a received word (errors or erasures)", _SPEC, _FILES, {
+        "--erase": dict(type=_indices, default=None,
+                        help="comma-separated erased positions (erasure decoding)"),
+        "--list": dict(action="store_true",
+                       help="fall back to the candidate-locator list on gcd failure"),
+    }, _TIME, _DECODER)
+    add("corrupt", cmd_corrupt, "add a random error to a codeword",
+        _SPEC, _FILES, _CHANNEL, {"--trial": dict(type=int, default=0)})
+    add("simulate", cmd_simulate, "monte-carlo or exhaustive decoder comparison",
+        _SPEC, _CHANNEL, {
+        "--trials": dict(type=int, default=1000),
+        "--exhaustive": dict(action="store_true",
+                             help="iterate every error value at the fixed positions"),
+        "--messages": dict(type=int, default=20, help="message sample size in exhaustive mode"),
+        "--decoder": dict(choices=["gcd", "list", "both"], default="gcd"),
+    }, _TIME, _DECODER)
+    add("scan", cmd_scan, "exhaustive minimum-distance scan", _SPEC)
+    add("tables", cmd_tables, "irreducible polynomial count tables", {
+        "--q": dict(type=int, required=True),
+        "--max-degree": dict(type=int, default=16),
+        "--csv": dict(action="store_true"),
+        "--out": {},
+    })
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (RemcodeError, OSError, ValueError) as exc:
+        code, report, elapsed = args.func(args)
+        if elapsed is not None:
+            print(f"elapsed_s: {elapsed:.6f}", file=sys.stderr)
+        # corrupt's stdout carries the received word, so its report goes to stderr
+        out = sys.stderr if args.command == "corrupt" else sys.stdout
+        lines = [report] if isinstance(report, str) else [
+            f"{key}: {','.join(map(str, value)) if isinstance(value, tuple) else value}"
+            for key, value in report]
+        for line in lines:
+            print(line, file=out)
+        return code
+    except (RemcodeError, OSError, ValueError) as exc:    # OSError: a closed stdout too
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

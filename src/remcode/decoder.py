@@ -50,6 +50,7 @@ from .errors import (
     ZeroG,
 )
 from .field import Field
+from .kernels import _strip
 from .poly import Poly, _born, poly_gcd
 
 
@@ -266,7 +267,7 @@ def upper_parts(spec: CodeSpec, received_preimage: Poly) -> tuple[Poly, Poly]:
         raise DegreePreconditionViolated("preimage degree must be below N")
     k = spec.K
     m_upper = Poly._raw(spec.field, spec.modulus_product.coeffs[k:])
-    e_upper = Poly(spec.field, received_preimage.coeffs[k:])
+    e_upper = Poly._raw(spec.field, received_preimage.coeffs[k:])
     return m_upper, e_upper
 
 
@@ -467,10 +468,10 @@ def decode(
         a, rem = divmod(run.r, t)
     else:
         # lower part of the error from the cofactor identity, then a = Y - E
-        e_upper = Poly(field, y.coeffs[spec.K:])
+        e_upper = Poly._raw(field, y.coeffs[spec.K:])
         numerator = -(run.s * spec.modulus_product) - (t * e_upper).shift(spec.K)
         e_lower, rem = divmod(numerator, t)
-        a = Poly(field, y.coeffs[:spec.K]) - e_lower
+        a = Poly._raw(field, _strip(y.coeffs[:spec.K])) - e_lower
     if not rem.is_zero:
         return _failure(FailureReason.NON_DIVISIBLE)
     if a.degree >= spec.K:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 import sys
 from dataclasses import dataclass, field as dc_field
@@ -43,7 +44,11 @@ def mix64(seed: int, index: int) -> int:
 
 @dataclass(frozen=True)
 class ChannelModel:
-    """Error channel: where errors land and how their weight is drawn."""
+    """Error channel: where errors land and how their weight is drawn.
+
+    The weight and each fixed position must be integers: 2.0 or "1" raises
+    TypeError here, not inside a trial.
+    """
 
     kind: str
     weight_or_positions: int | tuple[int, ...]
@@ -53,8 +58,10 @@ class ChannelModel:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown channel kind {self.kind!r}")
         if self.kind == FIXED_POSITIONS:
-            object.__setattr__(self, "weight_or_positions",
-                               tuple(sorted(self.weight_or_positions)))
+            value = tuple(sorted(map(operator.index, self.weight_or_positions)))
+        else:
+            value = operator.index(self.weight_or_positions)
+        object.__setattr__(self, "weight_or_positions", value)
 
 
 def _build_counts(degrees: tuple[int, ...], weight: int) -> list[list[int]]:

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -141,6 +144,21 @@ def test_decode_erasure_index_range_checked(tmp_path, rs42, rs42_file, capsys):
     word = tmp_path / "word.txt"
     save_codeword(encode(rs42, P(rs42.field, 0, 1)), str(word))
     assert main(["decode", "--spec", rs42_file, "--in", str(word), "--erase", "7"]) == 2
+
+
+@pytest.mark.parametrize("erase, message", [
+    ("--erase=7", "out of range"), ("--erase=-1", "out of range"), ("--erase=1,1", "repeat"),
+])
+def test_decode_erasure_positions_checked(tmp_path, rs42, rs42_file, capsys, erase, message):
+    """`--erase` positions pass the library's positions check: one outside
+    0..n-1 or a repeated one is a usage error, and `1,1` is not read as
+    one erasure at position 1."""
+    word = tmp_path / "word.txt"
+    save_codeword(encode(rs42, P(rs42.field, 0, 1)), str(word))
+    assert main(["decode", "--spec", rs42_file, "--in", str(word), erase]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: positions") and message in captured.err
+    assert captured.out == ""
 
 
 def test_decode_list_flag(tmp_path, ladder5, ladder5_file, capsys):
@@ -314,3 +332,239 @@ def test_corrupt_repeated_position_is_a_usage_error(tmp_path, rs42, rs42_file, c
     err = capsys.readouterr().err
     assert err.startswith("error:") and "repeat" in err and "Traceback" not in err
     assert not out.exists()
+
+
+# -- golden runs ------------------------------------------------------------------
+# Each invocation runs in a directory holding only the inputs below; its exit
+# code, its full stdout and every file it writes are compared with literals.
+
+def _golden_inputs(rs42, ladder5) -> dict[str, str | None]:
+    gf2 = ladder5.field
+    symbols = list(encode(ladder5, P(gf2, 1, 1)).symbols)
+    symbols[4] = symbols[4] + Poly.one(gf2)
+    return {
+        "rs42.json": None, "ladder5.json": None,
+        "msg.txt": "[0,1]\n",
+        "word.txt": dumps_codeword(encode(rs42, P(rs42.field, 0, 1))),
+        "recv.txt": "n=4\n1\n2\n4\n4\n",    # word.txt with an error at position 2
+        "far.txt": "n=4\n1\n2\n0\n0\n",     # distance >= 2 from every codeword
+        "ladder.txt": dumps_codeword(Codeword(ladder5, tuple(symbols))),
+    }
+
+
+GOLDEN_RUNS = {
+    "spec-check-rs42": ["spec-check", "--spec", "rs42.json"],
+    "spec-check-ladder5": ["spec-check", "--spec", "ladder5.json"],
+    "encode-stdout": ["encode", "--spec", "rs42.json", "--in", "msg.txt"],
+    "encode-out": ["encode", "--spec", "rs42.json", "--in", "msg.txt", "--out", "out.txt"],
+    "corrupt-positions": ["corrupt", "--spec", "rs42.json", "--in", "word.txt",
+                          "--seed", "42", "--positions", "2"],
+    "corrupt-hamming": ["corrupt", "--spec", "rs42.json", "--in", "word.txt",
+                        "--seed", "5", "--hamming-weight", "2", "--out", "out.txt"],
+    "corrupt-degree": ["corrupt", "--spec", "ladder5.json", "--in", "ladder.txt",
+                       "--seed", "3", "--trial", "2", "--degree-weight", "4"],
+    "decode": ["decode", "--spec", "rs42.json", "--in", "recv.txt"],
+    "decode-error-out": ["decode", "--spec", "rs42.json", "--in", "recv.txt",
+                         "--recover", "error", "--out", "dec.txt"],
+    "decode-list": ["decode", "--spec", "ladder5.json", "--in", "ladder.txt", "--list"],
+    "decode-gcd2-threshold": ["decode", "--spec", "rs42.json", "--in", "recv.txt",
+                              "--algorithm", "gcd2", "--stop", "threshold"],
+    "decode-failure": ["decode", "--spec", "rs42.json", "--in", "far.txt"],
+    "decode-erase": ["decode", "--spec", "rs42.json", "--in", "word.txt", "--erase", "1,3"],
+    "decode-erase-none": ["decode", "--spec", "rs42.json", "--in", "word.txt", "--erase", ""],
+    "decode-erase-failure": ["decode", "--spec", "rs42.json", "--in", "word.txt",
+                             "--erase", "1,2,3"],
+    "simulate": ["simulate", "--spec", "rs42.json", "--trials", "40",
+                 "--hamming-weight", "2", "--seed", "7"],
+    "simulate-exhaustive": ["simulate", "--spec", "ladder5.json", "--trials", "0",
+                            "--exhaustive", "--positions", "4", "--messages", "4",
+                            "--decoder", "both"],
+    "scan": ["scan", "--spec", "rs42.json"],
+    "tables": ["tables", "--q", "2", "--max-degree", "6"],
+    "tables-csv": ["tables", "--q", "2", "--max-degree", "6", "--csv"],
+}
+
+GOLDEN = {  # name: (exit code, stdout, {written file: text})
+    "corrupt-degree": (0, "n=5\n1\n1 1\n1 1 0\n0 0 1 1\n0 1 0 0 0\n", {}),
+    "corrupt-hamming": (0, "", {"out.txt": "n=4\n2\n2\n3\n2\n"}),
+    "corrupt-positions": (0, "n=4\n1\n2\n4\n4\n", {}),
+    "decode": (0, (
+        "status: success\n"
+        "message: [0,1]\n"
+        "factor_poly: [2,1]\n"
+        "error_word: [] [] [1] []\n"
+    ), {}),
+    "decode-erase": (0, "status: success\nmessage: [0,1]\n", {}),
+    "decode-erase-failure": (1, (
+        "status: failure\n"
+        "failure_reason: erased degree weight 3 > N - K = 2\n"
+    ), {}),
+    "decode-erase-none": (0, "status: success\nmessage: [0,1]\n", {}),
+    "decode-error-out": (0, (
+        "status: success\n"
+        "message: [0,1]\n"
+        "factor_poly: [2,1]\n"
+        "error_word: [] [] [1] []\n"
+    ), {"dec.txt": "[0,1]\n"}),
+    "decode-failure": (1, "status: failure\nfailure_reason: factor_degree_exceeded\n", {}),
+    "decode-gcd2-threshold": (0, (
+        "status: success\n"
+        "message: [0,1]\n"
+        "factor_poly: [2,1]\n"
+        "error_word: [] [] [1] []\n"
+    ), {}),
+    "decode-list": (0, (
+        "status: success\n"
+        "message: [1,1]\n"
+        "factor_poly: [1,0,1,0,0,1]\n"
+        "error_word: [] [] [] [] [1]\n"
+    ), {}),
+    "encode-out": (0, "", {"out.txt": "n=4\n1\n2\n3\n4\n"}),
+    "encode-stdout": (0, "n=4\n1\n2\n3\n4\n", {}),
+    "scan": (0, (
+        "dmin_hamming: 3\n"
+        "dmin_degree: 3\n"
+        "codeword_count: 25\n"
+        "singleton_hamming_rhs: 25\n"
+        "singleton_degree_rhs: 2\n"
+    ), {}),
+    "simulate": (0, (
+        "trials: 40\n"
+        "gcd: success=0 miscorrect=21 failure=19\n"
+        "  support 0,1 gcd: success=0 miscorrect=2 failure=2\n"
+        "  support 0,2 gcd: success=0 miscorrect=3 failure=2\n"
+        "  support 0,3 gcd: success=0 miscorrect=5 failure=3\n"
+        "  support 1,2 gcd: success=0 miscorrect=7 failure=6\n"
+        "  support 1,3 gcd: success=0 miscorrect=2 failure=2\n"
+        "  support 2,3 gcd: success=0 miscorrect=2 failure=4\n"
+    ), {}),
+    "simulate-exhaustive": (0, (
+        "trials: 124\n"
+        "gcd: success=0 miscorrect=0 failure=124\n"
+        "list: success=124 miscorrect=0 failure=0\n"
+        "  support 4 gcd: success=0 miscorrect=0 failure=124\n"
+        "  support 4 list: success=124 miscorrect=0 failure=0\n"
+    ), {}),
+    "spec-check-ladder5": (0, (
+        "field: GF(2)\n"
+        "n: 5\n"
+        "k: 3\n"
+        "N: 15\n"
+        "K: 6\n"
+        "degrees: 1,2,3,4,5\n"
+        "t_hamming: 1\n"
+        "t_degree: 4\n"
+        "ordered_degree: True\n"
+        "irreducible: True\n"
+        "tail_equal_degree: False\n"
+        "min_degree_distance: 10\n"
+        "min_hamming_distance: 3\n"
+        "rate: 6/15\n"
+        "symbol_rate: 3/5\n"
+    ), {}),
+    "spec-check-rs42": (0, (
+        "field: GF(5)\n"
+        "n: 4\n"
+        "k: 2\n"
+        "N: 4\n"
+        "K: 2\n"
+        "degrees: 1,1,1,1\n"
+        "t_hamming: 1\n"
+        "t_degree: 1\n"
+        "ordered_degree: True\n"
+        "irreducible: True\n"
+        "tail_equal_degree: True\n"
+        "min_degree_distance: 3\n"
+        "min_hamming_distance: 3\n"
+        "rate: 2/4\n"
+        "symbol_rate: 2/4\n"
+    ), {}),
+    "tables": (0, (
+        "monic irreducible polynomials over GF(2)\n"
+        " i  N_i  S_i\n"
+        " 1  2    2\n"
+        " 2  1    4\n"
+        " 3  2   10\n"
+        " 4  3   22\n"
+        " 5  6   52\n"
+        " 6  9  106\n"
+    ), {}),
+    "tables-csv": (0, (
+        "q,i,N_i,S_i\n"
+        "2,1,2,2\n"
+        "2,2,1,4\n"
+        "2,3,2,10\n"
+        "2,4,3,22\n"
+        "2,5,6,52\n"
+        "2,6,9,106\n"
+    ), {}),
+}
+
+
+class _Logged(io.StringIO):
+    """A captured stream that also appends each write to a shared log, so
+    the order of stdout and stderr writes can be read back."""
+
+    def __init__(self, log: list):
+        super().__init__()
+        self.log = log
+
+    def write(self, text: str) -> int:
+        self.log.append((self, text))
+        return super().write(text)
+
+
+def _write_golden_inputs(tmp_path, monkeypatch, rs42, ladder5) -> None:
+    monkeypatch.chdir(tmp_path)
+    for name, text in _golden_inputs(rs42, ladder5).items():
+        if text is None:
+            save_spec(rs42 if name == "rs42.json" else ladder5, name)
+        else:
+            Path(name).write_text(text)
+
+
+def _golden_run(tmp_path, monkeypatch, rs42, ladder5, argv):
+    _write_golden_inputs(tmp_path, monkeypatch, rs42, ladder5)
+    before = set(Path(".").iterdir())
+    log: list = []
+    out, err = _Logged(log), _Logged(log)
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    written = {str(p): p.read_text() for p in sorted(set(Path(".").iterdir()) - before)}
+    return code, out, err, written, log
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_golden_run(name, tmp_path, monkeypatch, rs42, ladder5):
+    code, out, _, written, _ = _golden_run(tmp_path, monkeypatch, rs42, ladder5,
+                                           GOLDEN_RUNS[name])
+    assert (code, out.getvalue(), written) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", [
+    "decode", "decode-list", "decode-failure", "decode-erase", "decode-erase-failure",
+    "simulate"])
+def test_golden_run_with_time(name, tmp_path, monkeypatch, rs42, ladder5):
+    """`--time` adds exactly one `elapsed_s:` line on stderr, written before
+    the report, and changes nothing else."""
+    code, out, err, written, log = _golden_run(tmp_path, monkeypatch, rs42, ladder5,
+                                               GOLDEN_RUNS[name] + ["--time"])
+    assert (code, out.getvalue(), written) == GOLDEN[name]
+    assert re.fullmatch(r"elapsed_s: \d+\.\d{6}\n", err.getvalue())
+    assert log[0] == (err, err.getvalue().rstrip("\n"))
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text: str) -> int:
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("name", ["spec-check-rs42", "decode", "simulate", "scan"])
+def test_report_to_a_closed_stdout_is_an_error_line(name, tmp_path, monkeypatch, rs42,
+                                                    ladder5, capsys):
+    """A report that cannot be written (`remcode ... | head -1`) exits 2 with
+    one `error:` line, like any other file error, not with a traceback."""
+    _write_golden_inputs(tmp_path, monkeypatch, rs42, ladder5)
+    with contextlib.redirect_stdout(_ClosedPipe()):
+        assert main(GOLDEN_RUNS[name]) == 2
+    assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"

@@ -190,6 +190,32 @@ def test_upper_parts_frozen(rs42, three_mod):
         assert e_upper.coeffs == tuple(y.coeffs[rs42.K:])
 
 
+@pytest.mark.parametrize("options", ALL_OPTIONS, ids=str)
+def test_decode_checks_no_coefficient_it_computed(options, rs42, ladder5, gf4_mixed,
+                                                  rs12_gf256, monkeypatch):
+    """`decode` builds its windows of y from the kernel's coefficients with
+    `Poly._raw`, so a decode runs no `Poly.__new__` and no `Field.check`."""
+    rng = random.Random(26)
+    cases = []
+    for spec in (rs42, ladder5, gf4_mixed, rs12_gf256):
+        a = random_message(rng, spec)
+        received = list(encode(spec, a).symbols)
+        received[0] += Poly.one(spec.field)   # deg m_0 = 1, so y has degree N - 1
+        cases.append((spec, a, Codeword(spec, tuple(received))))
+    calls = []
+    checked_new = Poly.__new__
+
+    def counting_new(cls, *args):
+        calls.append(args)
+        return checked_new(cls, *args)
+
+    monkeypatch.setattr(Poly, "__new__", staticmethod(counting_new))
+    for spec, a, received in cases:
+        outcome = decode(spec, received, options)
+        assert outcome.ok and outcome.message == a
+    assert calls == []
+
+
 def test_partial_runs_match_reference(rs42, ladder5, gf4_mixed, reducible_spec):
     """Within budget, both partial runs reproduce the reference s, t and
     iteration count exactly, under both stopping rules."""

@@ -130,6 +130,17 @@ def test_repeated_fixed_positions_are_refused(rs42):
         simulate(rs42, model, trials=0, exhaustive=True, message_sample=2)
 
 
+@pytest.mark.parametrize("kind, value", [
+    (RANDOM_HAMMING, 2.0), (RANDOM_DEGREE, 1.5), (RANDOM_HAMMING, "1"),
+    (FIXED_POSITIONS, (1, 2.0)), (FIXED_POSITIONS, ("1",)),
+])
+def test_channel_refuses_non_integers(kind, value):
+    """A float or string weight or position fails when the channel is built,
+    with TypeError, not later inside `random.sample` or the count table."""
+    with pytest.raises(TypeError):
+        ChannelModel(kind, value, master_seed=1)
+
+
 def test_simulate_weight_zero_all_success(rs42):
     report = simulate(rs42, ChannelModel(RANDOM_HAMMING, 0, master_seed=3), trials=50)
     assert report.trials == 50

@@ -14,7 +14,9 @@ stderr before the report.  It covers the decode or simulate call only: with
 `--list` that includes building the candidate list, and with `--erase` the
 positions check and the erasure pattern.  `--erase` positions pass
 `CodeSpec.check_positions`, so a position outside 0..n-1 or a repeated one
-is a usage error.  Encoded and corrupted words and tables go to `--out`, or
+is a usage error, and so is `--erase` with `--list` or with any decoder flag
+given (`--algorithm`, `--stop`, `--recover`), which erasure decoding would
+not read.  Encoded and corrupted words and tables go to `--out`, or
 to stdout without it; `decode --out` receives the decoded message.
 """
 
@@ -80,11 +82,11 @@ _CHANNEL = {
     "--hamming-weight": dict(type=int, default=None),
     "--degree-weight": dict(type=int, default=None),
 }
-_DECODER = {
-    "--algorithm": dict(choices=[a.value for a in Algorithm], default="gcd1"),
-    "--stop": dict(choices=[s.value for s in Stopping], default="relative"),
-    "--recover": dict(choices=[r.value for r in Recovery], default="quotient"),
-}
+# each decoder flag's argparse name, `DecodeOptions` field and enum; a flag
+# not given is None, and `DecodeOptions` supplies its default
+_OPTION_FLAGS = (("algorithm", "algorithm", Algorithm), ("stop", "stopping", Stopping),
+                 ("recover", "recovery", Recovery))
+_DECODER = {f"--{name}": dict(choices=[e.value for e in kind]) for name, _, kind in _OPTION_FLAGS}
 _TIME = {"--time": dict(action="store_true")}
 
 # the channel kind each weight flag selects, by its argparse name
@@ -96,7 +98,8 @@ _WEIGHT_FLAGS = {
 
 
 def _options(args) -> DecodeOptions:
-    return DecodeOptions(Algorithm(args.algorithm), Stopping(args.stop), Recovery(args.recover))
+    return DecodeOptions(**{field: kind(getattr(args, name)) for name, field, kind in _OPTION_FLAGS
+                            if getattr(args, name) is not None})
 
 
 def _model(args) -> ChannelModel:
@@ -148,6 +151,10 @@ def cmd_encode(args):
 def _decoded(spec, word, args):
     """(status, the failure reason or the message, further report pairs)."""
     if args.erase is not None:                # an empty list erases nothing
+        ignored = ["--list"] * args.list + [f"--{name}" for name, _, _ in _OPTION_FLAGS
+                                            if getattr(args, name) is not None]
+        if ignored:
+            raise ValueError(f"--erase decodes by interpolation and takes no {', '.join(ignored)}")
         known = frozenset(range(spec.n)) - frozenset(spec.check_positions(args.erase))
         try:
             message = interpolate_fixed_transform(spec, word, ErasurePattern(spec, known))

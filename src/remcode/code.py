@@ -19,7 +19,8 @@ field's kernel over a row set the spec builds on first use:
 A third row set serves the fixed-transform erasure decoder
 (`remcode.interpolate`): reduction rows, x^(N+j) mod M_n for j < N - K.
 `CodeSpec._reduce` reduces a polynomial of degree below 2N - K mod M_n as
-its low N coefficients plus one `combine` of these rows by its top ones.
+its low N coefficients plus one `combine` of these rows by its top ones,
+one kernel `combine_onto`.
 
 So a residue vector has one flat form that both maps read and write: its
 row, N coefficients, symbol i zero-padded to deg m_i, end to end, so that
@@ -40,7 +41,10 @@ the list decoder's locator rows are such rows.  Over GF(2) the scan's
 kernel builds its locator rows as bit rows by shift and xor
 (`BitKernel.locator_survivors`).
 
-`CodeSpec.product` is the one place where products of moduli are formed.
+`CodeSpec.product` is the one place where products of moduli are formed:
+one kernel `product` over the moduli, which the spec packs once
+(`CodeSpec._packed_moduli`) -- on digit planes over the odd fields with
+q <= 256, by the chain of `poly_mul` elsewhere.
 `CodeSpec.residue` is the definition, a mod m_i by one division; it is the
 reference the row maps are tested against, as `interpolate_direct` is for
 `psi_inverse`.  Nothing here needs the moduli to be irreducible.
@@ -79,12 +83,14 @@ class CodeSpec:
     by every modulus at once, through the forward rows: it is the split of
     the residue row `_row(a)`.
 
-    Everything is derived when the spec is built except five values built
+    Everything is derived when the spec is built except six values built
     on first read: `message_modulus` (M_k) and `irreducible`, which no
     decoder reads, the two row sets of the transform, which take about
-    2 * N^2 coefficients, and the reduction rows of the fixed-transform
-    erasure decoder, (N - K) * N coefficients (see the module docstring);
-    K is the sum of the first k degrees.
+    2 * N^2 coefficients, the reduction rows of the fixed-transform
+    erasure decoder, (N - K) * N coefficients (see the module docstring),
+    and `_packed_moduli`, the moduli in the form the kernel's `product`
+    reads, which the build itself first reads, for M_n; K is the sum of the
+    first k degrees.
 
     Validation runs in a fixed order: monic moduli, then coprimality, then
     k.  Coprimality costs no pass of its own: beta_i needs the inverse of
@@ -163,11 +169,14 @@ class CodeSpec:
         return positions
 
     def product(self, positions: Iterable[int]) -> Poly:
-        """Product of the moduli at `positions`; 1 when there are none."""
-        out = Poly.one(self.field)
-        for i in positions:
-            out = out * self.moduli[i]
-        return out
+        """Product of the moduli at `positions`; 1 when there are none: one
+        `product` of the field's kernel over `_packed_moduli`."""
+        return _born(self.field, self.field.kernel.product(self._packed_moduli, positions))
+
+    @cached_property
+    def _packed_moduli(self):
+        """The moduli in the form the kernel's `product` reads."""
+        return self.field.kernel.pack_factors(tuple(m.coeffs for m in self.moduli))
 
     def residue(self, a: Poly, i: int) -> Poly:
         """a mod m_i."""
@@ -258,9 +267,8 @@ class CodeSpec:
         if a.degree < N:
             return a
         assert a.degree < 2 * N - self.K, "beyond the reduction rows"
-        kernel, c = self.field.kernel, a.coeffs
-        high = kernel.combine_packed(self._reduction_rows, c[N:])
-        return _born(self.field, kernel.poly_add(kernel.to_packed(_strip(c[:N])), high))
+        c = a.coeffs
+        return _born(self.field, self.field.kernel.combine_onto(self._reduction_rows, c[N:], c[:N]))
 
     def _shift_rows(self, v: Sequence[int], count: int) -> list[list[int]]:
         """x^j * v mod M_n for j < count, each zero-padded to N coefficients,

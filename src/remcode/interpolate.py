@@ -34,10 +34,12 @@ from .poly import Poly, poly_mod_inverse
 class ErasurePattern:
     """A known-position set S with its derived modulus products.
 
-    The erased moduli are the ones multiplied out when the pattern is built:
-    recovery multiplies by their product, whose degree a usable pattern
-    keeps within N - K.  The known product, M_n divided by it exactly, is
-    read only by `interpolate_direct`, so it is built on first read.
+    The erased moduli are the ones multiplied out when the pattern is built,
+    by one `CodeSpec.product` (on digit planes over the odd fields with
+    q <= 256, so no `Poly` product is formed there): recovery multiplies by
+    their product, whose degree a usable pattern keeps within N - K.  The
+    known product, M_n divided by it exactly, is read only by
+    `interpolate_direct`, so it is built on first read.
     """
 
     spec: CodeSpec

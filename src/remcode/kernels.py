@@ -32,6 +32,12 @@ which take and return values with no top zeros: `to_packed`,
 `from_packed` and `packed_len` (a value from coefficients, its
 coefficients, its coefficient count), `poly_add`, `poly_sub`, `poly_mul`,
 `poly_divmod`, `poly_mod`, `poly_monic`, `gcd` and `combine_packed`.
+`CodeSpec` reads three more: `combine_onto`, a base row plus a `combine`,
+packed; and `product(packed, positions)`, the product of the factors at
+`positions` among a fixed set that `pack_factors` converts once, 1 for no
+position.  `_Kernel`'s `pack_factors` is the identity on packed values and
+its `product` the chain of `poly_mul`, which every characteristic-2 kernel
+keeps and the tests hold the odd kernels' products to.
 `BitKernel` and `ByteKernel` set `packs`: there a packed value is one int,
 the bit row or the little-endian byte row, so a
 polynomial is packed once, when it is first computed on, results are
@@ -55,7 +61,19 @@ quotient term reads the top slot of each plane mod p, then adds m
 small-int multiples of the packed divisor times alpha^a, shifted into
 place; slots are sized for every term, so they are reduced only once, at
 the end.  Shorter divisors keep the list `_divide`, and add and sub keep
-their per-coefficient loops: over GF(p^m) those read the Zech table.
+their per-coefficient loops: over GF(p^m) those read the Zech table.  And
+they share `_SlotKernel.product`: `pack_factors` turns each factor f into an
+m x m table of ints, entry [dst][src] the plane of slots that holds digit
+dst of f_j * alpha^src at slot j, and the product is an accumulator of m
+plane ints.  Each factor takes m^2 int products (plane dst is the sum over
+src of plane src times entry [dst][src]) and then one reduction mod p per
+plane, the per-plane half of the unpacking (`_reduce_plane`); the digits
+are joined into coefficients once, at the end.  A factor of d + 1
+coefficients adds at most (d + 1) * m * (p-1)^2 to a slot, so the slots
+are sized for the longest factor of the set.  Only where those slots are
+reduced by `bytes.translate` -- q <= 256, with 1-byte slots, or 2-byte
+slots when p < 128 -- does `pack_factors` choose planes; elsewhere it
+keeps the chain.
 
 `gcd` is one Euclid loop for every kernel, on packed values: a state is a
 pair (x, y) of them, which steps to (y, `poly_mod(x, y)`), and the last x
@@ -104,7 +122,9 @@ digit carries into the next slot or plane.  Each slot is reduced mod p
 once, when `combine` unpacks it (a few `bytes.translate`s per plane for
 q <= 256 and 1- or 2-byte slots, else `struct`'s explicit little-endian
 format and a mod p per slot); products and division remainders are
-unpacked the same way.  The
+unpacked the same way.  `combine_onto` adds its base row's digits into the
+slot sum before that unpacking, where the slots have room for one more
+digit below p, and otherwise adds the base to the unpacked sum.  The
 list decoder's degree test (`locator_survivors`) reads the `packed_len`
 of such a sum's `combine_packed`: in `ByteKernel` the packed sum's byte
 length, with no unpacking.  Over GF(2) the
@@ -239,6 +259,25 @@ class _Kernel:
         """`combine(rows, coeffs)` packed, without its top zeros."""
         return _strip(self.combine(rows, coeffs))
 
+    def combine_onto(self, rows, coeffs: Coeffs, base: Coeffs):
+        """base + `combine(rows, coeffs)`, packed, without its top zeros, for a
+        coefficient row `base` no longer than the rows."""
+        return self.poly_add(self.to_packed(_strip(base)), self.combine_packed(rows, coeffs))
+
+    def pack_factors(self, factors: Sequence[tuple[int, ...]]):
+        """Nonzero polynomials, as coefficient tuples with no top zeros, in
+        the form `product` reads: here their packed values."""
+        return tuple(map(self.to_packed, factors))
+
+    def product(self, packed, positions):
+        """The product of the `pack_factors` factors at `positions`, packed;
+        1 when there are none.  Here the chain of `poly_mul`, left to right:
+        the reference for `_SlotKernel.product`."""
+        out = None
+        for i in positions:
+            out = packed[i] if out is None else self.poly_mul(out, packed[i])
+        return self.to_packed((1,)) if out is None else out
+
     def gcd(self, a, b):
         """Monic gcd of the packed values a and b (not both zero), packed,
         by Euclid on states.
@@ -315,6 +354,15 @@ def _slot_width(layout: struct.Struct) -> int:
     return struct.calcsize("<" + layout.format[-1])
 
 
+def _spread(digits: bytes, size: int) -> bytes:
+    """One byte per slot as little-endian slots of `size` bytes."""
+    if size == 1:
+        return digits
+    spread = bytearray(size * len(digits))
+    spread[::size] = digits
+    return spread
+
+
 class _SlotKernel(_Kernel):
     """`pack`, `combine`, long products and division by long divisors on
     int slots, for odd characteristic (see the module docstring for the
@@ -356,15 +404,8 @@ class _SlotKernel(_Kernel):
         as wide as `layout`'s, that hold one digit per coefficient."""
         size = _slot_width(layout)
         if self._digits is not None:              # q <= 256: a translate per plane
-            raw, planes = bytes(row), []
-            for table in self._digits:
-                digits = raw.translate(table)
-                if size > 1:
-                    spread = bytearray(size * len(digits))
-                    spread[::size] = digits
-                    digits = spread
-                planes.append(digits)
-            return planes
+            raw = bytes(row)
+            return [_spread(raw.translate(table), size) for table in self._digits]
         layout = struct.Struct(f"<{len(row)}{layout.format[-1]}")
         if self.field.m == 1:
             return [layout.pack(*row)]
@@ -376,28 +417,39 @@ class _SlotKernel(_Kernel):
         slot of plane a reduced mod p; `planes` holds the m planes end to
         end, `layout.size` bytes each.
 
-        For q <= 256 and slots of 1 byte, or of 2 bytes when p < 128, this is
-        a few `bytes.translate`s per plane: a 2-byte slot lo + 256 hi reduces
-        as lo mod p + 256 hi mod p, which stays below 256, and the digits
-        recombine as bytes below q.  Otherwise each slot is reduced in a loop.
+        Where `_translates` holds, each plane is reduced by `_reduce_plane`
+        and the digits recombine as bytes below q.  Otherwise each slot is
+        reduced in a loop.
         """
         p, size, span = self.p, _slot_width(layout), layout.size
         length = span // size
-        if self._digits is not None and (size == 1 or size == 2 and p < 128):
-            mod_p, acc = self._digits[0], 0
+        if self._translates(size):
+            acc = 0
             for a, pa in enumerate(self._powers):
-                raw = planes[a * span:(a + 1) * span]
-                if size == 2:
-                    raw = (int.from_bytes(raw[::2].translate(mod_p), "little")
-                           + int.from_bytes(raw[1::2].translate(self._high), "little")
-                           ).to_bytes(length, "little")
-                acc += pa * int.from_bytes(raw.translate(mod_p), "little")
+                digits = self._reduce_plane(planes[a * span:(a + 1) * span], size)
+                acc += pa * int.from_bytes(digits, "little")
             return list(acc.to_bytes(length, "little"))
         out = itertools.repeat(0)
         for a in reversed(range(self.field.m)):
             digits = layout.unpack_from(planes, a * span)
             out = [x * p + d % p for x, d in zip(out, digits)]
         return out
+
+    def _translates(self, size: int) -> bool:
+        """Whether `_reduce_plane` reduces slots of `size` bytes: for
+        q <= 256, slots of 1 byte, or of 2 bytes when p < 128."""
+        return self._digits is not None and (size == 1 or size == 2 and self.p < 128)
+
+    def _reduce_plane(self, raw: bytes, size: int) -> bytes:
+        """One plane of `size`-byte slots reduced mod p, one byte per slot, by
+        a few `bytes.translate`s; needs `_translates(size)`.  A 2-byte slot
+        lo + 256 hi reduces as lo mod p + 256 hi mod p, which stays below 256."""
+        mod_p = self._digits[0]
+        if size == 2:
+            raw = (int.from_bytes(raw[::2].translate(mod_p), "little")
+                   + int.from_bytes(raw[1::2].translate(self._high), "little")
+                   ).to_bytes(len(raw) >> 1, "little")
+        return raw.translate(mod_p)
 
     def pack(self, rows: Sequence[Coeffs]) -> tuple[struct.Struct, list[list[int]]]:
         """One or more rows, all of one length, in the form `combine` reads:
@@ -426,6 +478,25 @@ class _SlotKernel(_Kernel):
         Either way each slot ends with the same sum, and no partial sum
         exceeds it, so no slot carries into the next.
         """
+        layout = rows[0]
+        return self._unpack(self._slot_sum(rows, coeffs).to_bytes(self.field.m * layout.size,
+                                                                  "little"), layout)
+
+    def combine_onto(self, rows, coeffs: Coeffs, base: Coeffs):
+        """base + `combine(rows, coeffs)`: base's digits are added to the slot
+        sum before it is unpacked, where the slots have room for them, a
+        digit below p on top of len(coeffs) * m * (p-1)^2; else `_Kernel`'s."""
+        layout = rows[0]
+        p, m = self.p, self.field.m
+        if len(coeffs) * m * (p - 1) ** 2 + p - 1 >> 8 * _slot_width(layout):
+            return super().combine_onto(rows, coeffs, base)
+        length = layout.size // _slot_width(layout)
+        acc = self._slot_sum(rows, coeffs) + self._packed(
+            tuple(base) + (0,) * (length - len(base)), layout)
+        return _strip(self._unpack(acc.to_bytes(m * layout.size, "little"), layout))
+
+    def _slot_sum(self, rows, coeffs: Coeffs) -> int:
+        """The sum `combine` unpacks: one int of m planes of unreduced slots."""
         layout, columns = rows
         assert len(coeffs) <= len(columns[0])
         p, m, acc = self.p, self.field.m, 0
@@ -443,7 +514,62 @@ class _SlotKernel(_Kernel):
                     if d:
                         acc += d * columns[i][j]
                     i += 1
-        return self._unpack(acc.to_bytes(m * layout.size, "little"), layout)
+        return acc
+
+    def pack_factors(self, factors: Sequence[tuple[int, ...]]):
+        """The factors in the form `product` reads: (slot width, one
+        (length, table) per factor), where table[dst][src] is the int of
+        slots that holds digit dst of f_j * alpha^src at slot j.  The slots
+        are sized for a product by the longest factor; where `_translates`
+        does not hold for that width, (None, the factors) instead, for the
+        chain."""
+        m = self.field.m
+        longest = max(map(len, factors), default=1)
+        size = _slot_width(_slot_layout(self.p, m, longest, 1))
+        if not self._translates(size):
+            return None, tuple(factors)
+        packed = []
+        for f in factors:
+            layout = _slot_layout(self.p, m, longest, len(f))
+            planes = [[int.from_bytes(x, "little") for x in self._planes(
+                self.scale(f, pa) if pa > 1 else f, layout)] for pa in self._powers]
+            packed.append((len(f), tuple(zip(*planes))))
+        return size, tuple(packed)
+
+    def product(self, packed, positions):
+        """The product of the `pack_factors` factors at `positions`; 1 when
+        there are none.  On digit planes, unless `pack_factors` chose the
+        chain.
+
+        The accumulator is its m digit planes, each one int of slots.  For
+        acc = sum_src alpha^src A_src, acc * f = sum_src A_src * (alpha^src f),
+        so plane dst of the product is sum_src A_src * table[dst][src]: m^2
+        int products.  A slot then holds at most len(f) * m products of two
+        digits below p, which the slot width holds, and each plane is reduced
+        mod p (`_reduce_plane`) before the next factor.  The digits are
+        joined into coefficients once, at the end.
+        """
+        size, factors = packed
+        if size is None:
+            return super().product(factors, positions)
+        acc = None
+        for i in positions:
+            n, table = factors[i]
+            if acc is None:                       # 1 * f: f's own planes
+                acc, length = [column[0] for column in table], n
+                continue
+            length += n - 1
+            planes = []
+            for column in table:
+                raw = sum(map(int.__mul__, acc, column)).to_bytes(size * length, "little")
+                planes.append(int.from_bytes(_spread(self._reduce_plane(raw, size), size), "little"))
+            acc = planes
+        if acc is None:
+            return (1,)
+        out = 0                                   # digit a of each slot is its low byte
+        for x, pa in zip(acc, self._powers):
+            out += pa * int.from_bytes(x.to_bytes(size * length, "little")[::size], "little")
+        return tuple(out.to_bytes(length, "little"))
 
     def mul(self, a: Coeffs, b: Coeffs) -> list[int]:
         """a * b; a Kronecker product on digit planes when the shorter operand

@@ -161,6 +161,27 @@ def test_decode_erasure_positions_checked(tmp_path, rs42, rs42_file, capsys, era
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--list"], "--list"),
+    (["--recover", "ratio", "--algorithm", "gcd2"], "--algorithm, --recover"),
+    (["--algorithm", "gcd1"], "--algorithm"),
+    (["--stop", "relative"], "--stop"),
+    (["--recover", "quotient", "--list"], "--list, --recover"),
+])
+def test_decode_erasure_refuses_decoder_flags(tmp_path, rs42, rs42_file, capsys, flags, named):
+    """`--erase` with `--list` or with any decoder flag given, its default
+    value included, is a usage error that names the flags: erasure decoding
+    reads none of them."""
+    word = tmp_path / "word.txt"
+    save_codeword(encode(rs42, P(rs42.field, 0, 1)), str(word))
+    assert main(["decode", "--spec", rs42_file, "--in", str(word), "--erase", "1,3"] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --erase decodes by interpolation and takes no {named}\n"
+    assert captured.out == ""
+    assert main(["decode", "--spec", rs42_file, "--in", str(word), "--algorithm", "gcd1",
+                 "--stop", "relative", "--recover", "quotient"]) == 0
+
+
 def test_decode_list_flag(tmp_path, ladder5, ladder5_file, capsys):
     gf2 = ladder5.field
     word = encode(ladder5, P(gf2, 1, 1))
@@ -374,6 +395,8 @@ GOLDEN_RUNS = {
     "decode-erase-none": ["decode", "--spec", "rs42.json", "--in", "word.txt", "--erase", ""],
     "decode-erase-failure": ["decode", "--spec", "rs42.json", "--in", "word.txt",
                              "--erase", "1,2,3"],
+    "decode-erase-decoder-flags": ["decode", "--spec", "rs42.json", "--in", "word.txt",
+                                   "--erase", "1,3", "--recover", "ratio", "--algorithm", "gcd2"],
     "simulate": ["simulate", "--spec", "rs42.json", "--trials", "40",
                  "--hamming-weight", "2", "--seed", "7"],
     "simulate-exhaustive": ["simulate", "--spec", "ladder5.json", "--trials", "0",
@@ -395,6 +418,7 @@ GOLDEN = {  # name: (exit code, stdout, {written file: text})
         "error_word: [] [] [1] []\n"
     ), {}),
     "decode-erase": (0, "status: success\nmessage: [0,1]\n", {}),
+    "decode-erase-decoder-flags": (2, "", {}),
     "decode-erase-failure": (1, (
         "status: failure\n"
         "failure_reason: erased degree weight 3 > N - K = 2\n"

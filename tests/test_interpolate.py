@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from remcode.code import Codeword, encode, psi_inverse
+from remcode.code import CodeSpec, Codeword, encode, psi_inverse
 from remcode.decoder import error_locator_test
 from remcode.errors import (
     ErasureBudgetExceeded,
@@ -15,13 +15,21 @@ from remcode.errors import (
 )
 from remcode.field import Field
 from remcode.interpolate import ErasurePattern, interpolate_direct, interpolate_fixed_transform
-from remcode.poly import Poly
+from remcode.poly import Poly, irreducible_polys
 
 from conftest import P, random_message, random_spec
 
 
 def _as_map(word: Codeword) -> dict[int, Poly]:
     return dict(enumerate(word.symbols))
+
+
+def _poly_chain(spec: CodeSpec, positions) -> Poly:
+    """The product of the moduli at `positions` by `Poly.__mul__`, left to right."""
+    out = Poly.one(spec.field)
+    for i in positions:
+        out = out * spec.moduli[i]
+    return out
 
 
 def test_full_support_recovers_preimage(rs42):
@@ -183,10 +191,7 @@ def test_pattern_products_split_modulus_product(ladder5, gf4_mixed):
         for _ in range(20):
             known = frozenset(rng.sample(range(spec.n), rng.randint(1, spec.n)))
             pattern = ErasurePattern(spec, known)
-            known_product = Poly.one(spec.field)
-            for i in sorted(known):
-                known_product = known_product * spec.moduli[i]
-            assert pattern.known_product == known_product
+            assert pattern.known_product == _poly_chain(spec, sorted(known))
             assert pattern.known_product * pattern.erased_product == spec.modulus_product
             assert pattern.erased_weight == sum(
                 d for i, d in enumerate(spec.degrees) if i not in known)
@@ -218,3 +223,45 @@ def test_fixed_transform_divides_once_by_the_erased_product(monkeypatch, gf2, gf
             divisors.clear()
             assert interpolate_fixed_transform(spec, symbols, pattern) == a
             assert len(divisors) == 1 and divisors[0] is pattern.erased_product
+
+
+def _gf9_spec() -> CodeSpec:
+    """A GF(9) code with 3 linear, 4 quadratic and 3 cubic moduli."""
+    f = Field(3, 2, [1, 0, 1])
+    moduli = [m for d, count in ((1, 3), (2, 4), (3, 3)) for m in irreducible_polys(f, d)[:count]]
+    return CodeSpec(f, moduli, 4)
+
+
+def test_erasure_pattern_multiplies_no_polynomial(monkeypatch):
+    """Over GF(9) `CodeSpec.product` multiplies the moduli on digit planes,
+    so building an `ErasurePattern` makes no `Poly.__mul__` call and no call
+    of the kernel's `poly_mul` or `mul`; E still equals the `Poly` chain.
+    Over GF(2), GF(2^8) and GF(2^16), whose kernels multiply by the chain,
+    `spec.product` equals it too."""
+    rng = random.Random(31)
+    gf256 = Field(2, 8, [1, 0, 1, 1, 1, 0, 0, 0, 1])
+    gf65536 = Field(2, 16, [1, 1, 0, 1] + [0] * 8 + [1, 0, 0, 0, 1])
+    specs = [_gf9_spec(), random_spec(rng, Field(2), (4, 7)),
+             CodeSpec(gf256, [Poly(gf256, [b, 1]) for b in range(12)], 6),
+             CodeSpec(gf65536, [Poly(gf65536, [b, 1]) for b in range(0, 12 * 4099, 4099)], 6)]
+    gf9 = specs[0]
+    calls = []
+    mul = Poly.__mul__
+    monkeypatch.setattr(Poly, "__mul__", lambda a, b: calls.append("Poly") or mul(a, b))
+    for name in ("poly_mul", "mul"):
+        method = getattr(gf9.field.kernel, name)
+        monkeypatch.setattr(gf9.field.kernel, name,
+                            lambda *a, method=method, name=name: calls.append(name) or method(*a))
+    for _ in range(20):
+        known = frozenset(rng.sample(range(gf9.n), rng.randint(1, gf9.n)))
+        pattern = ErasurePattern(gf9, known)
+        assert calls == []
+        erased = sorted(set(range(gf9.n)) - known)
+        assert pattern.erased_product == _poly_chain(gf9, erased)
+        calls.clear()
+    for spec in specs:
+        for _ in range(10):
+            positions = [rng.randrange(spec.n) for _ in range(rng.randint(0, spec.n))]
+            assert spec.product(positions) == _poly_chain(spec, positions)
+        assert spec.modulus_product == _poly_chain(spec, range(spec.n))
+        assert spec.message_modulus == _poly_chain(spec, range(spec.k))

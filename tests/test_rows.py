@@ -6,7 +6,12 @@ Kernel level: `combine` over `pack`ed rows, and `combine_packed` and its
 the same kernel, on every kernel, on both sides of the odd kernels'
 `CLASS_BITS` (class sums over GF(3) to GF(27), the multiply-add loop over
 GF(251) and GF(65521), whose slots need 4 or 8 bytes), and at full size
-(255 rows of 300 coefficients) on every field.  Spec level: `residues`,
+(255 rows of 300 coefficients) on every field; `combine_onto` against
+that sum plus its base row, at the same loads; and `product` over
+`pack_factors` against the generic `poly_mul` chain on every field and
+GF(3^6), with no factor, one factor and repeated ones, at the longest
+factors each plane slot width holds and the first that needs more, at the
+worst slot load.  Spec level: `residues`,
 `encode` and `psi_inverse` against the references kept in the tree:
 `CodeSpec.residue`, `a % m_i` and `interpolate_direct`, on specs with
 reducible, unordered and mixed-degree moduli, and at full size on
@@ -34,7 +39,7 @@ from remcode.field import Field
 from remcode.fileio import dumps_codeword, loads_codeword
 from remcode.interpolate import ErasurePattern, interpolate_direct, interpolate_fixed_transform
 from remcode.kernels import (
-    CLASS_BITS, BitKernel, ByteKernel, Char2Kernel, OddKernel, PrimeKernel, _slot_layout)
+    CLASS_BITS, BitKernel, ByteKernel, Char2Kernel, OddKernel, PrimeKernel, _Kernel, _slot_layout)
 from remcode.oracle import brute_force_decode, exhaustive_scan
 from remcode.poly import Poly
 from remcode.sim import FIXED_POSITIONS, RANDOM_DEGREE, ChannelModel, corrupt, simulate
@@ -88,6 +93,10 @@ def check_combine(f: Field, rows, coeffs) -> None:
     assert _strip(out) == expected
     assert kernel.from_packed(kernel.combine_packed(packed, coeffs)) == expected
     assert kernel.packed_len(kernel.combine_packed(packed, coeffs)) == len(_strip(out))
+    # combine_onto, with a base of every digit p - 1 (the slots' worst load) and a shorter one
+    for base in ([f.q - 1] * len(rows[0]), rows[0][:len(rows[0]) // 2]):
+        onto = kernel.from_packed(kernel.combine_onto(packed, coeffs, base))
+        assert onto == _strip(kernel.add(list(expected), base))
 
 
 # -- kernel level ------------------------------------------------------------------------
@@ -221,6 +230,102 @@ def test_slot_widths():
     assert _slot_layout(65521, 1, 2, 2).format == "<2Q"
     with pytest.raises((AssertionError, IndexError)):
         _slot_layout(65521, 1, 1 << 33, 2)                   # no slot holds 2^65
+
+
+def _chain(f: Field, factors, positions) -> tuple[int, ...]:
+    """The product of the factors at `positions` by the generic `poly_mul`
+    chain, unpacked."""
+    kernel = f.kernel
+    return kernel.from_packed(_Kernel.product(kernel, _Kernel.pack_factors(kernel, factors),
+                                              positions))
+
+
+def check_product(f: Field, factors, positions) -> None:
+    """`product` over `pack_factors` equals the chain, with no top zeros."""
+    kernel = f.kernel
+    out = kernel.from_packed(kernel.product(kernel.pack_factors(factors), positions))
+    assert out == _chain(f, factors, positions)
+    assert out and out[-1]
+
+
+# FIELDS and GF(3^6), an odd q > 256 whose slots would be 1 or 2 bytes wide
+# but have no byte digit tables, so its products keep the chain
+PRODUCT_FIELDS = {**FIELDS, "GF(3^6)": Field(3, 6, [2, 1, 0, 0, 0, 0, 1])}
+
+
+def _plane_lengths(f: Field) -> list[int]:
+    """Longest-factor lengths at which `pack_factors`' choice changes: for
+    each slot width the planes take (1 byte, and 2 for p < 128), the longest
+    factor whose slot bound fits and the first that needs more; none where
+    q > 256 or p = 2."""
+    if f.p == 2 or f.q > 256:
+        return []
+    per_coeff = f.m * (f.p - 1) ** 2
+    lengths = set()
+    for bits in (8, 16) if f.p < 128 else (8,):
+        first = -(-(1 << bits) // per_coeff)     # shortest length whose bound reaches 2^bits
+        lengths.update(n for n in (first - 1, first) if n >= 1)
+    return sorted(lengths)
+
+
+@pytest.mark.parametrize("name", list(PRODUCT_FIELDS))
+def test_product_of_no_factor_and_of_one(name):
+    """No position gives 1, with factors packed and with none at all; one
+    position gives that factor; a repeated position multiplies it again."""
+    f = PRODUCT_FIELDS[name]
+    kernel = f.kernel
+    factors = [(1,), (f.q - 1, 1), (1, 0, 2 % f.q, 1), (f.q - 1,) * 5 + (1,)]
+    for packed in (kernel.pack_factors(factors), kernel.pack_factors(())):
+        assert kernel.from_packed(kernel.product(packed, [])) == (1,)
+        assert kernel.from_packed(kernel.product(packed, iter(()))) == (1,)
+    packed = kernel.pack_factors(factors)
+    for i, factor in enumerate(factors):
+        assert kernel.from_packed(kernel.product(packed, [i])) == factor
+    for positions in ([1, 1], [3, 1, 2, 3], [0, 2, 0]):
+        check_product(f, factors, positions)
+
+
+@pytest.mark.parametrize("name", list(PRODUCT_FIELDS))
+def test_product_at_the_worst_slot_load(name):
+    """Monic factors whose every other digit is p - 1, and factors whose
+    every digit is, which in a prime field load the middle slots of their
+    square to exactly the bound the width is sized for, at the longest
+    length each plane slot width holds and the first that needs the next;
+    the planes run up to the longest that 2-byte slots hold (1-byte ones for
+    p >= 128) and the chain beyond it, over every kernel.  An odd field with
+    q > 256 keeps the chain at every length."""
+    f = PRODUCT_FIELDS[name]
+    kernel = f.kernel
+    lengths = _plane_lengths(f)
+    admitted = [n for n in lengths if kernel.pack_factors([(1,) * n])[0] is not None]
+    if lengths:
+        assert admitted == lengths[:-1] if f.p < 128 else admitted == []
+    if f.p > 2 and f.q > 256:
+        assert kernel.pack_factors([(1,) * 2])[0] is None
+    for n in [2, 4] + lengths:
+        factors = [(f.q - 1,) * (n - 1) + (1,), tuple(range(1, n)) + (1,),
+                   (f.q - 1,) * (n // 2) + (1,), (f.q - 1,) * n]
+        factors = [tuple(c % f.q for c in factor) for factor in factors]
+        check_product(f, factors, [0, 0, 1, 2, 0])
+        check_product(f, factors, [2, 0])
+        check_product(f, factors, [3, 3, 0])
+
+
+@pytest.mark.parametrize("name", list(PRODUCT_FIELDS))
+def test_product_matches_the_chain(name):
+    f = PRODUCT_FIELDS[name]
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def check(data):
+        factors = data.draw(st.lists(
+            st.builds(lambda low, top: tuple(low) + (top,),
+                      st.lists(elements(f), max_size=12), st.integers(1, f.q - 1)),
+            min_size=1, max_size=8))
+        positions = data.draw(st.lists(st.integers(0, len(factors) - 1), max_size=12))
+        check_product(f, factors, positions)
+
+    check()
 
 
 # -- spec level -----------------------------------------------------------------------------

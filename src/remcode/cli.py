@@ -200,7 +200,7 @@ def cmd_simulate(args):
     decoders = ("gcd", "list") if args.decoder == "both" else (args.decoder,)
     started = time.perf_counter()
     report = simulate(
-        spec, model, args.trials,
+        spec, model, (0 if args.exhaustive else 1000) if args.trials is None else args.trials,
         decoders=decoders,
         options=_options(args),
         exhaustive=args.exhaustive,
@@ -246,7 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
         _SPEC, _FILES, _CHANNEL, {"--trial": dict(type=int, default=0)})
     add("simulate", cmd_simulate, "monte-carlo or exhaustive decoder comparison",
         _SPEC, _CHANNEL, {
-        "--trials": dict(type=int, default=1000),
+        "--trials": dict(type=int, default=None,
+                         help="Monte-Carlo trial count (default 1000); 0 or none in exhaustive mode"),
         "--exhaustive": dict(action="store_true",
                              help="iterate every error value at the fixed positions"),
         "--messages": dict(type=int, default=20, help="message sample size in exhaustive mode"),

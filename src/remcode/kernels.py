@@ -47,33 +47,44 @@ entry points strip the results of the list operations.  Those, `add`,
 `sub`, `mul` and `scale` on coefficient lists, serve the row builders in
 `remcode.code`, `Field`'s scalar operations and the irreducible sieve.
 
-Both odd-characteristic kernels share `_SlotKernel.mul`: a product whose
-shorter operand has at least `KRONECKER_MIN` coefficients is a Kronecker
-product.  Each operand splits into its m base-p digit planes, each plane
-packed into one int of little-endian slots; the m^2 plane products are int
-multiplies, the planes for alpha^c, c >= m, fold into planes 0..m-1 through
-the digits of alpha^c (alpha the element x, the int p), and each slot is
-reduced mod p once.  Shorter products keep the per-coefficient loops
-(`_mul_loop`).  They share `_SlotKernel.poly_divmod` too: a division by at
-least `PLANE_DIVIDE_MIN` coefficients runs on the same planes
-(`_divide_planes`).  The remainder is one int of m planes, and each
-quotient term reads the top slot of each plane mod p, then adds m
-small-int multiples of the packed divisor times alpha^a, shifted into
-place; slots are sized for every term, so they are reduced only once, at
-the end.  Shorter divisors keep the list `_divide`, and add and sub keep
-their per-coefficient loops: over GF(p^m) those read the Zech table.  And
-they share `_SlotKernel.product`: `pack_factors` turns each factor f into an
-m x m table of ints, entry [dst][src] the plane of slots that holds digit
-dst of f_j * alpha^src at slot j, and the product is an accumulator of m
-plane ints.  Each factor takes m^2 int products (plane dst is the sum over
-src of plane src times entry [dst][src]) and then one reduction mod p per
-plane, the per-plane half of the unpacking (`_reduce_plane`); the digits
-are joined into coefficients once, at the end.  A factor of d + 1
-coefficients adds at most (d + 1) * m * (p-1)^2 to a slot, so the slots
-are sized for the longest factor of the set.  Only where those slots are
-reduced by `bytes.translate` -- q <= 256, with 1-byte slots, or 2-byte
-slots when p < 128 -- does `pack_factors` choose planes; elsewhere it
-keeps the chain.
+The odd-characteristic kernels share one plane form (`_SlotKernel`).  A
+row is split into its m base-p digit planes, each plane one int of
+little-endian slots with one digit per coefficient, and every plane
+computation is a sum of such ints weighted by small ints or by other plane
+ints.  Multiplying by alpha^a (alpha the element x, the int p) mixes the
+digits, so each row that is multiplied is first formed as its multiples
+row * alpha^a, a < m, by one function, `_multiples`, through m - 1 maps
+x -> x * alpha^a built from `Field._times(p)` (`_alpha`): one
+`bytes.translate` each for q <= 256, above that one list lookup per
+coefficient.  `pack` and `_divide_planes` hold each multiple's planes
+end to end in one int; `mul` and `product` read them as an m x m table of
+plane ints, entry [dst][src] plane dst of row * alpha^src (`_table`).  For
+a = sum_src alpha^src A_src over its planes, plane dst of a * row is
+sum_src A_src * table[dst][src] (`_step`: m^2 int products, the one
+Kronecker step).  `mul` takes that step once, a product whose shorter
+operand has at least `KRONECKER_MIN` coefficients tabling the shorter one;
+shorter products keep the per-coefficient loops (`_mul_loop`).  `product`,
+over the factors that `pack_factors` tables once, reduces its planes mod p
+(`_reduce_plane`) before each step after the first.  A division by
+at least `PLANE_DIVIDE_MIN` coefficients runs on planes too
+(`_divide_planes`): each quotient term reads the top slot of each plane of
+the remainder mod p, then adds small-int multiples of the packed divisor
+times alpha^a, shifted into place.  Shorter divisors keep the list
+`_divide`, and add and sub keep their per-coefficient loops: over GF(p^m)
+those read the Zech table.
+
+The slot rule, for every plane sum: a sum of `count` terms, each at most m
+products of two digits below p, gets the narrowest slot of 1, 2, 4 or 8
+bytes that holds count * m * (p-1)^2 (`_slot_size`), so no slot carries
+into the next.  `count` is the number of rows for `combine`, the shorter
+operand's length for `mul`, the longest factor's for `product` and the
+quotient terms plus one for `_divide_planes`.  Each slot is reduced mod p
+once, when `_unpack` joins the digits into coefficients: a few
+`bytes.translate`s per plane for q <= 256 and 1-byte slots, or 2-byte
+slots when p < 128; otherwise `struct`'s explicit little-endian format and
+a mod p per slot.  `product`, which must reduce between factors, runs
+on planes only where the translates reduce its slots, and otherwise keeps
+the chain of `poly_mul`.
 
 `gcd` is one Euclid loop for every kernel, on packed values: a state is a
 pair (x, y) of them, which steps to (y, `poly_mod(x, y)`), and the last x
@@ -115,16 +126,12 @@ selector one or two `bytes.translate`s of the coefficients (through
 digit's bit count of sums, and no Python step per row.  A class sum adds a
 row once per set bit of its digit, so digits of more than `CLASS_BITS`
 bits, and the fields with q > 256, which have no byte digit tables, keep a
-loop of one multiply-add per nonzero digit.  A slot is sized (1, 2, 4 or 8
-bytes) for the largest sum it can receive, rows * m * (p-1)^2; each slot
-ends with the same sum on both paths and no partial sum exceeds it, so no
-digit carries into the next slot or plane.  Each slot is reduced mod p
-once, when `combine` unpacks it (a few `bytes.translate`s per plane for
-q <= 256 and 1- or 2-byte slots, else `struct`'s explicit little-endian
-format and a mod p per slot); products and division remainders are
-unpacked the same way.  `combine_onto` adds its base row's digits into the
-slot sum before that unpacking, where the slots have room for one more
-digit below p, and otherwise adds the base to the unpacked sum.  The
+loop of one multiply-add per nonzero digit.  Each slot ends with the same
+sum on both paths and no partial sum exceeds the slot rule's bound, so no
+digit carries into the next slot or plane.  `combine_onto` adds its base
+row's digits into the slot sum before it is unpacked, where the slots have
+room for one more digit below p, and otherwise adds the base to the
+unpacked sum.  The
 list decoder's degree test (`locator_survivors`) reads the `packed_len`
 of such a sum's `combine_packed`: in `ByteKernel` the packed sum's byte
 length, with no unpacking.  Over GF(2) the
@@ -137,16 +144,17 @@ operations' outputs may carry trailing zeros: `add`, `sub` and
 `scale` keep their operands' full length, since the row builders in
 `remcode.code` read a row's top entry by position, and a `Codeword`'s row
 keeps its N entries through `+` and `-`.  Every table -- the
-field's `_tables`, `ByteKernel._rows` and `OddKernel._zech` -- is a
-`functools.cached_property`: built on first read, never when the field is
-constructed, and a plain attribute read after that; the selector tables
-`_BIT_OF` depend on no field and are module constants, shared by both
-characteristics' `combine`.  No prime field builds
-one, and no Kronecker product reads one: `_SlotKernel`'s fold digits (from
-`Field._mul_basis`) and byte maps are plain attributes, built with the
-kernel.  No inner loop calls a `Field` method per coefficient;
-`Field._mul_basis` and `Field._digitwise` stay as the table-free reference
-the tests compare these kernels with.
+field's `_tables`, `ByteKernel._rows`, `OddKernel._zech` and
+`_SlotKernel._alpha` -- is a `functools.cached_property`: built on first
+read, never when the field is constructed, and a plain attribute read
+after that; the selector tables `_BIT_OF` depend on no field and are
+module constants, shared by both characteristics' `combine`.  No prime
+field builds a field table, and no plane product, `pack` or `combine`
+reads one: the alpha maps come from `Field._times`, and the digit maps are
+plain attributes, built with the kernel (the plane division reads the
+log/exp tables once per distinct quotient term).  No inner loop calls a
+`Field` method per coefficient; `Field._mul_basis` and `Field._digitwise`
+stay as the table-free reference the tests compare these kernels with.
 """
 
 from __future__ import annotations
@@ -338,20 +346,22 @@ class _Kernel:
         raise NotImplementedError
 
 
-def _slot_layout(p: int, m: int, count: int, length: int) -> struct.Struct:
-    """Little-endian slots for `length` digits, each wide enough for a sum of
-    `count` terms of m products of two digits below p."""
+def _slot_size(p: int, m: int, count: int) -> int:
+    """Bytes per little-endian slot, 1, 2, 4 or 8: the fewest that hold a sum
+    of `count` terms of m products of two digits below p."""
     bound = count * m * (p - 1) ** 2
     size = 1
-    while bound >> (8 * size):
+    while bound >> 8 * size:
         size *= 2
-    assert size <= 8 and bound < 1 << (8 * size), "slot would overflow"
+    if size > 8:
+        raise OverflowError(f"a slot sum up to {bound} needs more than 8 bytes")
+    return size
+
+
+def _slot_struct(length: int, size: int) -> struct.Struct:
+    """The `struct` format of `length` slots of `size` bytes, for the planes
+    that byte maps do not split or reduce."""
     return struct.Struct(f"<{length}{'BHIQ'[size.bit_length() - 1]}")
-
-
-def _slot_width(layout: struct.Struct) -> int:
-    """Bytes per slot of a `_slot_layout`."""
-    return struct.calcsize("<" + layout.format[-1])
 
 
 def _spread(digits: bytes, size: int) -> bytes:
@@ -363,16 +373,42 @@ def _spread(digits: bytes, size: int) -> bytes:
     return spread
 
 
+def _join(planes: Sequence[int], bits: int) -> int:
+    """Plane ints of `bits` bits each, end to end, as one int."""
+    acc = 0
+    for x in reversed(planes):
+        acc = acc << bits | x
+    return acc
+
+
+def _step(planes: Sequence[int], table) -> list[int]:
+    """The Kronecker step: the planes of a * row, for a = sum_src alpha^src
+    planes[src] and `row`'s `_SlotKernel._table`.  a * row = sum_src
+    planes[src] * (alpha^src row), so plane dst is sum_src planes[src] *
+    table[dst][src]: m^2 int products.  A slot of the result sums
+    min(len a, len row) terms of m products of two digits below p."""
+    out = []
+    for row in table:           # a loop: a comprehension's own call costs each product factor
+        out.append(sum(map(int.__mul__, planes, row)))
+    return out
+
+
 class _SlotKernel(_Kernel):
     """`pack`, `combine`, long products and division by long divisors on
     int slots, for odd characteristic (see the module docstring for the
-    layout).
+    plane form and the slot rule).
 
-    What the products and `combine` read is built here, with no table of
-    the field's (the fold digits by `Field._mul_basis`):
+    Everything here reads one form: a row's m base-p digit planes, each one
+    int of little-endian slots (`_planes`), and the row's multiples by
+    alpha^a, a < m (`_multiples`; alpha the element x, the int p).  `pack`
+    and `_divide_planes` pack those multiples end to end (`_packed`), and
+    `mul` and `product` read them as an m x m table of plane ints
+    (`_table`) in one Kronecker step (`_step`).  What they read is built
+    here, with no table of the field's:
 
-    * `_folds[c - m]`: the digits of alpha^c mod the reduction polynomial,
-      for m <= c <= 2m - 2, alpha the element x (the int p);
+    * `_alpha[a - 1]`, for 1 <= a < m: the map x -> x * alpha^a, built on
+      first read from `Field._times(p)`; a 256-byte map for
+      `bytes.translate` for q <= 256, else a list;
     * for q <= 256, `_digits[a]` maps each byte x to its base-p digit a
       (so `_digits[0]` is x mod p), and `_high` maps x to 256 x mod p.  Each
       repeats with period p^(a+1) or p, so it is one short cycle repeated;
@@ -386,11 +422,6 @@ class _SlotKernel(_Kernel):
         p, m, q = field.p, field.m, field.q
         self.p = p
         self._powers = [p ** a for a in range(m)]
-        folds, alpha = [], p ** (m - 1)
-        for _ in range(m - 1):
-            alpha = field._mul_basis(alpha, p)
-            folds.append(field._to_digits(alpha))
-        self._folds = folds
         self._digits = self._high = None
         if q <= 256:
             cycles = [b"".join(bytes([d]) * pa for d in range(p)) for pa in self._powers]
@@ -399,40 +430,66 @@ class _SlotKernel(_Kernel):
         bits = (p - 1).bit_length()
         self._class_bits = bits if q <= 256 and bits <= CLASS_BITS else 0
 
-    def _planes(self, row: Coeffs, layout: struct.Struct) -> list[bytes]:
-        """The m base-p digit planes of `row`, each as little-endian slots,
-        as wide as `layout`'s, that hold one digit per coefficient."""
-        size = _slot_width(layout)
+    @cached_property
+    def _alpha(self) -> list:
+        """For 1 <= a < m, the map x -> x * alpha^a, indexed by x: a 256-byte
+        map for `bytes.translate` for q <= 256, else a list.  x * alpha comes
+        from `Field._times(p)`, one call per element, and each further map is
+        x * alpha^(a+1) = (x * alpha^a) * alpha, one C-level `map`."""
+        field, maps = self.field, []
+        for _ in self._powers[1:]:
+            maps.append(list(map(maps[0].__getitem__, maps[-1]) if maps
+                             else map(field._times(self.p), range(field.q))))
+        return maps if self._digits is None else [bytes(x).ljust(256, b"\0") for x in maps]
+
+    def _multiples(self, row: Coeffs) -> list[Coeffs]:
+        """row * alpha^a for each a < m, through `_alpha`: for q <= 256 as
+        bytes, one `bytes.translate` per a >= 1; else one lookup per coefficient."""
+        if self._digits is None:
+            return [row] + [list(map(times.__getitem__, row)) for times in self._alpha]
+        raw = bytes(row)
+        return [raw] + [raw.translate(times) for times in self._alpha]
+
+    def _planes(self, row: Coeffs, size: int) -> list[int]:
+        """The m base-p digit planes of `row`, each one int of `size`-byte
+        little-endian slots that hold one digit per coefficient."""
         if self._digits is not None:              # q <= 256: a translate per plane
             raw = bytes(row)
-            return [_spread(raw.translate(table), size) for table in self._digits]
-        layout = struct.Struct(f"<{len(row)}{layout.format[-1]}")
-        if self.field.m == 1:
-            return [layout.pack(*row)]
-        p = self.p
-        return [layout.pack(*[x // pa % p for x in row]) for pa in self._powers]
+            return [int.from_bytes(_spread(raw.translate(table), size), "little")
+                    for table in self._digits]
+        p, m, bits = self.p, self.field.m, 8 * size * len(row)
+        acc = int.from_bytes(_slot_struct(m * len(row), size).pack(
+            *[x // pa % p for pa in self._powers for x in row]), "little")
+        return [acc >> a * bits & (1 << bits) - 1 for a in range(m)]
 
-    def _unpack(self, planes: bytes, layout: struct.Struct) -> list[int]:
-        """The coefficients, one per slot of `layout`, whose digit a is the
-        slot of plane a reduced mod p; `planes` holds the m planes end to
-        end, `layout.size` bytes each.
+    def _packed(self, row: Coeffs, size: int) -> int:
+        """The m planes of `row` end to end, as one int."""
+        return _join(self._planes(row, size), 8 * size * len(row))
+
+    def _table(self, row: Coeffs, size: int) -> tuple[tuple[int, ...], ...]:
+        """The m x m table of `row`: entry [dst][src] is plane dst of
+        row * alpha^src."""
+        return tuple(zip(*[self._planes(x, size) for x in self._multiples(row)]))
+
+    def _unpack(self, acc: int, size: int, length: int) -> list[int]:
+        """The `length` coefficients held by `acc`, m planes of `size`-byte
+        slots end to end, whose digit a is the slot of plane a reduced mod p.
 
         Where `_translates` holds, each plane is reduced by `_reduce_plane`
         and the digits recombine as bytes below q.  Otherwise each slot is
         reduced in a loop.
         """
-        p, size, span = self.p, _slot_width(layout), layout.size
-        length = span // size
+        p, span = self.p, size * length
+        planes = acc.to_bytes(self.field.m * span, "little")
         if self._translates(size):
-            acc = 0
+            out = 0
             for a, pa in enumerate(self._powers):
                 digits = self._reduce_plane(planes[a * span:(a + 1) * span], size)
-                acc += pa * int.from_bytes(digits, "little")
-            return list(acc.to_bytes(length, "little"))
-        out = itertools.repeat(0)
+                out += pa * int.from_bytes(digits, "little")
+            return list(out.to_bytes(length, "little"))
+        layout, out = _slot_struct(length, size), itertools.repeat(0)
         for a in reversed(range(self.field.m)):
-            digits = layout.unpack_from(planes, a * span)
-            out = [x * p + d % p for x, d in zip(out, digits)]
+            out = [x * p + d % p for x, d in zip(out, layout.unpack_from(planes, a * span))]
         return out
 
     def _translates(self, size: int) -> bool:
@@ -451,19 +508,13 @@ class _SlotKernel(_Kernel):
                    ).to_bytes(len(raw) >> 1, "little")
         return raw.translate(mod_p)
 
-    def pack(self, rows: Sequence[Coeffs]) -> tuple[struct.Struct, list[list[int]]]:
+    def pack(self, rows: Sequence[Coeffs]) -> tuple[int, int, list[tuple[int, ...]]]:
         """One or more rows, all of one length, in the form `combine` reads:
-        their slot layout, and for each k < m the column of x^k * row over
-        the rows, each entry one int that holds the m planes of x^k * row
-        end to end."""
-        layout = _slot_layout(self.p, self.field.m, len(rows), len(rows[0]))
-        return layout, [[self._packed(self.scale(row, pk) if pk > 1 else row, layout)
-                         for row in rows]
-                        for pk in self._powers]   # x^k * row: the element x^k is the int p^k
-
-    def _packed(self, row: Coeffs, layout: struct.Struct) -> int:
-        """The m planes of `row` end to end, as one int."""
-        return int.from_bytes(b"".join(self._planes(row, layout)), "little")
+        (slot size, row length, for each k < m the column of x^k * row over
+        the rows), each column entry the `_packed` int of x^k * row."""
+        size = _slot_size(self.p, self.field.m, len(rows))
+        columns = zip(*[[self._packed(x, size) for x in self._multiples(row)] for row in rows])
+        return size, len(rows[0]), list(columns)
 
     def combine(self, rows, coeffs: Coeffs) -> list[int]:
         """sum_j coeffs[j] * rows[j] over `pack`ed rows; needs len(coeffs) <= len(rows).
@@ -478,26 +529,22 @@ class _SlotKernel(_Kernel):
         Either way each slot ends with the same sum, and no partial sum
         exceeds it, so no slot carries into the next.
         """
-        layout = rows[0]
-        return self._unpack(self._slot_sum(rows, coeffs).to_bytes(self.field.m * layout.size,
-                                                                  "little"), layout)
+        return self._unpack(self._slot_sum(rows, coeffs), *rows[:2])
 
     def combine_onto(self, rows, coeffs: Coeffs, base: Coeffs):
         """base + `combine(rows, coeffs)`: base's digits are added to the slot
         sum before it is unpacked, where the slots have room for them, a
         digit below p on top of len(coeffs) * m * (p-1)^2; else `_Kernel`'s."""
-        layout = rows[0]
-        p, m = self.p, self.field.m
-        if len(coeffs) * m * (p - 1) ** 2 + p - 1 >> 8 * _slot_width(layout):
+        size, length, _ = rows
+        if len(coeffs) * self.field.m * (self.p - 1) ** 2 + self.p - 1 >> 8 * size:
             return super().combine_onto(rows, coeffs, base)
-        length = layout.size // _slot_width(layout)
         acc = self._slot_sum(rows, coeffs) + self._packed(
-            tuple(base) + (0,) * (length - len(base)), layout)
-        return _strip(self._unpack(acc.to_bytes(m * layout.size, "little"), layout))
+            tuple(base) + (0,) * (length - len(base)), size)
+        return _strip(self._unpack(acc, size, length))
 
     def _slot_sum(self, rows, coeffs: Coeffs) -> int:
         """The sum `combine` unpacks: one int of m planes of unreduced slots."""
-        layout, columns = rows
+        columns = rows[2]
         assert len(coeffs) <= len(columns[0])
         p, m, acc = self.p, self.field.m, 0
         if self._class_bits:
@@ -517,37 +564,24 @@ class _SlotKernel(_Kernel):
         return acc
 
     def pack_factors(self, factors: Sequence[tuple[int, ...]]):
-        """The factors in the form `product` reads: (slot width, one
-        (length, table) per factor), where table[dst][src] is the int of
-        slots that holds digit dst of f_j * alpha^src at slot j.  The slots
-        are sized for a product by the longest factor; where `_translates`
-        does not hold for that width, (None, the factors) instead, for the
-        chain."""
-        m = self.field.m
-        longest = max(map(len, factors), default=1)
-        size = _slot_width(_slot_layout(self.p, m, longest, 1))
+        """The factors in the form `product` reads: (slot size, one
+        (length, `_table`) per factor), the slots sized for a product by the
+        longest factor; where `_translates` does not hold for that size,
+        (None, the factors) instead, for the chain."""
+        size = _slot_size(self.p, self.field.m, max(map(len, factors), default=1))
         if not self._translates(size):
             return None, tuple(factors)
-        packed = []
-        for f in factors:
-            layout = _slot_layout(self.p, m, longest, len(f))
-            planes = [[int.from_bytes(x, "little") for x in self._planes(
-                self.scale(f, pa) if pa > 1 else f, layout)] for pa in self._powers]
-            packed.append((len(f), tuple(zip(*planes))))
-        return size, tuple(packed)
+        return size, tuple((len(f), self._table(f, size)) for f in factors)
 
     def product(self, packed, positions):
         """The product of the `pack_factors` factors at `positions`; 1 when
         there are none.  On digit planes, unless `pack_factors` chose the
         chain.
 
-        The accumulator is its m digit planes, each one int of slots.  For
-        acc = sum_src alpha^src A_src, acc * f = sum_src A_src * (alpha^src f),
-        so plane dst of the product is sum_src A_src * table[dst][src]: m^2
-        int products.  A slot then holds at most len(f) * m products of two
-        digits below p, which the slot width holds, and each plane is reduced
-        mod p (`_reduce_plane`) before the next factor.  The digits are
-        joined into coefficients once, at the end.
+        The accumulator is its m digit planes.  Each factor after the first
+        reduces them mod p (`_reduce_plane`), so that every slot holds a
+        digit below p, and takes one `_step` by its table.  The last step's
+        planes are reduced once, by the `_unpack` at the end.
         """
         size, factors = packed
         if size is None:
@@ -556,50 +590,25 @@ class _SlotKernel(_Kernel):
         for i in positions:
             n, table = factors[i]
             if acc is None:                       # 1 * f: f's own planes
-                acc, length = [column[0] for column in table], n
-                continue
-            length += n - 1
-            planes = []
-            for column in table:
-                raw = sum(map(int.__mul__, acc, column)).to_bytes(size * length, "little")
-                planes.append(int.from_bytes(_spread(self._reduce_plane(raw, size), size), "little"))
-            acc = planes
-        if acc is None:
-            return (1,)
-        out = 0                                   # digit a of each slot is its low byte
-        for x, pa in zip(acc, self._powers):
-            out += pa * int.from_bytes(x.to_bytes(size * length, "little")[::size], "little")
-        return tuple(out.to_bytes(length, "little"))
+                acc, length = [row[0] for row in table], n
+            else:
+                acc, length = _step([int.from_bytes(_spread(self._reduce_plane(
+                    x.to_bytes(size * length, "little"), size), size), "little") for x in acc],
+                    table), length + n - 1
+        return tuple(self._unpack(_join(acc, 8 * size * length), size, length)) if acc else (1,)
 
     def mul(self, a: Coeffs, b: Coeffs) -> list[int]:
         """a * b; a Kronecker product on digit planes when the shorter operand
-        has at least `KRONECKER_MIN` coefficients, else `_mul_loop`.
-
-        With a = sum_i alpha^i A_i and b = sum_k alpha^k B_k over their digit
-        planes, a * b = sum_c alpha^c C_c, C_c = sum_{i+k=c} A_i B_k, each
-        A_i B_k one int product of packed planes.  Planes c >= m fold into
-        planes 0..m-1 through the digits of alpha^c; a folded slot then holds
-        at most min(len a, len b) * (1 + (m-1)(p-1)) sums of m products of two
-        digits, which `_slot_layout` sizes for, so no slot carries.
-        """
+        has at least `KRONECKER_MIN` coefficients, else `_mul_loop`: one
+        `_step` of b's planes by the shorter a's table, with slots sized for
+        len(a) terms, then one `_unpack`."""
         if len(a) > len(b):
             a, b = b, a
         if len(a) < KRONECKER_MIN:
             return self._mul_loop(a, b)
-        p, m = self.p, self.field.m
-        length = len(a) + len(b) - 1
-        layout = _slot_layout(p, m, len(a) * (1 + (m - 1) * (p - 1)), length)
-        pa, pb = ([int.from_bytes(x, "little") for x in self._planes(y, layout)] for y in (a, b))
-        conv = [0] * (2 * m - 1)
-        for i, x in enumerate(pa):
-            for k, y in enumerate(pb):
-                conv[i + k] += x * y
-        for c, digits in zip(range(m, 2 * m - 1), self._folds):
-            for j, d in enumerate(digits):
-                if d:
-                    conv[j] += d * conv[c]
-        return self._unpack(b"".join(x.to_bytes(layout.size, "little") for x in conv[:m]),
-                            layout)
+        size, length = _slot_size(self.p, self.field.m, len(a)), len(a) + len(b) - 1
+        planes = _step(self._planes(b, size), self._table(a, size))
+        return self._unpack(_join(planes, 8 * size * length), size, length)
 
     def _mul_loop(self, a: Coeffs, b: Coeffs) -> list[int]:
         """a * b, len(a) <= len(b), one coefficient at a time: the kernel's
@@ -631,12 +640,11 @@ class _SlotKernel(_Kernel):
         """
         p, m = self.p, self.field.m
         n, db = len(x), len(y) - 1
-        layout = _slot_layout(p, m, n - db + 1, n)
-        bits, span = 8 * _slot_width(layout), 8 * layout.size
-        pad = [0] * (n - db - 1)
-        columns = [self._packed((self.scale(y, pa) if pa > 1 else list(y)) + pad, layout)
-                   for pa in self._powers]
-        rem, mask, quot = self._packed(x, layout), (1 << bits) - 1, [0] * (n - db)
+        size = _slot_size(p, m, n - db + 1)
+        bits, span = 8 * size, 8 * size * n
+        columns = [self._packed(multiple, size)
+                   for multiple in self._multiples(list(y) + [0] * (n - db - 1))]
+        rem, mask, quot = self._packed(x, size), (1 << bits) - 1, [0] * (n - db)
         over_lead, terms = self._over_lead(y[-1]), {}
         high = list(zip(range(span, m * span, span), self._powers[1:]))
         for j in range(n - db - 1, -1, -1):      # the term of x^j, at slot j + db
@@ -653,7 +661,7 @@ class _SlotKernel(_Kernel):
                                              for column, pa in zip(columns, self._powers))
                 quot[j], multiple = term
                 rem += multiple << s
-        return quot, self._unpack(rem.to_bytes(m * layout.size, "little"), layout)[:db]
+        return quot, self._unpack(rem, size, n)[:db]
 
     def _over_lead(self, lead: int):
         """The map c -> (c / lead, -c / lead) on nonzero elements, for a

@@ -213,7 +213,8 @@ def simulate(
     Monte-Carlo mode draws `trials` independent (message, error) pairs.
     Exhaustive mode (fixed positions only) iterates every nonzero error
     value combination at the support, across `message_sample` messages
-    drawn without replacement; total trials are capped at 10**7.  Each
+    drawn without replacement; total trials are capped at 10**7, and it
+    takes no trial count: `trials` must be 0.  Each
     trial is decoded once: `list_decode`, which returns the gcd outcome
     unless it failed, runs only where it failed, and is handed that outcome.
     The count the mode reads must not be negative; zero runs no trial.
@@ -221,6 +222,8 @@ def simulate(
     param, count = ("message_sample", message_sample) if exhaustive else ("trials", trials)
     if count < 0:
         raise ValueError(f"{param} must be >= 0, got {count}")
+    if exhaustive and trials:
+        raise ValueError(f"trials must be 0 in exhaustive mode, which runs every error value; got {trials}")
     for name in decoders:
         if name == "list":
             if not spec.ordered_degree:

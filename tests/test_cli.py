@@ -246,6 +246,23 @@ def test_simulate_negative_count_is_a_usage_error(rs42_file, args, param, capsys
     assert "trials:" not in captured.out
 
 
+def test_simulate_exhaustive_takes_no_trial_count(rs42_file, capsys):
+    """Exhaustive mode sets its own trial count: `--trials 7` exits 2 with
+    one `error:` line and no report, and a bare `--exhaustive` reports what
+    `--trials 0 --exhaustive` does."""
+    sweep = ["simulate", "--spec", rs42_file, "--exhaustive", "--positions", "1",
+             "--messages", "2"]
+    assert main(sweep + ["--trials", "7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: trials must be 0")
+    assert len(captured.err.splitlines()) == 1
+    assert main(sweep + ["--trials", "0"]) == 0
+    zero = capsys.readouterr().out
+    assert zero.startswith("trials: 8\n")
+    assert main(sweep) == 0
+    assert capsys.readouterr().out == zero
+
+
 def test_simulate_needs_exactly_one_weight_flag(rs42_file, capsys):
     assert main(["simulate", "--spec", rs42_file, "--trials", "5"]) == 2
     assert main(["simulate", "--spec", rs42_file, "--trials", "5",
@@ -310,16 +327,15 @@ def test_usage_error_exit_code():
 
 
 @pytest.mark.parametrize("channel", [
-    ["--exhaustive", "--positions=-1"],
-    ["--exhaustive", "--positions", "4"],
-    ["--degree-weight=-1"],
-    ["--positions", "2,2"],
-    ["--exhaustive", "--positions", "1,2,1"],
+    ["--trials", "0", "--exhaustive", "--positions=-1"],
+    ["--trials", "0", "--exhaustive", "--positions", "4"],
+    ["--trials", "2", "--degree-weight=-1"],
+    ["--trials", "2", "--positions", "2,2"],
+    ["--trials", "0", "--exhaustive", "--positions", "1,2,1"],
 ], ids=["exhaustive-negative", "exhaustive-past-n", "negative-degree-weight",
         "repeated-position", "exhaustive-repeated-position"])
 def test_simulate_infeasible_channel_is_a_usage_error(rs42_file, channel, capsys):
-    assert main(["simulate", "--spec", rs42_file, "--trials", "2", "--messages", "2"]
-                + channel) == 2
+    assert main(["simulate", "--spec", rs42_file, "--messages", "2"] + channel) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
 
@@ -402,6 +418,8 @@ GOLDEN_RUNS = {
     "simulate-exhaustive": ["simulate", "--spec", "ladder5.json", "--trials", "0",
                             "--exhaustive", "--positions", "4", "--messages", "4",
                             "--decoder", "both"],
+    "simulate-exhaustive-trials": ["simulate", "--spec", "rs42.json", "--trials", "7",
+                                   "--exhaustive", "--positions", "1", "--messages", "2"],
     "scan": ["scan", "--spec", "rs42.json"],
     "tables": ["tables", "--q", "2", "--max-degree", "6"],
     "tables-csv": ["tables", "--q", "2", "--max-degree", "6", "--csv"],
@@ -469,6 +487,7 @@ GOLDEN = {  # name: (exit code, stdout, {written file: text})
         "  support 4 gcd: success=0 miscorrect=0 failure=124\n"
         "  support 4 list: success=124 miscorrect=0 failure=0\n"
     ), {}),
+    "simulate-exhaustive-trials": (2, "", {}),
     "spec-check-ladder5": (0, (
         "field: GF(2)\n"
         "n: 5\n"

@@ -639,13 +639,16 @@ def test_mul_matches_reference(name):
 
 def _mul_slot_lengths(f: Field, cap: int = 20_000) -> list[int]:
     """Shorter-operand lengths at which `mul`'s slot width changes: for each
-    width, the longest whose largest folded sum fits and the first that
-    needs the next width; only lengths from `KRONECKER_MIN` to `cap`."""
-    per_coeff = (1 + (f.m - 1) * (f.p - 1)) * f.m * (f.p - 1) ** 2
+    width, the longest whose bound len * m * (p-1)^2 fits and the first that
+    needs the next width; only lengths from `KRONECKER_MIN` to `cap`.  The
+    lengths at which the folded bound of an earlier `mul`,
+    len * (1 + (m-1)(p-1)) * m * (p-1)^2, changed width are kept as inputs
+    too.  In a prime field the two bounds are one."""
     lengths = set()
-    for bits in (8, 16, 32):
-        first = -(-(1 << bits) // per_coeff)     # shortest length whose bound reaches 2^bits
-        lengths.update(n for n in (first - 1, first) if KRONECKER_MIN <= n <= cap)
+    for per_coeff in (f.m * (f.p - 1) ** 2, (1 + (f.m - 1) * (f.p - 1)) * f.m * (f.p - 1) ** 2):
+        for bits in (8, 16, 32):
+            first = -(-(1 << bits) // per_coeff)     # shortest length whose bound reaches 2^bits
+            lengths.update(n for n in (first - 1, first) if KRONECKER_MIN <= n <= cap)
     return sorted(lengths)
 
 

@@ -11,7 +11,9 @@ that sum plus its base row, at the same loads; and `product` over
 `pack_factors` against the generic `poly_mul` chain on every field and
 GF(3^6), with no factor, one factor and repeated ones, at the longest
 factors each plane slot width holds and the first that needs more, at the
-worst slot load.  Spec level: `residues`,
+worst slot load; `_SlotKernel._multiples` against `scale` by alpha^a; and
+that `pack` + `combine`, `pack_factors` + `product` and a Kronecker `mul`
+over GF(9) and GF(25) build no field table.  Spec level: `residues`,
 `encode` and `psi_inverse` against the references kept in the tree:
 `CodeSpec.residue`, `a % m_i` and `interpolate_direct`, on specs with
 reducible, unordered and mixed-degree moduli, and at full size on
@@ -39,7 +41,8 @@ from remcode.field import Field
 from remcode.fileio import dumps_codeword, loads_codeword
 from remcode.interpolate import ErasurePattern, interpolate_direct, interpolate_fixed_transform
 from remcode.kernels import (
-    CLASS_BITS, BitKernel, ByteKernel, Char2Kernel, OddKernel, PrimeKernel, _Kernel, _slot_layout)
+    CLASS_BITS, KRONECKER_MIN, BitKernel, ByteKernel, Char2Kernel, OddKernel, PrimeKernel,
+    _Kernel, _slot_size, _slot_struct)
 from remcode.oracle import brute_force_decode, exhaustive_scan
 from remcode.poly import Poly
 from remcode.sim import FIXED_POSITIONS, RANDOM_DEGREE, ChannelModel, corrupt, simulate
@@ -221,15 +224,20 @@ def test_combine_path_follows_the_digit_bits():
 
 
 def test_slot_widths():
-    """Slots are 1, 2, 4 or 8 bytes, the narrowest that holds rows * m * (p-1)^2,
-    and unpack in little-endian order whatever the host's."""
-    assert _slot_layout(7, 1, 7, 5).format == "<5B"          # 7 * 36 = 252
-    assert _slot_layout(7, 1, 8, 5).format == "<5H"          # 288
-    assert _slot_layout(3, 2, 32, 1).format == "<1H"         # 32 * 2 * 4 = 256
-    assert _slot_layout(65521, 1, 1, 2).format == "<2I"      # 65520^2 < 2^32
-    assert _slot_layout(65521, 1, 2, 2).format == "<2Q"
-    with pytest.raises((AssertionError, IndexError)):
-        _slot_layout(65521, 1, 1 << 33, 2)                   # no slot holds 2^65
+    """Slots are 1, 2, 4 or 8 bytes, the narrowest that holds count * m * (p-1)^2,
+    a sum that no slot holds is refused, and slots unpack in little-endian
+    order whatever the host's."""
+    assert _slot_size(7, 1, 7) == 1                          # 7 * 36 = 252
+    assert _slot_size(7, 1, 8) == 2                          # 288
+    assert _slot_size(3, 2, 32) == 2                         # 32 * 2 * 4 = 256
+    assert _slot_size(65521, 1, 1) == 4                      # 65520^2 < 2^32
+    assert _slot_size(65521, 1, 2) == 8
+    with pytest.raises(OverflowError):
+        _slot_size(65521, 1, 1 << 33)                        # no slot holds 2^65
+    assert _slot_struct(5, 1).format == "<5B"
+    assert _slot_struct(5, 2).format == "<5H"
+    assert _slot_struct(1, 4).format == "<1I"
+    assert _slot_struct(2, 8).format == "<2Q"
 
 
 def _chain(f: Field, factors, positions) -> tuple[int, ...]:
@@ -326,6 +334,45 @@ def test_product_matches_the_chain(name):
         check_product(f, factors, positions)
 
     check()
+
+
+@pytest.mark.parametrize("name", [name for name, f in PRODUCT_FIELDS.items() if f.p > 2])
+def test_multiples_match_scale(name):
+    """`_multiples(row)[a]` is row * alpha^a (alpha the element x, the int p)
+    for every a < m: the byte maps (q <= 256) and the lookup lists (q > 256),
+    both built from `Field._times`, against the table-based `scale`, on the
+    field's first 1000 elements and on a drawn row with top zeros."""
+    f = PRODUCT_FIELDS[name]
+    kernel = f.kernel
+    rng = random.Random(name)
+    for row in (list(range(min(f.q, 1000))), [rng.randrange(f.q) for _ in range(50)] + [0, 0]):
+        multiples = kernel._multiples(row)
+        assert len(multiples) == f.m
+        for a, multiple in enumerate(multiples):
+            assert list(multiple) == kernel.scale(row, f.p ** a), a
+
+
+@pytest.mark.parametrize("args", [(3, 2, [1, 0, 1]), (5, 2, [2, 1, 1])], ids=["GF(9)", "GF(25)"])
+def test_plane_code_reads_no_field_table(args):
+    """`pack` + `combine`, `pack_factors` + `product` on planes and a
+    Kronecker `mul` build neither the field's log/exp tables nor the Zech
+    table: the alpha maps come from `Field._times`.  The results are then
+    checked against the table-based references."""
+    f = Field(*args)
+    kernel = f.kernel
+    rows = [[(5 * i + 3 * j) % f.q for j in range(9)] for i in range(6)]
+    coeffs = [f.q - 1, 0, 1, 2, f.q - 2, 7]
+    factors = [(2, 1), (f.q - 1, 0, 1), tuple(range(1, 9)) + (1,)]
+    packed = kernel.pack_factors(factors)
+    a, b = [f.q - 1] * KRONECKER_MIN, [x % f.q for x in range(3, 40)]
+    combined = kernel.combine(kernel.pack(rows), coeffs)
+    product = kernel.from_packed(kernel.product(packed, [0, 1, 2, 1]))
+    kronecker = kernel.mul(a, b)
+    assert packed[0] is not None                 # planes, not the chain
+    assert "_tables" not in vars(f) and "_zech" not in vars(kernel)
+    assert _strip(combined) == reference_combine(f, rows, coeffs)
+    assert product == _chain(f, factors, [0, 1, 2, 1])
+    assert kronecker == kernel._mul_loop(a, b)
 
 
 # -- spec level -----------------------------------------------------------------------------

@@ -293,6 +293,19 @@ def test_negative_counts_are_refused_before_any_trial(
     assert simulate(spec, model, exhaustive=exhaustive, **zero).trials == 0
 
 
+def test_exhaustive_mode_refuses_a_trial_count(rs42, monkeypatch):
+    """Exhaustive mode sets its own trial count, so a nonzero `trials` is
+    refused with a ValueError before any message is encoded."""
+    model = ChannelModel(FIXED_POSITIONS, (1,), master_seed=1)
+    encoded = []
+    monkeypatch.setattr(sim, "encode", lambda *a: encoded.append(a) or encode(*a))
+    for trials in (7, 1000):
+        with pytest.raises(ValueError, match=f"^trials must be 0 in exhaustive mode.*got {trials}$"):
+            simulate(rs42, model, trials=trials, exhaustive=True, message_sample=2)
+    assert encoded == []
+    assert simulate(rs42, model, trials=0, exhaustive=True, message_sample=2).trials == 8
+
+
 def test_simulate_exhaustive_beyond_the_sample_range(rs12_gf256):
     """Past sys.maxsize messages `random.sample(range(q^K))` raises
     OverflowError; the sweep then draws distinct messages one at a time."""

@@ -250,7 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="Monte-Carlo trial count (default 1000); 0 or none in exhaustive mode"),
         "--exhaustive": dict(action="store_true",
                              help="iterate every error value at the fixed positions"),
-        "--messages": dict(type=int, default=20, help="message sample size in exhaustive mode"),
+        "--messages": dict(type=int, default=None,
+                           help="message sample size in exhaustive mode (default 20)"),
         "--decoder": dict(choices=["gcd", "list", "both"], default="gcd"),
     }, _TIME, _DECODER)
     add("scan", cmd_scan, "exhaustive minimum-distance scan", _SPEC)

@@ -40,8 +40,8 @@ its `product` the chain of `poly_mul`, which every characteristic-2 kernel
 keeps and the tests hold the odd kernels' products to.
 `BitKernel` and `ByteKernel` set `packs`: there a packed value is one int,
 the bit row or the little-endian byte row, so a
-polynomial is packed once, when it is first computed on, results are
-born packed, and coefficients are unpacked only when read.  Every other
+polynomial is packed once, when it is born, results are born packed,
+and coefficients are unpacked only when read.  Every other
 kernel packs nothing: a packed value is the coefficient tuple, and the
 entry points strip the results of the list operations.  Those, `add`,
 `sub`, `mul` and `scale` on coefficient lists, serve the row builders in

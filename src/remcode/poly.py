@@ -9,17 +9,19 @@ A polynomial also has a packed value, the form its field's kernel
 (`remcode.kernels`) computes on: over GF(2) its bit row as an int, over
 GF(2^m) with q <= 256 its byte row as a little-endian int (`BitKernel` and
 `ByteKernel` set `packs`), and elsewhere the coefficient tuple itself.
-`+`, `-`, `*`, `divmod` and `poly_gcd` check the operands, hand their packed
-values to the kernel's entry points and return polynomials born packed,
-with their coefficient count, so `degree`, `is_zero` and `bool` read no
-coefficients.  Over a packing field a polynomial is a `_LazyPoly`: born
-from its coefficients or from its packed value, it fills the other form on
-its first read, so a chain of arithmetic packs each input once and unpacks
+Every polynomial is born with its packed value: one born from its
+coefficients packs them at birth (`_raw`).  `+`, `-`, `*`, `divmod` and
+`poly_gcd` check the operands, hand their packed values to the kernel's
+entry points and return polynomials born packed, with their coefficient
+count, so `degree`, `is_zero` and `bool` read no coefficients; `monic` is
+the kernel's `poly_monic`, the one its `gcd` ends with.  Over a packing
+field such a result is a `_LazyPoly`, lazy in one direction: it unpacks
+its coefficients on their first read, so a chain of arithmetic unpacks
 only what is read.  Equality compares packed values over one `Field`
-object and coefficients otherwise; hashing, `repr`, `serialize`, `copy`
-and `pickle` read the coefficients.  `scale` and `shift` work on
-coefficients, and `evaluate(beta)` is the remainder of division by
-x - beta.
+object, so it never packs, and coefficients otherwise; hashing, `repr`,
+`serialize`, `copy` and `pickle` read the coefficients.  `scale` and
+`shift` work on coefficients, and `evaluate(beta)` is the remainder of
+division by x - beta.
 
 Also provides Rabin's irreducibility test, the sieve that serves as its
 reference: every monic polynomial of a degree that is not a product of a
@@ -58,9 +60,9 @@ class Poly:
 
     Four slots: the field, the coefficient count `_n`, and two forms of the
     coefficients: `coeffs`, the tuple, and `packed`, the value the field's
-    kernel computes on (see the module docstring).  Where the kernel packs
-    nothing the two are one tuple, set at birth.  Where it packs, the
-    polynomial is a `_LazyPoly`, born with one of the two.
+    kernel computes on (see the module docstring).  `packed` is set at every
+    birth; `coeffs` too, except in a `_LazyPoly` born packed.  Where the
+    kernel packs nothing the two are one tuple.
     """
 
     __slots__ = ("field", "_n", "coeffs", "packed")
@@ -70,10 +72,12 @@ class Poly:
 
     @staticmethod
     def _raw(field: Field, coeffs: tuple[int, ...]) -> "Poly":
-        """Internal constructor for already-normalized coefficients (a
-        static method: calling it costs less than a class method)."""
+        """Internal constructor for already-normalized coefficients, packed
+        at birth (a static method: calling it costs less than a class
+        method)."""
         if field.kernel.packs:
             p = _new(_LazyPoly)
+            _set_packed(p, field.kernel.to_packed(coeffs))
         else:
             p = _new(Poly)
             _set_packed(p, coeffs)
@@ -93,24 +97,17 @@ class Poly:
 
     # -- constructors ---------------------------------------------------------
 
-    @staticmethod
-    def _constant(field: Field, coeffs: tuple[int, ...]) -> "Poly":
-        """`_raw` with both forms set: the constructors below."""
-        p = Poly._raw(field, coeffs)
-        _set_packed(p, field.kernel.to_packed(coeffs))
-        return p
-
     @classmethod
     def zero(cls, field: Field) -> "Poly":
-        return cls._constant(field, ())
+        return cls._raw(field, ())
 
     @classmethod
     def one(cls, field: Field) -> "Poly":
-        return cls._constant(field, (1,))
+        return cls._raw(field, (1,))
 
     @classmethod
     def x(cls, field: Field) -> "Poly":
-        return cls._constant(field, (0, 1))
+        return cls._raw(field, (0, 1))
 
     @classmethod
     def monomial(cls, field: Field, coeff: int, degree: int) -> "Poly":
@@ -248,10 +245,10 @@ class Poly:
         return divmod(self, other)[1]
 
     def monic(self) -> "Poly":
-        """Scale by the inverse of the leading coefficient (zero stays zero)."""
-        if self.is_zero or self.coeffs[-1] == 1:
-            return self
-        return self.scale(self.field.inv(self.coeffs[-1]))
+        """Scale by the inverse of the leading coefficient, by the kernel's
+        `poly_monic`; zero, whose packed value is falsy, stays zero."""
+        packed = self.packed and self.field.kernel.poly_monic(self.packed)
+        return self if packed == self.packed else _born(self.field, packed)
 
     def evaluate(self, beta: int) -> int:
         """The value at a field element: the remainder of division by x - beta."""
@@ -269,23 +266,19 @@ _new = object.__new__
 
 
 class _LazyPoly(Poly):
-    """A `Poly` over a field whose kernel packs: of `coeffs` and `packed`,
-    the one not set at birth is filled on its first read, by `__getattr__`,
-    which Python calls only when a slot is unset.  Only this class has a
-    `__getattr__`, since with one every attribute read of an instance
-    takes a slower path."""
+    """A `Poly` over a field whose kernel packs.  One born packed (`_born`)
+    fills `coeffs` from `packed` on their first read, by `__getattr__`,
+    which Python calls only when a slot is unset; `packed` is never unset.
+    Only this class has a `__getattr__`, since with one every attribute
+    read of an instance takes a slower path."""
 
     __slots__ = ()
 
     def __getattr__(self, name: str):
-        if name == "coeffs":
-            value = self.field.kernel.from_packed(self.packed)
-            _set_coeffs(self, value)
-        elif name == "packed":
-            value = self.field.kernel.to_packed(self.coeffs)
-            _set_packed(self, value)
-        else:
+        if name != "coeffs":
             raise AttributeError(name)
+        value = self.field.kernel.from_packed(self.packed)
+        _set_coeffs(self, value)
         return value
 
 

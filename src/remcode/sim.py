@@ -205,20 +205,26 @@ def simulate(
     decoders=("gcd",),
     options: DecodeOptions = DecodeOptions(),
     exhaustive: bool = False,
-    message_sample: int = 20,
+    message_sample: int | None = None,
     candidates=None,
 ) -> SimReport:
     """Run the channel against the selected decoders.
 
-    Monte-Carlo mode draws `trials` independent (message, error) pairs.
-    Exhaustive mode (fixed positions only) iterates every nonzero error
-    value combination at the support, across `message_sample` messages
-    drawn without replacement; total trials are capped at 10**7, and it
-    takes no trial count: `trials` must be 0.  Each
+    Monte-Carlo mode draws `trials` independent (message, error) pairs,
+    one message per trial, and takes no message sample: `message_sample`
+    must be None.  Exhaustive mode (fixed positions only) iterates every
+    nonzero error value combination at the support, across `message_sample`
+    messages (20 when None) drawn without replacement; total trials are
+    capped at 10**7, and it takes no trial count: `trials` must be 0.  Each
     trial is decoded once: `list_decode`, which returns the gcd outcome
     unless it failed, runs only where it failed, and is handed that outcome.
     The count the mode reads must not be negative; zero runs no trial.
     """
+    if exhaustive:
+        message_sample = 20 if message_sample is None else message_sample
+    elif message_sample is not None:
+        raise ValueError(f"message_sample is for exhaustive mode; Monte-Carlo mode "
+                         f"draws one message per trial, got {message_sample}")
     param, count = ("message_sample", message_sample) if exhaustive else ("trials", trials)
     if count < 0:
         raise ValueError(f"{param} must be >= 0, got {count}")

@@ -263,6 +263,19 @@ def test_simulate_exhaustive_takes_no_trial_count(rs42_file, capsys):
     assert capsys.readouterr().out == zero
 
 
+def test_simulate_monte_carlo_takes_no_message_sample(rs42_file, capsys):
+    """Monte-Carlo mode draws one message per trial: `--messages 7` exits 2
+    with one `error:` line and no report, and without it the run reports."""
+    run = ["simulate", "--spec", rs42_file, "--trials", "5", "--hamming-weight", "1",
+           "--seed", "3"]
+    assert main(run + ["--messages", "7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: message_sample is for exhaustive")
+    assert len(captured.err.splitlines()) == 1
+    assert main(run) == 0
+    assert capsys.readouterr().out.startswith("trials: 5\n")
+
+
 def test_simulate_needs_exactly_one_weight_flag(rs42_file, capsys):
     assert main(["simulate", "--spec", rs42_file, "--trials", "5"]) == 2
     assert main(["simulate", "--spec", rs42_file, "--trials", "5",
@@ -327,15 +340,15 @@ def test_usage_error_exit_code():
 
 
 @pytest.mark.parametrize("channel", [
-    ["--trials", "0", "--exhaustive", "--positions=-1"],
-    ["--trials", "0", "--exhaustive", "--positions", "4"],
+    ["--trials", "0", "--exhaustive", "--messages", "2", "--positions=-1"],
+    ["--trials", "0", "--exhaustive", "--messages", "2", "--positions", "4"],
     ["--trials", "2", "--degree-weight=-1"],
     ["--trials", "2", "--positions", "2,2"],
-    ["--trials", "0", "--exhaustive", "--positions", "1,2,1"],
+    ["--trials", "0", "--exhaustive", "--messages", "2", "--positions", "1,2,1"],
 ], ids=["exhaustive-negative", "exhaustive-past-n", "negative-degree-weight",
         "repeated-position", "exhaustive-repeated-position"])
 def test_simulate_infeasible_channel_is_a_usage_error(rs42_file, channel, capsys):
-    assert main(["simulate", "--spec", rs42_file, "--messages", "2"] + channel) == 2
+    assert main(["simulate", "--spec", rs42_file] + channel) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
 
@@ -420,6 +433,8 @@ GOLDEN_RUNS = {
                             "--decoder", "both"],
     "simulate-exhaustive-trials": ["simulate", "--spec", "rs42.json", "--trials", "7",
                                    "--exhaustive", "--positions", "1", "--messages", "2"],
+    "simulate-messages": ["simulate", "--spec", "rs42.json", "--trials", "5",
+                          "--hamming-weight", "1", "--messages", "7", "--seed", "3"],
     "scan": ["scan", "--spec", "rs42.json"],
     "tables": ["tables", "--q", "2", "--max-degree", "6"],
     "tables-csv": ["tables", "--q", "2", "--max-degree", "6", "--csv"],
@@ -488,6 +503,7 @@ GOLDEN = {  # name: (exit code, stdout, {written file: text})
         "  support 4 list: success=124 miscorrect=0 failure=0\n"
     ), {}),
     "simulate-exhaustive-trials": (2, "", {}),
+    "simulate-messages": (2, "", {}),
     "spec-check-ladder5": (0, (
         "field: GF(2)\n"
         "n: 5\n"

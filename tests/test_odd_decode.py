@@ -14,9 +14,11 @@ products are plane `product`s.  On both:
 * beyond the radius every option returns an outcome and never raises, and
   each success is checked against its definition (`_check_outcome`);
 * erasure recovery by the fixed transform equals `interpolate_direct`;
-* those three plane paths each ran, counted by patching the kernel
-  instance, so that a crossover change that routes these specs around one
-  of them fails here instead of losing the coverage unseen.
+* those three plane paths each ran, and so did the short products'
+  `_mul_loop` and both sides of `_slot_sum` (class sums on GF(9), the
+  digit loop on GF(17)), counted by patching the kernel instance, so that
+  a crossover change that routes these specs around one of them fails
+  here instead of losing the coverage unseen.
 """
 
 from __future__ import annotations
@@ -134,15 +136,23 @@ def test_fixed_transform_equals_direct_interpolation(name):
         assert interpolate_fixed_transform(spec, word, pattern) == direct == sent
 
 
+# the side of `_SlotKernel._slot_sum` each spec's `combine` takes: class sums
+# over GF(9), where p - 1 has 2 bits, the digit loop over GF(17), with 5
+SLOT_SUM_SIDE = {"GF(9)": "class sums", "GF(17)": "digit loop"}
+
+
 @pytest.mark.parametrize("name", list(SPECS))
 def test_decoding_reaches_the_plane_paths(name, monkeypatch):
-    """A decode at t_degree runs `_divide_planes` in its Euclid loop and a
+    """A decode at t_degree runs `_divide_planes` in its Euclid loop, a
     Kronecker `mul` (shorter operand of at least `KRONECKER_MIN`
-    coefficients); an erasure recovery builds its erased product by a
-    `product` on planes (`pack_factors` chose planes: a slot size, not None)."""
+    coefficients), the short products' `_mul_loop` and its spec's side of
+    `_slot_sum` (`SLOT_SUM_SIDE`); an erasure recovery builds its erased
+    product by a `product` on planes (`pack_factors` chose planes: a slot
+    size, not None)."""
     spec = _spec(name)
     kernel = spec.field.kernel
-    ran = {"divide": 0, "kronecker": 0, "product": 0}
+    side = SLOT_SUM_SIDE[name]
+    ran = {"divide": 0, "kronecker": 0, "product": 0, "mul loop": 0, side: 0}
 
     def counted(method, path, test):
         def wrapper(*args):
@@ -153,11 +163,15 @@ def test_decoding_reaches_the_plane_paths(name, monkeypatch):
     counted(kernel._divide_planes, "divide", lambda x, y: len(y) >= PLANE_DIVIDE_MIN)
     counted(kernel.mul, "kronecker", lambda a, b: min(len(a), len(b)) >= KRONECKER_MIN)
     counted(kernel.product, "product", lambda packed, positions: packed[0] is not None)
+    counted(kernel._mul_loop, "mul loop", lambda a, b: True)
+    counted(kernel._slot_sum, side,
+            lambda rows, coeffs: bool(kernel._class_bits) == (side == "class sums"))
     rng = random.Random(name + " paths")
     sent = random_message(rng, spec)
     error = _error(rng, spec, spec.t_degree)
     assert decode(spec, encode(spec, sent) + error).message == sent
     assert ran["divide"] and ran["kronecker"] and not ran["product"], ran
+    assert ran["mul loop"] and ran[side], ran
     pattern = ErasurePattern(spec, frozenset(range(spec.n)) - set(error.support()))
     assert interpolate_fixed_transform(spec, list(encode(spec, sent).symbols), pattern) == sent
     assert ran["product"], ran

@@ -3,8 +3,8 @@ kernel's packed int.
 
 `BitKernel` (GF(2), a bit row) and `ByteKernel` (2 < q <= 256, a
 little-endian byte row) set `packs`: a polynomial over their fields is a
-`_LazyPoly`, born with one of its two forms, the coefficient tuple or the
-packed int, which fills the other on its first read.  These tests hold
+`_LazyPoly`, born with its packed int; one born packed fills its
+coefficient tuple on its first read.  These tests hold
 
 * every packed entry point (`poly_add`, `poly_sub`, `poly_mul`,
   `poly_divmod`, `gcd`, `combine_packed`) to the same entry point of a
@@ -14,6 +14,7 @@ packed int, which fills the other on its first read.  These tests hold
 * polynomials born either way, mixed, to one value: equality, hash, `copy`,
   `pickle`, `repr` and `serialize`, and equality with the same polynomial
   over a GF(2) that runs `PrimeKernel`;
+* every birth path to a packed value set at birth;
 * the GF(2) decoder's Euclid loop to no unpacking: no polynomial's
   coefficients are read from its packed value inside it.
 """
@@ -22,13 +23,14 @@ from __future__ import annotations
 
 import copy
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import remcode.decoder as rdec
-from remcode.code import Codeword, encode
-from remcode.decoder import DecodeStatus, decode
+from remcode.code import Codeword, encode, psi_inverse
+from remcode.decoder import DecodeStatus, decode, upper_parts
 from remcode.field import Field
 from remcode.kernels import ROW_MIN, BitKernel, Char2Kernel, PrimeKernel, _from_bits, _strip
 from remcode.poly import Poly, _born, _LazyPoly, poly_gcd
@@ -101,11 +103,12 @@ def test_packed_ops_match_a_kernel_that_packs_nothing(name):
 
 @pytest.mark.parametrize("name", ["GF(2)", "GF(2^8)"])
 def test_packed_and_coefficient_born_polys_are_one_value(name):
-    """A polynomial born from its coefficients and one born packed, with
-    neither form read yet, compare equal both ways round, hash alike, copy,
-    pickle, print and serialize alike, and so do the results of arithmetic
-    that mixes them; over GF(2) each also equals the same polynomial over a
-    GF(2) that runs `PrimeKernel`, whose polynomials pack nothing."""
+    """A polynomial born from its coefficients, which packs them at birth,
+    and one born packed, its coefficients not read yet, compare equal both
+    ways round, hash alike, copy, pickle, print and serialize alike, and so
+    do the results of arithmetic that mixes them; over GF(2) each also
+    equals the same polynomial over a GF(2) that runs `PrimeKernel`, whose
+    polynomials pack nothing."""
     f = REFERENCES[name][0]
     prime = _prime_gf2()
 
@@ -118,7 +121,7 @@ def test_packed_and_coefficient_born_polys_are_one_value(name):
             """(coefficient-born, packed-born) polynomials of the tuple t."""
             by_coeffs, by_packed = Poly(f, t), _born(f, f.kernel.to_packed(t))
             assert type(by_coeffs) is type(by_packed) is _LazyPoly
-            assert not _is_set(by_coeffs, "packed") and not _is_set(by_packed, "coeffs")
+            assert _is_set(by_coeffs, "packed") and not _is_set(by_packed, "coeffs")
             return by_coeffs, by_packed
 
         for x, y in (both(c), both(c)[::-1]):
@@ -147,6 +150,27 @@ def test_packed_and_coefficient_born_polys_are_one_value(name):
                 assert x * x == other * other and other * other == x * x
 
     check()
+
+
+@pytest.mark.parametrize("spec_name", ["ladder5", "rs12_gf256"])
+def test_every_birth_sets_packed(spec_name, request):
+    """Over GF(2) and GF(2^8) a polynomial is born with its packed value,
+    equal to its coefficients packed, by every path: `Poly(...)`, `zero`,
+    `one`, `x`, `monomial`, `from_int`, `copy`, `deepcopy` and `pickle`,
+    the symbols of `Codeword.symbols` and the windows of `upper_parts`."""
+    spec = request.getfixturevalue(spec_name)
+    f = spec.field
+    rng = random.Random(spec_name)
+    a = Poly(f, [rng.randrange(f.q) for _ in range(spec.K - 1)] + [1])
+    births = [a, Poly.zero(f), Poly.one(f), Poly.x(f), Poly.monomial(f, f.q - 1, 9),
+              Poly.from_int(f, a.to_int()), copy.copy(a), copy.deepcopy(a),
+              pickle.loads(pickle.dumps(a))]
+    word = encode(spec, a)
+    births += word.symbols
+    births += upper_parts(spec, psi_inverse(spec, word))
+    for p in births:
+        assert type(p) is _LazyPoly and _is_set(p, "packed"), p
+        assert object.__getattribute__(p, "packed") == f.kernel.to_packed(p.coeffs), p
 
 
 def test_gf2_euclid_loop_unpacks_nothing(monkeypatch, ladder5):

@@ -26,11 +26,31 @@ from remcode.poly import (
 )
 
 from conftest import P
+from test_rows import FIELDS as ROW_FIELDS
 
 
 def test_normalization_strips_leading_zeros(gf5):
     assert Poly(gf5, [1, 2, 0, 0]).coeffs == (1, 2)
     assert Poly(gf5, [0, 0, 0]).coeffs == ()
+
+
+@pytest.mark.parametrize("name", list(ROW_FIELDS))
+def test_monic_is_the_kernels(name, monkeypatch):
+    """`Poly.monic` hands its packed value to the kernel's `poly_monic`, the
+    monic `gcd` uses, and returns the polynomial itself when that comes
+    back unchanged; zero stays zero without a call."""
+    f = ROW_FIELDS[name]
+    calls = []
+    poly_monic = f.kernel.poly_monic
+    monkeypatch.setattr(f.kernel, "poly_monic", lambda x: calls.append(x) or poly_monic(x))
+    rng = random.Random(name)
+    a = Poly(f, [rng.randrange(f.q) for _ in range(12)] + [f.q - 1])
+    m = a.monic()
+    assert calls == [a.packed]
+    assert m.is_monic and m == a.scale(f.inv(f.q - 1)) and (m is a) == (f.q == 2)
+    assert m.monic() is m and len(calls) == 2
+    zero = Poly.zero(f)
+    assert zero.monic() is zero and len(calls) == 2
 
 
 def test_poly_is_immutable(gf2, gf5):

@@ -306,6 +306,24 @@ def test_exhaustive_mode_refuses_a_trial_count(rs42, monkeypatch):
     assert simulate(rs42, model, trials=0, exhaustive=True, message_sample=2).trials == 8
 
 
+def test_monte_carlo_mode_refuses_a_message_sample(rs42, monkeypatch):
+    """Monte-Carlo mode draws one message per trial, so a message sample,
+    zero included, is refused with a ValueError before any message is
+    encoded; exhaustive mode reads no sample as 20."""
+    model = ChannelModel(RANDOM_HAMMING, 1, master_seed=3)
+    encoded = []
+    monkeypatch.setattr(sim, "encode", lambda *a: encoded.append(a) or encode(*a))
+    for sample in (0, 7, 20):
+        with pytest.raises(ValueError, match=f"^message_sample is for exhaustive mode.*got {sample}$"):
+            simulate(rs42, model, trials=5, message_sample=sample)
+    assert encoded == []
+    assert simulate(rs42, model, trials=5).trials == 5
+    sweep = ChannelModel(FIXED_POSITIONS, (1,), master_seed=3)
+    assert simulate(rs42, sweep, trials=0, exhaustive=True) == simulate(
+        rs42, sweep, trials=0, exhaustive=True, message_sample=20)
+    assert simulate(rs42, sweep, trials=0, exhaustive=True).trials == 20 * 4
+
+
 def test_simulate_exhaustive_beyond_the_sample_range(rs12_gf256):
     """Past sys.maxsize messages `random.sample(range(q^K))` raises
     OverflowError; the sweep then draws distinct messages one at a time."""

@@ -32,25 +32,26 @@ from remcode.sim import (
     simulate,
 )
 
-# spec -> mode -> (channel kind, weight or positions, trials, exhaustive, message sample)
+# spec -> mode -> (channel kind, weight or positions, trials, exhaustive, message
+# sample); Monte-Carlo mode takes no message sample, so its sample is None
 CHANNELS = {
     "rs42": {
-        "fixed": (FIXED_POSITIONS, (1,), 30, False, 20),
-        "hamming": (RANDOM_HAMMING, 2, 30, False, 20),
-        "degree": (RANDOM_DEGREE, 2, 30, False, 20),
+        "fixed": (FIXED_POSITIONS, (1,), 30, False, None),
+        "hamming": (RANDOM_HAMMING, 2, 30, False, None),
+        "degree": (RANDOM_DEGREE, 2, 30, False, None),
         # 25 = q**K: the sample covers every message
         "exhaustive": (FIXED_POSITIONS, (2,), 0, True, 25),
     },
     "ladder5": {
-        "fixed": (FIXED_POSITIONS, (4,), 40, False, 20),
-        "hamming": (RANDOM_HAMMING, 1, 40, False, 20),
-        "degree": (RANDOM_DEGREE, 5, 40, False, 20),
+        "fixed": (FIXED_POSITIONS, (4,), 40, False, None),
+        "hamming": (RANDOM_HAMMING, 1, 40, False, None),
+        "degree": (RANDOM_DEGREE, 5, 40, False, None),
         "exhaustive": (FIXED_POSITIONS, (4,), 0, True, 5),
     },
     "gf4_mixed": {
-        "fixed": (FIXED_POSITIONS, (3,), 30, False, 20),
-        "hamming": (RANDOM_HAMMING, 2, 30, False, 20),
-        "degree": (RANDOM_DEGREE, 3, 30, False, 20),
+        "fixed": (FIXED_POSITIONS, (3,), 30, False, None),
+        "hamming": (RANDOM_HAMMING, 2, 30, False, None),
+        "degree": (RANDOM_DEGREE, 3, 30, False, None),
         "exhaustive": (FIXED_POSITIONS, (0, 3), 0, True, 4),
     },
 }

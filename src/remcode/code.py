@@ -38,8 +38,8 @@ outside is checked and flattened in one pass (`CodeSpec._flatten`).
 `CodeSpec._shift_rows` is the one builder of rows x^j * v mod M_n, padded to
 N coefficients: the inverse rows, the reduction rows and, outside GF(2),
 the list decoder's locator rows are such rows.  Over GF(2) the scan's
-kernel builds its locator rows as bit rows by shift and xor
-(`BitKernel.locator_survivors`).
+kernel builds its locator rows by shift and xor, as bit rows and with one
+byte per coefficient (`BitKernel.locator_survivors`).
 
 `CodeSpec.product` is the one place where products of moduli are formed:
 one kernel `product` over the moduli, which the spec packs once

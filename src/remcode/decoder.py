@@ -373,7 +373,8 @@ def _locator_scan(spec: CodeSpec, received_preimage: Poly,
     rejections (`locator_survivors`): deg g > cap (the zero candidate
     included), which the verdict forbids, and deg Z >= K + deg g, which no
     quotient below K allows.  Over GF(2) that test is bit-sliced, one pass
-    for every candidate; the other fields test one candidate at a time.
+    for every candidate, by lookups in tables built once per list; the
+    other fields test one candidate at a time.
     The kernel yields the survivors in list order.  This loop, the only
     scan loop, raises on a candidate over another field; for any other
     survivor it forms Z by `combine`, divides it by g as the reference

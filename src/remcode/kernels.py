@@ -136,7 +136,9 @@ list decoder's degree test (`locator_survivors`) reads the `packed_len`
 of such a sum's `combine_packed`: in `ByteKernel` the packed sum's byte
 length, with no unpacking.  Over GF(2) the
 same linearity runs sideways: `BitKernel.locator_survivors` holds one bit
-per candidate in each mask and tests every candidate's degree at once.
+per candidate in each mask and tests every candidate's degree at once, the
+xor of the masks that each coefficient selects read from one table of up
+to 256 entries per run of 8 locator rows.
 
 Coefficient lists are lowest degree first (for byte rows, so are the bytes
 of an int: "little" byte order; for bit rows, the bits).  The list
@@ -161,8 +163,8 @@ from __future__ import annotations
 
 import itertools
 import struct
-from functools import cached_property, reduce
-from operator import or_, xor
+from functools import cached_property, partial, reduce
+from operator import and_, lshift, or_, xor
 from typing import Sequence
 
 Coeffs = Sequence[int]
@@ -984,6 +986,11 @@ def _from_bits(x: int, length: int) -> list[int]:
     return list(bin(x)[:1:-1].encode().translate(_FROM_DIGITS).ljust(length, b"\0"))
 
 
+def _bit_bytes(x: int) -> int:
+    """The bit row x with one byte per coefficient: byte i is bit i of x."""
+    return int.from_bytes(bin(x)[2:].encode().translate(_FROM_DIGITS), "big")
+
+
 def _walk(items: tuple, mask: int):
     """The items at the set bits of `mask`, lowest bit first."""
     while mask:
@@ -1008,7 +1015,8 @@ class BitKernel(ByteKernel):
     the rows whose coefficient is 1, with no selector built and no scaling.
     The list scan forms no sum to test a degree here: `locator_survivors`
     runs the degree test of every candidate at once, on masks with one bit
-    per candidate, and `combine_packed` runs only for its few survivors.
+    per candidate read from per-list tables, with no Python step per row
+    and coefficient, and `combine_packed` runs only for its few survivors.
     No other inherited code runs here: `poly_divmod` and `poly_mod` work on
     bit rows, and every nonzero lead is 1, so `poly_monic` is the identity
     and a gcd unpacks nothing.
@@ -1016,7 +1024,7 @@ class BitKernel(ByteKernel):
 
     _to_int = staticmethod(_to_bits)
     _unpack = staticmethod(_from_bits)
-    # (key, masks) of the last candidate list scanned; see `locator_survivors`
+    # (key, tables and masks) of the last candidate list scanned; see `locator_survivors`
     _scan_memo: tuple = (None, None)
 
     def _xor_sum(self, rows, coeffs: Coeffs) -> int:
@@ -1028,48 +1036,65 @@ class BitKernel(ByteKernel):
         """`_Kernel.locator_survivors` with one degree test for every
         candidate at once, bit-sliced: bit i of a mask stands for candidate i.
 
-        Row j is x^j * Y mod M_n as a bit row, built by shift and xor with
-        M_n.  With G_j the mask of the candidates that have an x^j term,
+        Row j is x^j * Y mod M_n, built by shift and xor with M_n twice
+        over: as a bit row (for `combine_packed`) and spread, one byte per
+        coefficient (`_bit_bytes`; the next row is the previous one shifted
+        left a byte, xored with the spread M_n when its byte N is set).
+        With G_j the mask of the candidates that have an x^j term,
         coefficient k of every candidate's Z is one mask, W_k = the xor of
-        the G_j whose row has coefficient k set: one `reduce(xor, compress)`
-        per k >= K, over the rows transposed once.  Candidate i fails
-        exactly when some W_k with k >= K + deg g_i has bit i set, so with
-        S_d the OR of W_k for k >= K + d, the failures are the OR over d of
-        (the mask of the candidates of degree d) & S_d.  The survivors, and
-        the candidates over another field, are yielded lowest index first.
+        the G_j whose row has coefficient k set.  The rows come in runs of
+        8, and each run has a table of the xors of its G_j, by selector
+        (`_scan_masks`): the spread rows of a run, each shifted by its
+        place in the run and ORed, hold in byte k the selector of
+        coefficient k, so each run's part of W_k is one table lookup, and
+        W_k the xor of the runs' lookups, all by C-level `map`s.
+        Candidate i fails exactly when some W_k with k >= K + deg g_i has
+        bit i set, so with S_d the OR of W_k for k >= K + d (the suffix
+        ORs, by `accumulate` from the top coefficient down), the failures
+        are the OR over d of (the mask of the candidates of degree d) &
+        S_d.  The survivors, and the candidates over another field, are
+        yielded lowest index first.
 
-        The masks depend on the candidate list alone; they are built on
+        The tables depend on the candidate list alone; they are built on
         the first scan of a list and kept for the next scan while
         `(cap, tuple(candidates))` stays equal, so an edited list, or a
         generator, is read afresh.
         """
         n, k = spec.N, spec.K
         m, top, r = spec.modulus_product.packed, 1 << n, y.packed
-        ints = [r]
+        spread_m, s = _bit_bytes(m), _bit_bytes(r)
+        ints, spread = [r], [s]
         for _ in range(cap):
             r <<= 1
+            s <<= 8
             if r & top:
                 r ^= m
+                s ^= spread_m
             ints.append(r)
+            spread.append(s)
         key = (cap, tuple(candidates))
         memo_key, masks = self._scan_memo
         if memo_key != key:
             masks = self._scan_masks(key[1], cap)
             self._scan_memo = key, masks
-        g_masks, by_degree, valid, foreign = masks
-        # coefficients K..N-1 of every row, highest first, as 0/1 bytes
-        tops = [format(x >> k, f"0{n - k}b").encode().translate(_FROM_DIGITS) for x in ints]
-        acc = fail = 0
-        for d, column in zip(range(n - k - 1, -1, -1), zip(*tops)):
-            acc |= reduce(xor, itertools.compress(g_masks, column), 0)     # S_d
-            if d <= cap:
-                fail |= by_degree[d] & acc
+        tables, by_degree, valid, foreign = masks
+        # W_k for k = N-1 down to K: row i + b of a run sets bit b of each selector byte
+        w = reduce(partial(map, xor), [
+            map(table.__getitem__,
+                (sum(map(lshift, spread[i:i + 8], range(8))) >> 8 * k).to_bytes(n - k, "big"))
+            for i, table in zip(range(0, cap + 1, 8), tables)])
+        suffix = list(itertools.accumulate(w, or_))                 # S_d, d descending
+        fail = reduce(or_, map(and_, by_degree, reversed(suffix)), 0)
         return (n, ints), _walk(key[1], valid & ~fail | foreign)
 
     def _scan_masks(self, candidates: tuple, cap: int) -> tuple:
-        """(G_j for j <= cap, the mask of each degree d <= cap, the valid
-        mask, the foreign mask): a candidate is valid when it is over this
-        field with 0 <= deg <= cap, and foreign when it is over another."""
+        """(the selector tables of each run of 8 rows, the mask of each
+        degree d <= cap, the valid mask, the foreign mask): a candidate is
+        valid when it is over this field with 0 <= deg <= cap, and foreign
+        when it is over another.  Entry `sel` of a run's table is the xor
+        of the G_j of the run whose bit is set in `sel` (bit i for the
+        run's i-th row), built by doubling, one list per G_j; the last run
+        may have fewer than 8 rows, and its table 2^rows entries."""
         field, width = self.field, cap + 1
         by_degree, padded, foreign = [0] * width, [], 0
         for i, g in enumerate(candidates):
@@ -1081,8 +1106,15 @@ class BitKernel(ByteKernel):
                 padded.append(bytes(c).ljust(width, b"\0"))
                 continue
             padded.append(bytes(width))
-        g_masks = [_to_bits(column) for column in zip(*padded)]
-        return g_masks, by_degree, reduce(or_, by_degree), foreign
+        # an empty list has no columns, and its tables are all zero
+        g_masks = [_to_bits(column) for column in zip(*padded)] or [0] * width
+        tables = []
+        for i in range(0, width, 8):
+            table = [0]
+            for g in g_masks[i:i + 8]:
+                table += [t ^ g for t in table]
+            tables.append(table)
+        return tables, by_degree, reduce(or_, by_degree), foreign
 
     def scale(self, a: Coeffs, c: int) -> list[int]:
         return list(a)

@@ -810,14 +810,16 @@ def _first_hit_by_reference(spec, y: Poly, candidates) -> tuple[Poly, Poly] | No
     return None
 
 
-def _planted_preimage(rng: random.Random, spec, g0: Poly) -> Poly:
+def _planted_preimage(rng: random.Random, spec, g0: Poly, kind: int | None = None) -> Poly:
     """Y with g0 * Y = Z0 mod M_n for a chosen Z0, g0 a unit mod M_n.
 
-    Z0 is g0 times a message (a hit), g0 times a polynomial of degree
-    exactly K (deg Z = K + deg g0, the degree test's bound), or a random
-    polynomial below that bound, which g0 rarely divides."""
+    Z0 is g0 times a message (a hit, kind 0), g0 times a polynomial of
+    degree exactly K (deg Z = K + deg g0, the degree test's bound, kind 1),
+    or a random polynomial below that bound, which g0 rarely divides
+    (kind 2); the kind is drawn when not given."""
     f, K = spec.field, spec.K
-    kind = rng.randrange(3)
+    if kind is None:
+        kind = rng.randrange(3)
     if kind == 0:
         z0 = g0 * random_message(rng, spec)
     elif kind == 1:
@@ -960,15 +962,20 @@ def test_list_decode_refuses_a_candidate_over_another_field(ladder5, gf4):
 LADDER20_DEGREES = (1, 1, 2, 3, 3, 4, 4, 4, 5, 5, 5, 5, 6, 6, 6, 6, 7, 7, 7, 7)
 
 
+def _gf2_spec(gf2, degrees: tuple[int, ...], k: int) -> CodeSpec:
+    """GF(2) code with the first irreducible moduli of the given degrees."""
+    moduli = []
+    for d in sorted(set(degrees)):
+        moduli += irreducible_polys(gf2, d)[:degrees.count(d)]
+    return CodeSpec(gf2, moduli, k)
+
+
 @pytest.fixture(scope="module")
 def ladder20(gf2) -> tuple[CodeSpec, list[Poly]]:
     """GF(2) code with 20 irreducible moduli of degrees 1..7 and k = 8, and
     its 442 list candidates: each scan mask then spans 442 bits, so hits
     lie past bit 63."""
-    moduli = []
-    for d in sorted(set(LADDER20_DEGREES)):
-        moduli += irreducible_polys(gf2, d)[:LADDER20_DEGREES.count(d)]
-    spec = CodeSpec(gf2, moduli, 8)
+    spec = _gf2_spec(gf2, LADDER20_DEGREES, 8)
     return spec, build_candidate_list(spec)
 
 
@@ -1025,21 +1032,41 @@ def test_locator_scan_misses_when_no_candidate_passes(ladder20, ladder5):
         assert _locator_scan(spec, y, []) is None
 
 
-def test_locator_scan_sees_a_list_edited_in_place(ladder20):
-    """The masks of a list are kept between scans, but never for a list
-    whose entries changed since."""
+def test_locator_scan_sees_a_list_edited_in_place(ladder20, monkeypatch):
+    """The tables of a list are kept between scans, but never for a list
+    whose entries changed since, nor for another cap: `_scan_masks` runs
+    once per list and cap, and again after each edit."""
     spec, cands = ladder20
+    kernel, cap = spec.field.kernel, _locator_degree_cap(spec)
+    builds = []
+    scan_masks = kernel._scan_masks
+
+    def counting_scan_masks(candidates, cap):
+        builds.append(cap)
+        return scan_masks(candidates, cap)
+
+    monkeypatch.setattr(kernel, "_scan_memo", (None, None))
+    monkeypatch.setattr(kernel, "_scan_masks", counting_scan_masks)
     g = spec.product([16, 17])
     y = psi_inverse(spec, _error_on(random.Random(2104), spec, g))
     listed = _without(spec, cands, [16, 17])
     assert _locator_scan(spec, y, listed) is None
+    assert _locator_scan(spec, y, listed) is None
+    assert builds == [cap]
     listed[70] = g
     assert _locator_scan(spec, y, listed) == _first_hit_by_reference(spec, y, listed)
     assert _locator_scan(spec, y, listed)[0] is g
+    assert builds == [cap] * 2
     listed[70] = Poly.zero(spec.field)
     assert _locator_scan(spec, y, listed) is None
+    assert builds == [cap] * 3
     listed.append(g)
     assert _locator_scan(spec, y, listed)[0] is g
+    assert _locator_scan(spec, y, listed)[0] is g
+    assert builds == [cap] * 4
+    for other in (cap - 1, cap - 1, cap):
+        list(kernel.locator_survivors(spec, y, listed, other)[1])
+    assert builds == [cap] * 4 + [cap - 1, cap]
 
 
 def test_locator_scan_takes_a_tuple_or_a_generator(ladder20, gf4_mixed):
@@ -1073,6 +1100,41 @@ def test_locator_scan_raises_on_a_foreign_candidate_before_the_hit(ladder20, gf4
     with pytest.raises(SpecMismatch):
         list_decode(spec, word, [foreign] + cands)
     assert _locator_scan(spec, y, cands + [foreign]) == _locator_scan(spec, y, cands)
+
+
+def test_locator_scan_survivors_match_the_generic_kernel(gf2, gf4, ladder5, ladder20):
+    """`BitKernel.locator_survivors` (runs of 8 rows, one table each) yields
+    the same candidate objects in the same order as the generic
+    `_Kernel.locator_survivors` on the same kernel, with the same rows, for
+    6, 8, 16 and 41 rows: below, at and past one and two runs."""
+    specs = [(ladder5, 6), (_gf2_spec(gf2, (1, 1, 2, 3, 3, 4), 2), 8),
+             (_gf2_spec(gf2, (1, 1, 2, 3, 3, 4, 5, 5, 5), 3), 16), (ladder20[0], 41)]
+    rng = random.Random(3001)
+    foreign = P(gf4, 2, 1)
+    boundary = 0
+    for spec, rows in specs:
+        kernel, cap, m = spec.field.kernel, _locator_degree_cap(spec), spec.modulus_product
+        assert cap + 1 == rows
+        listed = build_candidate_list(spec)
+        over_cap = Poly.monomial(gf2, 1, cap + 1) + Poly.one(gf2)
+        for trial in range(6):
+            g0 = Poly.from_int(gf2, rng.randrange(1, 2 ** (cap + 1)))
+            while poly_gcd(g0, m).degree:
+                g0 = Poly.from_int(gf2, rng.randrange(1, 2 ** (cap + 1)))
+            y = (random_preimage(rng, spec) if trial % 3 == 2
+                 else _planted_preimage(rng, spec, g0, kind=trial % 3))
+            if ((g0 * y) % m).degree == spec.K + g0.degree:
+                boundary += 1
+            picks = rng.sample(listed, min(len(listed), 40))
+            candidates = [Poly.zero(gf2), over_cap, foreign, g0, *picks, g0,
+                          Poly(gf2, g0.coeffs), picks[0]]
+            rng.shuffle(candidates)
+            for cands in (candidates, listed, []):
+                bit_rows, bit = kernel.locator_survivors(spec, y, cands, cap)
+                ref_rows, ref = kernels._Kernel.locator_survivors(kernel, spec, y, cands, cap)
+                assert bit_rows == ref_rows
+                assert list(map(id, bit)) == list(map(id, ref))
+    assert boundary >= len(specs)
 
 
 def test_locator_scan_over_gf2_forms_z_only_for_survivors(ladder20, gf4_mixed, monkeypatch):

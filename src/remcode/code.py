@@ -31,8 +31,10 @@ add or sub on rows, `psi_inverse` weights the inverse rows by a word's
 row, and the support, both weights and the zero-residue count read which
 slices are nonzero (`CodeSpec._support`).  The library cuts no row into
 n `Poly`s: only `Codeword.symbols` and `CodeSpec.residues`, for callers
-outside it and for printing, do so (`CodeSpec._split`), and a degree-1
-position then takes a constant `Poly` shared per spec.  A symbol list from
+outside it and for printing, do so (`CodeSpec._split`).  A degree-1
+position then takes a constant `Poly` shared per spec, and a longer one a
+`Poly` shared per distinct slice, up to `MAX_SHARED_SYMBOLS` slices per
+spec; past that cap a new slice births its own.  A symbol list from
 outside is checked and flattened in one pass (`CodeSpec._flatten`).
 
 `CodeSpec._shift_rows` is the one builder of rows x^j * v mod M_n, padded to
@@ -70,6 +72,12 @@ from .errors import (
 from .field import Field
 from .kernels import _strip
 from .poly import Poly, _born, poly_gcd, poly_mod_inverse, is_irreducible
+
+# `CodeSpec._split` shares one `Poly` per distinct symbol of degree >= 2 up to
+# this many symbols per spec, and births a fresh one for each symbol past it:
+# GF(9) moduli of degrees 2 and 3 have 81 + 729 symbols, but over GF(2^16) a
+# degree-2 position alone has 2^32
+MAX_SHARED_SYMBOLS = 1 << 12
 
 
 class CodeSpec:
@@ -136,6 +144,7 @@ class CodeSpec:
         self.t_degree = (self.N - self.K) // 2
         self.betas = tuple(betas)
         self._constants: dict[int, Poly] = {}     # filled by `_split`
+        self._symbols: dict[tuple[int, ...], Poly] = {}  # and this, up to its cap
 
         self.ordered_degree = all(
             self.degrees[i] <= self.degrees[i + 1] for i in range(n - 1))
@@ -162,7 +171,7 @@ class CodeSpec:
         TypeError on a non-integer, so that 1.5 is not read as between 1
         and 2."""
         positions = tuple(map(operator.index, positions))
-        if any(not 0 <= i < self.n for i in positions):
+        if positions and not 0 <= min(positions) <= max(positions) < self.n:
             raise InfeasibleWeight(f"positions {list(positions)} out of range for n={self.n}")
         if len(set(positions)) < len(positions):
             raise InfeasibleWeight(f"positions {list(positions)} repeat a position")
@@ -193,14 +202,18 @@ class CodeSpec:
             a = a % self.modulus_product
         return tuple(self.field.kernel.combine(self._forward_rows, a.coeffs))
 
-    def _split(self, row: Sequence[int]) -> tuple[Poly, ...]:
+    def _split(self, row: tuple[int, ...]) -> tuple[Poly, ...]:
         """The symbols of a residue row, each stripped of its padding.
 
-        A degree-1 position holds a constant, taken from `_constants`, which
-        maps each constant seen so far to one shared `Poly`; `Poly` is
-        immutable, so sharing it is safe.
+        `Poly` is immutable, so equal symbols may share one object.  A
+        degree-1 position holds a constant, taken from `_constants`, which
+        maps each constant seen so far to one shared `Poly`.  A longer
+        position's slice of the row keys `_symbols`, which shares one `Poly`
+        per distinct slice up to `MAX_SHARED_SYMBOLS` slices; past that a
+        new slice births its own.
         """
-        field, constants, o, out = self.field, self._constants, self._offsets, []
+        field, constants, symbols, o, out = (
+            self.field, self._constants, self._symbols, self._offsets, [])
         for lo, hi in zip(o, o[1:]):
             if hi - lo == 1:
                 c = row[lo]
@@ -208,7 +221,12 @@ class CodeSpec:
                 if s is None:
                     s = constants[c] = Poly._raw(field, (c,) if c else ())
             else:
-                s = Poly._raw(field, _strip(row[lo:hi]))
+                key = row[lo:hi]
+                s = symbols.get(key)
+                if s is None:
+                    s = Poly._raw(field, _strip(key))
+                    if len(symbols) < MAX_SHARED_SYMBOLS:
+                        symbols[key] = s
             out.append(s)
         return tuple(out)
 
@@ -360,9 +378,9 @@ class Codeword:
     hash read (spec, row), so they do not depend on how the word was built.
     `Codeword(spec, symbols)` checks the symbols, flattens them in one pass
     and keeps only the row.  `symbols` is split from the row on each read,
-    by `CodeSpec._split`, whose degree-1 symbols are constants shared per
-    spec; so it equals the symbols a word was built from, but is not the
-    same tuple.  Immutable.
+    by `CodeSpec._split`, whose symbols are shared per spec (those of
+    degree >= 2 up to `MAX_SHARED_SYMBOLS`); so it equals the symbols a
+    word was built from, but is not the same tuple.  Immutable.
     """
 
     __slots__ = ("spec", "row")

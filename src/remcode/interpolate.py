@@ -11,13 +11,19 @@ Two routes:
   it is the production path; the direct route is kept as an oracle.  The
   product has degree below 2N - K, since deg E <= N - K is checked first,
   so the reduction is one `combine` of the spec's reduction rows by its
-  top coefficients (`CodeSpec._reduce`), and E is the one divisor.
+  top coefficients (`CodeSpec._reduce`), and E is the one divisor.  E
+  divides M_n, so E * Y mod M_n = E * (Y mod M_S), M_S = M_n / E: the
+  division is always exact, and its quotient is Y mod M_S.  It is one
+  kernel `exact_quotient`, which over the odd fields tests the remainder
+  on its digit planes and unpacks none; the test stays a check, not an
+  assert, so `NonDivisible` is raised under `python -O` too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
+from itertools import filterfalse
 from typing import Mapping, Sequence
 
 from .code import CodeSpec, Codeword, psi_inverse
@@ -27,7 +33,7 @@ from .errors import (
     InsufficientSupport,
     NonDivisible,
 )
-from .poly import Poly, poly_mod_inverse
+from .poly import Poly, _born, poly_mod_inverse
 
 
 @dataclass(frozen=True)
@@ -37,7 +43,9 @@ class ErasurePattern:
     The erased moduli are the ones multiplied out when the pattern is built,
     by one `CodeSpec.product` (on digit planes over the odd fields with
     q <= 256, so no `Poly` product is formed there): recovery multiplies by
-    their product, whose degree a usable pattern keeps within N - K.  The
+    their product E, whose degree a usable pattern keeps within N - K, and
+    divides by it exactly; over the odd fields the kernel tables E once for
+    both steps when their slot sizes agree (`_SlotKernel._table`).  The
     known product, M_n divided by it exactly, is read only by
     `interpolate_direct`, so it is built on first read.
     """
@@ -52,7 +60,7 @@ class ErasurePattern:
         if not known:
             raise InsufficientSupport("at least one known position required")
         object.__setattr__(self, "known", known)
-        erased = self.spec.product(i for i in range(self.spec.n) if i not in known)
+        erased = self.spec.product(filterfalse(known.__contains__, range(self.spec.n)))
         object.__setattr__(self, "erased_product", erased)
         object.__setattr__(self, "erased_weight", int(erased.degree))
 
@@ -110,15 +118,25 @@ def interpolate_fixed_transform(
     The erased positions of `received` may hold anything; the result does
     not depend on them as long as the erased degree weight stays within the
     code redundancy N - K.
+
+    The reduced product z = E * psi^-1(y) mod M_n is divided by E with one
+    kernel `exact_quotient`, which returns None when E leaves a remainder
+    (over the odd fields, checked on the remainder's digit planes, none of
+    it unpacked); None raises `NonDivisible`.  Since E divides M_n this
+    never happens for any received word (see the module docstring), but
+    the check runs with asserts off too.  A quotient of degree K or more
+    raises `InconsistentResidues`.
     """
     spec.check_same(pattern.spec, "erasure pattern")
     if pattern.erased_weight > spec.N - spec.K:
         raise ErasureBudgetExceeded(
             f"erased degree weight {pattern.erased_weight} > N - K = {spec.N - spec.K}")
-    z = spec._reduce(pattern.erased_product * psi_inverse(spec, received))
-    a, rem = divmod(z, pattern.erased_product)
-    if not rem.is_zero:
+    e, field = pattern.erased_product, spec.field
+    z = spec._reduce(e * psi_inverse(spec, received))
+    a = field.kernel.exact_quotient(z.packed, e.packed)
+    if a is None:
         raise NonDivisible("reduced product is not a multiple of the erased moduli")
+    a = _born(field, a)
     if a.degree >= spec.K:
         raise InconsistentResidues(
             "known symbols are not the residues of a single message")

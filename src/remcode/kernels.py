@@ -37,7 +37,9 @@ packed; and `product(packed, positions)`, the product of the factors at
 `positions` among a fixed set that `pack_factors` converts once, 1 for no
 position.  `_Kernel`'s `pack_factors` is the identity on packed values and
 its `product` the chain of `poly_mul`, which every characteristic-2 kernel
-keeps and the tests hold the odd kernels' products to.
+keeps and the tests hold the odd kernels' products to.  The erasure
+decoder reads one more, `exact_quotient(x, y)`: x / y when y divides x,
+else None; `_Kernel`'s is `poly_divmod` and a test of the remainder.
 `BitKernel` and `ByteKernel` set `packs`: there a packed value is one int,
 the bit row or the little-endian byte row, so a
 polynomial is packed once, when it is born, results are born packed,
@@ -56,9 +58,11 @@ digits, so each row that is multiplied is first formed as its multiples
 row * alpha^a, a < m, by one function, `_multiples`, through m - 1 maps
 x -> x * alpha^a built from `Field._times(p)` (`_alpha`): one
 `bytes.translate` each for q <= 256, above that one list lookup per
-coefficient.  `pack` and `_divide_planes` hold each multiple's planes
-end to end in one int; `mul` and `product` read them as an m x m table of
-plane ints, entry [dst][src] plane dst of row * alpha^src (`_table`).  For
+coefficient.  `pack` holds each multiple's planes end to end in one int;
+`mul`, `product` and `_divide_planes` read them as an m x m table of
+plane ints, entry [dst][src] plane dst of row * alpha^src (`_table`, which
+keeps the last table it built, so that a division by the operand `mul`
+just tabled, at the same slot size, builds none).  For
 a = sum_src alpha^src A_src over its planes, plane dst of a * row is
 sum_src A_src * table[dst][src] (`_step`: m^2 int products, the one
 Kronecker step).  `mul` takes that step once, a product whose shorter
@@ -68,8 +72,11 @@ over the factors that `pack_factors` tables once, reduces its planes mod p
 (`_reduce_plane`) before each step after the first.  A division by
 at least `PLANE_DIVIDE_MIN` coefficients runs on planes too
 (`_divide_planes`): each quotient term reads the top slot of each plane of
-the remainder mod p, then adds small-int multiples of the packed divisor
-times alpha^a, shifted into place.  Shorter divisors keep the list
+the remainder mod p, then adds small-int multiples of the divisor's table
+columns, joined end to end, shifted into place.  `poly_divmod` unpacks the
+remainder's low slots; `exact_quotient` only tests that each is 0 mod p,
+by one `_reduce_plane` over them where byte maps reduce the slots, and
+unpacks them elsewhere.  Shorter divisors keep the list
 `_divide`, and add and sub keep their per-coefficient loops: over GF(p^m)
 those read the Zech table.
 
@@ -260,6 +267,15 @@ class _Kernel:
         """x mod y, y nonzero."""
         return self.poly_divmod(x, y)[1] if len(x) >= len(y) else x
 
+    def exact_quotient(self, x, y):
+        """x / y when the nonzero y divides x, else None: here `poly_divmod`
+        and a test that the remainder is zero, the reference for
+        `_SlotKernel.exact_quotient`."""
+        if self.packed_len(x) < self.packed_len(y):
+            return None if x else x
+        quot, rem = self.poly_divmod(x, y)
+        return None if rem else quot
+
     def poly_monic(self, x):
         """x scaled by the inverse of its lead, x nonzero."""
         lead = self.from_packed(x)[-1]
@@ -403,10 +419,10 @@ class _SlotKernel(_Kernel):
     Everything here reads one form: a row's m base-p digit planes, each one
     int of little-endian slots (`_planes`), and the row's multiples by
     alpha^a, a < m (`_multiples`; alpha the element x, the int p).  `pack`
-    and `_divide_planes` pack those multiples end to end (`_packed`), and
-    `mul` and `product` read them as an m x m table of plane ints
-    (`_table`) in one Kronecker step (`_step`).  What they read is built
-    here, with no table of the field's:
+    packs those multiples end to end (`_packed`); `mul` and `product` read
+    them as an m x m table of plane ints (`_table`) in one Kronecker step
+    (`_step`), and `_divide_planes` joins the table's columns.  What they
+    read is built here, with no table of the field's:
 
     * `_alpha[a - 1]`, for 1 <= a < m: the map x -> x * alpha^a, built on
       first read from `Field._times(p)`; a 256-byte map for
@@ -431,6 +447,7 @@ class _SlotKernel(_Kernel):
             self._high = (bytes(x * 256 % p for x in range(p)) * (256 // p + 1))[:256]
         bits = (p - 1).bit_length()
         self._class_bits = bits if q <= 256 and bits <= CLASS_BITS else 0
+        self._last_table = 0, (), ()
 
     @cached_property
     def _alpha(self) -> list:
@@ -470,8 +487,15 @@ class _SlotKernel(_Kernel):
 
     def _table(self, row: Coeffs, size: int) -> tuple[tuple[int, ...], ...]:
         """The m x m table of `row`: entry [dst][src] is plane dst of
-        row * alpha^src."""
-        return tuple(zip(*[self._planes(x, size) for x in self._multiples(row)]))
+        row * alpha^src.  The last table built is kept with its row and slot
+        size, so that a division by the row just multiplied tables it once."""
+        row = tuple(row)
+        last_size, last_row, table = self._last_table
+        if size == last_size and row == last_row:
+            return table
+        table = tuple(zip(*[self._planes(x, size) for x in self._multiples(row)]))
+        self._last_table = size, row, table
+        return table
 
     def _unpack(self, acc: int, size: int, length: int) -> list[int]:
         """The `length` coefficients held by `acc`, m planes of `size`-byte
@@ -581,22 +605,28 @@ class _SlotKernel(_Kernel):
         chain.
 
         The accumulator is its m digit planes.  Each factor after the first
-        reduces them mod p (`_reduce_plane`), so that every slot holds a
-        digit below p, and takes one `_step` by its table.  The last step's
-        planes are reduced once, by the `_unpack` at the end.
+        reduces them mod p (`_reduce_plane`; for 1-byte slots its one
+        translate per plane, inline, which saves a few calls per factor), so
+        that every slot holds a digit below p, and takes one `_step` by its
+        table.  The last step's planes are reduced once, by the `_unpack` at
+        the end.
         """
         size, factors = packed
         if size is None:
             return super().product(factors, positions)
-        acc = None
+        acc, mod_p = None, self._digits[0]
         for i in positions:
             n, table = factors[i]
             if acc is None:                       # 1 * f: f's own planes
                 acc, length = [row[0] for row in table], n
+                continue
+            if size == 1:                         # `_reduce_plane` inlined: one translate
+                planes = [int.from_bytes(x.to_bytes(length, "little").translate(mod_p), "little")
+                          for x in acc]
             else:
-                acc, length = _step([int.from_bytes(_spread(self._reduce_plane(
-                    x.to_bytes(size * length, "little"), size), size), "little") for x in acc],
-                    table), length + n - 1
+                planes = [int.from_bytes(_spread(self._reduce_plane(
+                    x.to_bytes(size * length, "little"), size), size), "little") for x in acc]
+            acc, length = _step(planes, table), length + n - 1
         return tuple(self._unpack(_join(acc, 8 * size * length), size, length)) if acc else (1,)
 
     def mul(self, a: Coeffs, b: Coeffs) -> list[int]:
@@ -623,35 +653,52 @@ class _SlotKernel(_Kernel):
         `PLANE_DIVIDE_MIN` coefficients, else by the list `_divide`."""
         if len(y) < PLANE_DIVIDE_MIN:
             return super().poly_divmod(x, y)
-        quot, rem = self._divide_planes(x, y)
+        quot, low, size = self._divide_planes(x, y)
+        rem = self._unpack(int.from_bytes(low, "little"), size, len(y) - 1)
         return _strip(quot), _strip(rem)
 
-    def _divide_planes(self, x: Coeffs, y: Coeffs) -> tuple[list[int], list[int]]:
-        """(quotient, remainder) of x by y, len(x) >= len(y) >= 1, on packed
-        digit planes; the remainder has len(y) - 1 entries, top zeros included.
+    def exact_quotient(self, x, y):
+        """x / y when the nonzero y divides x, else None.  From
+        `PLANE_DIVIDE_MIN` divisor coefficients on, `_divide_planes` and a
+        test that every remainder slot of every plane is 0 mod p: one
+        `_reduce_plane` over them where `_translates` holds, so no
+        remainder is unpacked, else their `_unpack`.  Below that, `_Kernel`'s."""
+        if len(y) < PLANE_DIVIDE_MIN or len(x) < len(y):
+            return super().exact_quotient(x, y)
+        quot, low, size = self._divide_planes(x, y)
+        if self._translates(size):
+            digits = self._reduce_plane(low, size)
+            exact = digits.count(0) == len(digits)
+        else:
+            exact = not any(self._unpack(int.from_bytes(low, "little"), size, len(y) - 1))
+        return _strip(quot) if exact else None
+
+    def _divide_planes(self, x: Coeffs, y: Coeffs) -> tuple[list[int], bytes, int]:
+        """The quotient of x by y, len(x) >= len(y) >= 1, on packed digit
+        planes, with the remainder unreduced: (quotient, remainder, slot
+        size), the remainder its m planes of len(y) - 1 slots end to end, as
+        bytes, each slot congruent mod p to its digit.
 
         The remainder is one int that holds x's m planes end to end, in
         slots sized for (quotient terms + 1) * m * (p-1)^2, and y * alpha^a
-        for each a < m is one int of the same layout, as `pack` builds its
-        columns.  For the quotient term of x^j, digit a of the remainder's
+        for each a < m is one int of the same layout, joined from y's
+        `_table`.  For the quotient term of x^j, digit a of the remainder's
         coefficient c at x^(j + deg y) is that slot of plane a mod p.
         Subtracting c/lead * x^j * y adds, for each digit g_a of -c/lead,
         g_a * y * alpha^a shifted up j slots: at most m (p-1)^2 per slot, on
         top of x's digit, so no slot carries.  That sum is formed once per
-        distinct c.  One `_unpack` at the end reduces every slot mod p.
+        distinct c.
         """
         p, m = self.p, self.field.m
         n, db = len(x), len(y) - 1
         size = _slot_size(p, m, n - db + 1)
         bits, span = 8 * size, 8 * size * n
-        columns = [self._packed(multiple, size)
-                   for multiple in self._multiples(list(y) + [0] * (n - db - 1))]
-        rem, mask, quot = self._packed(x, size), (1 << bits) - 1, [0] * (n - db)
-        over_lead, terms = self._over_lead(y[-1]), {}
+        columns = [_join(column, span) for column in zip(*self._table(y, size))]
+        rem, mask, quot = self._packed(x, size), (1 << bits) - 1, []
+        over_lead, terms, top = self._over_lead(y[-1]), {}, db * bits
         high = list(zip(range(span, m * span, span), self._powers[1:]))
-        for j in range(n - db - 1, -1, -1):      # the term of x^j, at slot j + db
-            s = j * bits
-            t = rem >> (s + db * bits)
+        for s in range((n - db - 1) * bits, -1, -bits):     # the term of x^j, s = j * bits
+            t = rem >> (s + top)                  # from slot j + db up
             c = (t & mask) % p
             for off, pa in high:
                 c += (t >> off & mask) % p * pa
@@ -661,9 +708,15 @@ class _SlotKernel(_Kernel):
                     f, g = over_lead(c)
                     term = terms[c] = f, sum(g // pa % p * column
                                              for column, pa in zip(columns, self._powers))
-                quot[j], multiple = term
+                f, multiple = term
                 rem += multiple << s
-        return quot, self._unpack(rem, size, n)[:db]
+                quot.append(f)
+            else:
+                quot.append(0)
+        quot.reverse()
+        plane, low = size * n, size * db
+        raw = rem.to_bytes(m * plane, "little")
+        return quot, b"".join([raw[a:a + low] for a in range(0, m * plane, plane)]), size
 
     def _over_lead(self, lead: int):
         """The map c -> (c / lead, -c / lead) on nonzero elements, for a

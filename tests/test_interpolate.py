@@ -200,14 +200,18 @@ def test_pattern_products_split_modulus_product(ladder5, gf4_mixed):
 def test_fixed_transform_divides_once_by_the_erased_product(monkeypatch, gf2, gf5, gf16):
     """The transform reduces E * psi^-1(y) mod M_n by the spec's reduction
     rows (`CodeSpec._reduce`), so its one division is the exact one by the
-    erased product E; the erased positions are filled so that the product
-    reaches degree N and over."""
+    erased product E: one call of the kernel's `exact_quotient`, with E's
+    own packed value as the divisor, and no `Poly` division; the erased
+    positions are filled so that the product reaches degree N and over."""
     gf9 = Field(3, 2, [1, 0, 1])
-    divisors = []
+    divisors, polys = [], []
     divide = Poly.__divmod__
-    monkeypatch.setattr(Poly, "__divmod__", lambda a, b: divisors.append(b) or divide(a, b))
+    monkeypatch.setattr(Poly, "__divmod__", lambda a, b: polys.append(b) or divide(a, b))
     rng = random.Random(29)
     for field in (gf2, gf5, gf16, gf9):
+        quotient = field.kernel.exact_quotient
+        monkeypatch.setattr(field.kernel, "exact_quotient",
+                            lambda x, y, quotient=quotient: divisors.append(y) or quotient(x, y))
         for _ in range(10):
             spec = random_spec(rng, field, (3, 6))
             a = random_message(rng, spec)
@@ -221,8 +225,74 @@ def test_fixed_transform_divides_once_by_the_erased_product(monkeypatch, gf2, gf
                 symbols[i] = Poly.from_int(field, rng.randrange(1, field.q ** spec.degrees[i]))
             pattern = ErasurePattern(spec, set(range(spec.n)) - set(erased))
             divisors.clear()
+            polys.clear()
             assert interpolate_fixed_transform(spec, symbols, pattern) == a
-            assert len(divisors) == 1 and divisors[0] is pattern.erased_product
+            assert len(divisors) == 1 and divisors[0] is pattern.erased_product.packed
+            assert polys == []
+
+
+def _moduli_by_degree(f: Field, degrees: tuple[int, ...]) -> list[Poly]:
+    """For each degree d, the first degrees.count(d) irreducibles in the
+    sieve's order; `degrees` nondecreasing."""
+    return [m for d in sorted(set(degrees)) for m in irreducible_polys(f, d)[:degrees.count(d)]]
+
+
+# the benchmark's three spec shapes: RS(255,223) over GF(2^8), GF(2) moduli
+# of degrees 1 to 7, and GF(9) moduli of degrees 1 to 3
+WORKLOAD_SPECS = {
+    "GF(2^8) linear": lambda: CodeSpec(
+        (f := Field(2, 8, [1, 0, 1, 1, 1, 0, 0, 0, 1])), irreducible_polys(f, 1)[:255], 223),
+    "GF(2) ladder": lambda: CodeSpec((f := Field(2)), _moduli_by_degree(
+        f, (1, 1, 2, 3, 3, 4, 4, 4, 5, 5, 5, 5, 6, 6, 6, 6, 7, 7, 7, 7)), 8),
+    "GF(9) degrees 1-3": lambda: CodeSpec(
+        (f := Field(3, 2, [1, 0, 1])), _moduli_by_degree(f, (1,) * 9 + (2,) * 36 + (3,) * 20), 40),
+}
+
+
+@pytest.mark.parametrize("name", list(WORKLOAD_SPECS))
+def test_fixed_transform_division_is_exact_on_random_rows(name):
+    """E divides M_n, so E * Y mod M_n = E * (Y mod M_S), M_S = M_n / E:
+    on random rows (every row is a residue vector) and random known sets
+    within the erasure budget, the reduced product leaves no remainder by
+    E, and the kernel's `exact_quotient` is Y mod M_S.  So the transform
+    raises `InconsistentResidues` exactly when deg(Y mod M_S) >= K, and
+    never `NonDivisible`; on codewords with junk at the erased positions it
+    returns the message."""
+    spec = WORKLOAD_SPECS[name]()
+    f, kernel = spec.field, spec.field.kernel
+    rng = random.Random(37)
+    raised = 0
+    for trial in range(16):
+        budget = rng.randint(0, spec.N - spec.K)
+        erased, weight = [], 0
+        for i in rng.sample(range(spec.n), spec.n):
+            if weight + spec.degrees[i] <= budget and len(erased) < spec.n - 1:
+                erased.append(i)
+                weight += spec.degrees[i]
+        pattern = ErasurePattern(spec, set(range(spec.n)) - set(erased))
+        if trial % 2:
+            message = random_message(rng, spec)
+            symbols = list(encode(spec, message).symbols)
+            for i in erased:
+                symbols[i] = Poly.from_int(f, rng.randrange(f.q ** spec.degrees[i]))
+        else:
+            message = None
+            symbols = [Poly.from_int(f, rng.randrange(f.q ** d)) for d in spec.degrees]
+        y = psi_inverse(spec, symbols)
+        e = pattern.erased_product
+        z = spec._reduce(e * y)
+        expected = y % pattern.known_product
+        assert divmod(z, e) == (expected, Poly.zero(f))
+        assert kernel.from_packed(kernel.exact_quotient(z.packed, e.packed)) == expected.coeffs
+        if expected.degree < spec.K:
+            assert interpolate_fixed_transform(spec, symbols, pattern) == expected
+            assert message is None or expected == message
+        else:
+            assert message is None
+            with pytest.raises(InconsistentResidues):
+                interpolate_fixed_transform(spec, symbols, pattern)
+            raised += 1
+    assert raised
 
 
 def _gf9_spec() -> CodeSpec:

@@ -719,12 +719,14 @@ DIVISOR_LENGTHS = (PLANE_DIVIDE_MIN - 1, PLANE_DIVIDE_MIN, PLANE_DIVIDE_MIN + 1,
 
 def check_divide(f: Field, x: list[int], y: list[int]) -> None:
     """`_divide_planes(x, y)` equals the list `_divide` entry for entry, top
-    zeros included, and `poly_divmod` returns both stripped."""
+    zeros included, its remainder once unpacked, and `poly_divmod` returns
+    both stripped."""
     kernel = f.kernel
     rem, quot = list(x), [0] * (len(x) - len(y) + 1)
     kernel._divide(rem, y, quot)
     expected = (quot, rem[:len(y) - 1])
-    assert kernel._divide_planes(x, y) == expected
+    got, low, size = kernel._divide_planes(x, y)
+    assert (got, kernel._unpack(int.from_bytes(low, "little"), size, len(y) - 1)) == expected
     assert kernel.poly_divmod(tuple(x), tuple(y)) == tuple(_strip(list(e)) for e in expected)
 
 

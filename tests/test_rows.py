@@ -21,7 +21,8 @@ RS(255,223) and over GF(2^16);
 `Codeword`'s flat row, the symbols split from it, its row
 arithmetic, its support and weights and the zero-residue count against the
 same words built and added symbol by symbol; a count of row splits on every
-library path, which split none; and `CodeSpec._shift_rows`, the rows
+library path, which split none; the symbols `_split` shares, one `Poly` per
+distinct slice up to `MAX_SHARED_SYMBOLS`; and `CodeSpec._shift_rows`, the rows
 x^j * v mod M_n that the inverse rows and the list decoder's scan are
 built from, against (x^j * v) % M_n, and `CodeSpec._reduce`, the
 fixed-transform decoder's reduction mod M_n by rows, against a % M_n.
@@ -29,13 +30,16 @@ fixed-transform decoder's reduction mod M_n by rows, against a % M_n.
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from remcode.code import (
-    CodeSpec, Codeword, degree_weight, distances, encode, hamming_weight, psi_inverse, weights)
+    MAX_SHARED_SYMBOLS, CodeSpec, Codeword, degree_weight, distances, encode, hamming_weight,
+    psi_inverse, weights)
 from remcode.decoder import build_candidate_list, count_zero_residues, decode, error_locator_poly
 from remcode.field import Field
 from remcode.fileio import dumps_codeword, loads_codeword
@@ -44,7 +48,7 @@ from remcode.kernels import (
     CLASS_BITS, KRONECKER_MIN, BitKernel, ByteKernel, Char2Kernel, OddKernel, PrimeKernel,
     _Kernel, _slot_size, _slot_struct)
 from remcode.oracle import brute_force_decode, exhaustive_scan
-from remcode.poly import Poly
+from remcode.poly import Poly, irreducible_polys
 from remcode.sim import FIXED_POSITIONS, RANDOM_DEGREE, ChannelModel, corrupt, simulate
 
 from test_kernels import coprime_specs, elements
@@ -459,7 +463,9 @@ def test_codeword_rows_match_the_symbolwise_reference(name):
     row is the symbols zero-padded end to end, equal words hash equal
     whichever of `.row` or `.symbols` was read first, `+` and `-` are the
     symbol-wise sums, and `psi_inverse` inverts `encode`.  A degree-1
-    symbol is a constant shared across words, equal to a fresh `Poly`.
+    symbol is a constant shared across words, and so is a longer one while
+    the spec's table of shared symbols is below `MAX_SHARED_SYMBOLS`; each
+    equals a fresh `Poly`.
     `support()`, both weights and `count_zero_residues`, which read the
     row's slices, agree with their symbol-wise definitions."""
     f = WORD_FIELDS[name]
@@ -503,10 +509,10 @@ def test_codeword_rows_match_the_symbolwise_reference(name):
 
         again = encode(spec, message)
         for i, (s, d) in enumerate(zip(word.symbols, spec.degrees)):
-            if d == 1:
-                fresh = Poly(f, [word.row[sum(spec.degrees[:i])]])
-                assert s == fresh and hash(s) == hash(fresh) and s.coeffs == fresh.coeffs
-                assert again.symbols[i] is s
+            o = sum(spec.degrees[:i])
+            fresh = Poly(f, word.row[o:o + d])
+            assert s == fresh and hash(s) == hash(fresh) and s.coeffs == fresh.coeffs
+            assert again.symbols[i] is s
 
     check()
 
@@ -532,6 +538,65 @@ def test_no_library_path_splits_a_row(monkeypatch, ladder5):
     assert error_locator_poly(spec, outcome.error_word) == spec.moduli[3]
     assert count_zero_residues(spec, spec.product([1, 3])) == 2
     assert calls == []
+
+
+def _check_split(spec: CodeSpec, row: tuple[int, ...]) -> tuple[Poly, ...]:
+    """`_split(row)`: each symbol equals a fresh `Poly` of its slice."""
+    symbols, o = spec._split(row), spec._offsets
+    assert len(symbols) == spec.n
+    for i, s in enumerate(symbols):
+        fresh = Poly(spec.field, row[o[i]:o[i + 1]])
+        assert s == fresh and s.coeffs == fresh.coeffs and s.packed == fresh.packed
+    return symbols
+
+
+def test_split_shares_one_poly_per_distinct_symbol():
+    """Over GF(9) with moduli of degrees 1, 2 and 3, repeated splits return
+    the same `Poly` object for equal slices at a position of degree >= 2, as
+    for constants, and each symbol equals a fresh `Poly`.  A slice is keyed
+    with its length: the degree-2 symbol (a, b), a + b x, and the degree-3
+    symbol (0, a, b), a x + b x^2, stay apart in either order."""
+    f = FIELDS["GF(9)"]
+    moduli = [m for d, count in ((1, 2), (2, 3), (3, 3)) for m in irreducible_polys(f, d)[:count]]
+    spec = CodeSpec(f, moduli, 3)
+    assert spec._offsets == (0, 1, 2, 4, 6, 8, 11, 14, 17)
+    rows = []
+    for j, (a, b) in enumerate(((1, 2), (0, 1), (3, 0), (5, 7))):
+        pair = [(0, 0, a, b) + (0,) * 13, (0,) * 8 + (0, a, b) + (0,) * 6]
+        rows += pair[::-1] if j % 2 else pair
+    rng = random.Random(41)
+    rows += [tuple(rng.randrange(f.q) for _ in range(spec.N)) for _ in range(200)]
+    seen = {}
+    for row in rows + rows[::-1]:
+        symbols = _check_split(spec, row)
+        again = spec._split(row)
+        o = spec._offsets
+        for i, s in enumerate(symbols):
+            assert again[i] is s
+            assert seen.setdefault(row[o[i]:o[i + 1]], s) is s
+    assert len(spec._symbols) == sum(len(key) > 1 for key in seen) < MAX_SHARED_SYMBOLS
+
+
+def test_split_table_stops_at_its_cap():
+    """Over GF(2^16), where a degree-2 position alone has 2^32 symbols,
+    splits past `MAX_SHARED_SYMBOLS` distinct symbols keep the table at the
+    cap and still return correct symbols, shared or not.  A copied or
+    pickled spec carries no table, and splits the same."""
+    f = Field(2, 16, [1, 1, 0, 1] + [0] * 8 + [1, 0, 0, 0, 1])
+    moduli = [Poly(f, [f.mul(a, a + 1), a ^ (a + 1), 1]) for a in (2, 4, 6, 8)]  # (x+a)(x+a+1)
+    spec = CodeSpec(f, moduli + [Poly(f, [1, 1])], 2)
+    rng = random.Random(43)
+    rows = [tuple(rng.randrange(f.q) for _ in range(spec.N))
+            for _ in range(MAX_SHARED_SYMBOLS // 4 + 100)]
+    for row in rows:
+        _check_split(spec, row)
+    assert len(spec._symbols) == MAX_SHARED_SYMBOLS
+    for row in rows[:20] + rows[-20:]:
+        assert _check_split(spec, row) == spec._split(row)
+    assert len(spec._symbols) == MAX_SHARED_SYMBOLS
+    for twin in (copy.copy(spec), copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))):
+        assert twin == spec and twin._symbols == {} and twin._constants == {}
+        assert twin._split(rows[-1]) == spec._split(rows[-1])
 
 
 @pytest.mark.parametrize("f", [FIELDS["GF(2)"], Field(5), FIELDS["GF(2^8)"], FIELDS["GF(9)"]],

@@ -32,8 +32,9 @@ every outer pass; they hold for arbitrary inputs, decodable or not.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field as dc_field, replace
 from enum import Enum
+from functools import cached_property
 from math import comb
 from typing import Callable, Iterable, Sequence
 
@@ -115,17 +116,60 @@ class FailureReason(Enum):
     MESSAGE_DEGREE_OVERFLOW = "message_degree_overflow"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecodeOutcome:
+    """What one decode found, and the run it found it in.
+
+    A decoder's outcome keeps its spec and the received preimage Y, failures
+    included, so `list_decode` can scan a failed word without inverting it
+    again.  `error_word` is built when it is first read, then cached.  An
+    outcome built by hand holds no preimage, and its `error_word` is None.
+
+    Equality is by value over the five public fields, `error_word` among
+    them, so comparing two outcomes builds their words; the hash reads the
+    other four, so it needs no word.  `copy` and `pickle` rebuild an outcome
+    from its fields, spec and preimage, so no built word travels with it.
+    """
+
     status: DecodeStatus
     message: Poly | None = None
-    error_word: Codeword | None = None
     factor_poly: Poly | None = None
     failure_reason: FailureReason | None = None
+    spec: CodeSpec | None = dc_field(default=None, repr=False)
+    received_preimage: Poly | None = dc_field(default=None, repr=False)
 
     @property
     def ok(self) -> bool:
         return self.status is not DecodeStatus.FAILURE
+
+    @cached_property
+    def error_word(self) -> Codeword | None:
+        """received - encode(spec, message), or None on a failure.
+
+        It is psi(Y - message): deg Y < N and deg message < K, so the two
+        residue vectors subtract position by position, for any moduli,
+        irreducible or not.  One forward `combine` builds its row, with no
+        split into symbols; on NO_ERROR, Y is the message and the row is
+        zero.
+        """
+        y = self.received_preimage
+        if y is None or self.status is DecodeStatus.FAILURE:
+            return None
+        return Codeword._of_row(self.spec, self.spec._row(y - self.message))
+
+    def _key(self) -> tuple:
+        return self.status, self.message, self.factor_poly, self.failure_reason
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DecodeOutcome):
+            return NotImplemented
+        return self._key() == other._key() and self.error_word == other.error_word
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __reduce__(self):
+        return DecodeOutcome, self._key() + (self.spec, self.received_preimage)
 
 
 # -- the shared Euclidean loop -------------------------------------------------
@@ -413,21 +457,17 @@ def error_locator_test(
 # -- the decoder --------------------------------------------------------------------
 
 
-def _failure(reason: FailureReason) -> DecodeOutcome:
-    return DecodeOutcome(status=DecodeStatus.FAILURE, failure_reason=reason)
+def _failure(spec: CodeSpec, y: Poly, reason: FailureReason) -> DecodeOutcome:
+    return DecodeOutcome(DecodeStatus.FAILURE, failure_reason=reason,
+                         spec=spec, received_preimage=y)
 
 
 def _success(spec: CodeSpec, y: Poly, message: Poly, factor: Poly) -> DecodeOutcome:
-    """Outcome with error_word = received - encode(spec, message).
-
-    That is psi(Y - message), for Y the received preimage: deg Y < N and
-    deg message < K, so the two residue vectors subtract position by
-    position.  It holds for any moduli, irreducible or not.  The word is
-    built from its row, one forward `combine`, with no split into symbols.
-    """
-    return DecodeOutcome(status=DecodeStatus.SUCCESS, message=message,
-                         error_word=Codeword._of_row(spec, spec._row(y - message)),
-                         factor_poly=factor)
+    """A SUCCESS outcome on the received preimage y.  It keeps y, and its
+    `error_word`, received - encode(spec, message), is built from y only
+    when first read."""
+    return DecodeOutcome(DecodeStatus.SUCCESS, message, factor,
+                         spec=spec, received_preimage=y)
 
 
 def decode(
@@ -446,9 +486,8 @@ def decode(
     field = spec.field
     y = psi_inverse(spec, received)
     if y.degree < spec.K:
-        return DecodeOutcome(
-            status=DecodeStatus.NO_ERROR, message=y,
-            error_word=spec.zero_word(), factor_poly=Poly.one(field))
+        return DecodeOutcome(DecodeStatus.NO_ERROR, y, Poly.one(field),
+                             spec=spec, received_preimage=y)
 
     track_s = options.recovery is Recovery.ERROR
     if options.algorithm is Algorithm.FULL:
@@ -460,7 +499,7 @@ def decode(
                                 options.stopping, track_s=track_s)
     t = run.t
     if 2 * t.degree > spec.N - spec.K:
-        return _failure(FailureReason.FACTOR_DEGREE_EXCEEDED)
+        return _failure(spec, y, FailureReason.FACTOR_DEGREE_EXCEEDED)
 
     if options.recovery is Recovery.QUOTIENT:
         z = (t * y) % spec.modulus_product
@@ -474,9 +513,9 @@ def decode(
         e_lower, rem = divmod(numerator, t)
         a = Poly._raw(field, _strip(y.coeffs[:spec.K])) - e_lower
     if not rem.is_zero:
-        return _failure(FailureReason.NON_DIVISIBLE)
+        return _failure(spec, y, FailureReason.NON_DIVISIBLE)
     if a.degree >= spec.K:
-        return _failure(FailureReason.MESSAGE_DEGREE_OVERFLOW)
+        return _failure(spec, y, FailureReason.MESSAGE_DEGREE_OVERFLOW)
     return _success(spec, y, a, t.monic())
 
 
@@ -495,20 +534,31 @@ def list_decode(
     the first one that passes the locator test.  Returns the original
     failure when none does.  `gcd_outcome`, when given, must be
     `decode(spec, received, options)`; it stands in for that run, so the
-    word is not decoded twice.
+    word is not decoded twice.  Either way the scan reads the received
+    preimage Y from the gcd outcome, so the word is inverted once.  A
+    `gcd_outcome` of another spec raises SpecMismatch, and one that holds
+    no preimage (built by hand) raises ValueError, both before any scan.
 
     The scan is `_locator_scan`, one row map per received word;
     `_locator_conditions` is its reference and gives the same first hit.
+    A hit's `error_word` is built, like any outcome's, on first read.
     """
     if not spec.ordered_degree:
         raise UnorderedDegrees("list decoding requires nondecreasing modulus degrees")
     if not isinstance(received, Codeword):
         received = Codeword(spec, tuple(received))
     spec.check_same(received.spec, "word")      # a given gcd_outcome skips psi_inverse
-    base = decode(spec, received, options) if gcd_outcome is None else gcd_outcome
+    if gcd_outcome is None:
+        base = decode(spec, received, options)
+    else:
+        if gcd_outcome.received_preimage is None:
+            raise ValueError("gcd_outcome holds no received preimage; "
+                             "pass the outcome that decode returned")
+        spec.check_same(gcd_outcome.spec, "gcd outcome")
+        base = gcd_outcome
     if base.status is not DecodeStatus.FAILURE:
         return base
-    y = psi_inverse(spec, received)
+    y = base.received_preimage
     hit = _locator_scan(spec, y, candidates)
     if hit is None:
         return base

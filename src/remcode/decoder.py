@@ -8,10 +8,13 @@ M_n / gcd(E, M_n); the same loop run on (M_n, Y), or only on the coefficient
 windows above K, produces the identical s and t whenever
 2 * deg(factor) <= N - K, which is what makes decoding possible.
 
-The loop is implemented once, on `Poly` arithmetic over the field's
+The loop is implemented once, on the packed values of the field's
 coefficient kernel: each pass takes one whole quotient with a single
-`divmod` (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 3), so the
-loop itself does no coefficient arithmetic.  It is instantiated three ways:
+`poly_divmod` (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 3)
+and updates each cofactor by one `poly_mul` and one `poly_sub`, so the loop
+itself does no coefficient arithmetic, and the stop rules read degrees as
+ints.  Polynomials are born only for the invariant asserts and, once, for
+the result.  It is instantiated three ways:
 
 * extended_gcd        -- reference run on the true error preimage;
 * partial_gcd_full    -- run on the full received preimage with an early
@@ -178,31 +181,51 @@ class DecodeOutcome:
 def _euclid_loop(
     in1: Poly,
     in2: Poly,
-    stop: Callable[[Poly, Poly], bool],
+    stop: Callable[[int, int], bool],
     track_s: bool,
 ) -> GcdResult:
-    """Run the cofactor-tracking division loop until `stop(r, t)` fires.
+    """Run the cofactor-tracking division loop until `stop(deg r, deg t)`
+    fires, each degree an int, -1 for zero.
 
     Requires deg in1 > deg in2 and in2 != 0 (callers handle the degenerate
-    early exits); every stop rule fires at r = 0, so no pass divides by
-    zero.  Returns r, r_tilde, s, t and the pass count at the stop.
+    early exits).  Returns r, r_tilde, s, t and the pass count at the stop.
+
+    The loop runs on the kernel's packed values (`pr`, `prt`, `ps`, `pst`,
+    `pt`, `ptt` for r, r~, s, s~, t, t~): each pass is one `poly_divmod`,
+    its dividend of higher degree than its divisor, and one `poly_mul` and
+    `poly_sub` per cofactor, and a degree is `packed_len` - 1.  The per-pass
+    asserts read `Poly` views of them, born only under `__debug__`: r, t
+    and s each pass, while r~ and t~ are the last pass's views.  The
+    result's polynomials are born once, at the stop.
     """
     field = in1.field
-    r, rt = in1, in2
-    s, st = (Poly.one(field), Poly.zero(field)) if track_s else (None, None)
-    t, tt = Poly.zero(field), Poly.one(field)
-    gcd0 = poly_gcd(in1, in2) if __debug__ else None   # read only by an assert
+    kernel = field.kernel
+    divmod_, mul, sub = kernel.poly_divmod, kernel.poly_mul, kernel.poly_sub
+    length = kernel.packed_len
+    zero, one = kernel.to_packed(()), kernel.to_packed((1,))
+    pr, prt = in1.packed, in2.packed
+    ps, pst = one, zero
+    pt, ptt = zero, one
+    if __debug__:
+        gcd0 = poly_gcd(in1, in2)   # read only by an assert
+        r, rt = in1, in2
+        s, st = (_born(field, ps), _born(field, pst)) if track_s else (None, None)
+        t, tt = _born(field, pt), _born(field, ptt)
     delta_sum = 0
     iterations = 0
     while True:
         if track_s:
             assert r == s * in1 + t * in2
-        q, r = divmod(r, rt)
-        delta_sum += q.degree
-        if track_s:
-            s = s - q * st
-        t = t - q * tt
+        pq, pr = divmod_(pr, prt)
+        delta_sum += length(pq) - 1
+        if track_s and pst:                 # s~ = 0 on the first pass
+            ps = sub(ps, mul(pq, pst))
+        pt = sub(pt, mul(pq, ptt))          # t~ = 1 on the first pass, then deg t~ >= 1
         iterations += 1
+        if __debug__:
+            r, t = _born(field, pr), _born(field, pt)
+            if track_s:
+                s = _born(field, ps)
         # invariants at the stop-check point: they hold for any inputs
         assert poly_gcd(r, rt) == gcd0
         if track_s:
@@ -211,12 +234,19 @@ def _euclid_loop(
         assert r.degree < rt.degree
         assert t.degree > tt.degree
         assert t.degree == delta_sum
-        if stop(r, t):
-            return GcdResult(t=t, s=s, r=r, r_tilde=rt, iterations=iterations)
-        r, rt = rt, r
-        if track_s:
+        # r = 0 stops every run: a rule with a negative offset or bound, which
+        # no decoder passes, might not fire at -1, and no pass divides by zero
+        if stop(length(pr) - 1, length(pt) - 1) or not pr:
+            return GcdResult(t=_born(field, pt), s=_born(field, ps) if track_s else None,
+                             r=_born(field, pr), r_tilde=_born(field, prt),
+                             iterations=iterations)
+        pr, prt = prt, pr
+        ps, pst = pst, ps
+        pt, ptt = ptt, pt
+        if __debug__:
+            r, rt = rt, r
             s, st = st, s
-        t, tt = tt, t
+            t, tt = tt, t
 
 
 def _check_degrees(in1: Poly, in2: Poly) -> None:
@@ -241,7 +271,7 @@ def extended_gcd(modulus_product: Poly, error_preimage: Poly, track_s: bool = Tr
     if error_preimage.is_zero:
         return _no_pass(modulus_product.field, track_s, None, modulus_product)
     run = _euclid_loop(
-        modulus_product, error_preimage, stop=lambda r, t: r.is_zero, track_s=track_s)
+        modulus_product, error_preimage, stop=lambda dr, dt: dr < 0, track_s=track_s)
     if track_s:
         assert (run.s * modulus_product + run.t * error_preimage).is_zero
     return replace(run, r=None)
@@ -259,9 +289,9 @@ def _partial_run(in1: Poly, in2: Poly, offset: int, bound: int,
     if in2.degree < offset:
         return _no_pass(in1.field, track_s, in2, in1)
     if stopping is Stopping.RELATIVE:
-        stop = lambda r, t: r.degree < t.degree + offset
+        stop = lambda dr, dt: dr < dt + offset
     else:
-        stop = lambda r, t: 2 * r.degree < bound
+        stop = lambda dr, dt: 2 * dr < bound
     return _euclid_loop(in1, in2, stop, track_s)
 
 

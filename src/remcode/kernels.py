@@ -104,8 +104,10 @@ it.  The memo holds one chain of packed remainders r_i: about
 sum_i len(r_i) bytes of int in `ByteKernel` (an eighth of that in
 `BitKernel`), and elsewhere one coefficient tuple per remainder, 8 bytes
 of pointer per coefficient; plus a tuple and a dict entry per state.  The
-decoder checks gcd(r, r~) == gcd0 on every pass of one remainder chain, so
-after its first gcd each check is a lookup.
+decoder's Euclid loop runs on these entry points' packed values, and with
+asserts on checks gcd(r, r~) == gcd0 on every pass of one remainder chain:
+its remainders are the values gcd0's run left in the memo, so after its
+first gcd each check is a lookup.
 
 `combine(rows, coeffs)` returns sum_j coeffs[j] * rows[j] over a fixed set
 of rows of one length, which `pack` converts once into the form each kernel

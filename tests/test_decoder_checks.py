@@ -195,20 +195,22 @@ def test_per_pass_gcd_check_fires_with_the_memo_warm(monkeypatch, rs64, run):
     memo.  Pass 2 then returns 0 for its remainder: still of lower degree,
     with the true quotient, so the degree checks hold, but off the chain.
     gcd(0, rt) is rt made monic, of higher degree than gcd0, and the memo
-    must not answer for it."""
+    must not answer for it.  The loop divides on packed values, so the fault
+    is injected at its seam, the kernel's `poly_divmod`."""
     runs = _untracked_gcd_runs(rs64, _corrupted_preimage(rs64))
-    real = Poly.__divmod__
+    kernel = rs64.field.kernel
+    real, zero = kernel.poly_divmod, kernel.to_packed(())
     passes = []
 
-    def off_chain(a, b):
-        q, r = real(a, b)
+    def off_chain(x, y):
+        q, r = real(x, y)
         passes.append(r)
-        return (q, Poly.zero(r.field)) if len(passes) == 2 else (q, r)
+        return (q, zero) if len(passes) == 2 else (q, r)
 
-    monkeypatch.setattr(Poly, "__divmod__", off_chain)
+    monkeypatch.setattr(kernel, "poly_divmod", off_chain)
     with pytest.raises(AssertionError) as excinfo:
         runs[run]()
-    assert len(passes) == 2 and not passes[1].is_zero
+    assert len(passes) == 2 and passes[1] != zero
     assert "poly_gcd(r, rt) == gcd0" in str(excinfo.traceback[-1].statement)
 
 
